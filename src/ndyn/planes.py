@@ -10,9 +10,11 @@ bytes do not depend on the worker count.
 
 Parameter planes follow the orbit of one free critical point per pixel.
 When the family's map coefficients depend affinely on the parameter
-(certified at three probe points), the whole grid is rendered through
-vectorized coefficient arrays and batched companion-matrix root solves;
-otherwise a scalar per-pixel fallback is used.
+(certified at three probe points), the coefficient rows of a band come from
+that affine model; otherwise the family is called once per pixel.  Either
+way each band then goes through one batched path: the derivative numerator,
+analytic removal of the anchored factors, companion-matrix root solves,
+seed selection and orbit iteration.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import MultipleFreeCriticalPairs, NoFreeCritical
-from .poly import (INF, Polynomial, RationalMap, _clusters, is_inf,
-                   poly_roots)
+from .errors import NdynError
+# poly_roots is unused here but stays bound: bench/test_bench.py checks that
+# the tracer patches and restores it through this module
+from .poly import RationalMap, is_inf, poly_roots  # noqa: F401
 
 OUTCOME_NONE = 0
 OUTCOME_ROOT0 = 1
@@ -269,43 +272,37 @@ def _pad(c: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-class _AffineModel:
-    """Map coefficients as base + slope * t, certified at a third probe."""
-
-    def __init__(self, num0, num1, den0, den1):
-        self.num0, self.num1 = num0, num1
-        self.den0, self.den1 = den0, den1
-
-    def at(self, ts: np.ndarray) -> tuple:
-        num = self.num0[None, :] + ts[:, None] * self.num1[None, :]
-        den = self.den0[None, :] + ts[:, None] * self.den1[None, :]
-        return num, den
+def _sampled_rows(family, ts) -> tuple:
+    """Zero-padded (num, den) coefficient rows of the family at each t."""
+    pairs = [_coeff_pair(_family_map(family, complex(t))) for t in ts]
+    wn = max(p[0].size for p in pairs)
+    wd = max(p[1].size for p in pairs)
+    return (np.stack([_pad(p[0], wn) for p in pairs]),
+            np.stack([_pad(p[1], wd) for p in pairs]))
 
 
-def _fit_affine(family, cfg: RenderConfig) -> Optional[_AffineModel]:
+def _fit_affine(family, cfg: RenderConfig) -> Optional[Callable]:
+    """ts -> (num, den) coefficient rows as base + slope * t, fitted at two
+    probes and certified at a third; None when the family is not affine."""
     x0, x1, y0, y1 = cfg.window
     t_a = complex((x0 + x1) / 2.0, (y0 + y1) / 2.0)
     t_b = t_a + (x1 - x0) / 3.0
     t_c = t_a + 1j * (y1 - y0) / 3.0
     try:
-        pairs = [_coeff_pair(_family_map(family, t)) for t in (t_a, t_b, t_c)]
-    except Exception:
+        rows = _sampled_rows(family, (t_a, t_b, t_c))
+    except NdynError:
         return None
-    wn = max(p[0].size for p in pairs)
-    wd = max(p[1].size for p in pairs)
-    nums = [_pad(p[0], wn) for p in pairs]
-    dens = [_pad(p[1], wd) for p in pairs]
-    model = []
-    for va, vb, vc, ta, tb, tc in ((nums[0], nums[1], nums[2], t_a, t_b, t_c),
-                                   (dens[0], dens[1], dens[2], t_a, t_b, t_c)):
-        slope = (vb - va) / (tb - ta)
-        base = va - slope * ta
+    fit = []
+    for va, vb, vc in rows:
+        slope = (vb - va) / (t_b - t_a)
+        base = va - slope * t_a
         scale = 1.0 + max(np.abs(va).max(), np.abs(vb).max(),
                           np.abs(vc).max())
-        if np.abs(vc - (base + slope * tc)).max() > 1e-9 * scale:
+        if np.abs(vc - (base + slope * t_c)).max() > 1e-9 * scale:
             return None
-        model.append((base, slope))
-    return _AffineModel(model[0][0], model[0][1], model[1][0], model[1][1])
+        fit.append((base, slope))
+    (num0, num1), (den0, den1) = fit
+    return lambda ts: (num0 + ts[:, None] * num1, den0 + ts[:, None] * den1)
 
 
 def _syndiv_rows(C: np.ndarray, r: float) -> np.ndarray:
@@ -365,16 +362,6 @@ def _deflate_anchored_rows(C: np.ndarray) -> np.ndarray:
     return C
 
 
-def _deflate_anchored_poly(p: Polynomial) -> Polynomial:
-    for r in (1.0, -1.0):
-        while p.degree >= 1:
-            scale = float(np.abs(p.coeffs).sum())
-            if abs(p(r)) > 1e-8 * scale:
-                break
-            p = p.deflate(r)
-    return p
-
-
 def _roots_rows(C: np.ndarray) -> np.ndarray:
     """Roots of each row's ascending-coefficient polynomial, nan-padded."""
     P, D = C.shape
@@ -403,24 +390,48 @@ def _roots_rows(C: np.ndarray) -> np.ndarray:
     return out
 
 
-def _select_seed_rows(roots: np.ndarray) -> tuple:
-    """Default free-critical selection, vectorized over pixels.
+def _select_seed_rows(roots: np.ndarray, index: Optional[int] = None) -> tuple:
+    """Free-critical selection, vectorized over pixels.
 
-    Drops roots at 0 and the anchored points +-1, requires exactly one
-    iota pair among the survivors, and picks the representative with
-    modulus <= 1, breaking ties by the smaller argument mod 2 pi.
+    Drops roots at 0 and the anchored points +-1 and counts the estimates
+    of a multiple root once.  The candidates are the survivors with modulus
+    <= 1 (all survivors when rounding pushed every one above 1), ordered by
+    argument mod 2 pi.  With index None the default rule requires exactly
+    one iota pair and picks the first candidate; an integer index picks that
+    candidate whatever the pair count, and a pixel with no such candidate
+    counts as having no free critical point.
     Returns (seed, dead_mask, no_free_mask, multi_mask).
     """
-    P = roots.shape[0]
+    P, D = roots.shape
     usable = np.isfinite(roots)
     mod = np.abs(roots)
     usable &= mod > ORIGIN_TOL
     usable &= np.abs(roots - 1.0) > ANCHOR_TOL
     usable &= np.abs(roots + 1.0) > ANCHOR_TOL
+    # Free critical points come in kappa <-> 1/kappa pairs, so a row with
+    # more than two usable roots holds several pairs or a multiple root
+    # (os3's free pair is double), which comes back as m scattered
+    # estimates.  Fold each estimate into the first one within the
+    # tolerance of poly._clusters and use their mean, far closer to the
+    # root than any one estimate.  Column by column: memory stays O(P * D).
+    rows = np.where(usable.sum(axis=1) > 2)[0]
+    if rows.size:
+        R, U = roots[rows], usable[rows]
+        total, size = R.copy(), np.ones(R.shape)
+        for j in range(1, D):
+            near = (np.abs(R[:, :j] - R[:, j, None])
+                    <= 1e-4 * (1.0 + np.abs(R[:, j, None]))) & U[:, :j]
+            dup = np.where(U[:, j] & near.any(axis=1))[0]
+            first = near[dup].argmax(axis=1)
+            total[dup, first] += R[dup, j]
+            size[dup, first] += 1.0
+            U[dup, j] = False
+        roots = roots.copy()
+        roots[rows] = total / size
+        usable[rows] = U
+        mod = np.abs(roots)
     count = usable.sum(axis=1)
     no_free = count == 0
-    pairs = (count + 1) // 2
-    multi = pairs > 1
     candidate = usable & (mod <= 1.0 + 1e-9)
     # fall back to any usable root when rounding pushed both members above 1
     none_cand = ~candidate.any(axis=1) & ~no_free
@@ -429,50 +440,17 @@ def _select_seed_rows(roots: np.ndarray) -> tuple:
     angle = np.angle(roots)
     angle = np.where(angle < 0, angle + 2.0 * np.pi, angle)
     key = np.where(candidate, angle, np.inf)
-    pick = np.argmin(key, axis=1)
+    if index is None:
+        multi = (count + 1) // 2 > 1
+        pick = np.argmin(key, axis=1)
+    else:
+        multi = np.zeros(P, bool)
+        no_free |= candidate.sum(axis=1) <= index
+        pick = np.argsort(key, axis=1, kind="stable")[:, min(index, D - 1)]
     seed = roots[np.arange(P), pick]
     dead = no_free | multi
     seed = np.where(dead, 0.0 + 0.0j, seed)
     return seed, dead, no_free, multi
-
-
-def _critical_seed_scalar(R: RationalMap, selector, t) -> complex:
-    v = R.num.derivative() * R.den - R.num * R.den.derivative()
-    if v.is_zero() or v.degree < 1:
-        raise NoFreeCritical("derivative numerator has no roots")
-    # Strip origin factors exactly, then anchored +-1 factors; a multiple
-    # root left in place would scatter under the root solver and masquerade
-    # as several distinct free points.
-    c = v.coeffs
-    scale = float(np.abs(c).max())
-    s = 0
-    while s < len(c) - 1 and abs(c[s]) <= 1e-12 * scale:
-        s += 1
-    v = _deflate_anchored_poly(Polynomial(c[s:]))
-    if v.degree < 1:
-        raise NoFreeCritical("all critical points are anchored at 0 or +-1")
-    reps = [w for w, _m in _clusters(v, poly_roots(v))]
-    usable = [w for w in reps
-              if abs(w) > ORIGIN_TOL and abs(w - 1.0) > ANCHOR_TOL
-              and abs(w + 1.0) > ANCHOR_TOL]
-    if selector is not None and callable(selector):
-        if not usable:
-            raise NoFreeCritical("all critical points sit at 0 or +-1")
-        return complex(selector(usable, t))
-    if not usable:
-        raise NoFreeCritical("no free critical point at this parameter")
-    pairs = (len(usable) + 1) // 2
-    if pairs > 1 and not isinstance(selector, int):
-        raise MultipleFreeCriticalPairs(
-            "several free critical pairs; pass an explicit selector")
-    inside = [w for w in usable if abs(w) <= 1.0 + 1e-9]
-    ordered = sorted(inside if inside else usable,
-                     key=lambda w: float(np.angle(w) % (2.0 * np.pi)))
-    if isinstance(selector, int):
-        if selector >= len(ordered):
-            raise NoFreeCritical("selector index out of range")
-        return complex(ordered[selector])
-    return complex(ordered[0])
 
 
 def parameter_plane(family, cfg: RenderConfig, selector=None,
@@ -481,8 +459,8 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
 
     `family` maps a complex parameter to a RationalMap (or anything with a
     reconstruct() producing one).  `selector` is None for the default
-    free-critical rule, an integer pair index, or a callable
-    (points, parameter) -> seed, which forces the scalar path.
+    free-critical rule or an integer index into a pixel's free critical
+    points of modulus <= 1, ordered by argument.
     """
     attr = _flatten_attractors(known_attractors)
     xs = cfg.x_centers()
@@ -491,68 +469,25 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
     iters = np.zeros((cfg.height, cfg.width), np.int32)
     no_free_count = np.zeros(cfg.height, np.int64)
     multi_count = np.zeros(cfg.height, np.int64)
+    affine = _fit_affine(family, cfg)
+    rows_at = affine or (lambda ts: _sampled_rows(family, ts))
 
-    model = None if callable(selector) else _fit_affine(family, cfg)
-
-    if model is not None:
-        def work(r0, r1):
-            ts = (xs[None, :] + 1j * ys[r0:r1, None]).ravel()
-            num, den = model.at(ts)
-            crit = _deflate_anchored_rows(_crit_rows(num, den))
-            roots = _roots_rows(crit)
-            seed, dead, no_free, multi = _select_seed_rows(roots)
-            if isinstance(selector, int):
-                seed, dead, no_free, multi = _select_indexed_rows(
-                    roots, selector)
-            o, it = _iterate(seed, num, den, cfg, attr, True, dead=dead)
-            o[dead] = OUTCOME_NONE
-            outcome[r0:r1] = o.reshape(r1 - r0, cfg.width)
-            iters[r0:r1] = it.reshape(r1 - r0, cfg.width)
-            no_free_count[r0] += int(no_free.sum())
-            multi_count[r0] += int(multi.sum())
-    else:
-        def work(r0, r1):
-            rows = r1 - r0
-            seeds = np.zeros(rows * cfg.width, np.complex128)
-            dead = np.zeros(rows * cfg.width, bool)
-            nums = []
-            dens = []
-            nf = mu = 0
-            for i in range(rows):
-                for j in range(cfg.width):
-                    t = complex(xs[j], ys[r0 + i])
-                    idx = i * cfg.width + j
-                    try:
-                        R = _family_map(family, t)
-                        seeds[idx] = _critical_seed_scalar(R, selector, t)
-                        nums.append(R.num.coeffs)
-                        dens.append(R.den.coeffs)
-                    except NoFreeCritical:
-                        dead[idx] = True
-                        nf += 1
-                        nums.append(np.array([0.0j]))
-                        dens.append(np.array([1.0 + 0.0j]))
-                    except MultipleFreeCriticalPairs:
-                        dead[idx] = True
-                        mu += 1
-                        nums.append(np.array([0.0j]))
-                        dens.append(np.array([1.0 + 0.0j]))
-            wn = max(c.size for c in nums)
-            wd = max(c.size for c in dens)
-            num = np.stack([_pad(c, wn) for c in nums])
-            den = np.stack([_pad(c, wd) for c in dens])
-            o, it = _iterate(seeds, num, den, cfg, attr, True, dead=dead)
-            o[dead] = OUTCOME_NONE
-            outcome[r0:r1] = o.reshape(rows, cfg.width)
-            iters[r0:r1] = it.reshape(rows, cfg.width)
-            no_free_count[r0] += nf
-            multi_count[r0] += mu
+    def work(r0, r1):
+        ts = (xs[None, :] + 1j * ys[r0:r1, None]).ravel()
+        num, den = rows_at(ts)
+        roots = _roots_rows(_deflate_anchored_rows(_crit_rows(num, den)))
+        seed, dead, no_free, multi = _select_seed_rows(roots, selector)
+        o, it = _iterate(seed, num, den, cfg, attr, True, dead=dead)
+        outcome[r0:r1] = o.reshape(r1 - r0, cfg.width)
+        iters[r0:r1] = it.reshape(r1 - r0, cfg.width)
+        no_free_count[r0] += int(no_free.sum())
+        multi_count[r0] += int(multi.sum())
 
     _run_chunks(cfg, work)
     diagnostics = {
         "no_free_critical": int(no_free_count.sum()),
         "multiple_free_pairs": int(multi_count.sum()),
-        "vectorized": model is not None,
+        "vectorized": affine is not None,
     }
     return PlaneImage(cfg.width, cfg.height, outcome, iters, cfg,
                       diagnostics=diagnostics)
@@ -585,28 +520,6 @@ def _crit_rows(num: np.ndarray, den: np.ndarray) -> np.ndarray:
         out[:, :b.shape[1]] -= b
         return out
     return a
-
-
-def _select_indexed_rows(roots: np.ndarray, index: int) -> tuple:
-    P = roots.shape[0]
-    usable = np.isfinite(roots)
-    mod = np.abs(roots)
-    usable &= mod > ORIGIN_TOL
-    usable &= np.abs(roots - 1.0) > ANCHOR_TOL
-    usable &= np.abs(roots + 1.0) > ANCHOR_TOL
-    count = usable.sum(axis=1)
-    no_free = count == 0
-    reps = usable & (mod <= 1.0 + 1e-9)
-    angle = np.angle(roots)
-    angle = np.where(angle < 0, angle + 2.0 * np.pi, angle)
-    key = np.where(reps, angle, np.inf)
-    order = np.argsort(key, axis=1)
-    have = reps.sum(axis=1) > index
-    pick = order[:, index]
-    seed = roots[np.arange(P), pick]
-    dead = no_free | ~have
-    seed = np.where(dead, 0.0 + 0.0j, seed)
-    return seed, dead, no_free | ~have, np.zeros(P, bool)
 
 
 # --------------------------------------------------------------------------
@@ -670,7 +583,7 @@ def write_metadata(img: PlaneImage, path: str, extra: Optional[dict] = None) -> 
     ]
     for name, count in img.counts().items():
         lines.append(f"count_{name.replace('-', '_')}={count}")
-    for key in sorted(k for k in img.diagnostics if k != "vectorized"):
+    for key in sorted(img.diagnostics):
         lines.append(f"diag_{key}={img.diagnostics[key]}")
     for key in sorted(extra or {}):
         lines.append(f"{key}={extra[key]}")

@@ -252,6 +252,7 @@ def test_paramplane_negative_window_and_metadata(tmp_path, capsys):
     assert "parameter=alpha" in meta
     assert "diag_no_free_critical=0" in meta
     assert "diag_multiple_free_pairs=0" in meta
+    assert "diag_vectorized=True" in meta
 
 
 def test_paramplane_attractors_mark_strange_pixels(tmp_path, capsys):

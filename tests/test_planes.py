@@ -1,5 +1,8 @@
 """Rendering pipeline: geometry, orbit classification, color, determinism."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 
@@ -9,13 +12,15 @@ from ndyn import (
     catalog_entry,
     colorize,
     dynamical_plane,
+    free_critical_points,
     orbit_outcome,
     parameter_plane,
     resolve_workers,
     write_image,
     write_metadata,
 )
-from ndyn.planes import PlaneImage
+from ndyn.errors import ZeroDenominator
+from ndyn.planes import OUTCOME_NAMES, PlaneImage
 from ndyn.poly import rat_make
 
 Z_SQUARED = rat_make(Polynomial((0.0, 0.0, 1.0)), Polynomial((1.0,)))
@@ -197,6 +202,70 @@ def test_nonaffine_family_uses_scalar_path_deterministically():
                           RenderConfig(workers=3, **base))
     assert np.array_equal(one.outcome, few.outcome)
     assert np.array_equal(one.iterations, few.iterations)
+
+
+def _default_seed(R):
+    """The default rule on distinct critical points: drop those at 0 and
+    +-1, require one kappa <-> 1/kappa pair, take the member with
+    |kappa| <= 1 and the smallest argument in [0, 2 pi)."""
+    usable = [r.point for r in free_critical_points(R)
+              if abs(r.point) > 1e-9 and abs(r.point - 1.0) > 1e-6
+              and abs(r.point + 1.0) > 1e-6]
+    if not usable or (len(usable) + 1) // 2 > 1:
+        return None
+    inside = [p for p in usable if abs(p) <= 1.0 + 1e-9] or usable
+    return min(inside, key=lambda p: cmath.phase(p) % (2 * math.pi))
+
+
+def test_os3_plane_counts_its_double_free_pair_once():
+    # os3's free critical pair is a double root of the derivative
+    # numerator; each pixel must follow it as the single pair it is
+    producer = catalog_entry("os3").stability_producer
+    cfg = RenderConfig(window=(-6.5, 3.5, -5.0, 5.0), resolution=(8, 8),
+                       max_iter=60)
+    img = parameter_plane(producer, cfg)
+    assert img.diagnostics["multiple_free_pairs"] == 0
+    assert img.diagnostics["no_free_critical"] == 0
+    for i, y in enumerate(cfg.y_centers()):
+        for j, x in enumerate(cfg.x_centers()):
+            R = producer(complex(x, y)).reconstruct()
+            seed = _default_seed(R)
+            assert seed is not None
+            got = (OUTCOME_NAMES[int(img.outcome[i, j])],
+                   int(img.iterations[i, j]))
+            assert got == orbit_outcome(R, seed, cfg), (i, j)
+
+
+def test_pair_index_selector_agrees_with_default_rule():
+    producer = catalog_entry("chebyshev-halley").stability_producer
+    cfg = RenderConfig(window=(-1.0, 5.0, -3.0, 3.0), resolution=(16, 16),
+                       max_iter=60)
+    default = parameter_plane(producer, cfg)
+    first = parameter_plane(producer, cfg, selector=0)
+    assert np.array_equal(default.outcome, first.outcome)
+    assert np.array_equal(default.iterations, first.iterations)
+    # os3 has one free pair, so there is no second point to follow
+    cfg = RenderConfig(window=(-6.5, 3.5, -5.0, 5.0), resolution=(8, 8),
+                       max_iter=40)
+    second = parameter_plane(catalog_entry("os3").stability_producer, cfg,
+                             selector=1)
+    assert second.diagnostics["no_free_critical"] == 64
+    assert second.counts()["none"] == 64
+
+
+def test_family_failing_at_the_probe_renders_from_sampled_rows():
+    def family(t):
+        return catalog_entry("m4").form_fn({"beta": t})
+
+    with pytest.raises(ZeroDenominator):
+        family(0.0)      # the center of the window is the affine probe
+    cfg = RenderConfig(window=(-1.0, 1.0, -1.0, 1.0), resolution=(8, 8),
+                       max_iter=40)
+    img = parameter_plane(family, cfg)
+    assert img.diagnostics["vectorized"] is False
+    counts = img.counts()
+    assert sum(counts.values()) == 64
+    assert counts["root-0"] + counts["root-inf"] > 0
 
 
 def test_mirrored_seeds_land_in_mirrored_basins():
