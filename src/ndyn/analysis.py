@@ -4,6 +4,10 @@ Conventions for normal-form operators: 0 and infinity are the superattracting
 images of the two roots being sought, so any other fixed point is "strange"
 and any critical point outside {0, infinity} is "free".  Free critical points
 of a map commuting with iota(z) = 1/z come in pairs kappa, 1/kappa.
+
+Multipliers are evaluated pointwise from the numerator and denominator,
+(N'D - N D')/D^2, with infinity read in the chart w = 1/z (the coefficients
+reversed); no derivative map is built.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 from .errors import (NotACycle, PoleAtMinusOne, PoleAtOne)
 from .poly import (INF, Polynomial, RationalMap, _clusters, is_inf,
-                   poly_roots, rat_combine, rat_derivative, rat_eval)
+                   poly_roots, rat_derivative, rat_eval)
 
 SUPERATTRACTING_TOL = 1e-10
 INDIFFERENCE_BAND = 1e-8
@@ -52,23 +56,26 @@ def classify_multiplier(lam: complex) -> str:
     return "attracting" if mag < 1.0 else "repelling"
 
 
-def _iota_map() -> RationalMap:
-    return RationalMap(Polynomial.one(), Polynomial.identity())
+def _at_infinity(R: RationalMap) -> RationalMap:
+    """R(1/w) as w^m N(1/w) / w^m D(1/w), m = deg R: the coefficients
+    reversed, left unreduced."""
+    size = max(R.num.degree, R.den.degree, 0) + 1
+
+    def rev(p: Polynomial) -> Polynomial:
+        return Polynomial(np.pad(p.coeffs, (0, size - p.coeffs.size))[::-1])
+
+    return RationalMap(rev(R.num), rev(R.den))
 
 
 def _chart_factor(R: RationalMap, src, dst) -> complex:
-    """Derivative of R at src in charts adapted to src/dst being infinite."""
-    if not is_inf(src) and not is_inf(dst):
-        return complex(rat_eval(rat_derivative(R), src))
-    if not is_inf(src) and is_inf(dst):
-        flipped = RationalMap(R.den, R.num)  # 1/R
-        return complex(rat_eval(rat_derivative(flipped), src))
-    if is_inf(src) and not is_inf(dst):
-        hooked = rat_combine("compose", R, _iota_map())  # R(1/w)
-        return complex(rat_eval(rat_derivative(hooked), 0.0))
-    hooked = rat_combine("compose", R, _iota_map())
-    flipped = RationalMap(hooked.den, hooked.num)        # 1/R(1/w)
-    return complex(rat_eval(rat_derivative(flipped), 0.0))
+    """Derivative of R at src in charts adapted to src/dst being infinite:
+    w = 1/z at an infinite src, and 1/R when the image dst is infinite."""
+    if is_inf(src):
+        R, src = _at_infinity(R), 0.0
+    num, den = (R.den, R.num) if is_inf(dst) else (R.num, R.den)
+    d = den(src)
+    return complex((num.derivative()(src) * d - num(src) * den.derivative()(src))
+                   / (d * d))
 
 
 def multiplier_at(R: RationalMap, point) -> complex:
@@ -102,13 +109,9 @@ def _local_valency_at_inf(R: RationalMap) -> int:
     gap = R.num.degree - R.den.degree
     if gap >= 1:
         return gap
-    hooked = rat_combine("compose", R, _iota_map())  # R(1/w), w near 0
-    value = rat_eval(hooked, 0.0)
-    if is_inf(value):
-        flipped = RationalMap(hooked.den, hooked.num)
-        shifted = flipped.num
-    else:
-        shifted = hooked.num - Polynomial((complex(value),)) * hooked.den
+    # deg N <= deg D, so R(1/w) is finite at w = 0
+    hooked = _at_infinity(R)
+    shifted = hooked.num - Polynomial((rat_eval(R, INF),)) * hooked.den
     order = 0
     c = shifted.coeffs
     scale = np.abs(c).max() if c.size else 0.0
@@ -176,13 +179,6 @@ def free_critical_points(R: RationalMap) -> list:
     return [r for r in critical_points(R) if r.free]
 
 
-def _step(R: RationalMap, point):
-    if is_inf(point):
-        hooked = rat_combine("compose", R, _iota_map())
-        return rat_eval(hooked, 0.0)
-    return rat_eval(R, point)
-
-
 def multiplier_of_cycle(R: RationalMap, cycle: Sequence) -> complex:
     """Product of chart derivatives along an R-invariant cycle."""
     pts = list(cycle)
@@ -190,7 +186,7 @@ def multiplier_of_cycle(R: RationalMap, cycle: Sequence) -> complex:
         raise NotACycle("empty cycle")
     for i, z in enumerate(pts):
         nxt = pts[(i + 1) % len(pts)]
-        value = _step(R, z)
+        value = rat_eval(R, z)
         if is_inf(nxt):
             if not is_inf(value):
                 raise NotACycle(f"point {z} maps to {value}, expected INF")

@@ -684,16 +684,18 @@ def build_operator(name: str, bindings=None, d: int = 2, c: complex = 1.0):
     return instantiate(entry.ast, ctx)
 
 
-def conjugated_form(name: str, bindings=None, c: complex = 1.0) -> OperatorForm:
-    """The palindromic normal form of a catalog method for d=2."""
-    entry = catalog_entry(name)
+def conjugated_form(method, bindings=None, c: complex = 1.0) -> OperatorForm:
+    """The palindromic normal form for d=2 of a catalog method (by name) or
+    of a parsed ``Scheme``."""
     bindings = dict(bindings or {})
-    if entry.kind == "form":
-        raw = entry.form_fn(bindings)
-        if not raw.degenerate:
-            return raw
-        # reduce through reconstruction so the shared factor cancels
-        return extract_normal_form(raw.reconstruct())
-    ctx = SchemeContext(d=2, c=c, bindings=bindings)
-    op = instantiate(entry.ast, ctx)
+    if isinstance(method, str):
+        entry = catalog_entry(method)
+        if entry.kind == "form":
+            raw = entry.form_fn(bindings)
+            if not raw.degenerate:
+                return raw
+            # reduce through reconstruction so the shared factor cancels
+            return extract_normal_form(raw.reconstruct())
+        method = entry.ast
+    op = instantiate(method, SchemeContext(d=2, c=c, bindings=bindings))
     return extract_normal_form(mobius_conjugate(op, standard_tau(c)))

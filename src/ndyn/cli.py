@@ -19,10 +19,8 @@ import sys
 
 from .analysis import classify_operator, critical_points
 from .builder import (SchemeContext, catalog_entry, catalog_names,
-                      check_scheme_lambda_odd, conjugated_form, instantiate,
-                      parse_scheme)
-from .conjugate import (check_iota_symmetry, extract_normal_form,
-                        mobius_conjugate, standard_tau)
+                      check_scheme_lambda_odd, conjugated_form, parse_scheme)
+from .conjugate import check_iota_symmetry
 from .errors import NdynError, UnknownMethod
 from .planes import (RenderConfig, dynamical_plane, parameter_plane,
                      write_image, write_metadata)
@@ -152,12 +150,9 @@ def _entry(name):
         raise UsageError(str(e))
 
 
-def _scheme_form(path: str, bindings: dict, c: complex):
+def _read_scheme(path: str):
     with open(path, encoding="utf-8") as fh:
-        ast = parse_scheme(fh.read())
-    ctx = SchemeContext(d=2, c=c, bindings=dict(bindings))
-    op = instantiate(ast, ctx)
-    return ast, extract_normal_form(mobius_conjugate(op, standard_tau(c)))
+        return parse_scheme(fh.read())
 
 
 def _get_form(args):
@@ -171,10 +166,10 @@ def _get_form(args):
             "polynomial; use --d 2")
     if source == "method":
         entry = _entry(args.method)
-        form = conjugated_form(args.method, bindings, c=c)
-        return args.method, form, entry.ast
-    ast, form = _scheme_form(args.scheme_file, bindings, c)
-    return args.scheme_file, form, ast
+        ast = entry.ast if entry.kind == "scheme" else None
+        return args.method, conjugated_form(args.method, bindings, c=c), ast
+    ast = _read_scheme(args.scheme_file)
+    return args.scheme_file, conjugated_form(ast, bindings, c=c), ast
 
 
 def _window(text: str):
@@ -306,17 +301,12 @@ def _family(args):
     name = getattr(args, "family_param", None)
     if not name:
         raise UsageError("--scheme-file needs --family-param NAME")
-    path = args.scheme_file
-    with open(path, encoding="utf-8") as fh:
-        ast = parse_scheme(fh.read())
+    ast = _read_scheme(args.scheme_file)
 
     def producer(t: complex):
-        ctx = SchemeContext(d=2, c=c,
-                            bindings={**bindings, name: complex(t)})
-        op = instantiate(ast, ctx)
-        return extract_normal_form(mobius_conjugate(op, standard_tau(c)))
+        return conjugated_form(ast, {**bindings, name: complex(t)}, c=c)
 
-    return path, name, producer
+    return args.scheme_file, name, producer
 
 
 def cmd_stability(args) -> int:
@@ -347,6 +337,8 @@ def cmd_dynplane(args) -> int:
 
 
 def cmd_paramplane(args) -> int:
+    if args.selector is not None and args.selector < 0:
+        raise UsageError("--selector must be a nonnegative pair index")
     label, pname, producer = _family(args)
     cfg = _render_config(args)
     attractors = tuple(parse_complex_literal(v) for v in args.attractor)

@@ -462,6 +462,8 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
     free-critical rule or an integer index into a pixel's free critical
     points of modulus <= 1, ordered by argument.
     """
+    if selector is not None and selector < 0:
+        raise ValueError("selector must be a nonnegative pair index")
     attr = _flatten_attractors(known_attractors)
     xs = cfg.x_centers()
     ys = cfg.y_centers()

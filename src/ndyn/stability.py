@@ -18,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .analysis import classify_multiplier, multiplier_at
 from .conjugate import OperatorForm
 from .errors import (DegenerateFamily, NonlinearDependence,
                      NonRealCoefficients, NotAFixedPoint)
-from .poly import Polynomial, rat_derivative, rat_eval
+from .poly import Polynomial, is_inf, rat_eval
 
 LINEAR_CERT_TOL = 1e-8
 AGGREGATE_TOL = 1e-9
@@ -60,14 +61,6 @@ class LinearCoeffs:
                        for j in range(1, self.k + 1))
         D2 = sum(((-1.0) ** j) * self.B[j - 1] for j in range(1, self.k + 1))
         return C, float(D), C2, float(D2)
-
-    def derivative_at_one(self, t: complex) -> complex:
-        A, B, A2, B2 = self.aggregates_at_one()
-        return (A + t * B) / (A2 + t * B2)
-
-    def derivative_at_minus_one(self, t: complex) -> complex:
-        C, D, C2, D2 = self.aggregates_at_minus_one()
-        return (C + t * D) / (C2 + t * D2)
 
 
 def _lift(form: OperatorForm) -> tuple:
@@ -260,12 +253,10 @@ def classify_strange_at(form: OperatorForm, target: complex) -> tuple:
     are cross-checked.  Raises NotAFixedPoint when the operator does not fix
     the target within 1e-8.
     """
-    from .analysis import classify_multiplier
     R = form.reconstruct()
     value = rat_eval(R, target)
-    from .poly import is_inf
     if is_inf(value) or abs(value - target) > 1e-8 * (1.0 + abs(target)):
         raise NotAFixedPoint(
             f"operator sends {target} to {value}, not itself")
-    lam = complex(rat_eval(rat_derivative(R), target))
+    lam = multiplier_at(R, target)
     return lam, classify_multiplier(lam)

@@ -9,7 +9,10 @@ from ndyn.analysis import (classify_multiplier, classify_operator,
 from ndyn.builder import conjugated_form
 from ndyn.conjugate import make_form
 from ndyn.errors import NotACycle, PoleAtOne
-from ndyn.poly import INF, Polynomial, is_inf
+from ndyn.poly import (INF, Polynomial, RationalMap, is_inf, rat_combine,
+                       rat_derivative, rat_eval)
+
+from conftest import random_form
 
 
 def _by_point(records, z, tol=1e-6):
@@ -139,3 +142,72 @@ def test_classify_operator_shapes():
     assert "cycle_multiplier" in info
     strange = info["strange_fixed_points"]
     assert all(abs(r.point) > 1e-12 for r in strange)
+
+
+def _derivative_map_factor(R, src, dst):
+    """Reference chart derivative through derivative maps: rat_derivative of
+    R, of 1/R when dst is infinite, and of R(1/w) at w = 0 when src is."""
+    if is_inf(src):
+        iota = RationalMap(Polynomial.one(), Polynomial.identity())
+        R, src = rat_combine("compose", R, iota), 0.0
+    if is_inf(dst):
+        R = RationalMap(R.den, R.num)
+    return complex(rat_eval(rat_derivative(R), src))
+
+
+def _seeded_forms():
+    rng = np.random.default_rng(20251018)
+    forms = [random_form(rng) for _ in range(8)]
+    # sign -1 with n + k odd: 1 and -1 swap places on a 2-cycle
+    forms += [make_form(n, a, sign=-1)
+              for n, a in ((3, (0.5, -2.0)), (2, (1.5 + 0.5j, 0.3, 2.0)))]
+    # 0.75 <= |t| <= 2 keeps away from os3's a = 0 and m4's beta = inf,
+    # where P and P^ share (z + 1)^2; see _NEAR_SHARED_ROOT
+    for name, param in (("c-family", "c"), ("m4", "beta"), ("os2", "a"),
+                        ("os3", "a"), ("os4", "b"), ("os5", "a")):
+        for _ in range(2):
+            t = rng.uniform(0.75, 2.0) * np.exp(2j * np.pi * rng.uniform())
+            forms.append(conjugated_form(name, {param: t}))
+    return forms
+
+
+# Nearer a shared root of P and P^, strange fixed points sit close to a pole.
+# There the expanded D^2 of a derivative map loses the relative accuracy that
+# d * d keeps, and its multipliers drift (1e-9 to 1e-7 relative at these
+# points), while the pointwise ones keep kappa and 1/kappa equal.
+_NEAR_SHARED_ROOT = (("m4", {"beta": -4.0}), ("m4", {"beta": 3.0}),
+                     ("os3", {"a": 0.9}), ("os3", {"a": -1.0}))
+
+
+def _close(u, v, rel):
+    # multipliers that vanish exactly come out at rounding level, ~1e-15
+    return abs(u - v) <= rel * max(abs(u), abs(v)) + 1e-12
+
+
+@pytest.mark.parametrize("form", _seeded_forms())
+def test_pointwise_multipliers_match_derivative_maps(form):
+    R = form.reconstruct()
+    records = fixed_points(R)
+    assert any(is_inf(r.point) for r in records)
+    for r in records:
+        ref = _derivative_map_factor(R, r.point, r.point)
+        assert _close(r.multiplier, ref, 1e-7), (r.point, r.multiplier, ref)
+        assert r.cls == classify_multiplier(ref)
+    if form.sign == -1 and (form.n + form.k) % 2 == 1:
+        cycle = (1.0 + 0.0j, -1.0 + 0.0j)
+        ref = (_derivative_map_factor(R, cycle[0], cycle[1])
+               * _derivative_map_factor(R, cycle[1], cycle[0]))
+        assert _close(multiplier_of_cycle(R, cycle), ref, 1e-7)
+
+
+@pytest.mark.parametrize("form", _seeded_forms() + [
+    conjugated_form(name, b) for name, b in _NEAR_SHARED_ROOT])
+def test_partner_fixed_points_share_their_multiplier(form):
+    # O commutes with 1/z, so kappa and 1/kappa are conjugate fixed points
+    records = [r for r in fixed_points(form.reconstruct())
+               if not is_inf(r.point) and abs(r.point) > 1e-12]
+    for r in records:
+        inv = 1.0 / r.point
+        partner = _by_point(records, inv, tol=1e-6 * (1.0 + abs(inv)))
+        assert _close(r.multiplier, partner.multiplier, 1e-9), \
+            (r.point, r.multiplier, partner.multiplier)

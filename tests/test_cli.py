@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from ndyn.cli import UsageError, main, parse_complex_literal
+from ndyn.builder import conjugated_form
+from ndyn.cli import UsageError, _form_payload, main, parse_complex_literal
 
 KING_SCHEME = ("y = z - p(z)/p'(z);\n"
                "next = y - p(y)/p'(z) * (p(z) + (beta + 2)*p(y))"
@@ -89,6 +90,24 @@ def test_scheme_file_matches_catalog(tmp_path, capsys):
         assert ours[key] == theirs[key]
 
 
+@pytest.mark.parametrize("method,param", [
+    ("c-family", "c"), ("m4", "beta"), ("os2", "a"), ("os3", "a"),
+    ("os4", "b"), ("os5", "a")])
+def test_form_families_build_analyze_and_render(tmp_path, capsys, method,
+                                                 param):
+    args = ("--method", method, "--param", f"{param}=1")
+    built = run_json(capsys, "build", *args)
+    assert built == _form_payload(method, conjugated_form(method, {param: 1}))
+    analyzed = run_json(capsys, "analyze", *args)
+    assert analyzed["a"] == built["a"]
+    assert "rotation_symmetry" not in analyzed
+    out = tmp_path / "f.ppm"
+    code, _, err = run(capsys, "dynplane", *args, "--res", "8x8",
+                       "--max-iter", "40", "--out", str(out))
+    assert code == 0, err
+    assert out.read_bytes().startswith(b"P6\n8 8\n255\n")
+
+
 # ----------------------------------------------------------------------
 # stability
 
@@ -156,6 +175,15 @@ def test_usage_errors_exit_one(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert "usage error" in err, argv
+
+
+def test_negative_pair_index_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "s.ppm"
+    code, _, err = run(capsys, "paramplane", "--method", "os3",
+                       "--window", "-6.5,3.5,-5,5", "--res", "8x8",
+                       "--selector", "-1", "--out", str(out))
+    assert code == 1 and "usage error" in err
+    assert not out.exists()
 
 
 def test_computation_errors_exit_two(capsys):

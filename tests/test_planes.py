@@ -253,6 +253,14 @@ def test_pair_index_selector_agrees_with_default_rule():
     assert second.counts()["none"] == 64
 
 
+def test_negative_pair_index_is_rejected():
+    cfg = RenderConfig(window=(-6.5, 3.5, -5.0, 5.0), resolution=(8, 8),
+                       max_iter=40)
+    with pytest.raises(ValueError):
+        parameter_plane(catalog_entry("os3").stability_producer, cfg,
+                        selector=-1)
+
+
 def test_family_failing_at_the_probe_renders_from_sampled_rows():
     def family(t):
         return catalog_entry("m4").form_fn({"beta": t})
