@@ -1,0 +1,85 @@
+"""Pinned pixels of the gallery in scripts/render_figures.py.
+
+Every figure is rendered at 64x64 with max_iter 150 from the script's own
+windows, modes and attractors, at one worker and at two.  The digest covers
+the outcome and iteration arrays, so any change to seeds, rows or orbits
+that moves a pixel shows up here.
+"""
+
+import hashlib
+import os
+import sys
+
+import pytest
+
+from ndyn import (RenderConfig, catalog_entry, conjugated_form,
+                  dynamical_plane, parameter_plane)
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
+from render_figures import DYNAMICAL_FIGURES, PARAMETER_FIGURES  # noqa: E402
+
+RESOLUTION = (64, 64)
+MAX_ITER = 150
+
+PINS = {
+    "param_chebyshev_halley":
+        "fa20f0a6e5e2c9bdf06d8eab59d66f8347be6d337248e54f9a30d8b6c0f86994",
+    "param_king":
+        "ccf92ad552c649e275956dd37d50482f8874f8fab2fdf5af26bf86524af5f4e6",
+    "param_amat":
+        "0a218afcd7fe1071fd33b6dfb34d8399061aac7b72dbd47ae1cb006245133435",
+    "param_os2":
+        "ff28474b9cc40c610e980c63a45ab5658c638cbaecf5121ad6f5bcca08ad98ff",
+    "param_os3":
+        "fc3c89e4a7e8440a3e0defee943009b2a56b3a49e2cb4e2f42a22aa1266ed44a",
+    "param_os4":
+        "1dad3fca7d866fdf27ba1d099987f4df8a588c0353ffd6a51b183ae62cabce74",
+    "param_os5":
+        "41ddae2c8de760ba22cf2309586c5150c00a1778fb0bcf1c35b77f5093345aa6",
+    "param_c_family":
+        "81f0516c6ef59729a9dea4287709d41175544c96251af29216ed3ff9397e488b",
+    "param_m4":
+        "19f8175072e80d27df7b5be630d15fcb35acca2beca46633a203449415dd7ae5",
+    "dyn_os5_a0":
+        "4426001a35c087dc52032c30c914a906e5bdbb08f8bfeb652d6e4534420b3c81",
+    "dyn_os5_a2_m9_3i":
+        "b6dafd587f26868b96d67b7a4dbe2cf302a4e28428d953535a1f053de89ffd95",
+    "dyn_king_beta_m4":
+        "ca3803de0dbbac7ba31a4840549182d87677886a806e146ff2dba9d352d99f4f",
+    "dyn_ch_alpha_2":
+        "6f54bacb217bf528975b2db6b76ba583b7b82b43a7900c5cda3640cf50be3e2c",
+}
+
+
+def _render(name, workers):
+    for fig, method, window, mode, attractors in PARAMETER_FIGURES:
+        if fig == name:
+            cfg = RenderConfig(window=window, resolution=RESOLUTION,
+                               max_iter=MAX_ITER, mode=mode, workers=workers)
+            return parameter_plane(catalog_entry(method).stability_producer,
+                                   cfg, known_attractors=attractors)
+    for fig, method, bindings, window, attractors in DYNAMICAL_FIGURES:
+        if fig == name:
+            cfg = RenderConfig(window=window, resolution=RESOLUTION,
+                               max_iter=MAX_ITER,
+                               mode="attractor" if attractors else "speed",
+                               workers=workers)
+            R = conjugated_form(method, bindings).reconstruct()
+            return dynamical_plane(R, cfg, known_attractors=attractors)
+    raise KeyError(name)
+
+
+def _digest(img):
+    return hashlib.sha256(img.outcome.tobytes()
+                          + img.iterations.tobytes()).hexdigest()
+
+
+def test_every_figure_is_pinned():
+    names = [f[0] for f in PARAMETER_FIGURES] + [f[0] for f in DYNAMICAL_FIGURES]
+    assert sorted(PINS) == sorted(names)
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_figure_pixels_match_pin(name):
+    for workers in (1, 2):
+        assert _digest(_render(name, workers)) == PINS[name], workers
