@@ -17,8 +17,7 @@ from .builder import (CatalogEntry, SchemeContext, build_operator, catalog,
 from .conjugate import (Mobius, OperatorForm, check_iota_symmetry,
                         check_lambda_odd, extract_normal_form, make_form,
                         mobius_conjugate, standard_tau)
-from .errors import (DegenerateFamily, MultipleFreeCriticalPairs, NdynError,
-                     NoFreeCritical, NonRealCoefficients,
+from .errors import (DegenerateFamily, NdynError, NonRealCoefficients,
                      NonlinearDependence, NotACycle, NotAFixedPoint,
                      NotPalindromic, PoleAtMinusOne, PoleAtOne,
                      SchemeSyntaxError, UnknownMethod)

@@ -143,6 +143,13 @@ def _one_source(args) -> str:
     return "method" if args.method else "scheme-file"
 
 
+def _require_quadratic(args) -> None:
+    if args.d != 2:
+        raise NdynError(
+            "the palindromic normal form is built from the quadratic "
+            "polynomial; use --d 2")
+
+
 def _entry(name):
     try:
         return catalog_entry(name)
@@ -160,10 +167,7 @@ def _get_form(args):
     source = _one_source(args)
     bindings = _bindings(args)
     c = parse_complex_literal(args.c)
-    if args.d != 2:
-        raise NdynError(
-            "the palindromic normal form is built from the quadratic "
-            "polynomial; use --d 2")
+    _require_quadratic(args)
     if source == "method":
         entry = _entry(args.method)
         ast = entry.ast if entry.kind == "scheme" else None
@@ -190,11 +194,14 @@ def _resolution(text: str):
 
 
 def _render_config(args) -> RenderConfig:
-    return RenderConfig(window=_window(args.window),
-                        resolution=_resolution(args.res),
-                        max_iter=args.max_iter,
-                        mode=args.mode,
-                        workers=args.threads)
+    try:
+        return RenderConfig(window=_window(args.window),
+                            resolution=_resolution(args.res),
+                            max_iter=args.max_iter,
+                            mode=args.mode,
+                            workers=args.threads)
+    except ValueError as e:
+        raise UsageError(str(e))
 
 
 def _write_outputs(img, args, extra: dict) -> None:
@@ -290,6 +297,7 @@ def _family(args):
     source = _one_source(args)
     bindings = _bindings(args)
     c = parse_complex_literal(args.c)
+    _require_quadratic(args)
     if source == "method":
         entry = _entry(args.method)
         if entry.stability_producer is None:

@@ -145,14 +145,6 @@ class OperatorForm:
         num = (self.sign * self.p_coeffs()).shift(self.n)
         return rat_make(num, self.p_hat_coeffs())
 
-    def reconstruct_from_roots(self) -> RationalMap:
-        """The product form z^n * prod (z - r_i)/(1 - r_i z)."""
-        num = Polynomial.from_roots(self.roots, lead=self.sign)
-        den = Polynomial.one()
-        for r in self.roots:
-            den = den * Polynomial((1.0, -r))
-        return rat_make(num.shift(self.n), den)
-
     def coefficient_sum(self) -> complex:
         return 1.0 + complex(sum(self.a))
 

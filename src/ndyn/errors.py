@@ -110,14 +110,3 @@ class DegenerateFamily(NdynError):
 
 class NotAFixedPoint(NdynError):
     """Multiplier classification was requested at a point the map does not fix."""
-
-
-# --------------------------------------------------------------------- planes
-
-
-class NoFreeCritical(NdynError):
-    """The operator has no free critical point to seed a parameter plane."""
-
-
-class MultipleFreeCriticalPairs(NdynError):
-    """Several independent critical pairs exist; an explicit selector is required."""

@@ -9,12 +9,14 @@ and render black.  The grid is processed in fixed 32-row bands so output
 bytes do not depend on the worker count.
 
 Parameter planes follow the orbit of one free critical point per pixel.
-When the family's map coefficients depend affinely on the parameter
-(certified at three probe points), the coefficient rows of a band come from
-that affine model; otherwise the family is called once per pixel.  Either
-way each band then goes through one batched path: the derivative numerator,
-analytic removal of the anchored factors, companion-matrix root solves,
-seed selection and orbit iteration.
+A family's pixel is its normal form sign * z^n * P / P-hat, read as the
+coefficients a(t) = (a_1, ..., a_k) and turned into num/den rows in one
+place.  When a(t) is affine in t (stability.affine_fit, certified at three
+probes around the window center), a band's coefficients are A + t B;
+otherwise the family is called once per pixel and its forms are stacked.
+Either way each band then goes through one batched path: the derivative
+numerator, analytic removal of the anchored factors, companion-matrix root
+solves, seed selection and orbit iteration.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import NdynError
 # poly_roots is unused here but stays bound: bench/test_bench.py checks that
 # the tracer patches and restores it through this module
 from .poly import RationalMap, is_inf, poly_roots  # noqa: F401
+from .stability import affine_fit
 
 OUTCOME_NONE = 0
 OUTCOME_ROOT0 = 1
@@ -252,57 +255,31 @@ def dynamical_plane(R: RationalMap, cfg: RenderConfig,
 # --------------------------------------------------------------------------
 
 
-def _family_map(family, t) -> RationalMap:
-    R = family(t)
-    if hasattr(R, "reconstruct"):
-        R = R.reconstruct()
-    return R
+def _rows(n, sign, a: np.ndarray) -> tuple:
+    """(num, den) coefficient rows of sign * z^n * P / P-hat, one per row of
+    `a` (a_1..a_k); `n` and `sign` are scalars or per-row arrays."""
+    P, k = a.shape
+    den = np.ones((P, k + 1), np.complex128)
+    den[:, 1:] = a
+    p = den[:, ::-1]
+    p = np.where(np.reshape(sign, (-1, 1)) < 0, -p, p)
+    n = np.broadcast_to(n, (P,))
+    num = np.zeros((P, n.max() + k + 1), np.complex128)
+    for m in np.unique(n):
+        num[n == m, m:m + k + 1] = p[n == m]
+    return num, den
 
 
-def _coeff_pair(R: RationalMap) -> tuple:
-    return (R.num.coeffs.astype(np.complex128),
-            R.den.coeffs.astype(np.complex128))
-
-
-def _pad(c: np.ndarray, width: int) -> np.ndarray:
-    if c.size == width:
-        return c
-    out = np.zeros(width, np.complex128)
-    out[:c.size] = c
-    return out
-
-
-def _sampled_rows(family, ts) -> tuple:
-    """Zero-padded (num, den) coefficient rows of the family at each t."""
-    pairs = [_coeff_pair(_family_map(family, complex(t))) for t in ts]
-    wn = max(p[0].size for p in pairs)
-    wd = max(p[1].size for p in pairs)
-    return (np.stack([_pad(p[0], wn) for p in pairs]),
-            np.stack([_pad(p[1], wd) for p in pairs]))
-
-
-def _fit_affine(family, cfg: RenderConfig) -> Optional[Callable]:
-    """ts -> (num, den) coefficient rows as base + slope * t, fitted at two
-    probes and certified at a third; None when the family is not affine."""
-    x0, x1, y0, y1 = cfg.window
-    t_a = complex((x0 + x1) / 2.0, (y0 + y1) / 2.0)
-    t_b = t_a + (x1 - x0) / 3.0
-    t_c = t_a + 1j * (y1 - y0) / 3.0
-    try:
-        rows = _sampled_rows(family, (t_a, t_b, t_c))
-    except NdynError:
-        return None
-    fit = []
-    for va, vb, vc in rows:
-        slope = (vb - va) / (t_b - t_a)
-        base = va - slope * t_a
-        scale = 1.0 + max(np.abs(va).max(), np.abs(vb).max(),
-                          np.abs(vc).max())
-        if np.abs(vc - (base + slope * t_c)).max() > 1e-9 * scale:
-            return None
-        fit.append((base, slope))
-    (num0, num1), (den0, den1) = fit
-    return lambda ts: (num0 + ts[:, None] * num1, den0 + ts[:, None] * den1)
+def _form_rows(family, ts) -> tuple:
+    """Rows of the family's form at each t, a zero-padded to the largest k
+    (a padded a_k = 0 moves one power of z from P into z^n)."""
+    forms = [family(complex(t)) for t in ts]
+    k = max(f.k for f in forms)
+    a = np.zeros((len(forms), k), np.complex128)
+    for i, f in enumerate(forms):
+        a[i, :f.k] = f.a
+    return _rows(np.array([f.n - (k - f.k) for f in forms]),
+                 np.array([f.sign for f in forms]), a)
 
 
 def _syndiv_rows(C: np.ndarray, r: float) -> np.ndarray:
@@ -457,8 +434,10 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
                     known_attractors=()) -> PlaneImage:
     """Render the plane of a one-parameter family of operators.
 
-    `family` maps a complex parameter to a RationalMap (or anything with a
-    reconstruct() producing one).  `selector` is None for the default
+    `family` maps a complex parameter to an OperatorForm.  When its
+    coefficients a(t) pass the affine fit at three probes around the window
+    center, every band's rows come from a = A + t B; otherwise the family
+    is called once per pixel.  `selector` is None for the default
     free-critical rule or an integer index into a pixel's free critical
     points of modulus <= 1, ordered by argument.
     """
@@ -471,8 +450,19 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
     iters = np.zeros((cfg.height, cfg.width), np.int32)
     no_free_count = np.zeros(cfg.height, np.int64)
     multi_count = np.zeros(cfg.height, np.int64)
-    affine = _fit_affine(family, cfg)
-    rows_at = affine or (lambda ts: _sampled_rows(family, ts))
+    x0, x1, y0, y1 = cfg.window
+    center = complex((x0 + x1) / 2.0, (y0 + y1) / 2.0)
+    probes = (center, center + (x1 - x0) / 3.0,
+              center + 1j * (y1 - y0) / 3.0)
+    try:
+        n, _, A, B = affine_fit(family, probes)
+    except NdynError:
+        n = None
+
+    def rows_at(ts):
+        if n is None:
+            return _form_rows(family, ts)
+        return _rows(n, 1, A + ts[:, None] * B)
 
     def work(r0, r1):
         ts = (xs[None, :] + 1j * ys[r0:r1, None]).ravel()
@@ -489,7 +479,7 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
     diagnostics = {
         "no_free_critical": int(no_free_count.sum()),
         "multiple_free_pairs": int(multi_count.sum()),
-        "vectorized": affine is not None,
+        "vectorized": n is not None,
     }
     return PlaneImage(cfg.width, cfg.height, outcome, iters, cfg,
                       diagnostics=diagnostics)
@@ -537,24 +527,23 @@ def _speed_rgb(t: np.ndarray) -> np.ndarray:
 
 
 def colorize(img: PlaneImage, mode: Optional[str] = None) -> np.ndarray:
-    """Pure per-pixel record -> RGB mapping; uint8 (h, w, 3)."""
+    """Pure per-pixel record -> RGB mapping; uint8 (h, w, 3).
+
+    Each color is a function of the outcome and the iteration count alone,
+    so it is computed once per (outcome, count) into a table and gathered.
+    """
     mode = mode or img.config.mode
-    t = img.iterations.astype(np.float64) / float(img.config.max_iter)
-    t = np.clip(t, 0.0, 1.0)
-    rgb = np.zeros(img.outcome.shape + (3,), np.float64)
-    converged = img.outcome != OUTCOME_NONE
-    if mode == "speed":
-        rgb[converged] = _speed_rgb(t[converged])
-    else:
-        rooted = (img.outcome == OUTCOME_ROOT0) | \
-                 (img.outcome == OUTCOME_ROOTINF)
-        rgb[rooted] = _speed_rgb(t[rooted])
-        strange = img.outcome == OUTCOME_STRANGE
-        green = np.interp(t[strange], [0.0, 1.0], [255.0, 96.0])
-        block = np.zeros(green.shape + (3,), np.float64)
-        block[:, 1] = green
-        rgb[strange] = block
-    return np.rint(rgb).astype(np.uint8)
+    max_iter = img.config.max_iter
+    t = np.clip(np.arange(max_iter + 1, dtype=np.float64) / float(max_iter),
+                0.0, 1.0)
+    speed = np.rint(_speed_rgb(t)).astype(np.uint8)
+    table = np.zeros((len(OUTCOME_NAMES), max_iter + 1, 3), np.uint8)
+    table[[OUTCOME_ROOT0, OUTCOME_ROOTINF, OUTCOME_STRANGE]] = speed
+    if mode != "speed":
+        table[OUTCOME_STRANGE] = 0
+        table[OUTCOME_STRANGE, :, 1] = np.rint(
+            np.interp(t, [0.0, 1.0], [255.0, 96.0]))
+    return table[img.outcome, img.iterations]
 
 
 def write_image(img: PlaneImage, path: str, fmt: str = "ppm",

@@ -192,11 +192,6 @@ class Polynomial:
             out[i] = acc
         return Polynomial(out[::-1])
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            raise ZeroPolynomial("the zero polynomial has no monic form")
-        return Polynomial(self._c / self._c[-1])
-
     def leading(self) -> complex:
         if self.is_zero():
             return 0.0 + 0.0j
@@ -204,10 +199,6 @@ class Polynomial:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Polynomial({list(self._c)!r})"
-
-
-def poly_eval(p: Polynomial, z):
-    return p(z)
 
 
 def poly_roots(p: Polynomial,
@@ -343,9 +334,6 @@ class RationalMap:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree <= 0
 
     def derivative(self) -> "RationalMap":
         return rat_derivative(self)

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 from .analysis import classify_multiplier, multiplier_at
 from .conjugate import OperatorForm
 from .errors import (DegenerateFamily, NonlinearDependence,
@@ -38,9 +40,6 @@ class LinearCoeffs:
     k: int
     A: tuple
     B: tuple
-
-    def at(self, t: complex) -> tuple:
-        return tuple(a + b * t for a, b in zip(self.A, self.B))
 
     def aggregates_at_one(self) -> tuple:
         s = self.n + self.k
@@ -80,50 +79,49 @@ def _lift(form: OperatorForm) -> tuple:
     return form.n, k, a
 
 
-def linearize(family: Callable[[complex], OperatorForm]) -> LinearCoeffs:
-    """Fit and certify the affine coefficient model from samples at 0, 1, i.
+def affine_fit(family: Callable[[complex], OperatorForm], probes) -> tuple:
+    """Fit a(t) = A + B t through the first two probes, certified at the third.
 
-    The family must produce a constant shape (n, k) after undoing any
-    degenerate reduction and padding collapsed top coefficients with zeros.
-    Dependence that fails the certification at t = i is rejected as
-    nonlinear; coefficients with nonreal A_j or B_j are rejected too.
+    Each sample is lifted out of any sign -1 reduction and its collapsed top
+    coefficients are padded with zeros, so the family must keep one shape
+    (n, k) in that sense.  Returns (n, k, A, B) with complex coefficient
+    arrays; a shape change or a miss at the third probe raises
+    NonlinearDependence.
     """
-    sampled = []
-    for t in _SAMPLES:
-        n_t, k_t, a_t = _lift(family(t))
-        sampled.append((n_t, k_t, a_t))
-    k_bar = max(k for _, k, _ in sampled)
-    n_bar = None
-    for n_t, k_t, _ in sampled:
-        cand = n_t - (k_bar - k_t)
-        if n_bar is None:
-            n_bar = cand
-        elif cand != n_bar:
-            raise NonlinearDependence(
-                "family shape (n, k) is not constant across sample parameters")
-    padded = []
-    for n_t, k_t, a_t in sampled:
-        padded.append(a_t + (0.0 + 0.0j,) * (k_bar - k_t))
-    a0, a1, ai = padded
+    t0, t1, t2 = probes
+    sampled = [_lift(family(t)) for t in probes]
+    k = max(k_t for _, k_t, _ in sampled)
+    shapes = {n_t - (k - k_t) for n_t, k_t, _ in sampled}
+    if len(shapes) != 1:
+        raise NonlinearDependence(
+            "family shape (n, k) is not constant across sample parameters")
+    a0, a1, a2 = (np.array(a_t + (0j,) * (k - k_t), np.complex128)
+                  for _, k_t, a_t in sampled)
+    B = (a1 - a0) / (t1 - t0)
+    A = a0 - B * t0
+    defect = np.abs(a2 - (A + B * t2))
+    scale = 1.0 + np.maximum(np.maximum(np.abs(A), np.abs(B)), np.abs(a2))
+    bad = np.nonzero(defect > LINEAR_CERT_TOL * scale)[0]
+    if bad.size:
+        j = bad[0]
+        raise NonlinearDependence(
+            f"coefficient a_{j + 1} fails the affine certification at "
+            f"t={t2} (defect {defect[j]:.3e})")
+    return shapes.pop(), k, A, B
 
-    A = []
-    B = []
-    for j in range(k_bar):
-        Aj = a0[j]
-        Bj = a1[j] - a0[j]
-        predicted = Aj + Bj * 1.0j
-        scale = 1.0 + max(abs(Aj), abs(Bj), abs(ai[j]))
-        if abs(ai[j] - predicted) > LINEAR_CERT_TOL * scale:
-            raise NonlinearDependence(
-                f"coefficient a_{j + 1} fails the affine certification at t=i "
-                f"(defect {abs(ai[j] - predicted):.3e})")
-        if abs(Aj.imag) > LINEAR_CERT_TOL * scale or \
-                abs(Bj.imag) > LINEAR_CERT_TOL * scale:
-            raise NonRealCoefficients(
-                f"coefficient a_{j + 1} has nonreal affine data")
-        A.append(Aj.real)
-        B.append(Bj.real)
-    return LinearCoeffs(n=n_bar, k=k_bar, A=tuple(A), B=tuple(B))
+
+def linearize(family: Callable[[complex], OperatorForm]) -> LinearCoeffs:
+    """The affine coefficient model from samples at 0, 1, i (see affine_fit),
+    with real A_j and B_j; nonreal affine data raise NonRealCoefficients."""
+    n, k, A, B = affine_fit(family, _SAMPLES)
+    scale = 1.0 + np.maximum(np.abs(A), np.abs(B))
+    bad = np.nonzero((np.abs(A.imag) > LINEAR_CERT_TOL * scale) |
+                     (np.abs(B.imag) > LINEAR_CERT_TOL * scale))[0]
+    if bad.size:
+        raise NonRealCoefficients(
+            f"coefficient a_{bad[0] + 1} has nonreal affine data")
+    return LinearCoeffs(n=n, k=k, A=tuple(float(v) for v in A.real),
+                        B=tuple(float(v) for v in B.real))
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,30 @@ def test_negative_pair_index_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", [
+    ("--max-iter", "0"),
+    ("--res", "0x8"),
+    ("--window", "1,1,-3,3"),
+])
+def test_invalid_render_settings_are_usage_errors(tmp_path, capsys, setting):
+    out = tmp_path / "m.ppm"
+    code, _, err = run(capsys, "dynplane", "--method", "newton",
+                       "--out", str(out), *setting)
+    assert code == 1 and err.startswith("usage error:")
+    assert not out.exists()
+
+
+def test_family_subcommands_refuse_other_degrees(tmp_path, capsys):
+    code, out, err = run(capsys, "stability", "--method", "king", "--d", "3")
+    assert code == 2 and "use --d 2" in err and out == ""
+    ppm = tmp_path / "k.ppm"
+    code, _, err = run(capsys, "paramplane", "--method", "king", "--d", "3",
+                       "--window", "-6,5,-5.5,5.5", "--res", "8x8",
+                       "--out", str(ppm))
+    assert code == 2 and "use --d 2" in err
+    assert not ppm.exists()
+
+
 def test_computation_errors_exit_two(capsys):
     code, _, err = run(capsys, "build", "--method", "steffensen")
     assert code == 2 and "error" in err

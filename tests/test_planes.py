@@ -19,9 +19,12 @@ from ndyn import (
     write_image,
     write_metadata,
 )
+from ndyn.builder import conjugated_form
 from ndyn.errors import ZeroDenominator
-from ndyn.planes import OUTCOME_NAMES, PlaneImage
-from ndyn.poly import rat_make
+from ndyn.planes import OUTCOME_NAMES, PlaneImage, _form_rows, _horner_rows
+from ndyn.poly import rat_eval, rat_make
+
+from conftest import random_form
 
 Z_SQUARED = rat_make(Polynomial((0.0, 0.0, 1.0)), Polynomial((1.0,)))
 
@@ -138,6 +141,35 @@ def test_attractor_palette_green_ramp():
     assert tuple(rgb[0, 1]) == (0, 96, 0)
     assert tuple(rgb[0, 2]) == (255, 0, 0)   # roots keep the speed ramp
     assert tuple(rgb[0, 3]) == (0, 0, 0)
+
+
+def _reference_rgb(img, mode):
+    """The palette as a float formula evaluated at every pixel."""
+    t = np.clip(img.iterations.astype(np.float64) / img.config.max_iter,
+                0.0, 1.0)
+    stops = [0.0, 0.25, 0.5, 0.75, 1.0]
+    colors = [[255, 255, 0, 0, 128], [0, 255, 255, 0, 128],
+              [0, 0, 0, 255, 128]]
+    speed = np.stack([np.interp(t, stops, c) for c in colors], axis=-1)
+    green = np.zeros_like(speed)
+    green[..., 1] = np.interp(t, [0.0, 1.0], [255.0, 96.0])
+    colored = img.outcome[..., None] != 0
+    if mode == "attractor":
+        speed = np.where(img.outcome[..., None] == 3, green, speed)
+    return np.rint(np.where(colored, speed, 0.0)).astype(np.uint8)
+
+
+@pytest.mark.parametrize("max_iter", [1, 7, 150])
+@pytest.mark.parametrize("mode", ["speed", "attractor"])
+def test_colorize_matches_the_float_formula(max_iter, mode):
+    rng = np.random.default_rng(max_iter)
+    cfg = small_cfg(resolution=(40, 30), max_iter=max_iter)
+    img = _hand_image(rng.integers(0, 4, (30, 40)),
+                      rng.integers(0, max_iter + 1, (30, 40)), cfg)
+    img.iterations[0, :2] = (0, max_iter)
+    got = colorize(img, mode)
+    assert got.dtype == np.uint8 and got.shape == (30, 40, 3)
+    assert np.array_equal(got, _reference_rgb(img, mode))
 
 
 def test_ppm_bytes(tmp_path):
@@ -274,6 +306,19 @@ def test_family_failing_at_the_probe_renders_from_sampled_rows():
     counts = img.counts()
     assert sum(counts.values()) == 64
     assert counts["root-0"] + counts["root-inf"] > 0
+
+
+def test_form_rows_evaluate_each_form(rng):
+    # mixed n, k and sign in one band: k is zero-padded to the largest one
+    forms = [random_form(rng) for _ in range(6)]
+    forms.append(conjugated_form("os5", {"a": 0.7 - 0.2j}))     # sign -1
+    assert forms[-1].sign == -1 and len({f.k for f in forms}) > 1
+    num, den = _form_rows(lambda t: forms[int(t.real)], np.arange(7.0))
+    for z in (0.3 + 0.4j, -1.7 + 0.2j, 2.5j):
+        zs = np.full(7, z)
+        got = _horner_rows(num, zs) / _horner_rows(den, zs)
+        want = [rat_eval(f.reconstruct(), z) for f in forms]
+        assert np.allclose(got, want, rtol=1e-9, atol=0.0)
 
 
 def test_mirrored_seeds_land_in_mirrored_basins():
