@@ -100,7 +100,7 @@ def affine_fit(family: Callable[[complex], OperatorForm], probes) -> tuple:
     B = (a1 - a0) / (t1 - t0)
     A = a0 - B * t0
     defect = np.abs(a2 - (A + B * t2))
-    scale = 1.0 + np.maximum(np.maximum(np.abs(A), np.abs(B)), np.abs(a2))
+    scale = 1.0 + np.abs([A, B, a2]).max(axis=0)
     bad = np.nonzero(defect > LINEAR_CERT_TOL * scale)[0]
     if bad.size:
         j = bad[0]
@@ -114,9 +114,9 @@ def linearize(family: Callable[[complex], OperatorForm]) -> LinearCoeffs:
     """The affine coefficient model from samples at 0, 1, i (see affine_fit),
     with real A_j and B_j; nonreal affine data raise NonRealCoefficients."""
     n, k, A, B = affine_fit(family, _SAMPLES)
-    scale = 1.0 + np.maximum(np.abs(A), np.abs(B))
-    bad = np.nonzero((np.abs(A.imag) > LINEAR_CERT_TOL * scale) |
-                     (np.abs(B.imag) > LINEAR_CERT_TOL * scale))[0]
+    scale = 1.0 + np.abs([A, B]).max(axis=0)
+    bad = np.nonzero(np.abs([A.imag, B.imag]).max(axis=0)
+                     > LINEAR_CERT_TOL * scale)[0]
     if bad.size:
         raise NonRealCoefficients(
             f"coefficient a_{bad[0] + 1} has nonreal affine data")
