@@ -476,7 +476,6 @@ class CatalogEntry:
     # linear coordinate used for stability regions, when one exists
     stability_param: Optional[str] = None
     stability_producer: Optional[Callable] = None  # t -> OperatorForm
-    stability_note: str = ""
 
     @property
     def ast(self) -> Scheme:
@@ -624,21 +623,18 @@ def _entries():
     scheme("chebyshev-halley", ("alpha",), (3, 1),
            "classical one-parameter family using second derivatives")
 
-    def form(name, params, nk, fn, doc, stability_param=None, producer=None,
-             note=""):
+    def form(name, params, nk, fn, doc, stability_param=None, producer=None):
         e.append(CatalogEntry(
             name=name, params=params, kind="form", doc=doc, nk=nk, form_fn=fn,
             stability_param=stability_param or (params[0] if params else None),
             stability_producer=producer or (lambda t, f=fn, p=params:
-                                            f({p[0]: t}) if p else f({})),
-            stability_note=note))
+                                            f({p[0]: t}) if p else f({}))))
 
     form("c-family", ("c",), (3, 3), _cfamily_form,
          "cubic-over-cubic family whose last coefficient moves with c")
     form("m4", ("beta",), (4, 4), _m4_form,
          "three-step frozen-derivative family, quartic normal form",
-         stability_param="alpha", producer=_m4_linear,
-         note="alpha = (5*beta - 1)/beta")
+         stability_param="alpha", producer=_m4_linear)
     form("os2", ("a",), (5, 3), _os2_form,
          "weighted two-step subfamily with quintic local degree")
     form("os3", ("a",), (4, 4), _os3_form,
@@ -646,8 +642,7 @@ def _entries():
     form("os4", ("b",), (4, 4), _os4_form,
          "subfamily with z=1 superattracting for every parameter")
     form("os5", ("a",), (4, 4), _os5_form,
-         "degenerate subfamily: the coefficient sum vanishes identically",
-         note="reduces to sign -1 with k=3")
+         "degenerate subfamily: the coefficient sum vanishes identically")
     return {entry.name: entry for entry in e}
 
 

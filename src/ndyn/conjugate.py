@@ -54,11 +54,6 @@ class Mobius:
         """z -> 1/z."""
         return cls(0, 1, 1, 0)
 
-    @classmethod
-    def negation(cls) -> "Mobius":
-        """z -> -z."""
-        return cls(-1, 0, 0, 1)
-
     def __call__(self, z):
         if is_inf(z):
             if self.c == 0:
@@ -144,9 +139,6 @@ class OperatorForm:
     def reconstruct(self) -> RationalMap:
         num = (self.sign * self.p_coeffs()).shift(self.n)
         return rat_make(num, self.p_hat_coeffs())
-
-    def coefficient_sum(self) -> complex:
-        return 1.0 + complex(sum(self.a))
 
 
 def make_form(n: int, a, sign: int = 1) -> OperatorForm:

@@ -9,14 +9,15 @@ and render black.  The grid is processed in fixed 32-row bands so output
 bytes do not depend on the worker count.
 
 Parameter planes follow the orbit of one free critical point per pixel.
-A family's pixel is its normal form sign * z^n * P / P-hat, read as the
-coefficients a(t) = (a_1, ..., a_k) and turned into num/den rows in one
-place.  When a(t) is affine in t (stability.affine_fit, certified at three
-probes around the window center), a band's coefficients are A + t B;
-otherwise the family is called once per pixel and its forms are stacked.
-Either way each band then goes through one batched path: the derivative
-numerator, analytic removal of the anchored factors, companion-matrix root
-solves, seed selection and orbit iteration.
+A family's pixel is its normal form sign * z^n * P / P-hat, read as
+(n, sign, a(t)) with a = (a_1, ..., a_k).  When a(t) is affine in t
+(stability.affine_fit, certified at three probes around the window center),
+a band's coefficients are A + t B; otherwise the family is called once per
+pixel and its forms are stacked.  The operator commutes with z -> 1/z, so
+its free critical points come in pairs kappa <-> 1/kappa: each band solves
+one degree-k equation Q(w) in w = z + 1/z straight from (n, a), divides out
+the anchored points w = +-2 (z = +-1), takes one seed per pair from the
+companion-matrix roots, and iterates the num/den rows of the forms.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ OUTCOME_NAMES = {
 
 CHUNK_ROWS = 32
 ANCHOR_TOL = 1e-6      # critical points this close to +-1 are not free seeds
-ORIGIN_TOL = 1e-9
+ORIGIN_TOL = 1e-9      # nor this close to 0 (or to infinity)
 
 _SPEED_STOPS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 _SPEED_COLORS = np.array([
@@ -145,25 +146,20 @@ def _flatten_attractors(known) -> np.ndarray:
     return np.asarray(finite, dtype=np.complex128)
 
 
-def _horner_shared(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    acc = np.full(z.shape, c[-1], dtype=np.complex128)
-    for k in range(c.size - 2, -1, -1):
-        acc = acc * z + c[k]
-    return acc
-
-
 def _horner_rows(C: np.ndarray, z: np.ndarray) -> np.ndarray:
-    acc = C[:, -1].copy()
-    for k in range(C.shape[1] - 2, -1, -1):
-        acc = acc * z + C[:, k]
+    """Ascending coefficients at z: one shared row (1-D C) or one row per
+    point (2-D C)."""
+    acc = C[..., -1]
+    for k in range(C.shape[-1] - 2, -1, -1):
+        acc = acc * z + C[..., k]
     return acc
 
 
 def _iterate(z0: np.ndarray, num_c, den_c, cfg: RenderConfig,
-             attractors: np.ndarray, per_pixel: bool,
-             dead: Optional[np.ndarray] = None):
+             attractors: np.ndarray, dead: Optional[np.ndarray] = None):
     """Orbit classification for a flat batch of seeds.
 
+    `num_c` and `den_c` are one shared coefficient row or one row per seed.
     `dead` marks seeds that never run (no usable critical point); they end
     as outcome none with max_iter iterations.
     """
@@ -199,13 +195,9 @@ def _iterate(z0: np.ndarray, num_c, den_c, cfg: RenderConfig,
                 break
             za = z[act]
         with np.errstate(all="ignore"):
-            if per_pixel:
-                nv = _horner_rows(num_c[act], za)
-                dv = _horner_rows(den_c[act], za)
-            else:
-                nv = _horner_shared(num_c, za)
-                dv = _horner_shared(den_c, za)
-            z[act] = nv / dv
+            nc, dc = ((num_c[act], den_c[act]) if num_c.ndim > 1
+                      else (num_c, den_c))
+            z[act] = _horner_rows(nc, za) / _horner_rows(dc, za)
     return out, its
 
 
@@ -226,7 +218,7 @@ def orbit_outcome(R: RationalMap, z0: complex, cfg: RenderConfig,
     """(outcome name, iterations) of one seed, same rule as the grid."""
     attr = _flatten_attractors(known_attractors)
     out, its = _iterate(np.array([z0], np.complex128),
-                        R.num.coeffs, R.den.coeffs, cfg, attr, False)
+                        R.num.coeffs, R.den.coeffs, cfg, attr)
     return OUTCOME_NAMES[int(out[0])], int(its[0])
 
 
@@ -242,7 +234,7 @@ def dynamical_plane(R: RationalMap, cfg: RenderConfig,
 
     def work(r0, r1):
         zz = (xs[None, :] + 1j * ys[r0:r1, None]).ravel()
-        o, it = _iterate(zz, num_c, den_c, cfg, attr, False)
+        o, it = _iterate(zz, num_c, den_c, cfg, attr)
         outcome[r0:r1] = o.reshape(r1 - r0, cfg.width)
         iters[r0:r1] = it.reshape(r1 - r0, cfg.width)
 
@@ -270,20 +262,58 @@ def _rows(n, sign, a: np.ndarray) -> tuple:
     return num, den
 
 
-def _form_rows(family, ts) -> tuple:
-    """Rows of the family's form at each t, a zero-padded to the largest k
-    (a padded a_k = 0 moves one power of z from P into z^n)."""
+def _form_coeffs(family, ts) -> tuple:
+    """(n, sign, a) of the family's form at each t, a zero-padded to the
+    largest k (a padded a_k = 0 moves one power of z from P into z^n)."""
     forms = [family(complex(t)) for t in ts]
     k = max(f.k for f in forms)
     a = np.zeros((len(forms), k), np.complex128)
     for i, f in enumerate(forms):
         a[i, :f.k] = f.a
-    return _rows(np.array([f.n - (k - f.k) for f in forms]),
-                 np.array([f.sign for f in forms]), a)
+    return (np.array([f.n - (k - f.k) for f in forms]),
+            np.array([f.sign for f in forms]), a)
+
+
+def _conv_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row-wise polynomial product of ascending coefficient arrays."""
+    P, da = A.shape
+    _, db = B.shape
+    out = np.zeros((P, da + db - 1), np.complex128)
+    for i in range(da):
+        out[:, i:i + db] += A[:, i][:, None] * B
+    return out
+
+
+def _pair_rows(n, a: np.ndarray) -> np.ndarray:
+    """Q(w) per row, ascending: the free critical pairs of z^n P / P-hat.
+
+    The derivative numerator without its z^(n-1) is
+    C = n P P-hat + z (P' P-hat - P P-hat'), self-reciprocal of degree 2k,
+    so C(z) = z^k Q(z + 1/z) with Q = C_k + sum_m C_(k+m) D_m(w) and the
+    Dickson polynomials D_m(z + 1/z) = z^m + z^-m.  Each root w of Q is
+    one pair kappa <-> 1/kappa; z = 0 and a padded a_k = 0 sit at w = inf.
+    """
+    P, k = a.shape
+    q = np.ones((P, k + 1), np.complex128)
+    q[:, 1:] = a
+    p = q[:, ::-1]
+    j = np.arange(k + 1)
+    C = (_conv_rows((np.reshape(n, (-1, 1)) + j) * p, q)
+         - _conv_rows(p, j * q))
+    # row m: ascending coefficients of D_m, except row 0, which is 1
+    dickson = np.zeros((k + 1, k + 1))
+    dickson[0, 0] = 2.0
+    if k:
+        dickson[1, 1] = 1.0
+    for m in range(2, k + 1):
+        dickson[m, 1:] = dickson[m - 1, :-1]
+        dickson[m] -= dickson[m - 2]
+    dickson[0, 0] = 1.0           # the middle coefficient C_k stands alone
+    return C[:, k:] @ dickson
 
 
 def _syndiv_rows(C: np.ndarray, r: float) -> np.ndarray:
-    """Row-wise synthetic division of ascending coefficients by (z - r)."""
+    """Row-wise synthetic division of ascending coefficients by (w - r)."""
     P, D = C.shape
     Q = np.empty((P, D - 1), np.complex128)
     Q[:, D - 2] = C[:, D - 1]
@@ -292,51 +322,30 @@ def _syndiv_rows(C: np.ndarray, r: float) -> np.ndarray:
     return Q
 
 
-def _strip_origin_rows(C: np.ndarray) -> np.ndarray:
-    """Remove the z^s factor of each row in place (criticals parked at 0).
+def _deflate_anchored_rows(Q: np.ndarray) -> np.ndarray:
+    """Divide out every structural factor (w - 2) and (w + 2), per row.
 
-    Doing this before any synthetic division keeps the bottom coefficients
-    structurally zero instead of cancellation dust, which would otherwise
-    scatter the origin root cluster under the batched eigensolve.
+    These are the anchored points z = +-1.  Multiple roots parked there
+    scatter badly under batched eigensolves (radius ~ eps^(1/m)), so they
+    are removed analytically first; a residual vanishing within 1e-8 of
+    sum |Q_j| |r|^j counts as structural.
     """
-    P, D = C.shape
-    scale = np.abs(C).max(axis=1)
-    nz = np.abs(C) > 1e-12 * np.maximum(scale, 1e-300)[:, None]
-    first = np.where(nz.any(axis=1), nz.argmax(axis=1), 0)
-    for s in np.unique(first):
-        if s == 0:
-            continue
-        rows = np.where(first == s)[0]
-        C[rows, :D - s] = C[rows, s:]
-        C[rows, D - s:] = 0.0
-    return C
-
-
-def _deflate_anchored_rows(C: np.ndarray) -> np.ndarray:
-    """Divide out every structural factor (z - 1) and (z + 1), per row.
-
-    Multiple roots parked exactly at the anchored points +-1 scatter badly
-    under batched eigensolves (radius ~ eps^(1/m)), so they are removed
-    analytically first; a residual vanishing within 1e-8 relative counts
-    as structural.
-    """
-    C = C.copy()
-    P, D = C.shape
+    Q = Q.copy()
+    P, D = Q.shape
     if D < 2:
-        return C
-    _strip_origin_rows(C)
-    for r in (1.0, -1.0):
+        return Q
+    for r in (2.0, -2.0):
         powers = (r ** np.arange(D))[None, :]
         for _ in range(D - 1):
-            vals = (C * powers).sum(axis=1)
-            scale = np.abs(C).sum(axis=1)
+            vals = (Q * powers).sum(axis=1)
+            scale = (np.abs(Q) * np.abs(powers)).sum(axis=1)
             mask = (scale > 0) & (np.abs(vals) <= 1e-8 * scale)
-            mask &= np.abs(C[:, 1:]).sum(axis=1) > 0
+            mask &= np.abs(Q[:, 1:]).sum(axis=1) > 0
             if not mask.any():
                 break
-            C[mask, :D - 1] = _syndiv_rows(C[mask], r)
-            C[mask, D - 1] = 0.0
-    return C
+            Q[mask, :D - 1] = _syndiv_rows(Q[mask], r)
+            Q[mask, D - 1] = 0.0
+    return Q
 
 
 def _roots_rows(C: np.ndarray) -> np.ndarray:
@@ -367,33 +376,39 @@ def _roots_rows(C: np.ndarray) -> np.ndarray:
     return out
 
 
-def _select_seed_rows(roots: np.ndarray, index: Optional[int] = None) -> tuple:
-    """Free-critical selection, vectorized over pixels.
+def _arg(z: np.ndarray) -> np.ndarray:
+    """Argument in [0, 2 pi)."""
+    angle = np.angle(z)
+    return np.where(angle < 0, angle + 2.0 * np.pi, angle)
 
-    Drops roots at 0 and the anchored points +-1 and counts the estimates
-    of a multiple root once.  The candidates are the survivors with modulus
-    <= 1 (all survivors when rounding pushed every one above 1), ordered by
-    argument mod 2 pi.  With index None the default rule requires exactly
-    one iota pair and picks the first candidate; an integer index picks that
-    candidate whatever the pair count, and a pixel with no such candidate
-    counts as having no free critical point.
+
+def _select_seed_rows(w: np.ndarray, index: Optional[int] = None) -> tuple:
+    """Free-critical selection from the pair roots w, vectorized over pixels.
+
+    Each usable w (off the anchored points w = +-2 and the origin's w = inf)
+    is one kappa <-> 1/kappa pair, and the estimates of a multiple root
+    count once.  A pair's seed is the root of z^2 - w z + 1 in the unit
+    disc, or the one with the smaller argument in [0, 2 pi) when both lie
+    on the circle.  With index None the default rule requires exactly one
+    pair; an integer index picks that pair in the order of the seeds'
+    arguments, and a pixel with no such pair counts as having no free
+    critical point.
     Returns (seed, dead_mask, no_free_mask, multi_mask).
     """
-    P, D = roots.shape
-    usable = np.isfinite(roots)
-    mod = np.abs(roots)
-    usable &= mod > ORIGIN_TOL
-    usable &= np.abs(roots - 1.0) > ANCHOR_TOL
-    usable &= np.abs(roots + 1.0) > ANCHOR_TOL
-    # Free critical points come in kappa <-> 1/kappa pairs, so a row with
-    # more than two usable roots holds several pairs or a multiple root
-    # (os3's free pair is double), which comes back as m scattered
-    # estimates.  Fold each estimate into the first one within the
-    # tolerance of poly._clusters and use their mean, far closer to the
+    P, D = w.shape
+    # |z| > ORIGIN_TOL <=> |w| < 1 / ORIGIN_TOL, and since
+    # w - 2 = (z - 1)^2 / z, |z - 1| > ANCHOR_TOL <=> |w - 2| > ANCHOR_TOL^2
+    usable = np.isfinite(w) & (np.abs(w) < 1.0 / ORIGIN_TOL)
+    usable &= np.abs(w - 2.0) > ANCHOR_TOL ** 2
+    usable &= np.abs(w + 2.0) > ANCHOR_TOL ** 2
+    # A row with more than one usable root holds several pairs or a
+    # multiple root (os3's free pair is double), which comes back as m
+    # scattered estimates.  Fold each estimate into the first one within
+    # the tolerance of poly._clusters and use their mean, far closer to the
     # root than any one estimate.  Column by column: memory stays O(P * D).
-    rows = np.where(usable.sum(axis=1) > 2)[0]
+    rows = np.where(usable.sum(axis=1) > 1)[0]
     if rows.size:
-        R, U = roots[rows], usable[rows]
+        R, U = w[rows], usable[rows]
         total, size = R.copy(), np.ones(R.shape)
         for j in range(1, D):
             near = (np.abs(R[:, :j] - R[:, j, None])
@@ -403,28 +418,27 @@ def _select_seed_rows(roots: np.ndarray, index: Optional[int] = None) -> tuple:
             total[dup, first] += R[dup, j]
             size[dup, first] += 1.0
             U[dup, j] = False
-        roots = roots.copy()
-        roots[rows] = total / size
+        w = w.copy()
+        w[rows] = total / size
         usable[rows] = U
-        mod = np.abs(roots)
     count = usable.sum(axis=1)
-    no_free = count == 0
-    candidate = usable & (mod <= 1.0 + 1e-9)
-    # fall back to any usable root when rounding pushed both members above 1
-    none_cand = ~candidate.any(axis=1) & ~no_free
-    if none_cand.any():
-        candidate[none_cand] = usable[none_cand]
-    angle = np.angle(roots)
-    angle = np.where(angle < 0, angle + 2.0 * np.pi, angle)
-    key = np.where(candidate, angle, np.inf)
+    with np.errstate(invalid="ignore"):       # the nan padding of w
+        root = np.sqrt(w * w - 4.0)
+        outer = np.where(np.abs(w + root) >= np.abs(w - root),
+                         w + root, w - root) / 2.0
+        inner = 1.0 / outer
+    swap = (np.abs(outer) <= 1.0 + 1e-9) & (_arg(outer) < _arg(inner))
+    seeds = np.where(swap, outer, inner)
+    key = np.where(usable, _arg(seeds), np.inf)
     if index is None:
-        multi = (count + 1) // 2 > 1
+        no_free = count == 0
+        multi = count > 1
         pick = np.argmin(key, axis=1)
     else:
+        no_free = count <= index
         multi = np.zeros(P, bool)
-        no_free |= candidate.sum(axis=1) <= index
         pick = np.argsort(key, axis=1, kind="stable")[:, min(index, D - 1)]
-    seed = roots[np.arange(P), pick]
+    seed = seeds[np.arange(P), pick]
     dead = no_free | multi
     seed = np.where(dead, 0.0 + 0.0j, seed)
     return seed, dead, no_free, multi
@@ -436,10 +450,11 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
 
     `family` maps a complex parameter to an OperatorForm.  When its
     coefficients a(t) pass the affine fit at three probes around the window
-    center, every band's rows come from a = A + t B; otherwise the family
-    is called once per pixel.  `selector` is None for the default
-    free-critical rule or an integer index into a pixel's free critical
-    points of modulus <= 1, ordered by argument.
+    center, every band's coefficients are a = A + t B; otherwise the family
+    is called once per pixel.  The seeds come from the pair roots w of
+    _pair_rows (see _select_seed_rows).  `selector` is None for the default
+    rule (exactly one free pair) or an integer index into a pixel's free
+    pairs, ordered by the argument of their seeds.
     """
     if selector is not None and selector < 0:
         raise ValueError("selector must be a nonnegative pair index")
@@ -459,17 +474,18 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
     except NdynError:
         n = None
 
-    def rows_at(ts):
+    def coeffs_at(ts):
         if n is None:
-            return _form_rows(family, ts)
-        return _rows(n, 1, A + ts[:, None] * B)
+            return _form_coeffs(family, ts)
+        return n, 1, A + ts[:, None] * B
 
     def work(r0, r1):
         ts = (xs[None, :] + 1j * ys[r0:r1, None]).ravel()
-        num, den = rows_at(ts)
-        roots = _roots_rows(_deflate_anchored_rows(_crit_rows(num, den)))
-        seed, dead, no_free, multi = _select_seed_rows(roots, selector)
-        o, it = _iterate(seed, num, den, cfg, attr, True, dead=dead)
+        n_t, sign, a = coeffs_at(ts)
+        w = _roots_rows(_deflate_anchored_rows(_pair_rows(n_t, a)))
+        seed, dead, no_free, multi = _select_seed_rows(w, selector)
+        num, den = _rows(n_t, sign, a)
+        o, it = _iterate(seed, num, den, cfg, attr, dead=dead)
         outcome[r0:r1] = o.reshape(r1 - r0, cfg.width)
         iters[r0:r1] = it.reshape(r1 - r0, cfg.width)
         no_free_count[r0] += int(no_free.sum())
@@ -483,35 +499,6 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
     }
     return PlaneImage(cfg.width, cfg.height, outcome, iters, cfg,
                       diagnostics=diagnostics)
-
-
-def _conv_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-wise polynomial product of ascending coefficient arrays."""
-    P, da = A.shape
-    _, db = B.shape
-    out = np.zeros((P, da + db - 1), np.complex128)
-    for i in range(da):
-        out[:, i:i + db] += A[:, i][:, None] * B
-    return out
-
-
-def _crit_rows(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Numerator of the derivative, num' den - num den', per pixel row."""
-    P = num.shape[0]
-    if num.shape[1] > 1:
-        dn = num[:, 1:] * np.arange(1, num.shape[1])[None, :]
-    else:
-        dn = np.zeros((P, 1), np.complex128)
-    a = _conv_rows(dn, den)
-    if den.shape[1] > 1:
-        dd = den[:, 1:] * np.arange(1, den.shape[1])[None, :]
-        b = _conv_rows(num, dd)
-        width = max(a.shape[1], b.shape[1])
-        out = np.zeros((P, width), np.complex128)
-        out[:, :a.shape[1]] += a
-        out[:, :b.shape[1]] -= b
-        return out
-    return a
 
 
 # --------------------------------------------------------------------------

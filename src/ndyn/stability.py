@@ -41,25 +41,15 @@ class LinearCoeffs:
     A: tuple
     B: tuple
 
-    def aggregates_at_one(self) -> tuple:
+    def aggregates_at(self, x: float) -> tuple:
+        """(A, B, A', B') with O'(x) = (A + t B) / (A' + t B'), x = +-1."""
         s = self.n + self.k
-        A = float(s) + sum((s - 2 * j) * self.A[j - 1]
-                           for j in range(1, self.k + 1))
-        B = sum((s - 2 * j) * self.B[j - 1] for j in range(1, self.k + 1))
-        A2 = 1.0 + sum(self.A)
-        B2 = float(sum(self.B))
-        return A, float(B), A2, B2
-
-    def aggregates_at_minus_one(self) -> tuple:
-        s = self.n + self.k
-        C = float(s) + sum(((-1.0) ** j) * (s - 2 * j) * self.A[j - 1]
-                           for j in range(1, self.k + 1))
-        D = sum(((-1.0) ** j) * (s - 2 * j) * self.B[j - 1]
-                for j in range(1, self.k + 1))
-        C2 = 1.0 + sum(((-1.0) ** j) * self.A[j - 1]
-                       for j in range(1, self.k + 1))
-        D2 = sum(((-1.0) ** j) * self.B[j - 1] for j in range(1, self.k + 1))
-        return C, float(D), C2, float(D2)
+        js = range(1, self.k + 1)
+        A = float(s) + sum(x ** j * (s - 2 * j) * self.A[j - 1] for j in js)
+        B = sum(x ** j * (s - 2 * j) * self.B[j - 1] for j in js)
+        A2 = 1.0 + sum(x ** j * self.A[j - 1] for j in js)
+        B2 = sum(x ** j * self.B[j - 1] for j in js)
+        return A, float(B), A2, float(B2)
 
 
 def _lift(form: OperatorForm) -> tuple:
@@ -232,7 +222,7 @@ def _build_region(target: str, A: float, B: float, A2: float,
 
 def stability_region_z1(lc: LinearCoeffs) -> StabilityRegion:
     """Region of parameters where the fixed point z = 1 attracts."""
-    A, B, A2, B2 = lc.aggregates_at_one()
+    A, B, A2, B2 = lc.aggregates_at(1.0)
     return _build_region("z=1", A, B, A2, B2)
 
 
@@ -240,7 +230,7 @@ def stability_region_zm1(lc: LinearCoeffs) -> StabilityRegion:
     """Region for z = -1; not applicable unless n + k is odd (so -1 is fixed)."""
     if (lc.n + lc.k) % 2 == 0:
         return StabilityRegion(target="z=-1", kind="not-applicable")
-    C, D, C2, D2 = lc.aggregates_at_minus_one()
+    C, D, C2, D2 = lc.aggregates_at(-1.0)
     return _build_region("z=-1", C, D, C2, D2)
 
 

@@ -3,7 +3,8 @@
 Every figure is rendered at 64x64 with max_iter 150 from the script's own
 windows, modes and attractors, at one worker and at two.  The digest covers
 the outcome and iteration arrays, so any change to seeds, rows or orbits
-that moves a pixel shows up here.
+that moves a pixel shows up here.  `PYTHONPATH=src python
+tests/test_figures.py` prints the current digests in the order of PINS.
 """
 
 import hashlib
@@ -31,15 +32,15 @@ PINS = {
     "param_os2":
         "ff28474b9cc40c610e980c63a45ab5658c638cbaecf5121ad6f5bcca08ad98ff",
     "param_os3":
-        "fc3c89e4a7e8440a3e0defee943009b2a56b3a49e2cb4e2f42a22aa1266ed44a",
+        "95d319eea65fd1cb1374ca20dbb199df8b94f36f7d467e79b5603bd1076e1dc9",
     "param_os4":
         "1dad3fca7d866fdf27ba1d099987f4df8a588c0353ffd6a51b183ae62cabce74",
     "param_os5":
         "41ddae2c8de760ba22cf2309586c5150c00a1778fb0bcf1c35b77f5093345aa6",
     "param_c_family":
-        "81f0516c6ef59729a9dea4287709d41175544c96251af29216ed3ff9397e488b",
+        "91c19c1e251c420c1351824bd225b91b80c09b1663cce79196f5bf38109f1d1c",
     "param_m4":
-        "19f8175072e80d27df7b5be630d15fcb35acca2beca46633a203449415dd7ae5",
+        "8b13aa5c1e0fcb102bea5ef07359121a680a1f38d47a26602815c36fd787c830",
     "dyn_os5_a0":
         "4426001a35c087dc52032c30c914a906e5bdbb08f8bfeb652d6e4534420b3c81",
     "dyn_os5_a2_m9_3i":
@@ -83,3 +84,9 @@ def test_every_figure_is_pinned():
 def test_figure_pixels_match_pin(name):
     for workers in (1, 2):
         assert _digest(_render(name, workers)) == PINS[name], workers
+
+
+if __name__ == "__main__":
+    # print the current digest of every figure, in PINS order, at one worker
+    for name in PINS:
+        print(name, _digest(_render(name, 1)))

@@ -21,7 +21,8 @@ from ndyn import (
 )
 from ndyn.builder import conjugated_form
 from ndyn.errors import ZeroDenominator
-from ndyn.planes import OUTCOME_NAMES, PlaneImage, _form_rows, _horner_rows
+from ndyn.planes import (OUTCOME_NAMES, PlaneImage, _form_coeffs, _horner_rows,
+                         _pair_rows, _roots_rows, _rows, _select_seed_rows)
 from ndyn.poly import rat_eval, rat_make
 
 from conftest import random_form
@@ -313,12 +314,73 @@ def test_form_rows_evaluate_each_form(rng):
     forms = [random_form(rng) for _ in range(6)]
     forms.append(conjugated_form("os5", {"a": 0.7 - 0.2j}))     # sign -1
     assert forms[-1].sign == -1 and len({f.k for f in forms}) > 1
-    num, den = _form_rows(lambda t: forms[int(t.real)], np.arange(7.0))
+    num, den = _rows(*_form_coeffs(lambda t: forms[int(t.real)],
+                                   np.arange(7.0)))
     for z in (0.3 + 0.4j, -1.7 + 0.2j, 2.5j):
         zs = np.full(7, z)
         got = _horner_rows(num, zs) / _horner_rows(den, zs)
         want = [rat_eval(f.reconstruct(), z) for f in forms]
         assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+def _derivative_numerator(n, a):
+    """n P P-hat + z (P' P-hat - P P-hat'), ascending, by plain products."""
+    P = np.polynomial.Polynomial(np.r_[a[::-1], 1.0])
+    Ph = np.polynomial.Polynomial(np.r_[1.0, a])
+    z = np.polynomial.Polynomial([0.0, 1.0])
+    return n * P * Ph + z * (P.deriv() * Ph - P * Ph.deriv())
+
+
+def test_pair_rows_fold_the_derivative_numerator(rng):
+    rows = []
+    for k in range(6):
+        n = int(rng.integers(1, 7))
+        a = rng.uniform(-3, 3, k) + 1j * rng.uniform(-3, 3, k)
+        rows.append((n, a))
+    # k = 2 padded to 4: a padded a_k = 0 moves one power of z into z^n
+    n, a = rows[2]
+    rows.append((n - 2, np.r_[a, 0.0, 0.0]))
+    for n, a in rows:
+        k = a.size
+        Q = _pair_rows(n, a[None, :])[0]
+        C = _derivative_numerator(n, a)
+        for z in (0.3 + 0.4j, -1.7 + 0.2j, 2.5j):
+            want = C(z)
+            scale = np.abs(C.coef) @ np.abs(z) ** np.arange(C.coef.size)
+            got = z ** k * np.polynomial.Polynomial(Q)(z + 1 / z)
+            assert abs(got - want) <= 1e-10 * scale, (n, k, z)
+    # the padding only raises Q's top coefficients, which stay zero
+    (n, a), (n_pad, a_pad) = rows[2], rows[-1]
+    padded = _pair_rows(n_pad, a_pad[None, :])[0]
+    assert np.allclose(padded[:3], _pair_rows(n, a[None, :])[0],
+                       rtol=1e-12, atol=0.0)
+    assert np.all(padded[3:] == 0)
+
+
+def test_free_critical_pairs_are_roots_of_the_pair_rows(rng):
+    for _ in range(12):
+        form = random_form(rng)
+        a = np.array(form.a, np.complex128).reshape(1, -1)
+        w = _roots_rows(_pair_rows(form.n, a))[0]
+        w = w[np.isfinite(w)]
+        for crit in free_critical_points(form.reconstruct()):
+            kappa = crit.point
+            if min(abs(kappa), abs(kappa - 1), abs(kappa + 1)) <= 1e-6:
+                continue
+            pair = kappa + 1 / kappa
+            assert np.min(np.abs(w - pair)) <= 1e-6 * (1 + abs(pair)), form
+
+
+@pytest.mark.parametrize("w", [-1.9, -0.3, 0.5, 1.7])
+@pytest.mark.parametrize("wobble", [0.0, 1e-15j, -1e-15j])
+def test_pair_on_the_circle_seeds_the_upper_member(w, wobble):
+    row = np.array([[w + wobble, np.nan]], np.complex128)
+    for index in (None, 0):
+        seed, dead, _, _ = _select_seed_rows(row, index)
+        assert not dead[0]
+        assert abs(abs(seed[0]) - 1) < 1e-12
+        assert 0 < cmath.phase(seed[0]) < math.pi
+        assert abs(seed[0] + 1 / seed[0] - w) < 1e-12
 
 
 def test_mirrored_seeds_land_in_mirrored_basins():
