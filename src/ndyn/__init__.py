@@ -11,9 +11,9 @@ from .analysis import (CriticalPointRecord, FixedPointRecord,
                        critical_points, fixed_points, free_critical_points,
                        moebius_sum, multiplier_at, multiplier_at_minus_one_closed,
                        multiplier_at_one_closed, multiplier_of_cycle)
-from .builder import (CatalogEntry, SchemeContext, build_operator, catalog,
-                      catalog_entry, catalog_names, check_scheme_lambda_odd,
-                      conjugated_form, instantiate, parse_scheme)
+from .builder import (CatalogEntry, SchemeContext, catalog_entry,
+                      catalog_names, check_scheme_lambda_odd, conjugated_form,
+                      instantiate, parse_scheme)
 from .conjugate import (Mobius, OperatorForm, check_iota_symmetry,
                         check_lambda_odd, extract_normal_form, make_form,
                         mobius_conjugate, standard_tau)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from .errors import (DivisionByZeroMap, SchemeSyntaxError, UnboundIdentifier,
@@ -31,8 +32,8 @@ __all__ = [
     "Var", "Const", "Param", "Deriv", "BinOp", "Ref", "Scheme",
     "SchemeContext", "CatalogEntry", "parse_scheme", "instantiate",
     "evaluate_scheme", "check_lambda_odd", "check_scheme_lambda_odd",
-    "check_infinity_simple", "catalog", "catalog_entry", "catalog_names",
-    "build_operator", "conjugated_form", "target_derivative",
+    "check_infinity_simple", "catalog_entry", "catalog_names",
+    "conjugated_form", "target_derivative",
 ]
 
 # --------------------------------------------------------------------------
@@ -339,15 +340,19 @@ def _quotient(num: Polynomial, den: Polynomial) -> RationalMap:
     return RationalMap(num, den)
 
 
+def _binding(bindings: dict, name: str) -> complex:
+    if name not in bindings:
+        raise UnboundIdentifier(name, "no binding supplied")
+    return complex(bindings[name])
+
+
 def _instantiate_expr(node, ctx: SchemeContext, env: dict) -> RationalMap:
     if isinstance(node, Var):
         return identity_map()
     if isinstance(node, Const):
         return constant_map(node.value)
     if isinstance(node, Param):
-        if node.name not in ctx.bindings:
-            raise UnboundIdentifier(node.name, "no binding supplied")
-        return constant_map(complex(ctx.bindings[node.name]))
+        return constant_map(_binding(ctx.bindings, node.name))
     if isinstance(node, Ref):
         return env[node.name]
     if isinstance(node, Deriv):
@@ -394,9 +399,7 @@ def _eval_expr(node, ctx: SchemeContext, env: dict, z: complex) -> complex:
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Param):
-        if node.name not in ctx.bindings:
-            raise UnboundIdentifier(node.name, "no binding supplied")
-        return complex(ctx.bindings[node.name])
+        return _binding(ctx.bindings, node.name)
     if isinstance(node, Ref):
         return env[node.name]
     if isinstance(node, Deriv):
@@ -468,33 +471,17 @@ def check_infinity_simple(R: RationalMap) -> str:
 class CatalogEntry:
     name: str
     params: tuple
-    kind: str                      # "scheme" | "form"
     doc: str
-    text: Optional[str] = None     # scheme source (kind == "scheme")
     nk: Optional[tuple] = None     # (n, k) of the conjugated d=2 operator
-    form_fn: Optional[Callable] = None  # bindings -> OperatorForm (kind == "form")
+    ast: Optional[Scheme] = None   # parsed scheme (scheme entries)
+    coeffs: Optional[Callable] = None  # t -> (a_1..a_k) (form entries)
     # linear coordinate used for stability regions, when one exists
     stability_param: Optional[str] = None
     stability_producer: Optional[Callable] = None  # t -> OperatorForm
 
     @property
-    def ast(self) -> Scheme:
-        if self.kind != "scheme":
-            raise UnknownMethod(f"{self.name} stores a conjugated form, not a scheme")
-        return parse_scheme(self.text)
-
-
-def _form_producer(name):
-    def producer(t):
-        return conjugated_form(name, _single_binding(name, t))
-    return producer
-
-
-def _single_binding(name, t):
-    entry = catalog_entry(name)
-    if not entry.params:
-        return {}
-    return {entry.params[0]: t}
+    def kind(self) -> str:
+        return "scheme" if self.ast is not None else "form"
 
 
 _SCHEME_TEXTS = {
@@ -531,69 +518,62 @@ _SCHEME_TEXTS = {
 }
 
 
-def _collapsing_form(n, a):
-    """make_form with the k-collapse applied: a vanishing bottom coefficient
-    of P pulls a factor z out of it, which joins the z^n block."""
-    a = [complex(v) for v in a]
+# The form families: d = 2 normal forms whose coefficients a_1..a_k are
+# closed forms in one parameter t.
+# name -> (parameter, (n, k), t -> (a_1..a_k), doc)
+_FORMS = {
+    "c-family": ("c", (3, 3), lambda c: (4.0, 5.0, 2.0 - 4.0 * c),
+                 "cubic-over-cubic family whose last coefficient moves with c"),
+    "m4": ("beta", (4, 4),
+           lambda beta: (6.0, 14.0, 14.0, (5.0 * beta - 1.0) / beta),
+           "three-step frozen-derivative family, quartic normal form"),
+    "os2": ("a", (5, 3), lambda a: (6.0 + a, 14.0 + 4.0 * a, 14.0 + 5.0 * a),
+            "weighted two-step subfamily with quintic local degree"),
+    "os3": ("a", (4, 4),
+            lambda a: (6.0 + a, 14.0 + 4.0 * a, 14.0 + 5.0 * a,
+                       5.0 * (14.0 + 5.0 * a) ** 2
+                       / (196.0 + 76.0 * a + 9.0 * a * a)),
+            "subfamily whose last coefficient depends rationally on a"),
+    "os4": ("b", (4, 4), lambda b: (2.0, -2.0, -6.0, 4.0 * b - 3.0),
+            "subfamily with z=1 superattracting for every parameter"),
+    # the coefficient sum vanishes identically, so the reconstructed map
+    # always loses the shared factor (z - 1) and keeps a global sign -1
+    "os5": ("a", (4, 4),
+            lambda a: (6.0 + a, 14.0 + 4.0 * a, 14.0 + 5.0 * a,
+                       -35.0 - 10.0 * a),
+            "degenerate subfamily: the coefficient sum vanishes identically"),
+}
+
+
+def _member(name: str, n: int, coeffs: Callable, t) -> OperatorForm:
+    """The raw normal form of a form family at t.
+
+    A vanishing bottom coefficient of P pulls a factor z out of it, which
+    joins the z^n block.
+    """
+    try:
+        a = [complex(v) for v in coeffs(complex(t))]
+    except ZeroDivisionError:
+        raise ZeroDenominator(f"the closed form of {name} divides by zero "
+                              f"at this {_FORMS[name][0]}") from None
     scale = max([1.0] + [abs(v) for v in a])
     while a and abs(a[-1]) <= 1e-14 * scale:
         a.pop()
         n += 1
-    return make_form(n, tuple(a))
-
-
-def _cfamily_form(bindings):
-    c = complex(bindings["c"])
-    return _collapsing_form(3, (4.0, 5.0, 2.0 - 4.0 * c))
-
-
-def _m4_form(bindings):
-    beta = complex(bindings["beta"])
-    if beta == 0:
-        raise ZeroDenominator("the weight 1/beta requires beta != 0")
-    return _collapsing_form(4, (6.0, 14.0, 14.0, (5.0 * beta - 1.0) / beta))
-
-
-def _m4_linear(alpha):
-    return _collapsing_form(4, (6.0, 14.0, 14.0, complex(alpha)))
-
-
-def _os2_form(bindings):
-    a = complex(bindings["a"])
-    return _collapsing_form(5, (6.0 + a, 14.0 + 4.0 * a, 14.0 + 5.0 * a))
-
-
-def _os3_form(bindings):
-    a = complex(bindings["a"])
-    disc = 196.0 + 76.0 * a + 9.0 * a * a
-    if disc == 0:
-        raise ZeroDenominator("coefficient denominator vanishes at this a")
-    a4 = 5.0 * (14.0 + 5.0 * a) ** 2 / disc
-    return _collapsing_form(4, (6.0 + a, 14.0 + 4.0 * a, 14.0 + 5.0 * a, a4))
-
-
-def _os4_form(bindings):
-    b = complex(bindings["b"])
-    return _collapsing_form(4, (2.0, -2.0, -6.0, 4.0 * b - 3.0))
-
-
-def _os5_form(bindings):
-    a = complex(bindings["a"])
-    # Pre-reduction shape: the coefficient sum vanishes identically, so the
-    # reconstructed map always loses the shared factor (z - 1) and keeps a
-    # global sign -1.
-    return _collapsing_form(4, (6.0 + a, 14.0 + 4.0 * a, 14.0 + 5.0 * a,
-                                -35.0 - 10.0 * a))
+    return make_form(n, a)
 
 
 def _entries():
     e = []
 
     def scheme(name, params, nk, doc, stability=True):
-        producer = _form_producer(name) if (stability and len(params) <= 1) else None
+        producer = None
+        if stability and len(params) <= 1:
+            def producer(t):
+                return conjugated_form(name, dict(zip(params, (t,))))
         e.append(CatalogEntry(
-            name=name, params=params, kind="scheme", doc=doc,
-            text=_SCHEME_TEXTS[name], nk=nk,
+            name=name, params=params, doc=doc, nk=nk,
+            ast=parse_scheme(_SCHEME_TEXTS[name]),
             stability_param=params[0] if (producer and params) else None,
             stability_producer=producer))
 
@@ -623,26 +603,14 @@ def _entries():
     scheme("chebyshev-halley", ("alpha",), (3, 1),
            "classical one-parameter family using second derivatives")
 
-    def form(name, params, nk, fn, doc, stability_param=None, producer=None):
+    for name, (param, nk, coeffs, doc) in _FORMS.items():
+        # m4 is charted by alpha = a_4 = (5 beta - 1)/beta, in which a is affine
+        chart, chart_coeffs = (("alpha", lambda alpha: (6.0, 14.0, 14.0, alpha))
+                               if name == "m4" else (param, coeffs))
         e.append(CatalogEntry(
-            name=name, params=params, kind="form", doc=doc, nk=nk, form_fn=fn,
-            stability_param=stability_param or (params[0] if params else None),
-            stability_producer=producer or (lambda t, f=fn, p=params:
-                                            f({p[0]: t}) if p else f({}))))
-
-    form("c-family", ("c",), (3, 3), _cfamily_form,
-         "cubic-over-cubic family whose last coefficient moves with c")
-    form("m4", ("beta",), (4, 4), _m4_form,
-         "three-step frozen-derivative family, quartic normal form",
-         stability_param="alpha", producer=_m4_linear)
-    form("os2", ("a",), (5, 3), _os2_form,
-         "weighted two-step subfamily with quintic local degree")
-    form("os3", ("a",), (4, 4), _os3_form,
-         "subfamily whose last coefficient depends rationally on a")
-    form("os4", ("b",), (4, 4), _os4_form,
-         "subfamily with z=1 superattracting for every parameter")
-    form("os5", ("a",), (4, 4), _os5_form,
-         "degenerate subfamily: the coefficient sum vanishes identically")
+            name=name, params=(param,), doc=doc, nk=nk, coeffs=coeffs,
+            stability_param=chart,
+            stability_producer=partial(_member, name, nk[0], chart_coeffs)))
     return {entry.name: entry for entry in e}
 
 
@@ -661,32 +629,15 @@ def catalog_entry(name: str) -> CatalogEntry:
                             f"available: {', '.join(_CATALOG)}") from None
 
 
-def catalog(name: str, bindings=None):
-    """The stored AST for scheme entries, the form producer otherwise."""
-    entry = catalog_entry(name)
-    if entry.kind == "scheme":
-        return entry.ast
-    return entry.form_fn
-
-
-def build_operator(name: str, bindings=None, d: int = 2, c: complex = 1.0):
-    """Instantiate a catalog method as a rational map on the z-plane of p."""
-    entry = catalog_entry(name)
-    bindings = dict(bindings or {})
-    if entry.kind == "form":
-        return entry.form_fn(bindings).reconstruct()
-    ctx = SchemeContext(d=d, c=c, bindings=bindings)
-    return instantiate(entry.ast, ctx)
-
-
 def conjugated_form(method, bindings=None, c: complex = 1.0) -> OperatorForm:
     """The palindromic normal form for d=2 of a catalog method (by name) or
     of a parsed ``Scheme``."""
     bindings = dict(bindings or {})
     if isinstance(method, str):
         entry = catalog_entry(method)
-        if entry.kind == "form":
-            raw = entry.form_fn(bindings)
+        if entry.coeffs is not None:
+            raw = _member(method, entry.nk[0], entry.coeffs,
+                          _binding(bindings, entry.params[0]))
             if not raw.degenerate:
                 return raw
             # reduce through reconstruction so the shared factor cancels

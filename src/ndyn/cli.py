@@ -169,8 +169,7 @@ def _get_form(args):
     c = parse_complex_literal(args.c)
     _require_quadratic(args)
     if source == "method":
-        entry = _entry(args.method)
-        ast = entry.ast if entry.kind == "scheme" else None
+        ast = _entry(args.method).ast
         return args.method, conjugated_form(args.method, bindings, c=c), ast
     ast = _read_scheme(args.scheme_file)
     return args.scheme_file, conjugated_form(ast, bindings, c=c), ast

@@ -16,7 +16,7 @@ iota(z) = 1/z.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,15 +44,6 @@ class Mobius:
         scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
         if scale == 0 or abs(det) <= 1e-14 * scale * scale:
             raise DegenerateMobius("matrix determinant vanishes")
-
-    @classmethod
-    def identity(cls) -> "Mobius":
-        return cls(1, 0, 0, 1)
-
-    @classmethod
-    def iota(cls) -> "Mobius":
-        """z -> 1/z."""
-        return cls(0, 1, 1, 0)
 
     def __call__(self, z):
         if is_inf(z):
@@ -206,19 +197,13 @@ def extract_normal_form(R: RationalMap) -> OperatorForm:
     if not np.all(np.abs(q - mirror) <= MIRROR_REL * scale):
         worst = float(np.max(np.abs(q - mirror)))
         raise NotPalindromic(f"mirror defect {worst:.3e} exceeds tolerance")
-    a = tuple(complex(v) for v in dc[1:])
-    if k >= 1 and abs(a[-1]) <= MIRROR_REL * scale:
+    if k >= 1 and abs(dc[-1]) <= MIRROR_REL * scale:
         raise NotPalindromic("a_k vanishes; the form has lower k")
-    roots = poly_roots(Polynomial(tuple(reversed(a)) + (1.0,))) if k else ()
-    if k:
-        # Vieta guard: a_1 = -sum r_i must hold for the computed roots
-        if abs(sum(roots) + a[0]) > 1e-8 * (1.0 + abs(a[0])):
-            raise NotPalindromic("root/coefficient consistency check failed")
-    total = abs(1.0 + sum(a))
-    degenerate = sign == -1 or total <= 1e-10 * (1.0 + max(
-        (abs(v) for v in a), default=0.0))
-    return OperatorForm(n=n, k=k, a=a, roots=roots, sign=sign,
-                        degenerate=degenerate)
+    form = make_form(n, dc[1:], sign)
+    # Vieta guard: a_1 = -sum r_i must hold for the computed roots
+    if k and abs(sum(form.roots) + form.a[0]) > 1e-8 * (1.0 + abs(form.a[0])):
+        raise NotPalindromic("root/coefficient consistency check failed")
+    return form
 
 
 # --------------------------------------------------------------------------

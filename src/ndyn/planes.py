@@ -533,11 +533,8 @@ def colorize(img: PlaneImage, mode: Optional[str] = None) -> np.ndarray:
     return table[img.outcome, img.iterations]
 
 
-def write_image(img: PlaneImage, path: str, fmt: str = "ppm",
-                mode: Optional[str] = None) -> None:
-    if fmt != "ppm":
-        raise ValueError("only the ppm format is supported")
-    rgb = colorize(img, mode)
+def write_image(img: PlaneImage, path: str) -> None:
+    rgb = colorize(img)
     header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)

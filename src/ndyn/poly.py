@@ -170,15 +170,6 @@ class Polynomial:
             return self if k == 0 else Polynomial(self._c)
         return Polynomial(np.concatenate([np.zeros(k, dtype=np.complex128), self._c]))
 
-    def compose(self, inner: "Polynomial") -> "Polynomial":
-        """self(inner(z)) by Horner over the inner polynomial."""
-        if self.is_zero():
-            return Polynomial.zero()
-        acc = Polynomial((self._c[-1],))
-        for k in range(self._c.size - 2, -1, -1):
-            acc = acc * inner + Polynomial((self._c[k],))
-        return acc
-
     def deflate(self, root: complex) -> "Polynomial":
         """Divide out a linear factor (z - root), discarding the remainder."""
         if self.degree < 1:
@@ -334,9 +325,6 @@ class RationalMap:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def derivative(self) -> "RationalMap":
-        return rat_derivative(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RationalMap({list(self.num.coeffs)!r}, {list(self.den.coeffs)!r})"

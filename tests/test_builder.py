@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from ndyn.builder import (BinOp, Const, Deriv, Param, Ref, Scheme,
-                          SchemeContext, Var, build_operator, catalog_entry,
+                          SchemeContext, Var, catalog_entry,
                           catalog_names, check_infinity_simple,
                           conjugated_form, evaluate_scheme, instantiate,
                           parse_scheme, target_derivative)
 from ndyn.conjugate import extract_normal_form, mobius_conjugate, standard_tau
 from ndyn.errors import (DivisionByZeroMap, NdynError, SchemeSyntaxError,
-                         UnboundIdentifier, UnknownMethod, ZeroC)
+                         UnboundIdentifier, UnknownMethod, ZeroC,
+                         ZeroDenominator)
 from ndyn.poly import (Polynomial, constant_map, identity_map, maps_close,
                        poly_map, rat_combine, rat_eval, rat_make)
 
@@ -36,7 +37,7 @@ def test_unbound_identifier_reported():
 
 
 def test_newton_operator_is_the_classical_map():
-    R = build_operator("newton", d=2, c=1.0)
+    R = instantiate(catalog_entry("newton").ast, SchemeContext(d=2, c=1.0))
     # z - (z^2 - 1) / (2z) == (z^2 + 1) / (2z)
     want = rat_make(Polynomial((1.0, 0.0, 1.0)), Polynomial((0.0, 2.0)))
     assert maps_close(R, want)
@@ -132,7 +133,7 @@ def test_target_derivative_orders():
 
 def test_zero_c_rejected():
     with pytest.raises(ZeroC):
-        build_operator("newton", d=2, c=0.0)
+        instantiate(catalog_entry("newton").ast, SchemeContext(d=2, c=0.0))
 
 
 def test_unknown_method():
@@ -148,7 +149,7 @@ def test_catalog_names_stable():
 
 
 def test_check_infinity_simple_reads_degree_gap():
-    R = build_operator("newton", d=2, c=1.0)
+    R = instantiate(catalog_entry("newton").ast, SchemeContext(d=2, c=1.0))
     assert check_infinity_simple(R) == "simple"
     O = conjugated_form("newton").reconstruct()
     assert check_infinity_simple(O) == "superattracting-at-inf"
@@ -172,6 +173,74 @@ def test_vanishing_bottom_coefficient_collapses_into_the_power():
     assert (form.n, form.k) == (6, 2)
     assert abs(form.a[0] - 3.2) <= 1e-12
     assert abs(form.a[1] - 2.8) <= 1e-12
+
+    # a_3 = 2 - 4c and a_4 = 4b - 3 vanish at c = 1/2 and b = 3/4
+    form = conjugated_form("c-family", {"c": 0.5})
+    assert (form.n, form.k) == (4, 2)
+    assert max(abs(x - y) for x, y in zip(form.a, (4.0, 5.0))) <= 1e-12
+    form = conjugated_form("os4", {"b": 0.75})
+    assert (form.n, form.k) == (5, 3)
+    assert max(abs(x - y) for x, y in zip(form.a, (2.0, -2.0, -6.0))) <= 1e-12
+
+
+def test_pole_of_a_closed_form_names_its_parameter():
+    with pytest.raises(ZeroDenominator, match="beta"):
+        conjugated_form("m4", {"beta": 0.0})
+
+
+def test_form_family_needs_its_binding():
+    with pytest.raises(UnboundIdentifier, match="'a'"):
+        conjugated_form("os3")
+
+
+# a(t) of every form family, written out apart from the catalog's table
+CLOSED_FORMS = {
+    "c-family": ("c", 3, lambda t: (4, 5, 2 - 4 * t)),
+    "m4": ("beta", 4, lambda t: (6, 14, 14, 5 - 1 / t)),
+    "os2": ("a", 5, lambda t: (6 + t, 14 + 4 * t, 14 + 5 * t)),
+    "os3": ("a", 4, lambda t: (6 + t, 14 + 4 * t, 14 + 5 * t,
+                               5 * (14 + 5 * t) ** 2
+                               / ((9 * t + 76) * t + 196))),
+    "os4": ("b", 4, lambda t: (2, -2, -6, 4 * t - 3)),
+    "os5": ("a", 4, lambda t: (6 + t, 14 + 4 * t, 14 + 5 * t, -35 - 10 * t)),
+}
+
+
+def _close(got, want):
+    assert len(got) == len(want)
+    for u, v in zip(got, want):
+        assert abs(u - v) <= 1e-12 * (1.0 + abs(v)), (got, want)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_form_families_follow_their_closed_forms(name):
+    param, n, closed = CLOSED_FORMS[name]
+    entry = catalog_entry(name)
+    assert entry.kind == "form" and entry.params == (param,)
+    assert entry.nk == (n, len(closed(1.0)))
+    rng = np.random.default_rng(0xC105ED + n)
+    for t in rng.uniform(-3.0, 3.0, (3, 2)) @ (1.0, 1.0j):
+        want = closed(t)
+        form = conjugated_form(name, {param: t})
+        if name == "os5":
+            # the vanishing sum cancels (z - 1); the map itself is unchanged
+            z = 0.6 + 0.3j
+            v = (z ** n * np.polyval((1,) + want, z)
+                 / np.polyval(want[::-1] + (1,), z))
+            assert abs(rat_eval(form.reconstruct(), z) - v) <= 1e-9 * abs(v)
+        else:
+            assert (form.n, form.sign) == (n, 1)
+            _close(form.a, want)
+        if name == "m4":
+            # charted by alpha = a_4, in which the family is affine
+            assert entry.stability_param == "alpha"
+            raw = entry.stability_producer(want[-1])
+        else:
+            assert entry.stability_param == param
+            raw = entry.stability_producer(t)
+        assert (raw.n, raw.sign) == (n, 1)
+        _close(raw.a, want)
+        assert raw.degenerate == (name == "os5")
 
 
 def test_degenerate_family_reduces_on_build():

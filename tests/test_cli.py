@@ -108,6 +108,16 @@ def test_form_families_build_analyze_and_render(tmp_path, capsys, method,
     assert out.read_bytes().startswith(b"P6\n8 8\n255\n")
 
 
+@pytest.mark.parametrize("method,param", [
+    ("c-family", "c"), ("m4", "beta"), ("os2", "a"), ("os3", "a"),
+    ("os4", "b"), ("os5", "a")])
+def test_form_family_without_binding_is_a_computation_error(capsys, method,
+                                                            param):
+    code, out, err = run(capsys, "build", "--method", method)
+    assert code == 2 and out == ""
+    assert err == f"error: unbound identifier {param!r} (no binding supplied)\n"
+
+
 # ----------------------------------------------------------------------
 # stability
 

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_form
-from ndyn.builder import build_operator, conjugated_form
+from ndyn.builder import (SchemeContext, catalog_entry, conjugated_form,
+                          instantiate)
 from ndyn.conjugate import (Mobius, check_iota_symmetry, check_lambda_odd,
                             extract_normal_form, make_form, mobius_conjugate,
                             standard_tau)
@@ -32,7 +33,7 @@ def test_mobius_compose_inverse():
 @given(st.complex_numbers(min_magnitude=0.1, max_magnitude=10,
                           allow_nan=False, allow_infinity=False))
 def test_newton_conjugates_to_the_square(c):
-    R = build_operator("newton", d=2, c=c)
+    R = instantiate(catalog_entry("newton").ast, SchemeContext(d=2, c=c))
     O = mobius_conjugate(R, standard_tau(c))
     square = rat_make(Polynomial((0.0, 0.0, 1.0)), Polynomial((1.0,)))
     assert maps_close(O, square, rel=1e-10)

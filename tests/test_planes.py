@@ -181,8 +181,6 @@ def test_ppm_bytes(tmp_path):
     write_image(img, str(path))
     data = path.read_bytes()
     assert data == b"P6\n2 1\n255\n" + bytes((255, 0, 0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        write_image(img, str(path), fmt="png")
 
 
 def test_metadata_sidecar(tmp_path):
@@ -296,7 +294,7 @@ def test_negative_pair_index_is_rejected():
 
 def test_family_failing_at_the_probe_renders_from_sampled_rows():
     def family(t):
-        return catalog_entry("m4").form_fn({"beta": t})
+        return conjugated_form("m4", {"beta": t})
 
     with pytest.raises(ZeroDenominator):
         family(0.0)      # the center of the window is the affine probe
