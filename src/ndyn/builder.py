@@ -23,8 +23,9 @@ from typing import Callable, Optional
 
 from .errors import (DivisionByZeroMap, SchemeSyntaxError, UnboundIdentifier,
                      UnknownMethod, ZeroC, ZeroDenominator)
-from .conjugate import (OperatorForm, check_lambda_odd, extract_normal_form,
-                        make_form, mobius_conjugate, standard_tau)
+from .conjugate import (CHECK_SEED, OperatorForm, check_lambda_odd,
+                        extract_normal_form, make_form, mobius_conjugate,
+                        rotations, sampled_identity, standard_tau)
 from .poly import (Polynomial, RationalMap, _substitute, constant_map,
                    identity_map, rat_make)
 
@@ -426,30 +427,8 @@ def check_scheme_lambda_odd(node, ctx: SchemeContext, d: int,
     map, but immune to the coefficient-level rounding that expanded
     high-degree operators accumulate.
     """
-    import cmath
-
-    import numpy as np
-    rng = np.random.default_rng(0xA5C0FFEE + d)
-    lams = [cmath.exp(2j * cmath.pi * j / d) for j in range(1, d)]
-    done = 0
-    attempts = 0
-    while done < trials and attempts < 50 * trials + 100:
-        attempts += 1
-        z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-        if abs(z) < 0.1:
-            continue
-        try:
-            v = evaluate_scheme(node, ctx, z)
-            if abs(v) < 1e-6 or abs(v) > 1e6:
-                continue
-            for lam in lams:
-                w = evaluate_scheme(node, ctx, lam * z)
-                if abs(w - lam * v) > 1e-9 * (1.0 + abs(v)):
-                    return False
-        except ZeroDivisionError:
-            continue
-        done += 1
-    return True
+    return sampled_identity(partial(evaluate_scheme, node, ctx),
+                            rotations(d), trials, CHECK_SEED + d)
 
 
 def check_infinity_simple(R: RationalMap) -> str:

@@ -11,23 +11,28 @@ here) a rational map of the shape
 with global sign s0 = +-1: numerator and denominator carry mirrored
 coefficient sequences, which is equivalent to the map commuting with
 iota(z) = 1/z.
+
+It also owns the common shape (n, a) of several forms (common_shape) and
+the sampled identity f(g z) = h(f z) behind every symmetry check.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import partial
+from operator import mul
 
 import numpy as np
 
 from .errors import (DegenerateMobius, NotFixingOneZeroInfinity,
                      NotPalindromic, ZeroC)
-from .poly import (INF, Polynomial, RationalMap, is_inf, poly_roots, rat_eval,
-                   rat_make, _substitute)
+from .poly import (INF, Polynomial, RationalMap, is_inf, poly_roots, rat_make,
+                   _substitute)
 
 MIRROR_REL = 1e-9        # palindromicity tolerance on mirrored coefficients
 SYMMETRY_REL = 1e-9      # sampled-identity tolerance for symmetry checks
-_CHECK_SEED = 0xA5C0FFEE
+CHECK_SEED = 0xA5C0FFEE  # seed of the sampled symmetry checks
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,7 @@ class Mobius:
         den = self.c * z + self.d
         num = self.a * z + self.b
         if den == 0:
-            return INF if num != 0 else INF
+            return INF
         return num / den
 
     def inverse(self) -> "Mobius":
@@ -206,50 +211,69 @@ def extract_normal_form(R: RationalMap) -> OperatorForm:
     return form
 
 
+def common_shape(forms) -> tuple:
+    """(n, a) of several forms written as sign +1 members of one shape.
+
+    A reduced -z^n Q / Q-hat equals z^n P / P-hat with the monic
+    P = (z - 1) Q, so a sign -1 form is lifted to that P.  The a are then
+    zero-padded to the largest k (a padded a_k = 0 moves one power of z from
+    P into z^n).  n comes back as an integer array, a as (forms, k) complex.
+    """
+    lifted = [(f.n, f.a if f.sign == 1 else
+               (f.p_coeffs() * Polynomial((-1.0, 1.0))).coeffs[-2::-1])
+              for f in forms]
+    k = max(len(a) for _, a in lifted)
+    out = np.zeros((len(lifted), k), np.complex128)
+    for i, (_, a) in enumerate(lifted):
+        out[i, :len(a)] = a
+    return np.array([n - (k - len(a)) for n, a in lifted]), out
+
+
 # --------------------------------------------------------------------------
 # sampled symmetry checks
 # --------------------------------------------------------------------------
 
 
-def _sample_points(R: RationalMap, trials: int, rng) -> list:
-    """Random points avoiding zeros and poles of R (and the origin)."""
-    pts = []
-    attempts = 0
-    while len(pts) < trials and attempts < 50 * trials + 100:
+def sampled_identity(f, moves, trials: int, seed: int) -> bool:
+    """Sampled test of f(g z) = h(f z) for every move (g, h).
+
+    z is drawn from [-2, 2]^2 (real part first) until `trials` points pass
+    or 50 trials + 100 draws are spent; a draw is skipped at |z| < 0.1, at
+    f(z) infinite or outside [1e-6, 1e6] in modulus, or on division by
+    zero.  An infinite f(g z) fails the identity.
+    """
+    rng = np.random.default_rng(seed)
+    done = attempts = 0
+    while done < trials and attempts < 50 * trials + 100:
         attempts += 1
         z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
         if abs(z) < 0.1:
             continue
-        v = rat_eval(R, z)
-        if is_inf(v) or abs(v) < 1e-6 or abs(v) > 1e6:
+        try:
+            v = f(z)
+            if is_inf(v) or abs(v) < 1e-6 or abs(v) > 1e6:
+                continue
+            for g, h in moves:
+                w, want = f(g(z)), h(v)
+                if is_inf(w) or abs(w - want) > SYMMETRY_REL * (1.0 + abs(want)):
+                    return False
+        except ZeroDivisionError:
             continue
-        pts.append(z)
-    return pts
+        done += 1
+    return True
+
+
+def rotations(d: int) -> list:
+    """The moves z -> lam z, v -> lam v for the d-th roots of unity lam != 1."""
+    lams = [cmath.exp(2j * cmath.pi * j / d) for j in range(1, d)]
+    return [(partial(mul, lam),) * 2 for lam in lams]
 
 
 def check_iota_symmetry(R: RationalMap, trials: int = 20) -> bool:
     """Sampled test of iota o R o iota = R, i.e. R(1/z) = 1/R(z)."""
-    rng = np.random.default_rng(_CHECK_SEED)
-    for z in _sample_points(R, trials, rng):
-        v = rat_eval(R, z)
-        w = rat_eval(R, 1.0 / z)
-        if is_inf(w):
-            return False
-        if abs(w - 1.0 / v) > SYMMETRY_REL * (1.0 + abs(1.0 / v)):
-            return False
-    return True
+    return sampled_identity(R, [(lambda z: 1.0 / z,) * 2], trials, CHECK_SEED)
 
 
 def check_lambda_odd(R: RationalMap, d: int, trials: int = 50) -> bool:
     """Sampled test of R(lam z) = lam R(z) for all d-th roots of unity lam."""
-    rng = np.random.default_rng(_CHECK_SEED + d)
-    lams = [cmath.exp(2j * cmath.pi * j / d) for j in range(1, d)]
-    for z in _sample_points(R, trials, rng):
-        v = rat_eval(R, z)
-        for lam in lams:
-            w = rat_eval(R, lam * z)
-            if is_inf(w):
-                return False
-            if abs(w - lam * v) > SYMMETRY_REL * (1.0 + abs(v)):
-                return False
-    return True
+    return sampled_identity(R, rotations(d), trials, CHECK_SEED + d)

@@ -9,15 +9,17 @@ and render black.  The grid is processed in fixed 32-row bands so output
 bytes do not depend on the worker count.
 
 Parameter planes follow the orbit of one free critical point per pixel.
-A family's pixel is its normal form sign * z^n * P / P-hat, read as
-(n, sign, a(t)) with a = (a_1, ..., a_k).  When a(t) is affine in t
-(stability.affine_fit, certified at three probes around the window center),
-a band's coefficients are A + t B; otherwise the family is called once per
-pixel and its forms are stacked.  The operator commutes with z -> 1/z, so
-its free critical points come in pairs kappa <-> 1/kappa: each band solves
-one degree-k equation Q(w) in w = z + 1/z straight from (n, a), divides out
-the anchored points w = +-2 (z = +-1), takes one seed per pair from the
-companion-matrix roots, and iterates the num/den rows of the forms.
+A family's pixel is its normal form z^n * P / P-hat, read as (n, a(t))
+with a = (a_1, ..., a_k) in the family's common shape
+(conjugate.common_shape: sign -1 members lifted to sign +1, k zero-padded),
+so every row has sign +1.  When a(t) is affine in t (stability.affine_fit,
+certified at three probes around the window center), a band's coefficients
+are A + t B; otherwise the family is called once per pixel and its forms
+are stacked.  The operator commutes with z -> 1/z, so its free critical
+points come in pairs kappa <-> 1/kappa: each band solves one degree-k
+equation Q(w) in w = z + 1/z straight from (n, a), divides out the anchored
+points w = +-2 (z = +-1), takes one seed per pair from the companion-matrix
+roots, and iterates the num/den rows of the forms.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .conjugate import common_shape
 from .errors import NdynError
 # poly_roots is unused here but stays bound: bench/test_bench.py checks that
 # the tracer patches and restores it through this module
@@ -247,31 +250,22 @@ def dynamical_plane(R: RationalMap, cfg: RenderConfig,
 # --------------------------------------------------------------------------
 
 
-def _rows(n, sign, a: np.ndarray) -> tuple:
-    """(num, den) coefficient rows of sign * z^n * P / P-hat, one per row of
-    `a` (a_1..a_k); `n` and `sign` are scalars or per-row arrays."""
+def _rows(n, a: np.ndarray) -> tuple:
+    """(num, den) coefficient rows of z^n * P / P-hat, one per row of `a`
+    (a_1..a_k); `n` is a scalar or a per-row array."""
     P, k = a.shape
     den = np.ones((P, k + 1), np.complex128)
     den[:, 1:] = a
-    p = den[:, ::-1]
-    p = np.where(np.reshape(sign, (-1, 1)) < 0, -p, p)
     n = np.broadcast_to(n, (P,))
     num = np.zeros((P, n.max() + k + 1), np.complex128)
     for m in np.unique(n):
-        num[n == m, m:m + k + 1] = p[n == m]
+        num[n == m, m:m + k + 1] = den[n == m, ::-1]
     return num, den
 
 
 def _form_coeffs(family, ts) -> tuple:
-    """(n, sign, a) of the family's form at each t, a zero-padded to the
-    largest k (a padded a_k = 0 moves one power of z from P into z^n)."""
-    forms = [family(complex(t)) for t in ts]
-    k = max(f.k for f in forms)
-    a = np.zeros((len(forms), k), np.complex128)
-    for i, f in enumerate(forms):
-        a[i, :f.k] = f.a
-    return (np.array([f.n - (k - f.k) for f in forms]),
-            np.array([f.sign for f in forms]), a)
+    """(n, a) of the family's forms at each t, in their common shape."""
+    return common_shape([family(complex(t)) for t in ts])
 
 
 def _conv_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -477,14 +471,14 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
     def coeffs_at(ts):
         if n is None:
             return _form_coeffs(family, ts)
-        return n, 1, A + ts[:, None] * B
+        return n, A + ts[:, None] * B
 
     def work(r0, r1):
         ts = (xs[None, :] + 1j * ys[r0:r1, None]).ravel()
-        n_t, sign, a = coeffs_at(ts)
+        n_t, a = coeffs_at(ts)
         w = _roots_rows(_deflate_anchored_rows(_pair_rows(n_t, a)))
         seed, dead, no_free, multi = _select_seed_rows(w, selector)
-        num, den = _rows(n_t, sign, a)
+        num, den = _rows(n_t, a)
         o, it = _iterate(seed, num, den, cfg, attr, dead=dead)
         outcome[r0:r1] = o.reshape(r1 - r0, cfg.width)
         iters[r0:r1] = it.reshape(r1 - r0, cfg.width)

@@ -192,9 +192,7 @@ class Polynomial:
         return f"Polynomial({list(self._c)!r})"
 
 
-def poly_roots(p: Polynomial,
-               tol: float = ROOT_RESIDUAL_TOL,
-               max_sweeps: int = ABERTH_MAX_SWEEPS) -> tuple[complex, ...]:
+def poly_roots(p: Polynomial) -> tuple[complex, ...]:
     """All complex roots (with multiplicity) via the Aberth-Ehrlich iteration.
 
     Roots are returned sorted by (real, imag) so the output is a stable
@@ -257,11 +255,11 @@ def poly_roots(p: Polynomial,
             growth = growth * xm + amag[k]
         floor = 8.0 * (deg + 1) * np.finfo(float).eps
         # the 1e-300 clamp keeps denormal-range scales satisfiable at all
-        return np.abs(px) <= np.maximum(np.maximum(tol, floor) * growth,
-                                        1e-300)
+        return np.abs(px) <= np.maximum(
+            np.maximum(ROOT_RESIDUAL_TOL, floor) * growth, 1e-300)
 
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(ABERTH_MAX_SWEEPS):
         pv = pval(z)
         active = ~good(z, pv)
         if not active.any():
@@ -292,8 +290,8 @@ def poly_roots(p: Polynomial,
         converged = bool(good(z, pval(z)).all())
     if not converged:
         raise NoConvergence(
-            f"root iteration did not reach residual {tol:g} in {max_sweeps} sweeps "
-            f"(degree {deg + lead_zero})")
+            f"root iteration did not reach residual {ROOT_RESIDUAL_TOL:g} in "
+            f"{ABERTH_MAX_SWEEPS} sweeps (degree {deg + lead_zero})")
     out = zeros_at_origin + tuple(complex(v) for v in z)
     return tuple(sorted(out, key=lambda r: (r.real, r.imag)))
 
@@ -418,7 +416,8 @@ def rat_make(num: Polynomial, den: Polynomial) -> RationalMap:
     Common roots are matched within a relative tolerance and divided out of
     each polynomial separately (each by its own root value, which keeps the
     deflation well conditioned).  The denominator is then scaled so its first
-    significant coefficient equals 1.
+    significant coefficient equals 1.  A root solve that does not converge
+    raises NoConvergence: an unreduced quotient would carry a false degree.
     """
     if den.is_zero():
         raise ZeroDenominator("denominator is the zero polynomial")
@@ -426,14 +425,8 @@ def rat_make(num: Polynomial, den: Polynomial) -> RationalMap:
         return RationalMap(Polynomial.zero(), Polynomial.one())
 
     if num.degree >= 1 and den.degree >= 1:
-        try:
-            rn = poly_roots(num)
-            rd = poly_roots(den)
-        except NoConvergence:
-            # Leave the quotient unreduced rather than fail the whole
-            # construction; un-cancelled common factors only cost degree.
-            rn = rd = ()
-        triples = _match_common_roots(num, rn, den, rd)
+        triples = _match_common_roots(num, poly_roots(num),
+                                      den, poly_roots(den))
         for r, s, count in triples:
             for _ in range(count):
                 if num.degree < 1 or den.degree < 1:
@@ -467,13 +460,6 @@ def rat_eval(R: RationalMap, z):
     nv = R.num(complex(z))
     dv = R.den(complex(z))
     if dv == 0:
-        if nv == 0:
-            # Should not survive reduction; fall back to one l'Hopital round.
-            nv = R.num.derivative()(complex(z))
-            dv = R.den.derivative()(complex(z))
-            if dv == 0:
-                return INF
-            return nv / dv
         return INF
     return nv / dv
 

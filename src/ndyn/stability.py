@@ -6,11 +6,12 @@ operator at z = 1 is a Moebius function of the parameter,
 
     O'(1) = (A + t B) / (A' + t B'),
 
-with real aggregates built from n, k and the coefficient slopes.  The locus
-|O'(1)| = 1 is therefore a circle or a line in the parameter plane, and the
-attracting side is decided by the sign of B^2 - B'^2 (circle case) or by a
-half-plane inequality (line cases).  The same machinery applies at z = -1
-with alternating-sign aggregates whenever n + k is odd, so that -1 is fixed.
+with real aggregates built from n, k and the coefficient slopes (each
+sample read in its conjugate.common_shape).  So |O'(1)| < 1 is the one
+quadratic form (B^2 - B'^2)|t|^2 + 2 (A B - A' B') Re t + A^2 - A'^2 < 0:
+a disc or its outside, a half-plane, or everything or nothing.  The same
+holds at z = -1 with alternating-sign aggregates whenever n + k is odd,
+so that -1 is fixed.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .analysis import classify_multiplier, multiplier_at
-from .conjugate import OperatorForm
+from .conjugate import OperatorForm, common_shape
 from .errors import (DegenerateFamily, NonlinearDependence,
                      NonRealCoefficients, NotAFixedPoint)
-from .poly import Polynomial, is_inf, rat_eval
+from .poly import is_inf, rat_eval
 
 LINEAR_CERT_TOL = 1e-8
 AGGREGATE_TOL = 1e-9
@@ -52,41 +53,19 @@ class LinearCoeffs:
         return A, float(B), A2, float(B2)
 
 
-def _lift(form: OperatorForm) -> tuple:
-    """Return (n, k, a) with any sign -1 reduction undone.
-
-    A reduced operator -z^n Q / Q-hat equals z^n P / P-hat with
-    P = (z - 1) Q, so multiplying the reduced numerator polynomial by
-    (z - 1) restores a sign +1 coefficient vector of length k + 1.
-    """
-    if form.sign == 1:
-        return form.n, form.k, tuple(complex(v) for v in form.a)
-    q = form.p_coeffs()
-    lifted = q * Polynomial((-1.0, 1.0))
-    c = lifted.coeffs
-    k = c.size - 1
-    a = tuple(complex(c[k - j] / c[-1]) for j in range(1, k + 1))
-    return form.n, k, a
-
-
 def affine_fit(family: Callable[[complex], OperatorForm], probes) -> tuple:
     """Fit a(t) = A + B t through the first two probes, certified at the third.
 
-    Each sample is lifted out of any sign -1 reduction and its collapsed top
-    coefficients are padded with zeros, so the family must keep one shape
-    (n, k) in that sense.  Returns (n, k, A, B) with complex coefficient
-    arrays; a shape change or a miss at the third probe raises
-    NonlinearDependence.
+    The samples are read in their common shape (conjugate.common_shape), so
+    the family must keep one (n, k) in that sense.  Returns (n, k, A, B)
+    with complex coefficient arrays; a shape change or a miss at the third
+    probe raises NonlinearDependence.
     """
     t0, t1, t2 = probes
-    sampled = [_lift(family(t)) for t in probes]
-    k = max(k_t for _, k_t, _ in sampled)
-    shapes = {n_t - (k - k_t) for n_t, k_t, _ in sampled}
-    if len(shapes) != 1:
+    n, (a0, a1, a2) = common_shape([family(t) for t in probes])
+    if np.unique(n).size != 1:
         raise NonlinearDependence(
             "family shape (n, k) is not constant across sample parameters")
-    a0, a1, a2 = (np.array(a_t + (0j,) * (k - k_t), np.complex128)
-                  for _, k_t, a_t in sampled)
     B = (a1 - a0) / (t1 - t0)
     A = a0 - B * t0
     defect = np.abs(a2 - (A + B * t2))
@@ -97,7 +76,7 @@ def affine_fit(family: Callable[[complex], OperatorForm], probes) -> tuple:
         raise NonlinearDependence(
             f"coefficient a_{j + 1} fails the affine certification at "
             f"t={t2} (defect {defect[j]:.3e})")
-    return shapes.pop(), k, A, B
+    return int(n[0]), A.size, A, B
 
 
 def linearize(family: Callable[[complex], OperatorForm]) -> LinearCoeffs:
@@ -143,23 +122,23 @@ class StabilityRegion:
             if self.indifferent_everywhere:
                 return "indifferent"
             return "repelling"
+        # signed distance to the boundary, negative inside / to the left
         if self.kind == "circle":
-            d = abs(t - self.center) - self.radius
-            if abs(d) <= band:
-                return "boundary"
-            inside = d < 0
-            hit = inside == (self.attracting_side == "inside")
-            return "attracting" if hit else "repelling"
-        s = t.real - self.threshold
-        if abs(s) <= band:
+            d, below = abs(t - self.center) - self.radius, "inside"
+        else:
+            d, below = t.real - self.threshold, "left"
+        if abs(d) <= band:
             return "boundary"
-        left = s < 0
-        hit = left == (self.attracting_side == "left")
+        hit = (d < 0) == (self.attracting_side == below)
         return "attracting" if hit else "repelling"
 
 
 def _build_region(target: str, A: float, B: float, A2: float,
                   B2: float) -> StabilityRegion:
+    """|O'(t)| < 1 <=> |A + t B|^2 < |A' + t B'|^2, which for real aggregates
+    is q |t|^2 + 2 l Re t + c < 0 with q = B^2 - B'^2, l = A B - A' B' and
+    c = A^2 - A'^2: a disc or its outside when q != 0, a half-plane when only
+    l != 0, and the sign of c everywhere when both vanish."""
     tol = AGGREGATE_TOL * max(1.0, abs(A), abs(B), abs(A2), abs(B2))
     aggregates = {"A": A, "B": B, "A'": A2, "B'": B2}
 
@@ -172,51 +151,26 @@ def _build_region(target: str, A: float, B: float, A2: float,
             target=target, kind="constant", attracting_side="everywhere",
             superattracting_everywhere=True, aggregates=aggregates)
 
-    super_t = None
-    if abs(B) > tol:
-        super_t = complex(-A / B)
-
-    same = abs(B - B2) <= tol
-    opposite = abs(B + B2) <= tol
-    if not same and not opposite:
-        denom = B * B - B2 * B2
-        c_val = (A * B - A2 * B2) / denom
-        r_val = (A2 * B - A * B2) / denom
-        side = "inside" if denom > 0 else "outside"
+    super_t = complex(-A / B) if abs(B) > tol else None
+    q, l, c = B * B - B2 * B2, A * B - A2 * B2, A * A - A2 * A2
+    if abs(B - B2) > tol and abs(B + B2) > tol:     # q = (B - B')(B + B')
         return StabilityRegion(
-            target=target, kind="circle", center=complex(-c_val),
-            radius=abs(r_val), attracting_side=side,
+            target=target, kind="circle", center=complex(-(l / q)),
+            radius=abs((A2 * B - A * B2) / q),
+            attracting_side="inside" if q > 0 else "outside",
             superattracting_parameter=super_t, aggregates=aggregates)
-    if same and abs(B) > tol:
-        if abs(A - A2) <= tol:
-            return StabilityRegion(
-                target=target, kind="constant", attracting_side="nowhere",
-                indifferent_everywhere=True, aggregates=aggregates)
-        threshold = -(A + A2) / (2.0 * B)
-        side = "left" if B * (A - A2) > 0 else "right"
+    if abs(B) > tol and abs(l) > tol * abs(B):
         return StabilityRegion(
-            target=target, kind="half-plane", threshold=float(threshold),
-            attracting_side=side, superattracting_parameter=super_t,
-            aggregates=aggregates)
-    if opposite and abs(B) > tol:
-        if abs(A + A2) <= tol:
-            return StabilityRegion(
-                target=target, kind="constant", attracting_side="nowhere",
-                indifferent_everywhere=True, aggregates=aggregates)
-        threshold = (A2 - A) / (2.0 * B)
-        side = "left" if B * (A + A2) > 0 else "right"
-        return StabilityRegion(
-            target=target, kind="half-plane", threshold=float(threshold),
-            attracting_side=side, superattracting_parameter=super_t,
-            aggregates=aggregates)
-    # B and B' both vanish: the multiplier modulus is constant
-    if abs(abs(A) - abs(A2)) <= tol:
+            target=target, kind="half-plane", threshold=float(-c / (2.0 * l)),
+            attracting_side="left" if l > 0 else "right",
+            superattracting_parameter=super_t, aggregates=aggregates)
+    if abs(c) <= tol * (abs(A) + abs(A2)):
         return StabilityRegion(
             target=target, kind="constant", attracting_side="nowhere",
             indifferent_everywhere=True, aggregates=aggregates)
-    side = "everywhere" if abs(A) < abs(A2) else "nowhere"
     return StabilityRegion(
-        target=target, kind="constant", attracting_side=side,
+        target=target, kind="constant",
+        attracting_side="everywhere" if c < 0 else "nowhere",
         aggregates=aggregates)
 
 
@@ -248,3 +202,23 @@ def classify_strange_at(form: OperatorForm, target: complex) -> tuple:
             f"operator sends {target} to {value}, not itself")
     lam = multiplier_at(R, target)
     return lam, classify_multiplier(lam)
+
+
+# region verdict -> agreeing oracle classes; a real multiplier of modulus
+# one is +-1, which classify_multiplier calls parabolic-candidate
+_AGREES = {"attracting": ("attracting", "superattracting"),
+           "repelling": ("repelling",),
+           "indifferent": ("indifferent", "parabolic-candidate")}
+
+
+def oracle_agreement(region: StabilityRegion, family, ts,
+                     band: float = BOUNDARY_BAND):
+    """Yield (t, verdict, oracle class, agree) per parameter t, checked by
+    classify_strange_at at the region's target; t within `band` of the
+    boundary is yielded as (t, "boundary", None, True), unchecked."""
+    target = -1.0 if region.target == "z=-1" else 1.0
+    for t in ts:
+        verdict = region.verdict(t, band)
+        cls = None if verdict == "boundary" else \
+            classify_strange_at(family(t), target)[1]
+        yield t, verdict, cls, cls is None or cls in _AGREES.get(verdict, ())

@@ -14,14 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import (classify_multiplier, critical_points,
-                       free_critical_points, moebius_sum, multiplier_at)
+from .analysis import free_critical_points, moebius_sum
 from .builder import (SchemeContext, catalog_entry, catalog_names,
                       check_scheme_lambda_odd, conjugated_form)
 from .conjugate import check_iota_symmetry, extract_normal_form, make_form
 from .errors import DegenerateFamily, NotPalindromic
-from .poly import INF, Polynomial, is_inf, rat_eval
-from .stability import classify_strange_at, linearize, stability_region_z1
+from .poly import Polynomial, is_inf, rat_eval
+from .stability import linearize, oracle_agreement, stability_region_z1
 
 _SEED = 20260822
 
@@ -311,17 +310,10 @@ def suite_region_oracle() -> SuiteResult:
     for name, (x0, x1, y0, y1) in cases:
         entry = catalog_entry(name)
         region = stability_region_z1(linearize(entry.stability_producer))
-        for _ in range(150):
-            t = complex(rng.uniform(x0, x1), rng.uniform(y0, y1))
-            verdict = region.verdict(t)
-            if verdict == "boundary":
-                res.check(True)
-                continue
-            _lam, cls = classify_strange_at(entry.stability_producer(t), 1.0)
-            agree = (verdict == "attracting"
-                     and cls in ("attracting", "superattracting")) or \
-                    (verdict == "repelling" and cls == "repelling") or \
-                    (verdict == "indifferent" and cls == "indifferent")
+        draws = (complex(rng.uniform(x0, x1), rng.uniform(y0, y1))
+                 for _ in range(150))
+        for t, verdict, cls, agree in oracle_agreement(
+                region, entry.stability_producer, draws):
             res.check(agree, f"{name} t={t:.6g}: {verdict} vs {cls}")
     return res
 

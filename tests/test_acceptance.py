@@ -29,6 +29,7 @@ from ndyn import (
 from ndyn.builder import SchemeContext, check_scheme_lambda_odd
 from ndyn.errors import NdynError, NotPalindromic
 from ndyn.poly import is_inf, rat_make
+from ndyn.stability import oracle_agreement
 
 from conftest import random_form
 
@@ -152,17 +153,13 @@ def test_criterion_04_region_oracle_agreement(capsys):
         problems.append(f"superattracting multiplier {abs(lam)}")
     rng = _rng()
     checked = 0
-    for _ in range(500):
-        t = complex(rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0))
-        verdict = region.verdict(t, band=1e-6)
+    draws = (complex(rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0))
+             for _ in range(500))
+    for t, verdict, cls, agree in oracle_agreement(
+            region, entry.stability_producer, draws, band=1e-6):
         if verdict == "boundary":
             continue
         checked += 1
-        _lam, cls = classify_strange_at(entry.stability_producer(t), 1.0)
-        agree = (verdict == "attracting"
-                 and cls in ("attracting", "superattracting")) or \
-                (verdict == "repelling" and cls == "repelling") or \
-                (verdict == "indifferent" and cls == "indifferent")
         if not agree:
             problems.append(f"beta={t:.6g}: region {verdict}, direct {cls}")
             break

@@ -7,7 +7,8 @@ from conftest import random_form
 from ndyn.builder import (SchemeContext, catalog_entry, conjugated_form,
                           instantiate)
 from ndyn.conjugate import (Mobius, check_iota_symmetry, check_lambda_odd,
-                            extract_normal_form, make_form, mobius_conjugate,
+                            common_shape, extract_normal_form, make_form,
+                            mobius_conjugate, rotations, sampled_identity,
                             standard_tau)
 from ndyn.errors import NotPalindromic
 from ndyn.poly import INF, Polynomial, is_inf, maps_close, rat_eval, rat_make
@@ -96,3 +97,32 @@ def test_non_palindromic_method_refused():
         conjugated_form("steffensen")
     with pytest.raises(NotPalindromic):
         conjugated_form("chun", {"alpha": 1.0})
+
+
+def test_sampled_identity_tests_every_move():
+    def odd(z):
+        return z ** 3 + 1.0 / z
+
+    flip = (lambda z: -z,) * 2
+    assert sampled_identity(odd, [flip], 30, 1)
+    assert not sampled_identity(lambda z: z ** 2 + 1.0, [flip], 30, 1)
+    assert sampled_identity(lambda z: z ** 5, rotations(4), 30, 1)
+    assert not sampled_identity(lambda z: z ** 5, rotations(3), 30, 1)
+
+    def pole(z):
+        raise ZeroDivisionError
+
+    assert sampled_identity(pole, [flip], 30, 1)      # every draw skipped
+
+
+def test_common_shape_lifts_and_pads():
+    low = make_form(5, (2.0,))
+    high = make_form(3, (1.0, 4.0, 2.0))
+    reduced = conjugated_form("os5", {"a": 0.5})       # sign -1, k = 3
+    n, a = common_shape([low, high, reduced])
+    assert a.shape == (3, 4) and list(n) == [2, 2, 4]
+    assert np.allclose(a[0], (2.0, 0.0, 0.0, 0.0))
+    lifted = make_form(4, a[2])
+    for z in (0.3 + 0.4j, -1.7 + 0.2j, 2.5j):
+        assert abs(rat_eval(lifted.reconstruct(), z)
+                   - rat_eval(reduced.reconstruct(), z)) <= 1e-9

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ndyn.poly
+from ndyn.errors import NoConvergence
 from ndyn.poly import (INF, Polynomial, RationalMap, is_inf, maps_close,
                        poly_roots, rat_derivative, rat_eval, rat_make)
 
@@ -110,3 +112,12 @@ def test_maps_close_scaling_invariance():
     assert maps_close(R1, R2)
     R3 = rat_make(Polynomial((0.0, 1.0)), Polynomial((1.0, 1.1)))
     assert not maps_close(R1, R3)
+
+
+def test_rat_make_reports_a_root_solve_that_does_not_converge(monkeypatch):
+    def stalled(p):
+        raise NoConvergence("stalled")
+
+    monkeypatch.setattr(ndyn.poly, "poly_roots", stalled)
+    with pytest.raises(NoConvergence):
+        rat_make(Polynomial((-1.0, 0.0, 1.0)), Polynomial((1.0, 1.0)))

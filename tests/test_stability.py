@@ -5,7 +5,7 @@ from ndyn.builder import catalog_entry
 from ndyn.conjugate import make_form
 from ndyn.errors import (DegenerateFamily, NonRealCoefficients,
                          NonlinearDependence, NotAFixedPoint)
-from ndyn.stability import (classify_strange_at, linearize,
+from ndyn.stability import (classify_strange_at, linearize, oracle_agreement,
                             stability_region_z1, stability_region_zm1)
 
 
@@ -126,3 +126,60 @@ def test_superattracting_parameter_is_sharp():
     lam, cls = classify_strange_at(entry.stability_producer(-4.0), 1.0)
     assert cls == "superattracting"
     assert abs(lam) <= 1e-9
+
+
+# Explicit real affine families a(t) = A + t B, one per region kind at z = 1.
+# With s = n + k the aggregates are A = s + sum (s - 2j) A_j, B = sum
+# (s - 2j) B_j, A' = 1 + sum A_j and B' = sum B_j; each a_k is nonzero at the
+# fit's probes 0, 1 and i.  `edge` is (center, radius) or the threshold.
+REGION_KINDS = [
+    # name, n, A, B, kind, attracting side, edge, sampling half-width
+    ("circle-inside", 3, (1.0,), (1.0,), "circle", "inside",      # (6+2t)/(2+t)
+     (-10.0 / 3.0, 2.0 / 3.0), 1.5),
+    ("circle-outside", 2, (1.0, 1.0), (0.0, 1.0), "circle",       # 6/(3+t)
+     "outside", (-3.0, 6.0), 9.0),
+    ("half-plane-same", 2, (1.0,), (1.0,), "half-plane", "left",  # (4+t)/(2+t)
+     -3.0, 4.0),
+    ("half-plane-opposite", 2, (0.0, 1.0), (1.0, -3.0),           # (4+2t)/(2-2t)
+     "half-plane", "left", -0.5, 4.0),
+    ("everywhere", 3, (-1.0, 0.0, 5.0), (1.0, -2.0, 1.0), "constant",
+     "everywhere", None, 4.0),
+    ("nowhere", 3, (-1.0, 0.0, 0.5), (1.0, -2.0, 1.0), "constant", "nowhere",
+     None, 4.0),
+    ("indifferent-flat", 3, (-1.0, 0.0, 2.0), (1.0, -2.0, 1.0), "constant",
+     "nowhere", None, 4.0),
+    ("indifferent-slope", 2, (0.0, 3.0), (1.0, 1.0), "constant", "nowhere",
+     None, 4.0),
+]
+
+
+@pytest.mark.parametrize("name,n,A,B,kind,side,edge,half", REGION_KINDS,
+                         ids=[row[0] for row in REGION_KINDS])
+def test_every_region_kind_agrees_with_the_oracle(name, n, A, B, kind, side,
+                                                  edge, half):
+    A, B = np.array(A), np.array(B)
+
+    def family(t):
+        return make_form(n, A + complex(t) * B)
+
+    reg = stability_region_z1(linearize(family))
+    assert (reg.kind, reg.attracting_side) == (kind, side)
+    assert reg.indifferent_everywhere == name.startswith("indifferent")
+    if kind == "circle":
+        assert np.allclose((reg.center, reg.radius), edge, rtol=0, atol=1e-12)
+    elif kind == "half-plane":
+        assert abs(reg.threshold - edge) <= 1e-12
+    center = {"circle": reg.center, "half-plane": reg.threshold}.get(kind, 0.0)
+    rng = np.random.default_rng(20260822)
+    draws = [center + complex(rng.uniform(-half, half),
+                              rng.uniform(-half, half)) for _ in range(80)]
+    seen = set()
+    for t, verdict, cls, agree in oracle_agreement(reg, family, draws):
+        assert agree, (t, verdict, cls)
+        seen.add(verdict)
+    if kind == "constant":
+        want = {"attracting"} if side == "everywhere" else (
+            {"indifferent"} if reg.indifferent_everywhere else {"repelling"})
+    else:
+        want = {"attracting", "repelling"}
+    assert seen == want
