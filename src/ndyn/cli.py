@@ -23,7 +23,7 @@ from .builder import (SchemeContext, catalog_entry, catalog_names,
 from .conjugate import check_iota_symmetry
 from .errors import NdynError, UnknownMethod
 from .planes import (RenderConfig, dynamical_plane, parameter_plane,
-                     write_image, write_metadata)
+                     resolve_workers, write_image, write_metadata)
 from .poly import is_inf
 from .stability import linearize, stability_region_z1, stability_region_zm1
 from .verify import run_all
@@ -194,11 +194,13 @@ def _resolution(text: str):
 
 def _render_config(args) -> RenderConfig:
     try:
-        return RenderConfig(window=_window(args.window),
-                            resolution=_resolution(args.res),
-                            max_iter=args.max_iter,
-                            mode=args.mode,
-                            workers=args.threads)
+        cfg = RenderConfig(window=_window(args.window),
+                           resolution=_resolution(args.res),
+                           max_iter=args.max_iter,
+                           mode=args.mode,
+                           workers=args.threads)
+        resolve_workers(cfg)    # a malformed NDYN_THREADS is a usage error
+        return cfg
     except ValueError as e:
         raise UsageError(str(e))
 

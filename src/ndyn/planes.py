@@ -18,8 +18,13 @@ are A + t B; otherwise the family is called once per pixel and its forms
 are stacked.  The operator commutes with z -> 1/z, so its free critical
 points come in pairs kappa <-> 1/kappa: each band solves one degree-k
 equation Q(w) in w = z + 1/z straight from (n, a), divides out the anchored
-points w = +-2 (z = +-1), takes one seed per pair from the companion-matrix
-roots, and iterates the num/den rows of the forms.
+points w = +-2 (z = +-1), and takes one seed per pair from the
+companion-matrix roots.
+
+Every orbit runs through one loop, _orbit, whose state stays compacted.  A
+parameter-plane pixel is evaluated straight from (n, a): Horner passes over
+1, a_1..a_k give P-hat and P, then n multiplications by z; a column equal
+at every pixel of a band is carried as one scalar.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -86,6 +91,8 @@ class RenderConfig:
             raise ValueError("conv_radius must be positive")
         if self.mode not in ("speed", "attractor"):
             raise ValueError("mode must be 'speed' or 'attractor'")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
     @property
     def width(self) -> int:
@@ -127,15 +134,16 @@ class PlaneImage:
 
 
 def resolve_workers(cfg: RenderConfig) -> int:
-    if cfg.workers:
-        return max(1, int(cfg.workers))
-    env = os.environ.get("NDYN_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    """cfg.workers, else NDYN_THREADS when set, else the CPU count."""
+    if cfg.workers is not None:
+        return cfg.workers
+    env = os.environ.get("NDYN_THREADS", "").strip()
+    if not env:
+        return os.cpu_count() or 1
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"NDYN_THREADS must be a positive integer, "
+                         f"got {env!r}")
+    return int(env)
 
 
 def _flatten_attractors(known) -> np.ndarray:
@@ -149,118 +157,128 @@ def _flatten_attractors(known) -> np.ndarray:
     return np.asarray(finite, dtype=np.complex128)
 
 
-def _horner_rows(C: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Ascending coefficients at z: one shared row (1-D C) or one row per
-    point (2-D C)."""
-    acc = C[..., -1]
-    for k in range(C.shape[-1] - 2, -1, -1):
-        acc = acc * z + C[..., k]
+def _column(v):
+    """A coefficient column, as one scalar when every seed shares it."""
+    v = np.asarray(v)
+    return v.flat[0] if np.all(v == v.flat[0]) else v
+
+
+def _horner(cols: list, z: np.ndarray):
+    acc = cols[0]
+    for c in cols[1:]:
+        acc = acc * z + c
     return acc
 
 
-def _iterate(z0: np.ndarray, num_c, den_c, cfg: RenderConfig,
-             attractors: np.ndarray, dead: Optional[np.ndarray] = None):
-    """Orbit classification for a flat batch of seeds.
+class _OrbitMap(NamedTuple):
+    """z -> z^n num(z) / den(z), one step of every seed's orbit.
 
-    `num_c` and `den_c` are one shared coefficient row or one row per seed.
-    `dead` marks seeds that never run (no usable critical point); they end
-    as outcome none with max_iter iterations.
+    `num` and `den` are coefficient columns, highest power first, each one
+    scalar shared by every seed or one value per seed; `n` is an int or one
+    per seed.
     """
-    P = z0.size
-    out = np.zeros(P, np.int8)
-    its = np.full(P, cfg.max_iter, np.int32)
-    if dead is not None:
-        act = np.where(~dead)[0]
-    else:
-        act = np.arange(P)
-    z = z0.astype(np.complex128, copy=True)
-    conv = cfg.conv_radius
-    esc = cfg.infinity_radius
-    for t in range(cfg.max_iter):
-        if act.size == 0:
-            break
-        za = z[act]
-        r = np.abs(za)
-        hit0 = r < conv
-        hit_s = np.zeros(act.size, dtype=bool)
-        for a in attractors:
-            hit_s |= np.abs(za - a) < conv
-        hit_s &= ~hit0
-        hit_i = (r >= esc) & ~hit0 & ~hit_s
-        done = hit0 | hit_s | hit_i
-        if done.any():
-            out[act[hit0]] = OUTCOME_ROOT0
-            out[act[hit_s]] = OUTCOME_STRANGE
-            out[act[hit_i]] = OUTCOME_ROOTINF
-            its[act[done]] = t
-            act = act[~done]
-            if act.size == 0:
+    num: list
+    den: list
+    n: object = 0
+
+    def take(self, keep) -> "_OrbitMap":
+        """The map of the seeds that `keep` (indices or a mask) selects."""
+        def pick(v):
+            return v[keep] if isinstance(v, np.ndarray) else v
+        return _OrbitMap([pick(c) for c in self.num],
+                         [pick(c) for c in self.den], pick(self.n))
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        num, n = _horner(self.num, z), self.n
+        per_seed = isinstance(n, np.ndarray)
+        for m in range(n.max(initial=0) if per_seed else n):
+            num = np.where(n > m, num * z, num) if per_seed else num * z
+        # out= keeps one value per seed when both polynomials are constant
+        return np.divide(num, _horner(self.den, z), out=np.empty_like(z))
+
+
+def _rational_map(R: RationalMap) -> _OrbitMap:
+    return _OrbitMap(list(R.num.coeffs[::-1]), list(R.den.coeffs[::-1]))
+
+
+def _form_map(n, a: np.ndarray) -> _OrbitMap:
+    """z^n * P / P-hat for each row of `a` (a_1..a_k) and `n` (a scalar or
+    one per row): P reads the columns 1, a_1..a_k top down, P-hat bottom up."""
+    cols = [np.complex128(1.0)] + [_column(col) for col in a.T]
+    return _OrbitMap(cols, cols[::-1], _column(n))
+
+
+def _orbit(z0: np.ndarray, f: _OrbitMap, cfg: RenderConfig,
+           attractors: np.ndarray, live: Optional[np.ndarray] = None):
+    """Orbit classification for a flat batch of seeds under the map `f`.
+
+    The live seeds' indices, their z and the per-seed columns of `f` shrink
+    together when seeds finish.  Seeds outside `live` (no usable critical
+    point) never run; they end as outcome none with max_iter iterations.
+    """
+    out = np.zeros(z0.size, np.int8)
+    its = np.full(z0.size, cfg.max_iter, np.int32)
+    idx = np.arange(z0.size) if live is None else np.flatnonzero(live)
+    z, f = np.asarray(z0, np.complex128)[idx], f.take(idx)
+    with np.errstate(all="ignore"):
+        for t in range(cfg.max_iter):
+            if idx.size == 0:
                 break
-            za = z[act]
-        with np.errstate(all="ignore"):
-            nc, dc = ((num_c[act], den_c[act]) if num_c.ndim > 1
-                      else (num_c, den_c))
-            z[act] = _horner_rows(nc, za) / _horner_rows(dc, za)
+            r = np.abs(z)
+            hit0 = r < cfg.conv_radius
+            hit_s = np.zeros_like(hit0)
+            for a in attractors:
+                hit_s |= np.abs(z - a) < cfg.conv_radius
+            done = hit0 | hit_s | (r >= cfg.infinity_radius)
+            if done.any():
+                # the origin wins over an attractor, which wins over infinity
+                code = np.where(hit0, OUTCOME_ROOT0, np.where(
+                    hit_s, OUTCOME_STRANGE, OUTCOME_ROOTINF))
+                out[idx[done]], its[idx[done]] = code[done], t
+                keep = ~done
+                idx, z, f = idx[keep], z[keep], f.take(keep)
+            z = f(z)
     return out, its
 
 
-def _run_chunks(cfg: RenderConfig, work: Callable[[int, int], None]) -> None:
-    bands = [(r, min(r + CHUNK_ROWS, cfg.height))
-             for r in range(0, cfg.height, CHUNK_ROWS)]
+def _run_bands(cfg: RenderConfig, work: Callable) -> tuple:
+    """Images of the grid, computed in fixed bands of CHUNK_ROWS rows:
+    `work` maps a band's points, flattened, to one flat array per image."""
+    xs, ys = cfg.x_centers(), cfg.y_centers()
+
+    def band(r0):
+        return work((xs[None, :] + 1j * ys[r0:r0 + CHUNK_ROWS, None]).ravel())
+
+    starts = range(0, cfg.height, CHUNK_ROWS)
     workers = resolve_workers(cfg)
-    if workers <= 1 or len(bands) == 1:
-        for r0, r1 in bands:
-            work(r0, r1)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda b: work(*b), bands))
+    if workers <= 1 or len(starts) == 1:
+        done = [band(r0) for r0 in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(band, starts))
+    return tuple(np.concatenate(parts).reshape(cfg.height, cfg.width)
+                 for parts in zip(*done))
 
 
 def orbit_outcome(R: RationalMap, z0: complex, cfg: RenderConfig,
                   known_attractors=()) -> tuple:
     """(outcome name, iterations) of one seed, same rule as the grid."""
-    attr = _flatten_attractors(known_attractors)
-    out, its = _iterate(np.array([z0], np.complex128),
-                        R.num.coeffs, R.den.coeffs, cfg, attr)
+    out, its = _orbit(np.array([z0], np.complex128), _rational_map(R), cfg,
+                      _flatten_attractors(known_attractors))
     return OUTCOME_NAMES[int(out[0])], int(its[0])
 
 
 def dynamical_plane(R: RationalMap, cfg: RenderConfig,
                     known_attractors=()) -> PlaneImage:
     attr = _flatten_attractors(known_attractors)
-    xs = cfg.x_centers()
-    ys = cfg.y_centers()
-    outcome = np.zeros((cfg.height, cfg.width), np.int8)
-    iters = np.zeros((cfg.height, cfg.width), np.int32)
-    num_c = R.num.coeffs
-    den_c = R.den.coeffs
-
-    def work(r0, r1):
-        zz = (xs[None, :] + 1j * ys[r0:r1, None]).ravel()
-        o, it = _iterate(zz, num_c, den_c, cfg, attr)
-        outcome[r0:r1] = o.reshape(r1 - r0, cfg.width)
-        iters[r0:r1] = it.reshape(r1 - r0, cfg.width)
-
-    _run_chunks(cfg, work)
+    f = _rational_map(R)
+    outcome, iters = _run_bands(cfg, lambda zz: _orbit(zz, f, cfg, attr))
     return PlaneImage(cfg.width, cfg.height, outcome, iters, cfg)
 
 
 # --------------------------------------------------------------------------
 # parameter planes
 # --------------------------------------------------------------------------
-
-
-def _rows(n, a: np.ndarray) -> tuple:
-    """(num, den) coefficient rows of z^n * P / P-hat, one per row of `a`
-    (a_1..a_k); `n` is a scalar or a per-row array."""
-    P, k = a.shape
-    den = np.ones((P, k + 1), np.complex128)
-    den[:, 1:] = a
-    n = np.broadcast_to(n, (P,))
-    num = np.zeros((P, n.max() + k + 1), np.complex128)
-    for m in np.unique(n):
-        num[n == m, m:m + k + 1] = den[n == m, ::-1]
-    return num, den
 
 
 def _form_coeffs(family, ts) -> tuple:
@@ -349,24 +367,17 @@ def _roots_rows(C: np.ndarray) -> np.ndarray:
     if D <= 1:
         return out
     scale = np.abs(C).max(axis=1)
-    deg = np.full(P, -1)
-    for k in range(D - 1, -1, -1):
-        undecided = deg < 0
-        hit = undecided & (np.abs(C[:, k]) >
-                           1e-12 * np.maximum(scale, 1e-300))
-        deg[hit] = k
+    big = np.abs(C) > 1e-12 * np.maximum(scale, 1e-300)[:, None]
+    deg = np.where(big.any(axis=1), D - 1 - big[:, ::-1].argmax(axis=1), -1)
     for m in np.unique(deg):
         if m < 1:
             continue
         rows = np.where(deg == m)[0]
         monic = C[rows, :m + 1] / C[rows, m][:, None]
         comp = np.zeros((rows.size, m, m), np.complex128)
-        if m > 1:
-            idx = np.arange(m - 1)
-            comp[:, idx + 1, idx] = 1.0
+        comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
         comp[:, :, m - 1] = -monic[:, :m]
-        ev = np.linalg.eigvals(comp)
-        out[rows, :m] = ev
+        out[rows, :m] = np.linalg.eigvals(comp)
     return out
 
 
@@ -446,19 +457,14 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
     coefficients a(t) pass the affine fit at three probes around the window
     center, every band's coefficients are a = A + t B; otherwise the family
     is called once per pixel.  The seeds come from the pair roots w of
-    _pair_rows (see _select_seed_rows).  `selector` is None for the default
+    _pair_rows (see _select_seed_rows), and _orbit follows each under its
+    pixel's (n, a) (_form_map).  `selector` is None for the default
     rule (exactly one free pair) or an integer index into a pixel's free
     pairs, ordered by the argument of their seeds.
     """
     if selector is not None and selector < 0:
         raise ValueError("selector must be a nonnegative pair index")
     attr = _flatten_attractors(known_attractors)
-    xs = cfg.x_centers()
-    ys = cfg.y_centers()
-    outcome = np.zeros((cfg.height, cfg.width), np.int8)
-    iters = np.zeros((cfg.height, cfg.width), np.int32)
-    no_free_count = np.zeros(cfg.height, np.int64)
-    multi_count = np.zeros(cfg.height, np.int64)
     x0, x1, y0, y1 = cfg.window
     center = complex((x0 + x1) / 2.0, (y0 + y1) / 2.0)
     probes = (center, center + (x1 - x0) / 3.0,
@@ -468,27 +474,18 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
     except NdynError:
         n = None
 
-    def coeffs_at(ts):
-        if n is None:
-            return _form_coeffs(family, ts)
-        return n, A + ts[:, None] * B
-
-    def work(r0, r1):
-        ts = (xs[None, :] + 1j * ys[r0:r1, None]).ravel()
-        n_t, a = coeffs_at(ts)
+    def work(ts):
+        n_t, a = (_form_coeffs(family, ts) if n is None
+                  else (n, A + ts[:, None] * B))
         w = _roots_rows(_deflate_anchored_rows(_pair_rows(n_t, a)))
         seed, dead, no_free, multi = _select_seed_rows(w, selector)
-        num, den = _rows(n_t, a)
-        o, it = _iterate(seed, num, den, cfg, attr, dead=dead)
-        outcome[r0:r1] = o.reshape(r1 - r0, cfg.width)
-        iters[r0:r1] = it.reshape(r1 - r0, cfg.width)
-        no_free_count[r0] += int(no_free.sum())
-        multi_count[r0] += int(multi.sum())
+        o, it = _orbit(seed, _form_map(n_t, a), cfg, attr, live=~dead)
+        return o, it, no_free, multi
 
-    _run_chunks(cfg, work)
+    outcome, iters, no_free, multi = _run_bands(cfg, work)
     diagnostics = {
-        "no_free_critical": int(no_free_count.sum()),
-        "multiple_free_pairs": int(multi_count.sum()),
+        "no_free_critical": int(no_free.sum()),
+        "multiple_free_pairs": int(multi.sum()),
         "vectorized": n is not None,
     }
     return PlaneImage(cfg.width, cfg.height, outcome, iters, cfg,

@@ -209,6 +209,24 @@ def test_invalid_render_settings_are_usage_errors(tmp_path, capsys, setting):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads, env", [
+    ("0", None), ("-2", None), (None, "abc"), (None, "0"),
+])
+def test_invalid_worker_counts_are_usage_errors(tmp_path, capsys,
+                                                monkeypatch, threads, env):
+    if env is not None:
+        monkeypatch.setenv("NDYN_THREADS", env)
+    out = tmp_path / "m.ppm"
+    argv = ["dynplane", "--method", "newton", "--window", "-2,2,-2,2",
+            "--res", "8x8", "--out", str(out)]
+    if threads is not None:
+        argv += ["--threads", threads]
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("usage error:")
+    assert ("NDYN_THREADS" in err) == (env is not None)
+    assert not out.exists()
+
+
 def test_family_subcommands_refuse_other_degrees(tmp_path, capsys):
     code, out, err = run(capsys, "stability", "--method", "king", "--d", "3")
     assert code == 2 and "use --d 2" in err and out == ""

@@ -3,7 +3,8 @@
 Every figure is rendered at 64x64 with max_iter 150 from the script's own
 windows, modes and attractors, at one worker and at two.  The digest covers
 the outcome and iteration arrays, so any change to seeds, rows or orbits
-that moves a pixel shows up here.  `PYTHONPATH=src python
+that moves a pixel shows up here.  The chebyshev-halley and king parameter
+planes also pin their exact outcome counts at 300x300.  `PYTHONPATH=src python
 tests/test_figures.py` prints the current digests in the order of PINS.
 """
 
@@ -52,16 +53,25 @@ PINS = {
 }
 
 
-def _render(name, workers):
+# exact outcome counts of two parameter planes at 300x300
+COUNTS_300 = {
+    "param_chebyshev_halley": {"none": 3426, "root-0": 77232,
+                               "root-inf": 9342, "strange-attractor": 0},
+    "param_king": {"none": 536, "root-0": 79824, "root-inf": 9640,
+                   "strange-attractor": 0},
+}
+
+
+def _render(name, workers, resolution=RESOLUTION):
     for fig, method, window, mode, attractors in PARAMETER_FIGURES:
         if fig == name:
-            cfg = RenderConfig(window=window, resolution=RESOLUTION,
+            cfg = RenderConfig(window=window, resolution=resolution,
                                max_iter=MAX_ITER, mode=mode, workers=workers)
             return parameter_plane(catalog_entry(method).stability_producer,
                                    cfg, known_attractors=attractors)
     for fig, method, bindings, window, attractors in DYNAMICAL_FIGURES:
         if fig == name:
-            cfg = RenderConfig(window=window, resolution=RESOLUTION,
+            cfg = RenderConfig(window=window, resolution=resolution,
                                max_iter=MAX_ITER,
                                mode="attractor" if attractors else "speed",
                                workers=workers)
@@ -84,6 +94,13 @@ def test_every_figure_is_pinned():
 def test_figure_pixels_match_pin(name):
     for workers in (1, 2):
         assert _digest(_render(name, workers)) == PINS[name], workers
+
+
+@pytest.mark.parametrize("name", sorted(COUNTS_300))
+def test_parameter_plane_counts_at_300(name):
+    for workers in (1, 2):
+        img = _render(name, workers, resolution=(300, 300))
+        assert img.counts() == COUNTS_300[name], workers
 
 
 if __name__ == "__main__":

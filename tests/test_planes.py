@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndyn import (
     Polynomial,
+    RationalMap,
     RenderConfig,
     catalog_entry,
     colorize,
@@ -21,8 +24,8 @@ from ndyn import (
 )
 from ndyn.builder import conjugated_form
 from ndyn.errors import ZeroDenominator
-from ndyn.planes import (OUTCOME_NAMES, PlaneImage, _form_coeffs, _horner_rows,
-                         _pair_rows, _roots_rows, _rows, _select_seed_rows)
+from ndyn.planes import (OUTCOME_NAMES, PlaneImage, _form_coeffs, _form_map,
+                         _orbit, _pair_rows, _roots_rows, _select_seed_rows)
 from ndyn.poly import rat_eval, rat_make
 
 from conftest import random_form
@@ -44,6 +47,8 @@ def small_cfg(**kw):
     dict(max_iter=0),
     dict(conv_radius=0.0),
     dict(mode="glow"),
+    dict(workers=0),
+    dict(workers=-2),
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
@@ -114,8 +119,14 @@ def test_resolve_workers_sources(monkeypatch):
     monkeypatch.setenv("NDYN_THREADS", "3")
     assert resolve_workers(small_cfg()) == 3
     assert resolve_workers(small_cfg(workers=2)) == 2
-    monkeypatch.setenv("NDYN_THREADS", "not-a-number")
+    monkeypatch.delenv("NDYN_THREADS")
     assert resolve_workers(small_cfg()) >= 1
+    # a malformed or non-positive value is an error, not the CPU count
+    for bad in ("not-a-number", "0", "-2", "1.5"):
+        monkeypatch.setenv("NDYN_THREADS", bad)
+        with pytest.raises(ValueError, match="NDYN_THREADS"):
+            resolve_workers(small_cfg())
+        assert resolve_workers(small_cfg(workers=2)) == 2
 
 
 def _hand_image(outcome, iterations, cfg):
@@ -312,13 +323,54 @@ def test_form_rows_evaluate_each_form(rng):
     forms = [random_form(rng) for _ in range(6)]
     forms.append(conjugated_form("os5", {"a": 0.7 - 0.2j}))     # sign -1
     assert forms[-1].sign == -1 and len({f.k for f in forms}) > 1
-    num, den = _rows(*_form_coeffs(lambda t: forms[int(t.real)],
+    step = _form_map(*_form_coeffs(lambda t: forms[int(t.real)],
                                    np.arange(7.0)))
     for z in (0.3 + 0.4j, -1.7 + 0.2j, 2.5j):
-        zs = np.full(7, z)
-        got = _horner_rows(num, zs) / _horner_rows(den, zs)
+        got = step(np.full(7, z))
         want = [rat_eval(f.reconstruct(), z) for f in forms]
         assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+def _padded_rows(n, a):
+    """Ascending num/den rows of z^n P / P-hat: n zeros, then a_k..a_1, 1."""
+    den = np.r_[1.0, a]
+    return np.r_[np.zeros(n), den[::-1]], den
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 4), st.booleans())
+def test_orbit_loop_matches_each_seed_alone(seed, k, mixed_n):
+    # one band of (n, a) rows against each row's own rational map: padded
+    # a_k = 0, shared columns, dead seeds, the fixed point z = 1 declared as
+    # an attractor, and a seed on a pole of its map
+    rng = np.random.default_rng(seed)
+    P = 24
+    n = rng.integers(1, 6, P) if mixed_n else np.full(P, 3)
+    a = rng.uniform(-2, 2, (P, k)) + 1j * rng.uniform(-2, 2, (P, k))
+    if k:
+        a[rng.random(P) < 0.3, -1] = 0.0
+        if rng.random() < 0.5:
+            # one column shared by the whole band, or by all but the pole row
+            a[:, 0] = -2.0 + rng.choice([0.0, 1e-3])
+        a[1] = 0.0
+        a[1, 0] = -2.0          # P-hat = 1 - 2 z vanishes at the seed 0.5
+    z0 = rng.uniform(-2, 2, P) + 1j * rng.uniform(-2, 2, P)
+    z0[1] = 0.5
+    live = rng.random(P) > 0.2
+    live[1] = True
+    cfg = small_cfg(max_iter=40)
+    out, its = _orbit(z0, _form_map(n, a), cfg, np.array([1.0 + 0j]),
+                      live=live)
+    for i in range(P):
+        if not live[i]:
+            assert (out[i], its[i]) == (0, cfg.max_iter)
+            continue
+        num, den = _padded_rows(n[i], a[i])
+        R = RationalMap(Polynomial(num), Polynomial(den))
+        want = orbit_outcome(R, z0[i], cfg, known_attractors=(1.0,))
+        assert (OUTCOME_NAMES[int(out[i])], int(its[i])) == want, i
+    if k:
+        assert (OUTCOME_NAMES[int(out[1])], int(its[1])) == ("root-inf", 1)
 
 
 def _derivative_numerator(n, a):
