@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (NotACycle, PoleAtMinusOne, PoleAtOne)
+from .conjugate import multiplier_aggregates
+from .errors import NotACycle, PoleAtMinusOne, PoleAtOne
 from .poly import (INF, Polynomial, RationalMap, _clusters, is_inf,
                    poly_roots, rat_derivative, rat_eval)
 
@@ -206,6 +207,24 @@ def multiplier_of_cycle(R: RationalMap, cycle: Sequence) -> complex:
 # --------------------------------------------------------------------------
 
 
+def _closed(n: int, P: Polynomial, sign: str) -> complex:
+    """n + sum (1 + s r_i)/(1 - s r_i) over the roots r_i of P, s = +-1,
+    read off conjugate.multiplier_aggregates of the monic P's reversal."""
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    c = P.coeffs
+    if c.size == 0:
+        raise ValueError("zero polynomial")
+    p_hat = c[::-1] / c[-1]
+    num, den = multiplier_aggregates(n, p_hat, 1.0 if sign == "+" else -1.0)
+    if abs(den) <= 1e-12 * (1.0 + np.abs(p_hat[1:]).max(initial=0.0)):
+        if sign == "+":
+            raise PoleAtOne("coefficient sum vanishes (root at 1)")
+        raise PoleAtMinusOne("alternating coefficient sum vanishes "
+                             "(root at -1)")
+    return complex(num / den)
+
+
 def moebius_sum(P: Polynomial, sign: str) -> complex:
     """Closed form of sum (1 + s r_i)/(1 - s r_i) over the roots of P, s=+-1.
 
@@ -214,39 +233,18 @@ def moebius_sum(P: Polynomial, sign: str) -> complex:
     sign - value alternates the coefficients.  Pole errors are raised when
     the respective denominator (P at +-1 up to a sign) vanishes.
     """
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    c = P.coeffs
-    if c.size == 0:
-        raise ValueError("zero polynomial")
-    k = c.size - 1
-    lead = c[-1]
-    a = {j: complex(c[k - j] / lead) for j in range(1, k + 1)}
-    scale = 1.0 + max((abs(v) for v in a.values()), default=0.0)
-    if sign == "+":
-        den = 1.0 + sum(a.values())
-        if abs(den) <= 1e-12 * scale:
-            raise PoleAtOne("coefficient sum vanishes (root at 1)")
-        num = sum(j * a[j] for j in a)
-        return complex(k - 2.0 * num / den)
-    den = 1.0 + sum(((-1.0) ** j) * a[j] for j in a)
-    if abs(den) <= 1e-12 * scale:
-        raise PoleAtMinusOne("alternating coefficient sum vanishes (root at -1)")
-    num = sum(((-1.0) ** j) * j * a[j] for j in a)
-    return complex(k - 2.0 * num / den)
+    return _closed(0, P, sign)
 
 
 def multiplier_at_one_closed(form) -> complex:
     """O'(1) for a normal form, via the coefficient sum identity."""
-    P = form.p_coeffs()
-    return complex(form.n + moebius_sum(P, "+"))
+    return _closed(form.n, form.p_coeffs(), "+")
 
 
 def multiplier_at_minus_one_closed(form) -> complex:
     """O'(-1) for a normal form with n+k odd, via the sign - identity."""
-    P = form.p_coeffs()
     parity = (-1.0) ** (form.n + form.k - 1)
-    return complex(parity * (form.n + moebius_sum(P, "-")))
+    return complex(parity * _closed(form.n, form.p_coeffs(), "-"))
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 from .errors import (DivisionByZeroMap, SchemeSyntaxError, UnboundIdentifier,
                      UnknownMethod, ZeroC, ZeroDenominator)
 from .conjugate import (CHECK_SEED, OperatorForm, check_lambda_odd,
-                        extract_normal_form, make_form, mobius_conjugate,
+                        extract_normal_form, mobius_conjugate, reduced_form,
                         rotations, sampled_identity, standard_tau)
 from .poly import (Polynomial, RationalMap, _substitute, constant_map,
                    identity_map, rat_make)
@@ -515,8 +515,8 @@ _FORMS = {
             "subfamily whose last coefficient depends rationally on a"),
     "os4": ("b", (4, 4), lambda b: (2.0, -2.0, -6.0, 4.0 * b - 3.0),
             "subfamily with z=1 superattracting for every parameter"),
-    # the coefficient sum vanishes identically, so the reconstructed map
-    # always loses the shared factor (z - 1) and keeps a global sign -1
+    # the coefficient sum vanishes identically, so every member loses the
+    # shared factor (z - 1) and carries a global sign -1 (reduced_form)
     "os5": ("a", (4, 4),
             lambda a: (6.0 + a, 14.0 + 4.0 * a, 14.0 + 5.0 * a,
                        -35.0 - 10.0 * a),
@@ -525,21 +525,16 @@ _FORMS = {
 
 
 def _member(name: str, n: int, coeffs: Callable, t) -> OperatorForm:
-    """The raw normal form of a form family at t.
+    """The reduced normal form of a form family at t (conjugate.reduced_form).
 
-    A vanishing bottom coefficient of P pulls a factor z out of it, which
-    joins the z^n block.
+    A vanishing bottom coefficient of P joins z^n (conjugate.make_form).
     """
     try:
-        a = [complex(v) for v in coeffs(complex(t))]
+        a = coeffs(complex(t))
     except ZeroDivisionError:
         raise ZeroDenominator(f"the closed form of {name} divides by zero "
                               f"at this {_FORMS[name][0]}") from None
-    scale = max([1.0] + [abs(v) for v in a])
-    while a and abs(a[-1]) <= 1e-14 * scale:
-        a.pop()
-        n += 1
-    return make_form(n, a)
+    return reduced_form(n, a)
 
 
 def _entries():
@@ -615,12 +610,8 @@ def conjugated_form(method, bindings=None, c: complex = 1.0) -> OperatorForm:
     if isinstance(method, str):
         entry = catalog_entry(method)
         if entry.coeffs is not None:
-            raw = _member(method, entry.nk[0], entry.coeffs,
-                          _binding(bindings, entry.params[0]))
-            if not raw.degenerate:
-                return raw
-            # reduce through reconstruction so the shared factor cancels
-            return extract_normal_form(raw.reconstruct())
+            return _member(method, entry.nk[0], entry.coeffs,
+                           _binding(bindings, entry.params[0]))
         method = entry.ast
     op = instantiate(method, SchemeContext(d=2, c=c, bindings=bindings))
     return extract_normal_form(mobius_conjugate(op, standard_tau(c)))

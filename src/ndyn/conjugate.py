@@ -137,18 +137,26 @@ class OperatorForm:
         return rat_make(num, self.p_hat_coeffs())
 
 
-def make_form(n: int, a, sign: int = 1) -> OperatorForm:
-    """Build an OperatorForm from n and the coefficient list a_1..a_k."""
-    a = tuple(complex(v) for v in a)
-    k = len(a)
-    if k and a[-1] == 0:
-        raise ValueError("a_k must be nonzero (drop trailing zeros instead)")
-    roots = poly_roots(Polynomial(tuple(reversed(a)) + (1.0,))) if k else ()
-    total = abs(1.0 + sum(a))
+def _collapses(a) -> bool:
+    """Whether P(1) = P-hat(1) = 1 + a_1 + ... + a_k vanishes."""
     scale = 1.0 + max((abs(v) for v in a), default=0.0)
-    degenerate = sign == -1 or total <= 1e-10 * scale
-    return OperatorForm(n=n, k=k, a=a, roots=roots, sign=sign,
-                        degenerate=degenerate)
+    return abs(1.0 + sum(a)) <= 1e-10 * scale
+
+
+def make_form(n: int, a, sign: int = 1) -> OperatorForm:
+    """Build an OperatorForm from n and the coefficient list a_1..a_k.
+
+    A vanishing a_k (within 1e-14 of the largest of 1, |a_j|) moves one
+    power of z from P into z^n, the inverse of common_shape's padding.
+    """
+    a = [complex(v) for v in a]
+    scale = max([1.0] + [abs(v) for v in a])
+    while a and abs(a[-1]) <= 1e-14 * scale:
+        a.pop()
+        n += 1
+    roots = poly_roots(Polynomial(tuple(reversed(a)) + (1.0,))) if a else ()
+    return OperatorForm(n=n, k=len(a), a=tuple(a), roots=roots, sign=sign,
+                        degenerate=sign == -1 or _collapses(a))
 
 
 def extract_normal_form(R: RationalMap) -> OperatorForm:
@@ -211,22 +219,59 @@ def extract_normal_form(R: RationalMap) -> OperatorForm:
     return form
 
 
+def _lift(form) -> tuple:
+    """a of a form as a sign +1 member: a reduced -z^n Q / Q-hat equals
+    z^n P / P-hat with the monic P = (z - 1) Q."""
+    if form.sign == 1:
+        return form.a
+    return tuple((form.p_coeffs() * Polynomial((-1.0, 1.0))).coeffs[-2::-1])
+
+
+def reduced_form(n: int, a) -> OperatorForm:
+    """The form of the map z^n P / P-hat after its shared factors (z - 1).
+
+    When P(1) = 1 + a_1 + ... + a_k vanishes, P and P-hat share (z - 1),
+    and the map is -z^n Q / Q-hat with the monic Q = P / (z - 1), the inverse
+    of _lift.  Each further factor (z - 1) of Q cancels the same way and
+    flips the sign back.
+    """
+    sign = 1
+    while _collapses(a):
+        q = Polynomial(tuple(reversed(a)) + (1.0,)).deflate(1.0).coeffs
+        a, sign = tuple(q[-2::-1]), -sign
+    return make_form(n, a, sign)
+
+
 def common_shape(forms) -> tuple:
     """(n, a) of several forms written as sign +1 members of one shape.
 
-    A reduced -z^n Q / Q-hat equals z^n P / P-hat with the monic
-    P = (z - 1) Q, so a sign -1 form is lifted to that P.  The a are then
-    zero-padded to the largest k (a padded a_k = 0 moves one power of z from
-    P into z^n).  n comes back as an integer array, a as (forms, k) complex.
+    Sign -1 forms are lifted (_lift), then the a are zero-padded to the
+    largest k (a padded a_k = 0 moves one power of z from P into z^n).  n
+    comes back as an integer array, a as (forms, k) complex.
     """
-    lifted = [(f.n, f.a if f.sign == 1 else
-               (f.p_coeffs() * Polynomial((-1.0, 1.0))).coeffs[-2::-1])
-              for f in forms]
+    lifted = [(f.n, _lift(f)) for f in forms]
     k = max(len(a) for _, a in lifted)
     out = np.zeros((len(lifted), k), np.complex128)
     for i, (_, a) in enumerate(lifted):
         out[i, :len(a)] = a
     return np.array([n - (k - len(a)) for n, a in lifted]), out
+
+
+def multiplier_aggregates(n: int, p_hat, x: float) -> tuple:
+    """(num, den) with O'(x) = num / den at x = +-1 for O = z^n P / P-hat.
+
+    `p_hat` holds the ascending coefficients c_0..c_k of P-hat (1, a_1..a_k
+    for a form).  With s = n + k, num = sum x^j (s - 2j) c_j and
+    den = sum x^j c_j = P-hat(x).  Both are linear in c, so a(t) = A + t B
+    gives num and den affine in t (B read with c_0 = 0).  At x = -1 the
+    quotient is O'(-1) when n + k is odd, so that -1 is fixed.
+    """
+    c0, *c = p_hat
+    s = n + len(c)
+    js = range(1, len(c) + 1)
+    num = s * c0 + sum(x ** j * (s - 2 * j) * c[j - 1] for j in js)
+    den = c0 + sum(x ** j * c[j - 1] for j in js)
+    return num, den
 
 
 # --------------------------------------------------------------------------

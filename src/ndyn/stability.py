@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .analysis import classify_multiplier, multiplier_at
-from .conjugate import OperatorForm, common_shape
+from .conjugate import OperatorForm, common_shape, multiplier_aggregates
 from .errors import (DegenerateFamily, NonlinearDependence,
                      NonRealCoefficients, NotAFixedPoint)
 from .poly import is_inf, rat_eval
@@ -43,13 +43,10 @@ class LinearCoeffs:
     B: tuple
 
     def aggregates_at(self, x: float) -> tuple:
-        """(A, B, A', B') with O'(x) = (A + t B) / (A' + t B'), x = +-1."""
-        s = self.n + self.k
-        js = range(1, self.k + 1)
-        A = float(s) + sum(x ** j * (s - 2 * j) * self.A[j - 1] for j in js)
-        B = sum(x ** j * (s - 2 * j) * self.B[j - 1] for j in js)
-        A2 = 1.0 + sum(x ** j * self.A[j - 1] for j in js)
-        B2 = sum(x ** j * self.B[j - 1] for j in js)
+        """(A, B, A', B') with O'(x) = (A + t B) / (A' + t B'), x = +-1
+        (conjugate.multiplier_aggregates of a(t) = A + t B)."""
+        A, A2 = multiplier_aggregates(self.n, (1.0,) + self.A, x)
+        B, B2 = multiplier_aggregates(self.n, (0.0,) + self.B, x)
         return A, float(B), A2, float(B2)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from ndyn.analysis import (classify_multiplier, classify_operator,
                            critical_points, fixed_points,
@@ -8,7 +10,7 @@ from ndyn.analysis import (classify_multiplier, classify_operator,
                            multiplier_at_one_closed, multiplier_of_cycle)
 from ndyn.builder import conjugated_form
 from ndyn.conjugate import make_form
-from ndyn.errors import NotACycle, PoleAtOne
+from ndyn.errors import NotACycle, PoleAtMinusOne, PoleAtOne
 from ndyn.poly import (INF, Polynomial, RationalMap, is_inf, rat_combine,
                        rat_derivative, rat_eval)
 
@@ -122,6 +124,24 @@ def test_minus_one_multiplier_via_parity():
     lam = multiplier_at_minus_one_closed(form)
     direct = multiplier_at(form.reconstruct(), -1.0)
     assert abs(lam - direct) <= 1e-9 * max(1.0, abs(direct))
+
+
+@settings(max_examples=40, deadline=None)
+@seed(11)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_closed_multipliers_match_multiplier_at(draw):
+    form = random_form(np.random.default_rng(draw))
+    R = form.reconstruct()
+    for closed, x in ((multiplier_at_one_closed, 1.0),
+                      (multiplier_at_minus_one_closed, -1.0)):
+        if x == -1.0 and (form.n + form.k) % 2 == 0:
+            continue                  # -1 is fixed only when n + k is odd
+        try:
+            lam = closed(form)
+        except (PoleAtOne, PoleAtMinusOne):
+            continue
+        direct = multiplier_at(R, x)
+        assert abs(lam - direct) <= 1e-8 * max(1.0, abs(direct))
 
 
 def test_two_cycle_multiplier_of_the_degenerate_family():

@@ -231,16 +231,28 @@ def test_form_families_follow_their_closed_forms(name):
         else:
             assert (form.n, form.sign) == (n, 1)
             _close(form.a, want)
+        # the stability producer gives the same reduced member
         if name == "m4":
             # charted by alpha = a_4, in which the family is affine
             assert entry.stability_param == "alpha"
-            raw = entry.stability_producer(want[-1])
+            member = entry.stability_producer(want[-1])
+            assert (member.n, member.sign) == (n, 1)
+            _close(member.a, form.a)
         else:
             assert entry.stability_param == param
-            raw = entry.stability_producer(t)
-        assert (raw.n, raw.sign) == (n, 1)
-        _close(raw.a, want)
-        assert raw.degenerate == (name == "os5")
+            assert entry.stability_producer(t) == form
+        assert form.degenerate == (name == "os5")
+
+
+def test_degenerate_family_is_the_exact_deflation():
+    # P / (z - 1) of os5 has the closed form z^3 + (7 + a) z^2
+    # + (21 + 5 a) z + 35 + 10 a, met to a few units of rounding
+    rng = np.random.default_rng(0x05)
+    for a in [2.0 - 9.3j] + list(rng.uniform(-10.0, 10.0, (20, 2)) @ (1, 1j)):
+        form = conjugated_form("os5", {"a": a})
+        want = (7.0 + a, 21.0 + 5.0 * a, 35.0 + 10.0 * a)
+        for u, v in zip(form.a, want):
+            assert abs(u - v) <= 8 * np.finfo(float).eps * (1.0 + abs(v))
 
 
 def test_degenerate_family_reduces_on_build():

@@ -120,7 +120,7 @@ PINS = {
     "build:os5":
         "9a5e274dc9dea1f88cd203d7c431fcd419bfaefeb785785638e684069facd5c1",
     "analyze:os5":
-        "18f861adea601e3a2c1ae3ebb759c3bc4b1da363a6a0cd9149fb5d50025c1df9",
+        "0001831254ce315b53ee282b1748fdce0c8d129315f0114e25199b3f806f510f",
     "stability:os5":
         "8847bf769a0fde09656b7e32dc1d226a197f4cbda077608550a69651393fa091",
     "catalog":

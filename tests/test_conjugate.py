@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import random_form
@@ -8,8 +8,8 @@ from ndyn.builder import (SchemeContext, catalog_entry, conjugated_form,
                           instantiate)
 from ndyn.conjugate import (Mobius, check_iota_symmetry, check_lambda_odd,
                             common_shape, extract_normal_form, make_form,
-                            mobius_conjugate, rotations, sampled_identity,
-                            standard_tau)
+                            mobius_conjugate, reduced_form, rotations,
+                            sampled_identity, standard_tau)
 from ndyn.errors import NotPalindromic
 from ndyn.poly import INF, Polynomial, is_inf, maps_close, rat_eval, rat_make
 
@@ -73,9 +73,44 @@ def test_degenerate_sum_reduces_with_sign_flip():
     assert abs(rat_eval(reduced.reconstruct(), -1.0) - 1.0) <= 1e-9
 
 
-def test_make_form_rejects_zero_bottom_coefficient():
-    with pytest.raises(Exception):
-        make_form(3, (1.0, 0.0))
+def test_make_form_folds_zero_bottom_coefficient():
+    # a_k = 0 pulls a factor z out of P into z^n
+    assert make_form(3, (1.0, 0.0)) == make_form(4, (1.0,))
+    assert make_form(2, (1e-16j,)) == make_form(3, ())
+
+
+@settings(max_examples=30, deadline=None)
+@seed(20250104)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((1, -1)))
+def test_roundtrip_keeps_shape_sign_and_coefficients(draw, sign):
+    form = random_form(np.random.default_rng(draw))
+    form = make_form(form.n, form.a, sign)
+    back = extract_normal_form(form.reconstruct())
+    assert (back.n, back.k, back.sign) == (form.n, form.k, form.sign)
+    err = max((abs(x - y) for x, y in zip(back.a, form.a)), default=0.0)
+    assert err <= 1e-9 * max(1.0, max((abs(v) for v in form.a), default=1.0))
+
+
+@settings(max_examples=30, deadline=None)
+@seed(46452)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_reduced_form_inverts_the_lift(draw):
+    # a sign -1 form lifted to z^n P / P-hat reduces back to itself
+    form = random_form(np.random.default_rng(draw))
+    form = make_form(form.n, form.a, -1)
+    n, a = common_shape([form])
+    back = reduced_form(int(n[0]), a[0])
+    assert (back.n, back.k, back.sign) == (form.n, form.k, -1)
+    err = max((abs(x - y) for x, y in zip(back.a, form.a)), default=0.0)
+    assert err <= 1e-12 * max(1.0, max((abs(v) for v in form.a), default=1.0))
+
+
+def test_reduced_form_cancels_each_factor_at_one():
+    # P = (z - 1)^2 (z^2 + 4 z + 5): the second cancellation flips the sign back
+    form = reduced_form(4, (2.0, -2.0, -6.0, 5.0))
+    assert (form.n, form.k, form.sign) == (4, 2, 1)
+    assert np.allclose(form.a, (4.0, 5.0), rtol=0, atol=1e-12)
+    assert reduced_form(3, (2.0,)) == make_form(3, (2.0,))
 
 
 def test_iota_symmetry_detection():
