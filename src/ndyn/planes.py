@@ -13,9 +13,9 @@ A family's pixel is its normal form z^n * P / P-hat, read as (n, a(t))
 with a = (a_1, ..., a_k) in the family's common shape
 (conjugate.common_shape: sign -1 members lifted to sign +1, k zero-padded),
 so every row has sign +1.  When a(t) is affine in t (stability.affine_fit,
-certified at three probes around the window center), a band's coefficients
-are A + t B; otherwise the family is called once per pixel and its forms
-are stacked.  The operator commutes with z -> 1/z, so its free critical
+certified at three fixed generic probes, so no window can put a probe on a
+special member), a band's coefficients are A + t B; otherwise the family is
+called once per pixel and its forms are stacked.  The operator commutes with z -> 1/z, so its free critical
 points come in pairs kappa <-> 1/kappa: each band solves one degree-k
 equation Q(w) in w = z + 1/z straight from (n, a), divides out the anchored
 points w = +-2 (z = +-1), and takes one seed per pair from the
@@ -57,6 +57,9 @@ OUTCOME_NAMES = {
 CHUNK_ROWS = 32
 ANCHOR_TOL = 1e-6      # critical points this close to +-1 are not free seeds
 ORIGIN_TOL = 1e-9      # nor this close to 0 (or to infinity)
+# generic parameters at which the affine coefficient model is fitted, away
+# from the special members (collapses, poles) of every catalog family
+PROBES = (0.3137 + 0.1171j, 1.2749 - 0.2243j, -0.6421 + 0.9319j)
 
 _SPEED_STOPS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 _SPEED_COLORS = np.array([
@@ -198,7 +201,11 @@ class _OrbitMap(NamedTuple):
 
 
 def _rational_map(R: RationalMap) -> _OrbitMap:
-    return _OrbitMap(list(R.num.coeffs[::-1]), list(R.den.coeffs[::-1]))
+    """R as an _OrbitMap, its exactly zero low numerator coefficients (the
+    z^n of a normal form) read as n."""
+    num = R.num.coeffs
+    n = int(np.argmax(num != 0)) if num.any() else 0
+    return _OrbitMap(list(num[n:][::-1]), list(R.den.coeffs[::-1]), n)
 
 
 def _form_map(n, a: np.ndarray) -> _OrbitMap:
@@ -454,9 +461,9 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
     """Render the plane of a one-parameter family of operators.
 
     `family` maps a complex parameter to an OperatorForm.  When its
-    coefficients a(t) pass the affine fit at three probes around the window
-    center, every band's coefficients are a = A + t B; otherwise the family
-    is called once per pixel.  The seeds come from the pair roots w of
+    coefficients a(t) pass the affine fit at the fixed generic PROBES, every
+    band's coefficients are a = A + t B, whatever the window; otherwise the
+    family is called once per pixel.  The seeds come from the pair roots w of
     _pair_rows (see _select_seed_rows), and _orbit follows each under its
     pixel's (n, a) (_form_map).  `selector` is None for the default
     rule (exactly one free pair) or an integer index into a pixel's free
@@ -465,12 +472,8 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
     if selector is not None and selector < 0:
         raise ValueError("selector must be a nonnegative pair index")
     attr = _flatten_attractors(known_attractors)
-    x0, x1, y0, y1 = cfg.window
-    center = complex((x0 + x1) / 2.0, (y0 + y1) / 2.0)
-    probes = (center, center + (x1 - x0) / 3.0,
-              center + 1j * (y1 - y0) / 3.0)
     try:
-        n, _, A, B = affine_fit(family, probes)
+        n, _, A, B = affine_fit(family, PROBES)
     except NdynError:
         n = None
 

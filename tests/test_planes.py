@@ -24,8 +24,9 @@ from ndyn import (
 )
 from ndyn.builder import conjugated_form
 from ndyn.errors import ZeroDenominator
-from ndyn.planes import (OUTCOME_NAMES, PlaneImage, _form_coeffs, _form_map,
-                         _orbit, _pair_rows, _roots_rows, _select_seed_rows)
+from ndyn.planes import (OUTCOME_NAMES, PROBES, PlaneImage, _form_coeffs,
+                         _form_map, _orbit, _pair_rows, _rational_map,
+                         _roots_rows, _select_seed_rows)
 from ndyn.poly import rat_eval, rat_make
 
 from conftest import random_form
@@ -224,6 +225,20 @@ def test_affine_family_renders_vectorized():
     assert counts["root-0"] + counts["root-inf"] > 0
 
 
+def test_collapse_centered_window_renders_vectorized():
+    # alpha = 1/2, where chebyshev-halley cancels to z^3, is the center of
+    # the window but no probe: the whole window and a corner of it share
+    # one affine model, so they agree on every common pixel center
+    producer = catalog_entry("chebyshev-halley").stability_producer
+    whole = parameter_plane(producer, RenderConfig(
+        window=(0.0, 1.0, -0.5, 0.5), resolution=(32, 32), max_iter=60))
+    assert whole.diagnostics["vectorized"] is True
+    corner = parameter_plane(producer, RenderConfig(
+        window=(0.0, 0.5, 0.0, 0.5), resolution=(16, 16), max_iter=60))
+    assert np.array_equal(whole.outcome[:16, :16], corner.outcome)
+    assert np.array_equal(whole.iterations[:16, :16], corner.iterations)
+
+
 def test_known_attractors_mark_strange_pixels():
     entry = catalog_entry("os5")
     cfg = RenderConfig(window=(-10.5, 10.5, -10.5, 10.5),
@@ -305,10 +320,10 @@ def test_negative_pair_index_is_rejected():
 
 def test_family_failing_at_the_probe_renders_from_sampled_rows():
     def family(t):
-        return conjugated_form("m4", {"beta": t})
+        if t == PROBES[0]:
+            raise ZeroDenominator("a pole at the first affine probe")
+        return conjugated_form("chebyshev-halley", {"alpha": t})
 
-    with pytest.raises(ZeroDenominator):
-        family(0.0)      # the center of the window is the affine probe
     cfg = RenderConfig(window=(-1.0, 1.0, -1.0, 1.0), resolution=(8, 8),
                        max_iter=40)
     img = parameter_plane(family, cfg)
@@ -379,6 +394,17 @@ def _derivative_numerator(n, a):
     Ph = np.polynomial.Polynomial(np.r_[1.0, a])
     z = np.polynomial.Polynomial([0.0, 1.0])
     return n * P * Ph + z * (P.deriv() * Ph - P * Ph.deriv())
+
+
+def test_rational_map_reads_the_zero_low_coefficients_as_n(rng):
+    for _ in range(10):
+        form = random_form(rng)
+        R = form.reconstruct()
+        f = _rational_map(R)
+        assert f.n == form.n and len(f.num) == form.k + 1
+        z = np.array([0.3 + 0.4j, -1.7 + 0.2j, 2.5j])
+        want = np.array([rat_eval(R, v) for v in z])
+        assert np.allclose(f(z), want, rtol=1e-12, atol=0.0)
 
 
 def test_pair_rows_fold_the_derivative_numerator(rng):
