@@ -137,12 +137,6 @@ def _bindings(args) -> dict:
     return out
 
 
-def _one_source(args) -> str:
-    if bool(args.method) == bool(args.scheme_file):
-        raise UsageError("exactly one of --method / --scheme-file is required")
-    return "method" if args.method else "scheme-file"
-
-
 def _require_quadratic(args) -> None:
     if args.d != 2:
         raise NdynError(
@@ -162,17 +156,28 @@ def _read_scheme(path: str):
         return parse_scheme(fh.read())
 
 
-def _get_form(args):
-    """(label, form, scheme ast or None) for the normal-form subcommands."""
-    source = _one_source(args)
+def _source(args, family: bool = False):
+    """(label, catalog entry or None, scheme ast, bindings, c) of the operator
+    that --method or --scheme-file names; a family from a scheme file needs
+    --family-param."""
+    if bool(args.method) == bool(args.scheme_file):
+        raise UsageError("exactly one of --method / --scheme-file is required")
     bindings = _bindings(args)
     c = parse_complex_literal(args.c)
     _require_quadratic(args)
-    if source == "method":
-        ast = _entry(args.method).ast
-        return args.method, conjugated_form(args.method, bindings, c=c), ast
-    ast = _read_scheme(args.scheme_file)
-    return args.scheme_file, conjugated_form(ast, bindings, c=c), ast
+    if args.method:
+        entry = _entry(args.method)
+        return args.method, entry, entry.ast, bindings, c
+    if family and not args.family_param:
+        raise UsageError("--scheme-file needs --family-param NAME")
+    return args.scheme_file, None, _read_scheme(args.scheme_file), bindings, c
+
+
+def _get_form(args):
+    """(label, form, scheme ast or None) for the normal-form subcommands."""
+    label, entry, ast, bindings, c = _source(args)
+    return label, conjugated_form(entry.name if entry else ast, bindings,
+                                  c=c), ast
 
 
 def _window(text: str):
@@ -295,27 +300,19 @@ def _region_payload(reg) -> dict:
 
 def _family(args):
     """(label, parameter name, producer) for the one-parameter subcommands."""
-    source = _one_source(args)
-    bindings = _bindings(args)
-    c = parse_complex_literal(args.c)
-    _require_quadratic(args)
-    if source == "method":
-        entry = _entry(args.method)
-        if entry.stability_producer is None:
-            raise NdynError(
-                f"{args.method} has no one-parameter family; pick a method "
-                "with a free parameter or use --scheme-file with "
-                "--family-param")
-        return args.method, entry.stability_param, entry.stability_producer
-    name = getattr(args, "family_param", None)
-    if not name:
-        raise UsageError("--scheme-file needs --family-param NAME")
-    ast = _read_scheme(args.scheme_file)
+    label, entry, ast, bindings, c = _source(args, family=True)
+    if entry is None:
+        name = args.family_param
 
-    def producer(t: complex):
-        return conjugated_form(ast, {**bindings, name: complex(t)}, c=c)
+        def producer(t: complex):
+            return conjugated_form(ast, {**bindings, name: complex(t)}, c=c)
 
-    return args.scheme_file, name, producer
+        return label, name, producer
+    if entry.stability_producer is None:
+        raise NdynError(
+            f"{label} has no one-parameter family; pick a method with a free "
+            "parameter or use --scheme-file with --family-param")
+    return label, entry.stability_param, entry.stability_producer
 
 
 def cmd_stability(args) -> int:
@@ -346,13 +343,14 @@ def cmd_dynplane(args) -> int:
 
 
 def cmd_paramplane(args) -> int:
-    if args.selector is not None and args.selector < 0:
-        raise UsageError("--selector must be a nonnegative pair index")
     label, pname, producer = _family(args)
     cfg = _render_config(args)
     attractors = tuple(parse_complex_literal(v) for v in args.attractor)
-    img = parameter_plane(producer, cfg, selector=args.selector,
-                          known_attractors=attractors)
+    try:
+        img = parameter_plane(producer, cfg, selector=args.selector,
+                              known_attractors=attractors)
+    except ValueError as e:     # a negative --selector
+        raise UsageError(str(e))
     _write_outputs(img, args, extra={"subject": label, "parameter": pname})
     return 0
 
@@ -466,10 +464,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except NdynError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (NdynError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
