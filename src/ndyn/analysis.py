@@ -207,16 +207,22 @@ def multiplier_of_cycle(R: RationalMap, cycle: Sequence) -> complex:
 # --------------------------------------------------------------------------
 
 
-def _closed(n: int, P: Polynomial, sign: str) -> complex:
-    """n + sum (1 + s r_i)/(1 - s r_i) over the roots r_i of P, s = +-1,
-    read off conjugate.multiplier_aggregates of the monic P's reversal."""
+def moebius_sum(P: Polynomial, sign: str) -> complex:
+    """Closed form of sum (1 + s r_i)/(1 - s r_i) over the roots of P, s=+-1.
+
+    For the monic P = a_k + a_{k-1} z + ... + a_1 z^{k-1} + z^k the sign +
+    value is k - 2(a_1 + 2 a_2 + ... + k a_k)/(1 + a_1 + ... + a_k) and the
+    sign - value alternates the coefficients (conjugate.multiplier_aggregates
+    at n = 0).  Pole errors are raised when the respective denominator (P at
+    +-1 up to a sign) vanishes.
+    """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     c = P.coeffs
     if c.size == 0:
         raise ValueError("zero polynomial")
     p_hat = c[::-1] / c[-1]
-    num, den = multiplier_aggregates(n, p_hat, 1.0 if sign == "+" else -1.0)
+    num, den = multiplier_aggregates(0, p_hat, 1.0 if sign == "+" else -1.0)
     if abs(den) <= 1e-12 * (1.0 + np.abs(p_hat[1:]).max(initial=0.0)):
         if sign == "+":
             raise PoleAtOne("coefficient sum vanishes (root at 1)")
@@ -225,26 +231,15 @@ def _closed(n: int, P: Polynomial, sign: str) -> complex:
     return complex(num / den)
 
 
-def moebius_sum(P: Polynomial, sign: str) -> complex:
-    """Closed form of sum (1 + s r_i)/(1 - s r_i) over the roots of P, s=+-1.
-
-    For the monic P = a_k + a_{k-1} z + ... + a_1 z^{k-1} + z^k the sign +
-    value is k - 2(a_1 + 2 a_2 + ... + k a_k)/(1 + a_1 + ... + a_k) and the
-    sign - value alternates the coefficients.  Pole errors are raised when
-    the respective denominator (P at +-1 up to a sign) vanishes.
-    """
-    return _closed(0, P, sign)
-
-
 def multiplier_at_one_closed(form) -> complex:
     """O'(1) for a normal form, via the coefficient sum identity."""
-    return _closed(form.n, form.p_coeffs(), "+")
+    return complex(form.n + moebius_sum(form.p_coeffs(), "+"))
 
 
 def multiplier_at_minus_one_closed(form) -> complex:
     """O'(-1) for a normal form with n+k odd, via the sign - identity."""
     parity = (-1.0) ** (form.n + form.k - 1)
-    return complex(parity * _closed(form.n, form.p_coeffs(), "-"))
+    return complex(parity * (form.n + moebius_sum(form.p_coeffs(), "-")))
 
 
 # --------------------------------------------------------------------------

@@ -525,10 +525,8 @@ _FORMS = {
 
 
 def _member(name: str, n: int, coeffs: Callable, t) -> OperatorForm:
-    """The reduced normal form of a form family at t (conjugate.reduced_form).
-
-    A vanishing bottom coefficient of P joins z^n (conjugate.make_form).
-    """
+    """The normal form of a form family at t, reduced (reduced_form) after
+    a vanishing bottom coefficient of P joins z^n (make_form)."""
     try:
         a = coeffs(complex(t))
     except ZeroDivisionError:

@@ -137,25 +137,6 @@ def _bindings(args) -> dict:
     return out
 
 
-def _require_quadratic(args) -> None:
-    if args.d != 2:
-        raise NdynError(
-            "the palindromic normal form is built from the quadratic "
-            "polynomial; use --d 2")
-
-
-def _entry(name):
-    try:
-        return catalog_entry(name)
-    except UnknownMethod as e:
-        raise UsageError(str(e))
-
-
-def _read_scheme(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return parse_scheme(fh.read())
-
-
 def _source(args, family: bool = False):
     """(label, catalog entry or None, scheme ast, bindings, c) of the operator
     that --method or --scheme-file names; a family from a scheme file needs
@@ -164,20 +145,25 @@ def _source(args, family: bool = False):
         raise UsageError("exactly one of --method / --scheme-file is required")
     bindings = _bindings(args)
     c = parse_complex_literal(args.c)
-    _require_quadratic(args)
+    if args.d != 2:
+        raise NdynError("the palindromic normal form is built from the "
+                        "quadratic polynomial; use --d 2")
     if args.method:
-        entry = _entry(args.method)
+        try:
+            entry = catalog_entry(args.method)
+        except UnknownMethod as e:
+            raise UsageError(str(e))
         return args.method, entry, entry.ast, bindings, c
     if family and not args.family_param:
         raise UsageError("--scheme-file needs --family-param NAME")
-    return args.scheme_file, None, _read_scheme(args.scheme_file), bindings, c
+    with open(args.scheme_file, encoding="utf-8") as fh:
+        return args.scheme_file, None, parse_scheme(fh.read()), bindings, c
 
 
 def _get_form(args):
     """(label, form, scheme ast or None) for the normal-form subcommands."""
     label, entry, ast, bindings, c = _source(args)
-    return label, conjugated_form(entry.name if entry else ast, bindings,
-                                  c=c), ast
+    return label, conjugated_form(args.method or ast, bindings, c=c), ast
 
 
 def _window(text: str):

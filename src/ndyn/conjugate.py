@@ -12,8 +12,10 @@ with global sign s0 = +-1: numerator and denominator carry mirrored
 coefficient sequences, which is equivalent to the map commuting with
 iota(z) = 1/z.
 
-It also owns the common shape (n, a) of several forms (common_shape) and
-the sampled identity f(g z) = h(f z) behind every symmetry check.
+It owns the rules of that form: make_form folds a vanishing a_k into z^n,
+reduced_form cancels (z - 1) to sign -1 and common_shape lifts it back,
+multiplier_aggregates gives O'(+-1), and sampled_identity tests every
+symmetry f(g z) = h(f z).
 """
 
 from __future__ import annotations
@@ -128,13 +130,9 @@ class OperatorForm:
         """P ascending: a_k, a_{k-1}, ..., a_1, 1."""
         return Polynomial(tuple(reversed(self.a)) + (1.0,))
 
-    def p_hat_coeffs(self) -> Polynomial:
-        """P* ascending: 1, a_1, ..., a_k."""
-        return Polynomial((1.0,) + tuple(self.a))
-
     def reconstruct(self) -> RationalMap:
         num = (self.sign * self.p_coeffs()).shift(self.n)
-        return rat_make(num, self.p_hat_coeffs())
+        return rat_make(num, Polynomial((1.0,) + tuple(self.a)))
 
 
 def _collapses(a) -> bool:
@@ -219,21 +217,12 @@ def extract_normal_form(R: RationalMap) -> OperatorForm:
     return form
 
 
-def _lift(form) -> tuple:
-    """a of a form as a sign +1 member: a reduced -z^n Q / Q-hat equals
-    z^n P / P-hat with the monic P = (z - 1) Q."""
-    if form.sign == 1:
-        return form.a
-    return tuple((form.p_coeffs() * Polynomial((-1.0, 1.0))).coeffs[-2::-1])
-
-
 def reduced_form(n: int, a) -> OperatorForm:
-    """The form of the map z^n P / P-hat after its shared factors (z - 1).
+    """The form of z^n P / P-hat once the factors (z - 1) it shares cancel.
 
-    When P(1) = 1 + a_1 + ... + a_k vanishes, P and P-hat share (z - 1),
-    and the map is -z^n Q / Q-hat with the monic Q = P / (z - 1), the inverse
-    of _lift.  Each further factor (z - 1) of Q cancels the same way and
-    flips the sign back.
+    When P(1) = 1 + a_1 + ... + a_k vanishes, the map is -z^n Q / Q-hat with
+    the monic Q = P / (z - 1), the inverse of common_shape's lift; a further
+    factor (z - 1) of Q cancels the same way and flips the sign back.
     """
     sign = 1
     while _collapses(a):
@@ -245,11 +234,14 @@ def reduced_form(n: int, a) -> OperatorForm:
 def common_shape(forms) -> tuple:
     """(n, a) of several forms written as sign +1 members of one shape.
 
-    Sign -1 forms are lifted (_lift), then the a are zero-padded to the
-    largest k (a padded a_k = 0 moves one power of z from P into z^n).  n
-    comes back as an integer array, a as (forms, k) complex.
+    A reduced -z^n Q / Q-hat equals z^n P / P-hat with the monic
+    P = (z - 1) Q, so a sign -1 form is lifted to that P.  The a are then
+    zero-padded to the largest k (a padded a_k = 0 moves one power of z from
+    P into z^n).  n comes back as an integer array, a as (forms, k) complex.
     """
-    lifted = [(f.n, _lift(f)) for f in forms]
+    lifted = [(f.n, f.a if f.sign == 1 else
+               (f.p_coeffs() * Polynomial((-1.0, 1.0))).coeffs[-2::-1])
+              for f in forms]
     k = max(len(a) for _, a in lifted)
     out = np.zeros((len(lifted), k), np.complex128)
     for i, (_, a) in enumerate(lifted):
@@ -266,11 +258,9 @@ def multiplier_aggregates(n: int, p_hat, x: float) -> tuple:
     gives num and den affine in t (B read with c_0 = 0).  At x = -1 the
     quotient is O'(-1) when n + k is odd, so that -1 is fixed.
     """
-    c0, *c = p_hat
-    s = n + len(c)
-    js = range(1, len(c) + 1)
-    num = s * c0 + sum(x ** j * (s - 2 * j) * c[j - 1] for j in js)
-    den = c0 + sum(x ** j * c[j - 1] for j in js)
+    s = n + len(p_hat) - 1
+    num = sum(x ** j * (s - 2 * j) * c for j, c in enumerate(p_hat))
+    den = sum(x ** j * c for j, c in enumerate(p_hat))
     return num, den
 
 

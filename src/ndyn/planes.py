@@ -12,19 +12,21 @@ Parameter planes follow the orbit of one free critical point per pixel.
 A family's pixel is its normal form z^n * P / P-hat, read as (n, a(t))
 with a = (a_1, ..., a_k) in the family's common shape
 (conjugate.common_shape: sign -1 members lifted to sign +1, k zero-padded),
-so every row has sign +1.  When a(t) is affine in t (stability.affine_fit,
-certified at three fixed generic probes, so no window can put a probe on a
-special member), a band's coefficients are A + t B; otherwise the family is
-called once per pixel and its forms are stacked.  The operator commutes with z -> 1/z, so its free critical
-points come in pairs kappa <-> 1/kappa: each band solves one degree-k
-equation Q(w) in w = z + 1/z straight from (n, a), divides out the anchored
-points w = +-2 (z = +-1), and takes one seed per pair from the
+so every row has sign +1.  When a(t) is affine in t (stability.affine_fit
+at the fixed generic PROBES, so no window puts a probe on a special member),
+a band's coefficients are A + t B; otherwise the family is called once per
+pixel and its forms are stacked.  The operator commutes with z -> 1/z, so
+its free critical points come in pairs kappa <-> 1/kappa: each band solves
+one degree-k equation Q(w) in w = z + 1/z straight from (n, a), divides out
+the anchored points w = +-2 (z = +-1), and takes one seed per pair from the
 companion-matrix roots.
 
 Every orbit runs through one loop, _orbit, whose state stays compacted.  A
 parameter-plane pixel is evaluated straight from (n, a): Horner passes over
 1, a_1..a_k give P-hat and P, then n multiplications by z; a column equal
-at every pixel of a band is carried as one scalar.
+at every pixel of a band is carried as one scalar.  A dynamical plane reads
+its map's exactly zero low numerator coefficients (a normal form's z^n) as
+n the same way.
 """
 
 from __future__ import annotations
@@ -57,8 +59,7 @@ OUTCOME_NAMES = {
 CHUNK_ROWS = 32
 ANCHOR_TOL = 1e-6      # critical points this close to +-1 are not free seeds
 ORIGIN_TOL = 1e-9      # nor this close to 0 (or to infinity)
-# generic parameters at which the affine coefficient model is fitted, away
-# from the special members (collapses, poles) of every catalog family
+# generic parameters of the affine fit, off every family's special members
 PROBES = (0.3137 + 0.1171j, 1.2749 - 0.2243j, -0.6421 + 0.9319j)
 
 _SPEED_STOPS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -201,8 +202,7 @@ class _OrbitMap(NamedTuple):
 
 
 def _rational_map(R: RationalMap) -> _OrbitMap:
-    """R as an _OrbitMap, its exactly zero low numerator coefficients (the
-    z^n of a normal form) read as n."""
+    """R's columns, its exactly zero low numerator coefficients read as n."""
     num = R.num.coeffs
     n = int(np.argmax(num != 0)) if num.any() else 0
     return _OrbitMap(list(num[n:][::-1]), list(R.den.coeffs[::-1]), n)

@@ -6,7 +6,7 @@ operator at z = 1 is a Moebius function of the parameter,
 
     O'(1) = (A + t B) / (A' + t B'),
 
-with real aggregates built from n, k and the coefficient slopes (each
+with real aggregates (conjugate.multiplier_aggregates of A and of B, each
 sample read in its conjugate.common_shape).  So |O'(1)| < 1 is the one
 quadratic form (B^2 - B'^2)|t|^2 + 2 (A B - A' B') Re t + A^2 - A'^2 < 0:
 a disc or its outside, a half-plane, or everything or nothing.  The same
@@ -43,8 +43,7 @@ class LinearCoeffs:
     B: tuple
 
     def aggregates_at(self, x: float) -> tuple:
-        """(A, B, A', B') with O'(x) = (A + t B) / (A' + t B'), x = +-1
-        (conjugate.multiplier_aggregates of a(t) = A + t B)."""
+        """(A, B, A', B') with O'(x) = (A + t B) / (A' + t B'), x = +-1."""
         A, A2 = multiplier_aggregates(self.n, (1.0,) + self.A, x)
         B, B2 = multiplier_aggregates(self.n, (0.0,) + self.B, x)
         return A, float(B), A2, float(B2)
