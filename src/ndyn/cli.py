@@ -162,7 +162,7 @@ def _source(args, family: bool = False):
 
 def _get_form(args):
     """(label, form, scheme ast or None) for the normal-form subcommands."""
-    label, entry, ast, bindings, c = _source(args)
+    label, _, ast, bindings, c = _source(args)
     return label, conjugated_form(args.method or ast, bindings, c=c), ast
 
 

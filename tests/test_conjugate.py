@@ -50,10 +50,11 @@ def test_extraction_reads_shape_and_coefficients():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1))
-def test_roundtrip_random_forms(seed):
-    rng = np.random.default_rng(seed)
-    form = random_form(rng)
+@seed(20250104)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((1, -1)))
+def test_roundtrip_random_forms(draw, sign):
+    form = random_form(np.random.default_rng(draw))
+    form = make_form(form.n, form.a, sign)
     back = extract_normal_form(form.reconstruct())
     assert (back.n, back.k, back.sign) == (form.n, form.k, form.sign)
     err = max((abs(x - y) for x, y in zip(back.a, form.a)), default=0.0)
@@ -77,18 +78,6 @@ def test_make_form_folds_zero_bottom_coefficient():
     # a_k = 0 pulls a factor z out of P into z^n
     assert make_form(3, (1.0, 0.0)) == make_form(4, (1.0,))
     assert make_form(2, (1e-16j,)) == make_form(3, ())
-
-
-@settings(max_examples=30, deadline=None)
-@seed(20250104)
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((1, -1)))
-def test_roundtrip_keeps_shape_sign_and_coefficients(draw, sign):
-    form = random_form(np.random.default_rng(draw))
-    form = make_form(form.n, form.a, sign)
-    back = extract_normal_form(form.reconstruct())
-    assert (back.n, back.k, back.sign) == (form.n, form.k, form.sign)
-    err = max((abs(x - y) for x, y in zip(back.a, form.a)), default=0.0)
-    assert err <= 1e-9 * max(1.0, max((abs(v) for v in form.a), default=1.0))
 
 
 @settings(max_examples=30, deadline=None)
