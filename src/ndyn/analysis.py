@@ -249,10 +249,12 @@ def multiplier_at_minus_one_closed(form) -> complex:
 
 def classify_operator(form) -> dict:
     """Structural report of a normal form: parities, the status of -1 and
-    of the degenerate collapse, and every strange fixed point with class."""
+    of the degenerate collapse, every strange fixed point with class, and
+    the reconstructed map ("map")."""
     R = form.reconstruct()
     parity_odd = (form.n + form.k) % 2 == 1
     report = {
+        "map": R,
         "n": form.n,
         "k": form.k,
         "sign": form.sign,

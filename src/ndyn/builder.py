@@ -17,6 +17,7 @@ RationalMap.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -83,24 +84,8 @@ Node = object
 @dataclass(frozen=True)
 class Scheme:
     """Ordered step bindings; the last one is named ``next``."""
-    steps: tuple  # of (name, Node)
-
-    @property
-    def params(self) -> tuple:
-        found: list[str] = []
-
-        def walk(node):
-            if isinstance(node, Param) and node.name not in found:
-                found.append(node.name)
-            elif isinstance(node, Deriv):
-                walk(node.arg)
-            elif isinstance(node, BinOp):
-                walk(node.lhs)
-                walk(node.rhs)
-
-        for _, expr in self.steps:
-            walk(expr)
-        return tuple(found)
+    steps: tuple   # of (name, Node)
+    params: tuple  # parameter names, in order of first use
 
 
 # --------------------------------------------------------------------------
@@ -108,6 +93,18 @@ class Scheme:
 # --------------------------------------------------------------------------
 
 _OPS = set("+-*/=();'")
+
+# The number grammar of scheme texts and of complex values on the command
+# line: ASCII digits with at most one decimal point, then an optional i.
+NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)i?"
+_NUMBER = re.compile(NUMBER)
+
+
+def number_value(literal: str) -> complex:
+    """The value of a NUMBER, which may carry a leading sign."""
+    if literal.endswith("i"):
+        return complex(0.0, float(literal[:-1]))
+    return complex(float(literal))
 
 
 class _Token:
@@ -140,37 +137,23 @@ def _lex(text: str) -> list:
             while i < len(text) and text[i] != "\n":
                 i += 1
             continue
-        start_col = col
-        if ch.isdigit() or (ch == "." and i + 1 < len(text) and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < len(text) and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            literal = text[i:j]
-            imag = j < len(text) and text[j] == "i"
-            if imag:
-                j += 1
-            value = complex(0.0, float(literal)) if imag else complex(float(literal))
-            tokens.append(_Token("number", text[i:j], line, start_col, value))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+        number = _NUMBER.match(text, i)
+        if number:
+            j = number.end()
+            tokens.append(_Token("number", text[i:j], line, col,
+                                 number_value(text[i:j])))
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(_Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _OPS:
-            tokens.append(_Token("op", ch, line, start_col))
-            col += 1
-            i += 1
-            continue
-        raise SchemeSyntaxError(line, col, f"unexpected character {ch!r}")
+            tokens.append(_Token("ident", text[i:j], line, col))
+        elif ch in _OPS:
+            j = i + 1
+            tokens.append(_Token("op", ch, line, col))
+        else:
+            raise SchemeSyntaxError(line, col, f"unexpected character {ch!r}")
+        col += j - i
+        i = j
     tokens.append(_Token("eof", "", line, col))
     return tokens
 
@@ -180,6 +163,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.bound: list[str] = []
+        self.params: list[str] = []
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -222,7 +206,7 @@ class _Parser:
             tok = self.peek()
             raise SchemeSyntaxError(tok.line, tok.col,
                                     "the last statement must bind 'next'")
-        return Scheme(steps=tuple(steps))
+        return Scheme(steps=tuple(steps), params=tuple(self.params))
 
     def expr(self) -> Node:
         node = self.term()
@@ -274,6 +258,8 @@ class _Parser:
                                         "derivatives apply only to p")
             if name in self.bound:
                 return Ref(name)
+            if name not in self.params:
+                self.params.append(name)
             return Param(name)
         raise SchemeSyntaxError(tok.line, tok.col,
                                 f"unexpected {tok.text or 'end of input'!r}")
@@ -290,16 +276,27 @@ def parse_scheme(text: str) -> Scheme:
 
 @dataclass(frozen=True)
 class SchemeContext:
-    """Target polynomial z^d - c plus parameter bindings."""
+    """Target polynomial z^d - c plus parameter bindings.
+
+    p^(0), ..., p^(d + 1) are built once, here, and both interpreters read
+    them through ``p``.
+    """
     d: int
     c: complex
     bindings: dict = field(default_factory=dict)
+    derivatives: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 2:
             raise ValueError("degree d must be at least 2")
         if self.c == 0:
             raise ZeroC("the target family needs c != 0")
+        object.__setattr__(self, "derivatives", tuple(
+            target_derivative(self.d, self.c, k) for k in range(self.d + 2)))
+
+    def p(self, order: int) -> Polynomial:
+        """p^(order); every order above d is the zero polynomial."""
+        return self.derivatives[min(order, self.d + 1)]
 
 
 def target_derivative(d: int, c: complex, order: int) -> Polynomial:
@@ -317,17 +314,16 @@ def target_derivative(d: int, c: complex, order: int) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def instantiate(node, ctx: SchemeContext) -> RationalMap:
+def instantiate(scheme: Scheme, ctx: SchemeContext) -> RationalMap:
     """Assemble the operator as a rational map, reduced once per named step.
 
     Inside a step the numerators and denominators are combined unreduced;
-    a single rat_make at the end of each step (and of a bare expression)
-    cancels the common factors, so a step costs one pair of root solves
-    however many operations it holds.
+    a single rat_make at the end of each step cancels the common factors,
+    so a step costs one pair of root solves however many operations it
+    holds.
     """
-    steps = node.steps if isinstance(node, Scheme) else (("next", node),)
     env: dict[str, RationalMap] = {}
-    for name, expr in steps:
+    for name, expr in scheme.steps:
         R = _instantiate_expr(expr, ctx, env)
         env[name] = rat_make(R.num, R.den)
     return env["next"]
@@ -358,7 +354,7 @@ def _instantiate_expr(node, ctx: SchemeContext, env: dict) -> RationalMap:
         return env[node.name]
     if isinstance(node, Deriv):
         inner = _instantiate_expr(node.arg, ctx, env)
-        pk = target_derivative(ctx.d, ctx.c, node.order)
+        pk = ctx.p(node.order)
         # p^(k)(A/B) = (sum_i p_i A^i B^(m-i)) / B^m
         m = max(pk.degree, 0)
         return _quotient(_substitute(pk, inner.num, inner.den, m),
@@ -379,19 +375,17 @@ def _instantiate_expr(node, ctx: SchemeContext, env: dict) -> RationalMap:
     raise TypeError(f"not a scheme node: {node!r}")
 
 
-def evaluate_scheme(node, ctx: SchemeContext, z: complex) -> complex:
+def evaluate_scheme(scheme: Scheme, ctx: SchemeContext, z: complex) -> complex:
     """Pointwise evaluation of a scheme at a single z.
 
     Follows the same call-by-value step order as instantiate but never forms
     coefficient vectors, so it stays accurate for schemes whose expanded
     operator degree is large.
     """
-    if isinstance(node, Scheme):
-        env: dict[str, complex] = {}
-        for name, expr in node.steps:
-            env[name] = _eval_expr(expr, ctx, env, z)
-        return env["next"]
-    return _eval_expr(node, ctx, {}, z)
+    env: dict[str, complex] = {}
+    for name, expr in scheme.steps:
+        env[name] = _eval_expr(expr, ctx, env, z)
+    return env["next"]
 
 
 def _eval_expr(node, ctx: SchemeContext, env: dict, z: complex) -> complex:
@@ -405,7 +399,7 @@ def _eval_expr(node, ctx: SchemeContext, env: dict, z: complex) -> complex:
         return env[node.name]
     if isinstance(node, Deriv):
         w = _eval_expr(node.arg, ctx, env, z)
-        return complex(target_derivative(ctx.d, ctx.c, node.order)(w))
+        return complex(ctx.p(node.order)(w))
     if isinstance(node, BinOp):
         a = _eval_expr(node.lhs, ctx, env, z)
         b = _eval_expr(node.rhs, ctx, env, z)
@@ -419,7 +413,7 @@ def _eval_expr(node, ctx: SchemeContext, env: dict, z: complex) -> complex:
     raise TypeError(f"not a scheme node: {node!r}")
 
 
-def check_scheme_lambda_odd(node, ctx: SchemeContext, d: int,
+def check_scheme_lambda_odd(scheme: Scheme, ctx: SchemeContext, d: int,
                             trials: int = 50) -> bool:
     """Sampled d-th root-of-unity equivariance test, evaluated pointwise.
 
@@ -427,7 +421,7 @@ def check_scheme_lambda_odd(node, ctx: SchemeContext, d: int,
     map, but immune to the coefficient-level rounding that expanded
     high-degree operators accumulate.
     """
-    return sampled_identity(partial(evaluate_scheme, node, ctx),
+    return sampled_identity(partial(evaluate_scheme, scheme, ctx),
                             rotations(d), trials, CHECK_SEED + d)
 
 
@@ -463,43 +457,68 @@ class CatalogEntry:
         return "scheme" if self.ast is not None else "form"
 
 
-_SCHEME_TEXTS = {
-    "newton": "next = z - p(z)/p'(z);",
+# The schemes: name -> (text, (n, k) of the conjugated d = 2 operator or
+# None when it is not palindromic, doc, whether its parameter (if any) is
+# charted as a stability family).  The parameters are read from the parse.
+_SCHEMES = {
+    "newton": ("next = z - p(z)/p'(z);", (2, 0),
+               "tangent-line step, quadratic convergence", True),
     "traub": ("y = z - p(z)/p'(z);\n"
-              "next = y - p(y)/p'(z);"),
-    "steffensen": "next = z - p(z)*p(z) / (p(z + p(z)) - p(z));",
+              "next = y - p(y)/p'(z);", (3, 1),
+              "two Newton steps reusing the first derivative, third order",
+              True),
+    "steffensen": ("next = z - p(z)*p(z) / (p(z + p(z)) - p(z));", None,
+                   "derivative-free step using a forward difference of p",
+                   False),
     "traub-steffensen": ("w = z + gamma*p(z);\n"
-                         "next = z - gamma*p(z)*p(z) / (p(w) - p(z));"),
+                         "next = z - gamma*p(z)*p(z) / (p(w) - p(z));", None,
+                         "derivative-free family with a scaled difference "
+                         "node", False),
     "ostrowski": ("y = z - p(z)/p'(z);\n"
-                  "next = y - p(y)/p'(z) * p(z)/(p(z) - 2*p(y));"),
+                  "next = y - p(y)/p'(z) * p(z)/(p(z) - 2*p(y));", (4, 0),
+                  "Newton step plus a weighted corrector, fourth order", True),
     "king": ("y = z - p(z)/p'(z);\n"
              "next = y - p(y)/p'(z) * (p(z) + (beta + 2)*p(y))"
-             "/(p(z) + beta*p(y));"),
+             "/(p(z) + beta*p(y));", (4, 2),
+             "one-parameter fourth-order correctors extending the weighted "
+             "step", True),
     "jarratt": ("y = z - (2/3) * p(z)/p'(z);\n"
                 "j = (3*p'(y) + p'(z)) / (2*(3*p'(y) - p'(z)));\n"
-                "next = z - j * p(z)/p'(z);"),
+                "next = z - j * p(z)/p'(z);", (4, 0),
+                "two-thirds predictor with a derivative-ratio weight, fourth "
+                "order", True),
     "wang": ("y = z - (2/3) * p(z)/p'(z);\n"
              "j = (3*p'(y) + p'(z)) / (6*p'(y) - 2*p'(z));\n"
              "w = z - j * p(z)/p'(z);\n"
-             "next = w - p(w)/p'(w);"),
+             "next = w - p(w)/p'(w);", (8, 0),
+             "derivative-ratio predictor followed by a fresh Newton step",
+             True),
     "amat": ("u = p(z)/p'(z);\n"
              "h = (p'(z - (2/3)*u) - p'(z)) / p'(z);\n"
              "next = z - u + (3/4)*u*h * (1 + beta*h)"
-             "/(1 + (3/2 + beta)*h);"),
+             "/(1 + (3/2 + beta)*h);", (4, 2),
+             "fourth-order family built from a relative derivative increment",
+             True),
     "chun": ("y = z - (2/3) * p(z)/p'(z);\n"
              "j = (3*p'(y) + p'(z)) / (2*(3*p'(y) - p'(z)));\n"
              "w = z - j * p(z)/p'(z);\n"
              "next = w - p(w) / (alpha*(w - z)*(w - y)"
-             " + (3/2)*j*p'(y) + (1 - (3/2)*j)*p'(z));"),
+             " + (3/2)*j*p'(y) + (1 - (3/2)*j)*p'(z));", (8, 0),
+             "sixth-order family mixing secant-like and derivative terms; "
+             "only the alpha=0 member conjugates to the mirrored shape",
+             False),
     "chebyshev-halley": ("y = z - p(z)/p'(z);\n"
                          "L = p(z)*p''(z) / (p'(z)*p'(z));\n"
-                         "next = y - (1/2) * L/(1 - alpha*L) * p(z)/p'(z);"),
+                         "next = y - (1/2) * L/(1 - alpha*L) * p(z)/p'(z);",
+                         (3, 1),
+                         "classical one-parameter family using second "
+                         "derivatives", True),
 }
 
 
 # The form families: d = 2 normal forms whose coefficients a_1..a_k are
 # closed forms in one parameter t.
-# name -> (parameter, (n, k), t -> (a_1..a_k), doc)
+# name -> (parameter, (n, k) of a generic member, t -> (a_1..a_k), doc)
 _FORMS = {
     "c-family": ("c", (3, 3), lambda c: (4.0, 5.0, 2.0 - 4.0 * c),
                  "cubic-over-cubic family whose last coefficient moves with c"),
@@ -516,8 +535,9 @@ _FORMS = {
     "os4": ("b", (4, 4), lambda b: (2.0, -2.0, -6.0, 4.0 * b - 3.0),
             "subfamily with z=1 superattracting for every parameter"),
     # the coefficient sum vanishes identically, so every member loses the
-    # shared factor (z - 1) and carries a global sign -1 (reduced_form)
-    "os5": ("a", (4, 4),
+    # shared factor (z - 1), one coefficient, and carries a global sign -1
+    # (reduced_form)
+    "os5": ("a", (4, 3),
             lambda a: (6.0 + a, 14.0 + 4.0 * a, 14.0 + 5.0 * a,
                        -35.0 - 10.0 * a),
             "degenerate subfamily: the coefficient sum vanishes identically"),
@@ -535,58 +555,33 @@ def _member(name: str, n: int, coeffs: Callable, t) -> OperatorForm:
     return reduced_form(n, a)
 
 
-def _entries():
-    e = []
-
-    def scheme(name, params, nk, doc, stability=True):
-        producer = None
-        if stability and len(params) <= 1:
-            def producer(t):
-                return conjugated_form(name, dict(zip(params, (t,))))
-        e.append(CatalogEntry(
-            name=name, params=params, doc=doc, nk=nk,
-            ast=parse_scheme(_SCHEME_TEXTS[name]),
-            stability_param=params[0] if (producer and params) else None,
-            stability_producer=producer))
-
-    scheme("newton", (), (2, 0), "tangent-line step, quadratic convergence")
-    scheme("traub", (), (3, 1),
-           "two Newton steps reusing the first derivative, third order")
-    scheme("steffensen", (), None,
-           "derivative-free step using a forward difference of p",
-           stability=False)
-    scheme("traub-steffensen", ("gamma",), None,
-           "derivative-free family with a scaled difference node",
-           stability=False)
-    scheme("ostrowski", (), (4, 0),
-           "Newton step plus a weighted corrector, fourth order")
-    scheme("king", ("beta",), (4, 2),
-           "one-parameter fourth-order correctors extending the weighted step")
-    scheme("jarratt", (), (4, 0),
-           "two-thirds predictor with a derivative-ratio weight, fourth order")
-    scheme("wang", (), (8, 0),
-           "derivative-ratio predictor followed by a fresh Newton step")
-    scheme("amat", ("beta",), (4, 2),
-           "fourth-order family built from a relative derivative increment")
-    scheme("chun", ("alpha",), (8, 0),
-           "sixth-order family mixing secant-like and derivative terms; "
-           "only the alpha=0 member conjugates to the mirrored shape",
-           stability=False)
-    scheme("chebyshev-halley", ("alpha",), (3, 1),
-           "classical one-parameter family using second derivatives")
-
-    for name, (param, nk, coeffs, doc) in _FORMS.items():
-        # m4 is charted by alpha = a_4 = (5 beta - 1)/beta, in which a is affine
-        chart, chart_coeffs = (("alpha", lambda alpha: (6.0, 14.0, 14.0, alpha))
-                               if name == "m4" else (param, coeffs))
-        e.append(CatalogEntry(
-            name=name, params=(param,), doc=doc, nk=nk, coeffs=coeffs,
-            stability_param=chart,
-            stability_producer=partial(_member, name, nk[0], chart_coeffs)))
-    return {entry.name: entry for entry in e}
+def _scheme_member(name: str, params: tuple, t) -> OperatorForm:
+    """The normal form of a one-parameter (or parameterless) scheme at t."""
+    return conjugated_form(name, dict(zip(params, (t,))))
 
 
-_CATALOG = _entries()
+def _scheme_entry(name, text, nk, doc, stability) -> CatalogEntry:
+    ast = parse_scheme(text)
+    return CatalogEntry(
+        name=name, params=ast.params, doc=doc, nk=nk, ast=ast,
+        stability_param=ast.params[0] if stability and ast.params else None,
+        stability_producer=(partial(_scheme_member, name, ast.params)
+                            if stability else None))
+
+
+def _form_entry(name, param, nk, coeffs, doc) -> CatalogEntry:
+    # m4 is charted by alpha = a_4 = (5 beta - 1)/beta, in which a is affine
+    chart, chart_coeffs = (("alpha", lambda alpha: (6.0, 14.0, 14.0, alpha))
+                           if name == "m4" else (param, coeffs))
+    return CatalogEntry(
+        name=name, params=(param,), doc=doc, nk=nk, coeffs=coeffs,
+        stability_param=chart,
+        stability_producer=partial(_member, name, nk[0], chart_coeffs))
+
+
+_CATALOG = {**{name: _scheme_entry(name, *row)
+               for name, row in _SCHEMES.items()},
+            **{name: _form_entry(name, *row) for name, row in _FORMS.items()}}
 
 
 def catalog_names() -> tuple:

@@ -13,13 +13,15 @@ seeded checks, so identical invocations print identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 
 from .analysis import classify_operator, critical_points
-from .builder import (SchemeContext, catalog_entry, catalog_names,
-                      check_scheme_lambda_odd, conjugated_form, parse_scheme)
+from .builder import (NUMBER, SchemeContext, catalog_entry, catalog_names,
+                      check_scheme_lambda_odd, conjugated_form, number_value,
+                      parse_scheme)
 from .conjugate import check_iota_symmetry
 from .errors import NdynError, UnknownMethod
 from .planes import (RenderConfig, dynamical_plane, parameter_plane,
@@ -41,25 +43,17 @@ class _Parser(argparse.ArgumentParser):
 # ----------------------------------------------------------------------
 # literals and formatting
 
-_TERM = r"[+-]?(?:\d+\.?\d*|\.\d+)i?"
-_LITERAL = re.compile(rf"^({_TERM})({_TERM})?$")
+_LITERAL = re.compile(rf"([+-]?{NUMBER})([+-]{NUMBER})?")
 
 
 def parse_complex_literal(text: str) -> complex:
-    """Decimal with optional i suffix, composed as a+bi (e.g. 1.5+2i)."""
-    m = _LITERAL.match(text.strip())
+    """A scheme NUMBER with an optional sign, or two composed as a+bi
+    (e.g. 1.5+2i)."""
+    m = _LITERAL.fullmatch(text.strip())
     if not m:
         raise UsageError(
             f"bad complex literal {text!r}; use forms like 2, -4.5, 1.5+2i")
-    value = 0j
-    for part in m.groups():
-        if not part:
-            continue
-        if part.endswith("i"):
-            value += complex(0.0, float(part[:-1]))
-        else:
-            value += complex(float(part))
-    return value
+    return sum(number_value(part) for part in m.groups() if part)
 
 
 def _fmt_real(x: float) -> str:
@@ -157,13 +151,19 @@ def _source(args, family: bool = False):
     if family and not args.family_param:
         raise UsageError("--scheme-file needs --family-param NAME")
     with open(args.scheme_file, encoding="utf-8") as fh:
-        return args.scheme_file, None, parse_scheme(fh.read()), bindings, c
+        ast = parse_scheme(fh.read())
+    if family and args.family_param not in ast.params:
+        raise UsageError(
+            f"--family-param {args.family_param!r} is not a parameter of "
+            f"{args.scheme_file}; its parameters: "
+            f"{', '.join(ast.params) or 'none'}")
+    return args.scheme_file, None, ast, bindings, c
 
 
 def _get_form(args):
-    """(label, form, scheme ast or None) for the normal-form subcommands."""
+    """(label, form) for the normal-form subcommands."""
     label, _, ast, bindings, c = _source(args)
-    return label, conjugated_form(args.method or ast, bindings, c=c), ast
+    return label, conjugated_form(args.method or ast, bindings, c=c)
 
 
 def _window(text: str):
@@ -221,13 +221,14 @@ def _form_payload(label: str, form) -> dict:
 
 
 def cmd_build(args) -> int:
-    label, form, _ast = _get_form(args)
+    label, form = _get_form(args)
     _emit(_form_payload(label, form))
     return 0
 
 
 def cmd_analyze(args) -> int:
-    label, form, ast = _get_form(args)
+    label, _, ast, bindings, c = _source(args)
+    form = conjugated_form(args.method or ast, bindings, c=c)
     info = classify_operator(form)
     payload = _form_payload(label, form)
     payload["order_at_roots"] = info["order_at_roots"]
@@ -242,7 +243,7 @@ def cmd_analyze(args) -> int:
          "class": r.cls,
          "strange": bool(r.strange)}
         for r in info["fixed_points"]]
-    R = form.reconstruct()
+    R = info["map"]
     payload["critical_points"] = [
         {"point": _fmt_complex(r.point),
          "multiplicity": r.multiplicity,
@@ -251,8 +252,7 @@ def cmd_analyze(args) -> int:
         for r in critical_points(R)]
     payload["inversion_symmetric"] = bool(check_iota_symmetry(R))
     if ast is not None:
-        ctx = SchemeContext(d=args.d, c=parse_complex_literal(args.c),
-                            bindings=_bindings(args))
+        ctx = SchemeContext(d=args.d, c=c, bindings=bindings)
         payload["rotation_symmetry"] = {
             "d": args.d,
             "holds": bool(check_scheme_lambda_odd(ast, ctx, args.d)),
@@ -319,7 +319,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_dynplane(args) -> int:
-    label, form, _ast = _get_form(args)
+    label, form = _get_form(args)
     cfg = _render_config(args)
     attractors = tuple(parse_complex_literal(v) for v in args.attractor)
     img = dynamical_plane(form.reconstruct(), cfg,
@@ -374,7 +374,9 @@ def cmd_catalog(args) -> int:
 
 # ----------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process."""
     parser = _Parser(prog="ndyn",
                      description="Dynamics of Newton-like root finders in "
                                  "palindromic normal form.")

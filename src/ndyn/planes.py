@@ -2,8 +2,8 @@
 
 Pixels sample cell centers; the top row carries the largest imaginary part.
 Orbits are checked before each application of the map: a point within
-conv_radius of 0 ends as root-0, within conv_radius of a known finite
-attractor as strange-attractor, and at modulus >= infinity_radius as
+CONV_RADIUS of 0 ends as root-0, within CONV_RADIUS of a known finite
+attractor as strange-attractor, and at modulus >= INFINITY_RADIUS as
 root-inf.  Points still undecided after max_iter applications are "none"
 and render black.  The grid is processed in fixed 32-row bands so output
 bytes do not depend on the worker count.
@@ -57,6 +57,8 @@ OUTCOME_NAMES = {
 }
 
 CHUNK_ROWS = 32
+CONV_RADIUS = 1e-4     # an orbit this close to 0 or an attractor is captured
+INFINITY_RADIUS = 1e8  # and one this far out has escaped
 ANCHOR_TOL = 1e-6      # critical points this close to +-1 are not free seeds
 ORIGIN_TOL = 1e-9      # nor this close to 0 (or to infinity)
 # generic parameters of the affine fit, off every family's special members
@@ -77,8 +79,6 @@ class RenderConfig:
     window: tuple                 # (x_min, x_max, y_min, y_max)
     resolution: tuple             # (width, height)
     max_iter: int = 150
-    conv_radius: float = 1e-4
-    infinity_radius: float = 1e8
     mode: str = "speed"           # speed | attractor
     workers: Optional[int] = None
 
@@ -91,8 +91,6 @@ class RenderConfig:
             raise ValueError("resolution must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.conv_radius <= 0:
-            raise ValueError("conv_radius must be positive")
         if self.mode not in ("speed", "attractor"):
             raise ValueError("mode must be 'speed' or 'attractor'")
         if self.workers is not None and self.workers < 1:
@@ -232,11 +230,11 @@ def _orbit(z0: np.ndarray, f: _OrbitMap, cfg: RenderConfig,
             if idx.size == 0:
                 break
             r = np.abs(z)
-            hit0 = r < cfg.conv_radius
+            hit0 = r < CONV_RADIUS
             hit_s = np.zeros_like(hit0)
             for a in attractors:
-                hit_s |= np.abs(z - a) < cfg.conv_radius
-            done = hit0 | hit_s | (r >= cfg.infinity_radius)
+                hit_s |= np.abs(z - a) < CONV_RADIUS
+            done = hit0 | hit_s | (r >= INFINITY_RADIUS)
             if done.any():
                 # the origin wins over an attractor, which wins over infinity
                 code = np.where(hit0, OUTCOME_ROOT0, np.where(
@@ -546,8 +544,8 @@ def write_metadata(img: PlaneImage, path: str, extra: Optional[dict] = None) -> 
         f"y_min={cfg.window[2]!r}",
         f"y_max={cfg.window[3]!r}",
         f"max_iter={cfg.max_iter}",
-        f"conv_radius={cfg.conv_radius!r}",
-        f"infinity_radius={cfg.infinity_radius!r}",
+        f"conv_radius={CONV_RADIUS!r}",
+        f"infinity_radius={INFINITY_RADIUS!r}",
         f"mode={cfg.mode}",
     ]
     for name, count in img.counts().items():

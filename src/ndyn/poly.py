@@ -118,14 +118,7 @@ class Polynomial:
                 return 0.0 + 0.0j
             return INF if self.degree >= 1 else complex(self._c[0])
         if self.is_zero():
-            if isinstance(z, np.ndarray):
-                return np.zeros_like(z, dtype=np.complex128)
             return 0.0 + 0.0j
-        if isinstance(z, np.ndarray):
-            acc = np.full(z.shape, self._c[-1], dtype=np.complex128)
-            for k in range(self._c.size - 2, -1, -1):
-                acc = acc * z + self._c[k]
-            return acc
         acc = complex(self._c[-1])
         zz = complex(z)
         for k in range(self._c.size - 2, -1, -1):
@@ -454,9 +447,6 @@ def rat_eval(R: RationalMap, z):
         if dn < dd:
             return 0.0 + 0.0j
         return complex(R.num.leading() / R.den.leading())
-    if isinstance(z, np.ndarray):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return R.num(z) / R.den(z)
     nv = R.num(complex(z))
     dv = R.den(complex(z))
     if dv == 0:

@@ -4,8 +4,9 @@ import pytest
 from ndyn.builder import (BinOp, Const, Deriv, Param, Ref, Scheme,
                           SchemeContext, Var, catalog_entry,
                           catalog_names, check_infinity_simple,
+                          check_scheme_lambda_odd,
                           conjugated_form, evaluate_scheme, instantiate,
-                          parse_scheme, target_derivative)
+                          parse_scheme, target_derivative, _lex)
 from ndyn.conjugate import extract_normal_form, mobius_conjugate, standard_tau
 from ndyn.errors import (DivisionByZeroMap, NdynError, SchemeSyntaxError,
                          UnboundIdentifier, UnknownMethod, ZeroC,
@@ -20,6 +21,66 @@ def test_parse_scheme_steps():
     scheme = parse_scheme("y = z - p(z)/p'(z);\nnext = y;")
     assert isinstance(scheme, Scheme)
     assert [name for name, _ in scheme.steps] == ["y", "next"]
+
+
+LEX_CORPUS = ("# header comment\r\n"
+              "y\t= 1. * z;  # trailing\r\n"
+              "w = .5 + 2i*y - p''(3.25i);\n"
+              "\tnext = 1.2.3 - w_2;   # tail")
+
+# (kind, text, value, line, col); a comment advances no column, \r and \t
+# advance one each
+LEX_TOKENS = [
+    ("ident", "y", None, 2, 1), ("op", "=", None, 2, 3),
+    ("number", "1.", 1 + 0j, 2, 5), ("op", "*", None, 2, 8),
+    ("ident", "z", None, 2, 10), ("op", ";", None, 2, 11),
+    ("ident", "w", None, 3, 1), ("op", "=", None, 3, 3),
+    ("number", ".5", 0.5 + 0j, 3, 5), ("op", "+", None, 3, 8),
+    ("number", "2i", 2j, 3, 10), ("op", "*", None, 3, 12),
+    ("ident", "y", None, 3, 13), ("op", "-", None, 3, 15),
+    ("ident", "p", None, 3, 17), ("op", "'", None, 3, 18),
+    ("op", "'", None, 3, 19), ("op", "(", None, 3, 20),
+    ("number", "3.25i", 3.25j, 3, 21), ("op", ")", None, 3, 26),
+    ("op", ";", None, 3, 27),
+    ("ident", "next", None, 4, 2), ("op", "=", None, 4, 7),
+    ("number", "1.2", 1.2 + 0j, 4, 9), ("number", ".3", 0.3 + 0j, 4, 12),
+    ("op", "-", None, 4, 15), ("ident", "w_2", None, 4, 17),
+    ("op", ";", None, 4, 20), ("eof", "", None, 4, 24),
+]
+
+
+def test_lexer_token_corpus():
+    got = [(t.kind, t.text, t.value, t.line, t.col) for t in _lex(LEX_CORPUS)]
+    assert got == LEX_TOKENS
+
+
+def test_parameters_are_recorded_in_source_order():
+    scheme = parse_scheme("y = z - beta*p(z)/p'(z);\n"
+                          "next = y - (alpha + beta)*p(y) + gamma;")
+    assert scheme.params == ("beta", "alpha", "gamma")
+    assert parse_scheme(NEWTON).params == ()
+
+
+def test_non_ascii_digit_is_a_syntax_error():
+    with pytest.raises(SchemeSyntaxError) as err:
+        parse_scheme("next = z - p(z)/p'(z)²;")
+    assert (err.value.line, err.value.col) == (1, 22)
+
+
+def test_each_derivative_is_built_once_per_check(monkeypatch):
+    import ndyn.builder as builder
+    orders = []
+
+    def counting(d, c, order):
+        orders.append(order)
+        return target_derivative(d, c, order)
+
+    monkeypatch.setattr(builder, "target_derivative", counting)
+    ast = catalog_entry("chebyshev-halley").ast
+    ctx = SchemeContext(d=3, c=2.0, bindings={"alpha": 0.5})
+    assert check_scheme_lambda_odd(ast, ctx, 3, trials=20)
+    assert sorted(orders) == sorted(set(orders))
+    assert {0, 1, 2} <= set(orders)
 
 
 def test_parse_rejects_garbage():
@@ -217,7 +278,8 @@ def test_form_families_follow_their_closed_forms(name):
     param, n, closed = CLOSED_FORMS[name]
     entry = catalog_entry(name)
     assert entry.kind == "form" and entry.params == (param,)
-    assert entry.nk == (n, len(closed(1.0)))
+    # os5's members lose one coefficient with the (z - 1) they cancel
+    assert entry.nk == (n, len(closed(1.0)) - (name == "os5"))
     rng = np.random.default_rng(0xC105ED + n)
     for t in rng.uniform(-3.0, 3.0, (3, 2)) @ (1.0, 1.0j):
         want = closed(t)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ndyn.builder import conjugated_form
+from ndyn.builder import catalog_entry, conjugated_form
 from ndyn.cli import UsageError, _form_payload, main, parse_complex_literal
 
 KING_SCHEME = ("y = z - p(z)/p'(z);\n"
@@ -39,7 +39,8 @@ def test_complex_literal_accepts(text, value):
     assert parse_complex_literal(text) == value
 
 
-@pytest.mark.parametrize("text", ["xyz", "1.5+2j", "2 + 3i", "1.5+", "i"])
+@pytest.mark.parametrize("text", ["xyz", "1.5+2j", "2 + 3i", "1.5+", "i",
+                                  "1.2.3", "2i3", "2\u00b2"])
 def test_complex_literal_rejects(text):
     with pytest.raises(UsageError):
         parse_complex_literal(text)
@@ -118,6 +119,44 @@ def test_form_family_without_binding_is_a_computation_error(capsys, method,
     assert err == f"error: unbound identifier {param!r} (no binding supplied)\n"
 
 
+def test_non_ascii_digit_in_a_scheme_is_a_located_error(tmp_path, capsys):
+    path = tmp_path / "square.scheme"
+    path.write_text("y = z - p(z)/p'(z);\nnext = y*y - 2\u00b2;\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "build", "--scheme-file", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: line 2, col 15: unexpected character '\u00b2'\n"
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    import ndyn.cli as cli_mod
+    assert cli_mod._build_parser() is cli_mod._build_parser()
+    first = run(capsys, "build", "--method", "king", "--param", "beta=1")
+    other = run(capsys, "build", "--method", "king", "--param", "beta=2")
+    again = run(capsys, "build", "--method", "king", "--param", "beta=1")
+    assert first[0] == other[0] == 0 and first == again
+    assert json.loads(other[1])["a"] != json.loads(first[1])["a"]
+    code, _, err = run(capsys, "build", "--method", "king")
+    assert code == 2 and "'beta'" in err
+
+
+def test_catalog_shape_is_the_built_shape(capsys):
+    _, listing, _ = run(capsys, "catalog")
+    refused = []
+    for line in listing.splitlines():
+        name = line.split()[0]
+        argv = ["build", "--method", name]
+        for param in catalog_entry(name).params:
+            argv += ["--param", f"{param}=0.3137+0.1171i"]
+        code, out, _ = run(capsys, *argv)
+        if code:        # no normal form at a generic parameter
+            refused.append(name)
+            continue
+        payload = json.loads(out)
+        assert f"n={payload['n']} k={payload['k']} " in line, name
+    assert refused == ["steffensen", "traub-steffensen", "chun"]
+
+
 # ----------------------------------------------------------------------
 # stability
 
@@ -143,6 +182,21 @@ def test_stability_via_scheme_family(tmp_path, capsys):
                        "--family-param", "beta")
     assert payload["z=1"]["center"] == "-4.10909090909"
     assert payload["parameter"] == "beta"
+
+
+@pytest.mark.parametrize("command", ["stability", "paramplane"])
+def test_family_param_must_be_a_scheme_parameter(tmp_path, capsys, command):
+    path = tmp_path / "two-step.scheme"
+    path.write_text(KING_SCHEME)
+    out = tmp_path / "typo.ppm"
+    render = ("--window", "-6,5,-5.5,5.5", "--res", "8x8", "--out", str(out))
+    code, text, err = run(capsys, command, "--scheme-file", str(path),
+                          "--family-param", "bta",
+                          *(render if command == "paramplane" else ()))
+    assert code == 1 and text == ""
+    assert err == (f"usage error: --family-param 'bta' is not a parameter of "
+                   f"{path}; its parameters: beta\n")
+    assert not out.exists()
 
 
 def test_stability_errors(capsys):

@@ -124,7 +124,7 @@ PINS = {
     "stability:os5":
         "8847bf769a0fde09656b7e32dc1d226a197f4cbda077608550a69651393fa091",
     "catalog":
-        "56aca34372b7c6f5052455df03a8b8f22b899362fdf5c3ff6548c010a529ad7e",
+        "13694e785d35870c5714009add74deb9b8bfbfca4b2065601c247e24dc425a27",
 }
 
 

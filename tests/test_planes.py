@@ -46,7 +46,6 @@ def small_cfg(**kw):
     dict(window=(0.0, 2.0, 3.0, 1.0)),
     dict(resolution=(0, 10)),
     dict(max_iter=0),
-    dict(conv_radius=0.0),
     dict(mode="glow"),
     dict(workers=0),
     dict(workers=-2),
