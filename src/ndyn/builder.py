@@ -144,7 +144,8 @@ def _lex(text: str) -> list:
                                  number_value(text[i:j])))
         elif ch.isalpha() or ch == "_":
             j = i + 1
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+            while j < len(text) and (text[j].isalpha() or text[j] == "_"
+                                     or "0" <= text[j] <= "9"):
                 j += 1
             tokens.append(_Token("ident", text[i:j], line, col))
         elif ch in _OPS:

@@ -131,10 +131,9 @@ def _bindings(args) -> dict:
     return out
 
 
-def _source(args, family: bool = False):
+def _source(args):
     """(label, catalog entry or None, scheme ast, bindings, c) of the operator
-    that --method or --scheme-file names; a family from a scheme file needs
-    --family-param."""
+    that --method or --scheme-file names."""
     if bool(args.method) == bool(args.scheme_file):
         raise UsageError("exactly one of --method / --scheme-file is required")
     bindings = _bindings(args)
@@ -148,15 +147,8 @@ def _source(args, family: bool = False):
         except UnknownMethod as e:
             raise UsageError(str(e))
         return args.method, entry, entry.ast, bindings, c
-    if family and not args.family_param:
-        raise UsageError("--scheme-file needs --family-param NAME")
     with open(args.scheme_file, encoding="utf-8") as fh:
         ast = parse_scheme(fh.read())
-    if family and args.family_param not in ast.params:
-        raise UsageError(
-            f"--family-param {args.family_param!r} is not a parameter of "
-            f"{args.scheme_file}; its parameters: "
-            f"{', '.join(ast.params) or 'none'}")
     return args.scheme_file, None, ast, bindings, c
 
 
@@ -285,15 +277,26 @@ def _region_payload(reg) -> dict:
 
 
 def _family(args):
-    """(label, parameter name, producer) for the one-parameter subcommands."""
-    label, entry, ast, bindings, c = _source(args, family=True)
+    """(label, parameter name, producer) for the one-parameter subcommands;
+    --family-param names a scheme's parameter or a method's charted one."""
+    name = args.family_param
+    if args.scheme_file and not name:
+        raise UsageError("--scheme-file needs --family-param NAME")
+    label, entry, ast, bindings, c = _source(args)
     if entry is None:
-        name = args.family_param
+        if name not in ast.params:
+            raise UsageError(
+                f"--family-param {name!r} is not a parameter of {label}; "
+                f"its parameters: {', '.join(ast.params) or 'none'}")
 
         def producer(t: complex):
             return conjugated_form(ast, {**bindings, name: complex(t)}, c=c)
 
         return label, name, producer
+    if name not in (None, entry.stability_param):
+        raise UsageError(f"--family-param {name!r} is not the charted "
+                         f"parameter of {label}; it charts "
+                         f"{entry.stability_param or 'none'}")
     if entry.stability_producer is None:
         raise NdynError(
             f"{label} has no one-parameter family; pick a method with a free "
@@ -395,7 +398,7 @@ def _build_parser() -> _Parser:
                        help="parameter stability regions for z = +-1")
     _add_operator_args(p)
     p.add_argument("--family-param", default=None,
-                   help="varying parameter name (scheme files only)")
+                   help="parameter to vary (with --method, its charted one)")
     p.set_defaults(fn=cmd_stability)
 
     p = sub.add_parser("dynplane", help="render a dynamical plane")
@@ -406,7 +409,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("paramplane", help="render a parameter plane")
     _add_operator_args(p)
     p.add_argument("--family-param", default=None,
-                   help="varying parameter name (scheme files only)")
+                   help="parameter to vary (with --method, its charted one)")
     _add_render_args(p)
     p.add_argument("--selector", type=int, default=None,
                    help="free critical pair index when several exist")

@@ -61,8 +61,6 @@ CONV_RADIUS = 1e-4     # an orbit this close to 0 or an attractor is captured
 INFINITY_RADIUS = 1e8  # and one this far out has escaped
 ANCHOR_TOL = 1e-6      # critical points this close to +-1 are not free seeds
 ORIGIN_TOL = 1e-9      # nor this close to 0 (or to infinity)
-# generic parameters of the affine fit, off every family's special members
-PROBES = (0.3137 + 0.1171j, 1.2749 - 0.2243j, -0.6421 + 0.9319j)
 
 _SPEED_STOPS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 _SPEED_COLORS = np.array([
@@ -471,7 +469,7 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
         raise ValueError("selector must be a nonnegative pair index")
     attr = _flatten_attractors(known_attractors)
     try:
-        n, _, A, B = affine_fit(family, PROBES)
+        n, _, A, B = affine_fit(family)
     except NdynError:
         n = None
 

@@ -19,7 +19,7 @@ from .errors import NoConvergence, ZeroDenominator, ZeroPolynomial
 
 # Relative threshold below which trailing coefficients are considered zero.
 TRIM_REL = 1e-12
-# Relative tolerance for matching a numerator root against a denominator root.
+# Relative tolerance between a root of one side and the other side's root.
 CANCEL_REL = 1e-9
 # Residual tolerance |p(r)| / (1 + |r|)**deg for the simultaneous root solver.
 ROOT_RESIDUAL_TOL = 1e-12
@@ -185,6 +185,21 @@ class Polynomial:
         return f"Polynomial({list(self._c)!r})"
 
 
+def _small_residual(amag: np.ndarray, x, px):
+    """Residual acceptance of poly_roots relative to the evaluation magnitude
+    sum |a_j| |x|^j (amag holds the |a_j|), which is the backward-error
+    scale: a root passes at ROOT_RESIDUAL_TOL, or at the rounding floor of
+    evaluating p when that floor is the larger of the two."""
+    growth = np.full(np.shape(x), amag[-1])
+    xm = np.abs(x)
+    for k in range(amag.size - 2, -1, -1):
+        growth = growth * xm + amag[k]
+    floor = 8.0 * amag.size * np.finfo(float).eps
+    # the 1e-300 clamp keeps denormal-range scales satisfiable at all
+    return np.abs(px) <= np.maximum(
+        np.maximum(ROOT_RESIDUAL_TOL, floor) * growth, 1e-300)
+
+
 def poly_roots(p: Polynomial) -> tuple[complex, ...]:
     """All complex roots (with multiplicity) via the Aberth-Ehrlich iteration.
 
@@ -236,25 +251,10 @@ def poly_roots(p: Polynomial) -> tuple[complex, ...]:
         return acc
 
     amag = np.abs(a)
-
-    def good(x, px):
-        """Residual acceptance relative to the evaluation magnitude
-        sum |a_j| |x|^j, which is the backward-error scale: a root passes at
-        the stated tolerance, or at the rounding floor of evaluating p when
-        that floor is the larger of the two."""
-        growth = np.full(x.shape, amag[-1])
-        xm = np.abs(x)
-        for k in range(deg - 1, -1, -1):
-            growth = growth * xm + amag[k]
-        floor = 8.0 * (deg + 1) * np.finfo(float).eps
-        # the 1e-300 clamp keeps denormal-range scales satisfiable at all
-        return np.abs(px) <= np.maximum(
-            np.maximum(ROOT_RESIDUAL_TOL, floor) * growth, 1e-300)
-
     converged = False
     for _ in range(ABERTH_MAX_SWEEPS):
         pv = pval(z)
-        active = ~good(z, pv)
+        active = ~_small_residual(amag, z, pv)
         if not active.any():
             converged = True
             break
@@ -276,11 +276,11 @@ def poly_roots(p: Polynomial) -> tuple[complex, ...]:
             # Early exit on stagnation, but only once residuals pass: steps
             # below this absolute floor can still make progress toward roots
             # of much smaller magnitude, so a failed check keeps sweeping.
-            if bool(good(z, pval(z)).all()):
+            if bool(_small_residual(amag, z, pval(z)).all()):
                 converged = True
                 break
     else:
-        converged = bool(good(z, pval(z)).all())
+        converged = bool(_small_residual(amag, z, pval(z)).all())
     if not converged:
         raise NoConvergence(
             f"root iteration did not reach residual {ROOT_RESIDUAL_TOL:g} in "
@@ -333,6 +333,19 @@ def poly_map(p: Polynomial) -> RationalMap:
     return RationalMap(p, Polynomial.one())
 
 
+def _polish(q: Polynomial, dq: Polynomial, x: complex) -> complex:
+    """A few plain Newton steps on q (derivative dq) from x."""
+    for _ in range(40):
+        dv = dq(x)
+        if dv == 0:
+            break
+        step = q(x) / dv
+        x -= step
+        if abs(step) <= 1e-14 * (1.0 + abs(x)):
+            break
+    return x
+
+
 def _clusters(p: Polynomial, roots: Sequence[complex]):
     """Group nearby root estimates and polish each group's center.
 
@@ -340,8 +353,7 @@ def _clusters(p: Polynomial, roots: Sequence[complex]):
     estimates around the true value (the float coefficients split it into m
     simple roots).  The cluster center is a simple, well-conditioned root of
     the (m-1)-th derivative, so a few plain Newton steps on that derivative
-    pin it down to near machine precision; matching numerator/denominator
-    factors then agree far inside the cancellation tolerance.
+    pin it down to near machine precision.
     """
     groups: list[list[complex]] = []
     for r in roots:
@@ -362,18 +374,9 @@ def _clusters(p: Polynomial, roots: Sequence[complex]):
         if not g:
             continue
         m = len(g)
-        x = sum(g) / m
         while len(derivs) <= m:
             derivs.append(derivs[-1].derivative())
-        q, dq = derivs[m - 1], derivs[m]
-        for _ in range(40):
-            dv = dq(x)
-            if dv == 0:
-                break
-            step = q(x) / dv
-            x -= step
-            if abs(step) <= 1e-14 * (1.0 + abs(x)):
-                break
+        x = _polish(derivs[m - 1], derivs[m], sum(g) / m)
         if abs(x - sum(g) / m) > 10.0 * (1e-4 * (1.0 + abs(x))):
             # polishing escaped the cluster; fall back to the raw mean
             x = sum(g) / m
@@ -381,36 +384,35 @@ def _clusters(p: Polynomial, roots: Sequence[complex]):
     return out
 
 
-def _match_common_roots(p_num: Polynomial, rn: Sequence[complex],
-                        p_den: Polynomial, rd: Sequence[complex]):
-    """Pair polished numerator clusters with denominator clusters.
+def _cancel_common(low: Polynomial, high: Polynomial):
+    """Divide out the roots low shares with high, solving only low.
 
-    Returns (num_value, den_value, count) triples; count copies of the
-    linear factor are removed from each side.
+    At a cluster (r, m) of low, mb counts high and its derivatives that pass
+    poly_roots' backward-error test at r.  When Newton on high's (mb-1)-th
+    derivative from r ends at s within CANCEL_REL of r, min(m, mb) copies
+    leave each side, each side deflated by its own root (better conditioned).
     """
-    cn = _clusters(p_num, rn)
-    cd = list(_clusters(p_den, rd))
-    triples = []
-    for r, mn in cn:
-        best, best_dist = -1, np.inf
-        for j, (s, _) in enumerate(cd):
-            dist = abs(r - s)
-            if dist < best_dist:
-                best, best_dist = j, dist
-        if best >= 0 and best_dist <= CANCEL_REL * (1.0 + abs(r)):
-            s, md = cd.pop(best)
-            triples.append((r, s, min(mn, md)))
-    return triples
+    derivs = [high]
+    for r, m in _clusters(low, poly_roots(low)):
+        mb = 0
+        while _small_residual(np.abs(derivs[mb].coeffs), r, derivs[mb](r)):
+            mb += 1
+            if len(derivs) == mb:
+                derivs.append(derivs[-1].derivative())
+        s = _polish(derivs[mb - 1], derivs[mb], r) if mb else np.inf
+        if abs(s - r) <= CANCEL_REL * (1.0 + abs(r)):
+            for _ in range(min(m, mb, high.degree)):
+                low, high = low.deflate(r), high.deflate(s)
+    return low, high
 
 
 def rat_make(num: Polynomial, den: Polynomial) -> RationalMap:
     """Reduce and normalise num/den into a RationalMap.
 
-    Common roots are matched within a relative tolerance and divided out of
-    each polynomial separately (each by its own root value, which keeps the
-    deflation well conditioned).  The denominator is then scaled so its first
-    significant coefficient equals 1.  A root solve that does not converge
-    raises NoConvergence: an unreduced quotient would carry a false degree.
+    Common roots are cancelled by _cancel_common, which solves only the side
+    of lower degree; the denominator is then scaled so its first significant
+    coefficient equals 1.  A root solve that does not converge raises
+    NoConvergence: an unreduced quotient would carry a false degree.
     """
     if den.is_zero():
         raise ZeroDenominator("denominator is the zero polynomial")
@@ -418,16 +420,10 @@ def rat_make(num: Polynomial, den: Polynomial) -> RationalMap:
         return RationalMap(Polynomial.zero(), Polynomial.one())
 
     if num.degree >= 1 and den.degree >= 1:
-        triples = _match_common_roots(num, poly_roots(num),
-                                      den, poly_roots(den))
-        for r, s, count in triples:
-            for _ in range(count):
-                if num.degree < 1 or den.degree < 1:
-                    break
-                num = num.deflate(r)
-                den = den.deflate(s)
-        if triples and num.is_zero():
-            return RationalMap(Polynomial.zero(), Polynomial.one())
+        if num.degree <= den.degree:
+            num, den = _cancel_common(num, den)
+        else:
+            den, num = _cancel_common(den, num)
 
     dc = den.coeffs
     mags = np.abs(dc)

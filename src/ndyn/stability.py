@@ -31,7 +31,8 @@ LINEAR_CERT_TOL = 1e-8
 AGGREGATE_TOL = 1e-9
 BOUNDARY_BAND = 1e-6
 
-_SAMPLES = (0.0, 1.0, 1.0j)
+# generic parameters of the affine fit, off every family's special members
+PROBES = (0.3137 + 0.1171j, 1.2749 - 0.2243j, -0.6421 + 0.9319j)
 
 
 @dataclass(frozen=True)
@@ -49,16 +50,16 @@ class LinearCoeffs:
         return A, float(B), A2, float(B2)
 
 
-def affine_fit(family: Callable[[complex], OperatorForm], probes) -> tuple:
-    """Fit a(t) = A + B t through the first two probes, certified at the third.
+def affine_fit(family: Callable[[complex], OperatorForm]) -> tuple:
+    """Fit a(t) = A + B t through the first two PROBES, certified at the third.
 
     The samples are read in their common shape (conjugate.common_shape), so
     the family must keep one (n, k) in that sense.  Returns (n, k, A, B)
     with complex coefficient arrays; a shape change or a miss at the third
     probe raises NonlinearDependence.
     """
-    t0, t1, t2 = probes
-    n, (a0, a1, a2) = common_shape([family(t) for t in probes])
+    t0, t1, t2 = PROBES
+    n, (a0, a1, a2) = common_shape([family(t) for t in PROBES])
     if np.unique(n).size != 1:
         raise NonlinearDependence(
             "family shape (n, k) is not constant across sample parameters")
@@ -76,9 +77,9 @@ def affine_fit(family: Callable[[complex], OperatorForm], probes) -> tuple:
 
 
 def linearize(family: Callable[[complex], OperatorForm]) -> LinearCoeffs:
-    """The affine coefficient model from samples at 0, 1, i (see affine_fit),
-    with real A_j and B_j; nonreal affine data raise NonRealCoefficients."""
-    n, k, A, B = affine_fit(family, _SAMPLES)
+    """The affine coefficient model of affine_fit, with real A_j and B_j;
+    nonreal affine data raise NonRealCoefficients."""
+    n, k, A, B = affine_fit(family)
     scale = 1.0 + np.abs([A, B]).max(axis=0)
     bad = np.nonzero(np.abs([A.imag, B.imag]).max(axis=0)
                      > LINEAR_CERT_TOL * scale)[0]

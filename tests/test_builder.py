@@ -67,6 +67,13 @@ def test_non_ascii_digit_is_a_syntax_error():
     assert (err.value.line, err.value.col) == (1, 22)
 
 
+def test_name_stops_before_a_non_ascii_digit():
+    with pytest.raises(SchemeSyntaxError) as err:
+        parse_scheme("next = z - p(z)/p'(z) + z²;")
+    assert str(err.value) == "line 1, col 26: unexpected character '²'"
+    assert parse_scheme("next = z - β*p(z)/p'(z);").params == ("β",)
+
+
 def test_each_derivative_is_built_once_per_check(monkeypatch):
     import ndyn.builder as builder
     orders = []

@@ -199,6 +199,29 @@ def test_family_param_must_be_a_scheme_parameter(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["stability", "paramplane"])
+@pytest.mark.parametrize("method,name", [("king", "alpha"),
+                                         ("king", "nope"), ("m4", "beta")])
+def test_family_param_must_be_the_charted_parameter(tmp_path, capsys, command,
+                                                    method, name):
+    out = tmp_path / "wrong.ppm"
+    render = ("--window", "-6,5,-5.5,5.5", "--res", "8x8", "--out", str(out))
+    code, text, err = run(capsys, command, "--method", method,
+                          "--family-param", name,
+                          *(render if command == "paramplane" else ()))
+    charted = catalog_entry(method).stability_param
+    assert code == 1 and text == ""
+    assert err == (f"usage error: --family-param {name!r} is not the charted "
+                   f"parameter of {method}; it charts {charted}\n")
+    assert not out.exists()
+
+
+def test_family_param_may_name_the_charted_parameter(capsys):
+    payload = run_json(capsys, "stability", "--method", "m4",
+                       "--family-param", "alpha")
+    assert payload == run_json(capsys, "stability", "--method", "m4")
+
+
 def test_stability_errors(capsys):
     # one coefficient depends quadratically on the parameter
     code, _, err = run(capsys, "stability", "--method", "os3")

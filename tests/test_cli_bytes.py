@@ -74,7 +74,7 @@ PINS = {
     "analyze:amat":
         "a6259eb36351ca4e9091c3575de56bdccd08208260c3155911e2ead98ac37508",
     "stability:amat":
-        "f49937c37bcfe689b7516f88a8ff43064749b874f7cc3534d8f978dfe322a580",
+        "4148703c68af769fcac09b1e1b0c0dd67f735bbb5208c6821ec62250fa826d13",
     "build:chun":
         "a4842c28171d9036d066007811dc5a0a7a2f27887595443192bf47414f930b5f",
     "analyze:chun":
@@ -110,7 +110,7 @@ PINS = {
     "analyze:os3":
         "a44b44bb208c0d4c05f301a3b04a0f5efff1e09d4ad56affbc08b35c9243f741",
     "stability:os3":
-        "246a07d104566ba4565883286f7c133dd44b9c7581315410cdd33a2cb0ee9c34",
+        "bdded1f27b4751aaf01d55513c8f784b78fc1721be2e4ab167d3cd22f4fb11c8",
     "build:os4":
         "f11c3e5aa65b32a245db78f50ba18d4017d1701612dffbc1680a204642490c1b",
     "analyze:os4":

@@ -4,8 +4,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import random_form
-from ndyn.builder import (SchemeContext, catalog_entry, conjugated_form,
-                          instantiate)
+from ndyn.builder import (SchemeContext, catalog_entry, catalog_names,
+                          conjugated_form, instantiate)
 from ndyn.conjugate import (Mobius, check_iota_symmetry, check_lambda_odd,
                             common_shape, extract_normal_form, make_form,
                             mobius_conjugate, reduced_form, rotations,
@@ -59,6 +59,29 @@ def test_roundtrip_random_forms(draw, sign):
     assert (back.n, back.k, back.sign) == (form.n, form.k, form.sign)
     err = max((abs(x - y) for x, y in zip(back.a, form.a)), default=0.0)
     assert err <= 1e-9 * max(1.0, max((abs(v) for v in form.a), default=1.0))
+
+
+# the charted scheme families: p = z^2 - c enters only through
+# dimensionless ratios, so the normal form does not depend on c
+CHARTED_SCHEMES = [name for name in catalog_names()
+                   if catalog_entry(name).kind == "scheme"
+                   and catalog_entry(name).stability_producer is not None]
+
+
+@settings(max_examples=40, deadline=None)
+@seed(20130126)
+@given(st.sampled_from(CHARTED_SCHEMES),
+       st.integers(-24, 24), st.integers(-24, 24),
+       st.floats(0.25, 4.0), st.floats(-np.pi, np.pi))
+def test_normal_form_does_not_depend_on_c(name, re8, im8, modulus, angle):
+    # parameters on a grid of step 1/8, so special members are hit exactly
+    params = catalog_entry(name).params
+    bindings = {params[0]: complex(re8, im8) / 8.0} if params else {}
+    want = conjugated_form(name, bindings)
+    got = conjugated_form(name, bindings, c=modulus * np.exp(1j * angle))
+    assert (got.n, got.k, got.sign) == (want.n, want.k, want.sign)
+    for x, y in zip(got.a, want.a):
+        assert abs(x - y) <= 1e-8 * (1.0 + abs(y))
 
 
 def test_degenerate_sum_reduces_with_sign_flip():

@@ -24,10 +24,11 @@ from ndyn import (
 )
 from ndyn.builder import conjugated_form
 from ndyn.errors import ZeroDenominator
-from ndyn.planes import (OUTCOME_NAMES, PROBES, PlaneImage, _form_coeffs,
-                         _form_map, _orbit, _pair_rows, _rational_map,
-                         _roots_rows, _select_seed_rows)
+from ndyn.planes import (OUTCOME_NAMES, PlaneImage, _form_coeffs, _form_map,
+                         _orbit, _pair_rows, _rational_map, _roots_rows,
+                         _select_seed_rows)
 from ndyn.poly import rat_eval, rat_make
+from ndyn.stability import PROBES
 
 from conftest import random_form
 

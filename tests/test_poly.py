@@ -121,3 +121,38 @@ def test_rat_make_reports_a_root_solve_that_does_not_converge(monkeypatch):
     monkeypatch.setattr(ndyn.poly, "poly_roots", stalled)
     with pytest.raises(NoConvergence):
         rat_make(Polynomial((-1.0, 0.0, 1.0)), Polynomial((1.0, 1.0)))
+
+
+def test_rat_make_solves_one_side_only(monkeypatch):
+    solved = []
+
+    def counting(p):
+        solved.append(p.degree)
+        return poly_roots(p)
+
+    monkeypatch.setattr(ndyn.poly, "poly_roots", counting)
+    num = Polynomial.from_roots([2.0, -0.5, 1.0j])
+    den = Polynomial.from_roots([2.0, 3.0])
+    R = rat_make(num, den)
+    assert solved == [2]
+    assert (R.num.degree, R.den.degree) == (2, 1)
+
+
+# shared factors of unequal multiplicity: min(m, mb) copies leave each side
+UNEQUAL = [
+    ([1j] * 4 + [2.0], [1j, -3.0], (4, 1)),
+    ([1j, 1j, 1.0], [1j] * 3, (1, 1)),
+    ([0.5, 0.5, -1.0, 2.0 + 1j], [0.5, 2.0 + 1j, 3.0], (2, 1)),
+]
+
+
+@pytest.mark.parametrize("num_roots,den_roots,degrees", UNEQUAL)
+def test_rat_make_cancels_unequal_multiplicities(num_roots, den_roots,
+                                                 degrees):
+    R = rat_make(Polynomial.from_roots(num_roots),
+                 Polynomial.from_roots(den_roots))
+    assert (R.num.degree, R.den.degree) == degrees
+    z = 0.3 - 0.7j
+    want = (np.prod([z - r for r in num_roots])
+            / np.prod([z - r for r in den_roots]))
+    assert abs(rat_eval(R, z) - want) <= 1e-9 * abs(want)

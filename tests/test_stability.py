@@ -115,6 +115,29 @@ def test_multiplier_against_region_prediction():
             assert cls == "repelling"
 
 
+def test_amat_region_is_kings_region_reparametrised():
+    # amat(beta) = king(beta_K) with beta_K = -4 beta / 3 - 2, so the z = 1
+    # disc maps to |beta - 87/55| < 12/55 with its center at beta = 3/2
+    king = stability_region_z1(linearize(_producer("king")))
+    reg = stability_region_z1(linearize(_producer("amat")))
+    assert (reg.kind, reg.attracting_side) == ("circle", "inside")
+    assert abs(reg.center - 87.0 / 55.0) <= 1e-12
+    assert abs(reg.radius - 12.0 / 55.0) <= 1e-12
+    assert abs(reg.superattracting_parameter - 1.5) <= 1e-12
+    assert abs(reg.center - (-0.75 * (king.center + 2.0))) <= 1e-12
+    assert abs(reg.radius - 0.75 * king.radius) <= 1e-12
+
+    rng = np.random.default_rng(55)
+    draws = [reg.center + complex(rng.uniform(-0.5, 0.5),
+                                  rng.uniform(-0.5, 0.5)) for _ in range(40)]
+    seen = set()
+    for t, verdict, cls, agree in oracle_agreement(reg, _producer("amat"),
+                                                   draws, band=1e-3):
+        assert agree, (t, verdict, cls)
+        seen.add(verdict)
+    assert seen == {"attracting", "repelling"}
+
+
 def test_classify_refuses_non_fixed_target():
     form = make_form(4, (2.0, 3.0))        # n + k even: -1 not fixed
     with pytest.raises(NotAFixedPoint):
@@ -131,7 +154,7 @@ def test_superattracting_parameter_is_sharp():
 # Explicit real affine families a(t) = A + t B, one per region kind at z = 1.
 # With s = n + k the aggregates are A = s + sum (s - 2j) A_j, B = sum
 # (s - 2j) B_j, A' = 1 + sum A_j and B' = sum B_j; each a_k is nonzero at the
-# fit's probes 0, 1 and i.  `edge` is (center, radius) or the threshold.
+# fit's PROBES.  `edge` is (center, radius) or the threshold.
 REGION_KINDS = [
     # name, n, A, B, kind, attracting side, edge, sampling half-width
     ("circle-inside", 3, (1.0,), (1.0,), "circle", "inside",      # (6+2t)/(2+t)
