@@ -7,7 +7,8 @@ of a map commuting with iota(z) = 1/z come in pairs kappa, 1/kappa.
 
 Multipliers are evaluated pointwise from the numerator and denominator,
 (N'D - N D')/D^2, with infinity read in the chart w = 1/z (the coefficients
-reversed); no derivative map is built.
+reversed), and critical points are the zeros of N'D - N D' itself; no
+derivative map is built.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .conjugate import multiplier_aggregates
 from .errors import NotACycle, PoleAtMinusOne, PoleAtOne
 from .poly import (INF, Polynomial, RationalMap, _clusters, is_inf,
-                   poly_roots, rat_derivative, rat_eval)
+                   poly_roots, rat_eval)
 
 SUPERATTRACTING_TOL = 1e-10
 INDIFFERENCE_BAND = 1e-8
@@ -57,23 +58,18 @@ def classify_multiplier(lam: complex) -> str:
     return "attracting" if mag < 1.0 else "repelling"
 
 
-def _at_infinity(R: RationalMap) -> RationalMap:
-    """R(1/w) as w^m N(1/w) / w^m D(1/w), m = deg R: the coefficients
-    reversed, left unreduced."""
-    size = max(R.num.degree, R.den.degree, 0) + 1
-
-    def rev(p: Polynomial) -> Polynomial:
-        return Polynomial(np.pad(p.coeffs, (0, size - p.coeffs.size))[::-1])
-
-    return RationalMap(rev(R.num), rev(R.den))
-
-
 def _chart_factor(R: RationalMap, src, dst) -> complex:
     """Derivative of R at src in charts adapted to src/dst being infinite:
     w = 1/z at an infinite src, and 1/R when the image dst is infinite."""
+    num, den = R.num, R.den
     if is_inf(src):
-        R, src = _at_infinity(R), 0.0
-    num, den = (R.den, R.num) if is_inf(dst) else (R.num, R.den)
+        # R(1/w) = w^m N(1/w) / w^m D(1/w), m = deg R: coefficients reversed
+        size = R.degree + 1
+        num, den = (Polynomial(np.pad(q.coeffs, (0, size - q.coeffs.size))
+                               [::-1]) for q in (num, den))
+        src = 0.0
+    if is_inf(dst):
+        num, den = den, num
     d = den(src)
     return complex((num.derivative()(src) * d - num(src) * den.derivative()(src))
                    / (d * d))
@@ -84,20 +80,47 @@ def multiplier_at(R: RationalMap, point) -> complex:
     return _chart_factor(R, point, point)
 
 
+def _anchored_roots(p: Polynomial) -> list:
+    """Roots of p as (point, multiplicity) clusters: the origin (negligible
+    low coefficients), then +1 and -1, then the solved rest.  +-1 are
+    divided out analytically: a multiple root parked there (common in the
+    palindromic shape) scatters badly under the root solver."""
+    c = p.coeffs
+    scale = float(np.abs(c).max(initial=0.0))
+    lead_zero = 0
+    while lead_zero < c.size - 1 and abs(c[lead_zero]) <= 1e-12 * scale:
+        lead_zero += 1
+    out = [(0.0 + 0.0j, lead_zero)] if lead_zero else []
+    rest = Polynomial(c[lead_zero:])
+    for anchor in (1.0, -1.0):
+        mult = 0
+        while rest.degree >= 1:
+            tot = float(np.abs(rest.coeffs).sum())
+            if abs(rest(anchor)) > 1e-8 * tot:
+                break
+            rest = rest.deflate(anchor)
+            mult += 1
+        if mult:
+            out.append((complex(anchor), mult))
+    if rest.degree >= 1:
+        out.extend(_clusters(rest, poly_roots(rest)))
+    return out
+
+
 def fixed_points(R: RationalMap) -> list:
-    """All fixed points with multipliers and classes; one record per point."""
+    """All fixed points with multipliers and classes; one record per point,
+    finite points by real then imaginary part (compared at 10 decimals, so
+    a conjugate pair keeps its order under rounding)."""
     g = R.num - Polynomial.identity() * R.den
+    finite = sorted((point for point, _m in _anchored_roots(g)),
+                    key=lambda z: (round(z.real, 10), round(z.imag, 10)))
     records = []
-    fixes_inf = R.num.degree > R.den.degree
-    if not g.is_zero() and g.degree >= 1:
-        roots = poly_roots(g)
-        for point, _m in _clusters(g, roots):
-            lam = multiplier_at(R, point)
-            records.append(FixedPointRecord(
-                point=complex(point), multiplier=lam,
-                cls=classify_multiplier(lam),
-                strange=abs(point) > 1e-12))
-    if fixes_inf:
+    for point in finite:
+        lam = multiplier_at(R, point)
+        records.append(FixedPointRecord(
+            point=complex(point), multiplier=lam,
+            cls=classify_multiplier(lam), strange=abs(point) > 1e-12))
+    if R.num.degree > R.den.degree:
         lam = multiplier_at(R, INF)
         records.append(FixedPointRecord(
             point=INF, multiplier=lam, cls=classify_multiplier(lam),
@@ -105,57 +128,23 @@ def fixed_points(R: RationalMap) -> list:
     return records
 
 
-def _local_valency_at_inf(R: RationalMap) -> int:
-    """Local degree of R at infinity (in the chart w = 1/z)."""
-    gap = R.num.degree - R.den.degree
-    if gap >= 1:
-        return gap
-    # deg N <= deg D, so R(1/w) is finite at w = 0
-    hooked = _at_infinity(R)
-    shifted = hooked.num - Polynomial((rat_eval(R, INF),)) * hooked.den
-    order = 0
-    c = shifted.coeffs
-    scale = np.abs(c).max() if c.size else 0.0
-    while order < c.size and abs(c[order]) <= 1e-9 * scale:
-        order += 1
-    return max(order, 1)
-
-
 def critical_points(R: RationalMap) -> list:
     """Zeros of R' with multiplicity, plus infinity when it is critical.
 
-    Free critical points (outside {0, infinity}) are matched with their
-    iota partners 1/kappa when present.
+    The finite ones are the zeros of W = N'D - N D': R is reduced, so W
+    vanishes to order m - 1 at an m-fold pole, its critical multiplicity.
+    By Riemann-Hurwitz a degree-d map has 2d - 2 critical points with
+    multiplicity, so infinity carries the 2d - 2 - deg W that W misses
+    (the z^(2d-1) terms of W cancel exactly, so they are dropped).  Free
+    critical points (outside {0, infinity}) are matched with their iota
+    partners 1/kappa when present.
     """
-    D = rat_derivative(R)
-    records = []
-    finite: list[tuple[complex, int]] = []
-    if not D.num.is_zero() and D.num.degree >= 1:
-        c = D.num.coeffs
-        scale = float(np.abs(c).max())
-        lead_zero = 0
-        while lead_zero < c.size - 1 and abs(c[lead_zero]) <= 1e-12 * scale:
-            lead_zero += 1
-        if lead_zero:
-            finite.append((0.0 + 0.0j, lead_zero))
-        rest = Polynomial(c[lead_zero:])
-        # a multiple critical point parked at +1 or -1 (common in the
-        # palindromic shape) scatters badly under the root solver, so
-        # divide those factors out analytically first
-        for anchor in (1.0, -1.0):
-            mult = 0
-            while rest.degree >= 1:
-                tot = float(np.abs(rest.coeffs).sum())
-                if abs(rest(anchor)) > 1e-8 * tot:
-                    break
-                rest = rest.deflate(anchor)
-                mult += 1
-            if mult:
-                finite.append((complex(anchor), mult))
-        if rest.degree >= 1:
-            finite.extend(_clusters(rest, poly_roots(rest)))
-    val_inf = _local_valency_at_inf(R)
+    W = R.num.derivative() * R.den - R.num * R.den.derivative()
+    W = Polynomial(W.coeffs[:max(2 * R.degree - 1, 0)])
+    finite = _anchored_roots(W)
+    inf_mult = 2 * R.degree - 2 - W.degree
     points = [p for p, _ in finite]
+    records = []
     for point, mult in finite:
         free = abs(point) > 1e-12
         partner = None
@@ -165,14 +154,14 @@ def critical_points(R: RationalMap) -> list:
                 if abs(q - inv) <= PAIR_TOL * (1.0 + abs(inv)):
                     partner = complex(q)
                     break
-            if partner is None and val_inf >= 2 and abs(inv) < 1e-9:
+            if partner is None and inf_mult >= 1 and abs(inv) < 1e-9:
                 partner = INF
         records.append(CriticalPointRecord(
             point=complex(point), multiplicity=int(mult), free=free,
             partner=partner))
-    if val_inf >= 2:
+    if inf_mult >= 1:
         records.append(CriticalPointRecord(
-            point=INF, multiplicity=val_inf - 1, free=False, partner=None))
+            point=INF, multiplicity=inf_mult, free=False, partner=None))
     return records
 
 

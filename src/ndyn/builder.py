@@ -34,8 +34,7 @@ __all__ = [
     "Var", "Const", "Param", "Deriv", "BinOp", "Ref", "Scheme",
     "SchemeContext", "CatalogEntry", "parse_scheme", "instantiate",
     "evaluate_scheme", "check_lambda_odd", "check_scheme_lambda_odd",
-    "check_infinity_simple", "catalog_entry", "catalog_names",
-    "conjugated_form", "target_derivative",
+    "catalog_entry", "catalog_names", "conjugated_form", "target_derivative",
 ]
 
 # --------------------------------------------------------------------------
@@ -424,16 +423,6 @@ def check_scheme_lambda_odd(scheme: Scheme, ctx: SchemeContext, d: int,
     """
     return sampled_identity(partial(evaluate_scheme, scheme, ctx),
                             rotations(d), trials, CHECK_SEED + d)
-
-
-def check_infinity_simple(R: RationalMap) -> str:
-    """How the operator treats infinity, read off the degree gap."""
-    gap = R.num.degree - R.den.degree
-    if gap == 1:
-        return "simple"
-    if gap >= 2:
-        return "superattracting-at-inf"
-    return "not-fixed"
 
 
 # --------------------------------------------------------------------------

@@ -127,13 +127,16 @@ def _bindings(args) -> dict:
         name, eq, value = item.partition("=")
         if not eq or not name:
             raise UsageError(f"--param expects NAME=VALUE, got {item!r}")
+        if name in out:
+            raise UsageError(f"--param {name!r} is given twice")
         out[name] = parse_complex_literal(value)
     return out
 
 
 def _source(args):
     """(label, catalog entry or None, scheme ast, bindings, c) of the operator
-    that --method or --scheme-file names."""
+    that --method or --scheme-file names; every --param must name one of
+    its parameters."""
     if bool(args.method) == bool(args.scheme_file):
         raise UsageError("exactly one of --method / --scheme-file is required")
     bindings = _bindings(args)
@@ -146,10 +149,17 @@ def _source(args):
             entry = catalog_entry(args.method)
         except UnknownMethod as e:
             raise UsageError(str(e))
-        return args.method, entry, entry.ast, bindings, c
-    with open(args.scheme_file, encoding="utf-8") as fh:
-        ast = parse_scheme(fh.read())
-    return args.scheme_file, None, ast, bindings, c
+        label, ast, params = args.method, entry.ast, entry.params
+    else:
+        with open(args.scheme_file, encoding="utf-8") as fh:
+            ast = parse_scheme(fh.read())
+        label, entry, params = args.scheme_file, None, ast.params
+    for name in bindings:
+        if name not in params:
+            raise UsageError(
+                f"--param {name!r} is not a parameter of {label}; "
+                f"its parameters: {', '.join(params) or 'none'}")
+    return label, entry, ast, bindings, c
 
 
 def _get_form(args):

@@ -12,7 +12,7 @@ from ndyn.builder import conjugated_form
 from ndyn.conjugate import make_form
 from ndyn.errors import NotACycle, PoleAtMinusOne, PoleAtOne
 from ndyn.poly import (INF, Polynomial, RationalMap, is_inf, rat_combine,
-                       rat_derivative, rat_eval)
+                       rat_derivative, rat_eval, rat_make)
 
 from conftest import random_form
 
@@ -81,6 +81,52 @@ def test_anchored_multiple_critical_point_stays_together():
     minus = _by_point(recs, -1.0)
     assert minus.multiplicity == 4
     assert len(free_critical_points(R)) == 1
+
+
+def _critical_total(R):
+    return sum(r.multiplicity for r in critical_points(R))
+
+
+@settings(max_examples=40, deadline=None)
+@seed(13)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_critical_multiplicities_sum_to_riemann_hurwitz(draw):
+    R = random_form(np.random.default_rng(draw)).reconstruct()
+    assert _critical_total(R) == 2 * R.degree - 2
+
+
+@pytest.mark.parametrize("r", [0.5, 2.0 - 1.0j, -3.0 + 0.25j])
+def test_a_double_pole_is_critical_and_paired_with_its_root(r):
+    # P = (z - r)^2, so z^3 P / P^ has a double pole at 1/r
+    R = make_form(3, (-2 * r, r * r)).reconstruct()
+    recs = critical_points(R)
+    assert _critical_total(R) == 2 * R.degree - 2 == 8
+    pole = _by_point(recs, 1 / r)
+    assert pole.multiplicity == 1 and abs(pole.partner - r) <= 1e-9
+    root = _by_point(recs, r)
+    assert root.multiplicity == 1 and abs(root.partner - 1 / r) <= 1e-9
+
+
+def test_critical_count_when_numerator_and_denominator_degrees_match():
+    # the z^5 terms of N'D - N D' cancel only up to a rounding residue that
+    # these coefficient scales keep above the trimming threshold
+    N = Polynomial((320 - 213j, 1.72e-06 + 1.24e-06j, -2350 - 4020j,
+                    -2.91e-05 + 1.93e-04j))
+    D = Polynomial((3.28 + 4.07j, -103000 - 104000j, 1.28 + 3.41j,
+                    1.03 + 1.73j))
+    R = rat_make(N, D)
+    assert R.num.degree == R.den.degree == 3
+    assert _critical_total(R) == 4
+
+
+@settings(max_examples=40, deadline=None)
+@seed(14)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_fixed_points_read_plus_and_minus_one_exactly(draw):
+    form = random_form(np.random.default_rng(draw))
+    points = [r.point for r in fixed_points(form.reconstruct())]
+    assert points.count(1 + 0j) == 1
+    assert points.count(-1 + 0j) == (form.n + form.k) % 2
 
 
 def test_moebius_sum_closed_forms():

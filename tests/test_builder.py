@@ -3,8 +3,7 @@ import pytest
 
 from ndyn.builder import (BinOp, Const, Deriv, Param, Ref, Scheme,
                           SchemeContext, Var, catalog_entry,
-                          catalog_names, check_infinity_simple,
-                          check_scheme_lambda_odd,
+                          catalog_names, check_scheme_lambda_odd,
                           conjugated_form, evaluate_scheme, instantiate,
                           parse_scheme, target_derivative, _lex)
 from ndyn.conjugate import extract_normal_form, mobius_conjugate, standard_tau
@@ -214,13 +213,6 @@ def test_catalog_names_stable():
     assert names[0] == "newton"
     assert len(names) == len(set(names)) == 17
     assert catalog_names() == names
-
-
-def test_check_infinity_simple_reads_degree_gap():
-    R = instantiate(catalog_entry("newton").ast, SchemeContext(d=2, c=1.0))
-    assert check_infinity_simple(R) == "simple"
-    O = conjugated_form("newton").reconstruct()
-    assert check_infinity_simple(O) == "superattracting-at-inf"
 
 
 def test_king_coefficients():

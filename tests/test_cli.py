@@ -80,6 +80,14 @@ def test_analyze_reports_structure(capsys):
     assert free and all(r["partner"] is not None for r in free)
 
 
+def test_analyze_reads_the_superattracting_one_exactly(capsys):
+    payload = run_json(capsys, "analyze", "--method", "os4",
+                       "--param", "b=2-9.3i")
+    one = [r for r in payload["fixed_points"] if r["point"] == "1"]
+    assert one == [{"point": "1", "multiplier": "0",
+                    "class": "superattracting", "strange": True}]
+
+
 def test_scheme_file_matches_catalog(tmp_path, capsys):
     path = tmp_path / "two-step.scheme"
     path.write_text(KING_SCHEME)
@@ -89,6 +97,47 @@ def test_scheme_file_matches_catalog(tmp_path, capsys):
                       "--param", "beta=-1")
     for key in ("n", "k", "sign", "a"):
         assert ours[key] == theirs[key]
+
+
+@pytest.mark.parametrize("command", ["build", "analyze", "stability",
+                                     "dynplane"])
+@pytest.mark.parametrize("method,name,params", [
+    ("newton", "zeta", "none"), ("king", "bta", "beta"),
+    ("m4", "alpha", "beta")])
+def test_param_must_name_a_parameter_of_the_operator(tmp_path, capsys,
+                                                     command, method, name,
+                                                     params):
+    out = tmp_path / "p.ppm"
+    render = ("--res", "8x8", "--out", str(out)) if command == "dynplane" \
+        else ()
+    code, text, err = run(capsys, command, "--method", method,
+                          "--param", f"{name}=3", *render)
+    assert code == 1 and text == ""
+    assert err == (f"usage error: --param {name!r} is not a parameter of "
+                   f"{method}; its parameters: {params}\n")
+    assert not out.exists()
+
+
+def test_param_misuse_with_a_scheme_file(tmp_path, capsys):
+    path = tmp_path / "two-step.scheme"
+    path.write_text(KING_SCHEME)
+    code, text, err = run(capsys, "build", "--scheme-file", str(path),
+                          "--param", "bta=1")
+    assert code == 1 and text == ""
+    assert err == (f"usage error: --param 'bta' is not a parameter of "
+                   f"{path}; its parameters: beta\n")
+    code, text, err = run(capsys, "build", "--scheme-file", str(path),
+                          "--param", "beta=1", "--param", "beta=1")
+    assert code == 1 and text == ""
+    assert err == "usage error: --param 'beta' is given twice\n"
+
+
+@pytest.mark.parametrize("command", ["build", "analyze", "stability"])
+def test_param_given_twice_is_a_usage_error(capsys, command):
+    code, text, err = run(capsys, command, "--method", "king",
+                          "--param", "beta=1", "--param", "beta=2")
+    assert code == 1 and text == ""
+    assert err == "usage error: --param 'beta' is given twice\n"
 
 
 @pytest.mark.parametrize("method,param", [

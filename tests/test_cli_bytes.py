@@ -96,7 +96,7 @@ PINS = {
     "build:m4":
         "3b6803fe552e455d19096b5ee7c5f2e6ffb888b971e59d24568b66fc9f880953",
     "analyze:m4":
-        "8d0c02b8216e48d08239d0a12f5858e530bca86541849219e775f24aba556bcb",
+        "717862019c7abe003bb822dd1011d95929f5c450e840a7d8cf2ad13c34185275",
     "stability:m4":
         "5890fc764220c580d50ac47cdcac025f34d26cedd3f92ff2074186d208696b58",
     "build:os2":
@@ -108,13 +108,13 @@ PINS = {
     "build:os3":
         "cf569252f157d5178063e52f654435797637dcd38e981c272fb8ff96da30d9b2",
     "analyze:os3":
-        "a44b44bb208c0d4c05f301a3b04a0f5efff1e09d4ad56affbc08b35c9243f741",
+        "147faa0bc06b6a4768a85f49726d20a1416e7372cb549e06ed10b2bc12b9c7a5",
     "stability:os3":
         "bdded1f27b4751aaf01d55513c8f784b78fc1721be2e4ab167d3cd22f4fb11c8",
     "build:os4":
         "f11c3e5aa65b32a245db78f50ba18d4017d1701612dffbc1680a204642490c1b",
     "analyze:os4":
-        "50851ab0bd52940ecbc698c9898f6f862fdecfd3d277a1775db53455df3ecc36",
+        "3491da080d234e3a09445ac5345b79478aa49cf1170568cce02841eca5fa6619",
     "stability:os4":
         "a90ea7523e90911c5fa2e3f4a6485241d17d062b3bd6fa52074c0a481b586624",
     "build:os5":
