@@ -288,11 +288,19 @@ def _region_payload(reg) -> dict:
 
 def _family(args):
     """(label, parameter name, producer) for the one-parameter subcommands;
-    --family-param names a scheme's parameter or a method's charted one."""
+    --family-param names a scheme's parameter or a method's charted one.  A
+    --param on the varied parameter, or on any parameter of a method (whose
+    catalog family takes no bindings), would be ignored, so it is refused."""
     name = args.family_param
     if args.scheme_file and not name:
         raise UsageError("--scheme-file needs --family-param NAME")
     label, entry, ast, bindings, c = _source(args)
+    for bound in bindings:
+        if entry is not None or bound == name:
+            raise UsageError(
+                f"--param {bound!r} would be ignored: "
+                + (f"the {label} family takes no --param" if entry
+                   else "--family-param varies it"))
     if entry is None:
         if name not in ast.params:
             raise UsageError(

@@ -438,14 +438,11 @@ def _select_seed_rows(w: np.ndarray, index: Optional[int] = None) -> tuple:
     swap = (np.abs(outer) <= 1.0 + 1e-9) & (_arg(outer) < _arg(inner))
     seeds = np.where(swap, outer, inner)
     key = np.where(usable, _arg(seeds), np.inf)
-    if index is None:
-        no_free = count == 0
-        multi = count > 1
-        pick = np.argmin(key, axis=1)
-    else:
-        no_free = count <= index
-        multi = np.zeros(P, bool)
-        pick = np.argsort(key, axis=1, kind="stable")[:, min(index, D - 1)]
+    # the default rule is index 0 that also demands exactly one pair
+    i = index or 0
+    no_free = count <= i
+    multi = (count > 1) & (index is None)
+    pick = np.argsort(key, axis=1, kind="stable")[:, min(i, D - 1)]
     seed = seeds[np.arange(P), pick]
     dead = no_free | multi
     seed = np.where(dead, 0.0 + 0.0j, seed)

@@ -185,108 +185,78 @@ class Polynomial:
         return f"Polynomial({list(self._c)!r})"
 
 
+def _horner(c: np.ndarray, x):
+    """The polynomial with ascending coefficients c at x (scalar or array)."""
+    acc = np.full(np.shape(x), c[-1])
+    for cj in c[-2::-1]:
+        acc = acc * x + cj
+    return acc
+
+
 def _small_residual(amag: np.ndarray, x, px):
     """Residual acceptance of poly_roots relative to the evaluation magnitude
     sum |a_j| |x|^j (amag holds the |a_j|), which is the backward-error
     scale: a root passes at ROOT_RESIDUAL_TOL, or at the rounding floor of
     evaluating p when that floor is the larger of the two."""
-    growth = np.full(np.shape(x), amag[-1])
-    xm = np.abs(x)
-    for k in range(amag.size - 2, -1, -1):
-        growth = growth * xm + amag[k]
     floor = 8.0 * amag.size * np.finfo(float).eps
+    scale = np.maximum(ROOT_RESIDUAL_TOL, floor) * _horner(amag, np.abs(x))
     # the 1e-300 clamp keeps denormal-range scales satisfiable at all
-    return np.abs(px) <= np.maximum(
-        np.maximum(ROOT_RESIDUAL_TOL, floor) * growth, 1e-300)
+    return np.abs(px) <= np.maximum(scale, 1e-300)
+
+
+def _aberth(a: np.ndarray, degree: int) -> np.ndarray:
+    """Aberth-Ehrlich sweeps for the roots of the monic a (degree >= 2) from
+    seeded starts on a circle; degree is the caller's, for the error only.
+
+    Every sweep opens with the backward-error test of _small_residual and
+    moves only the roots that fail it.
+    """
+    deg = a.size - 1
+    cauchy = 1.0 + float(np.max(np.abs(a[:-1])))
+    rng = np.random.default_rng(_ABERTH_SEED)
+    angles = 2.0 * np.pi * (np.arange(deg) + rng.uniform(0.2, 0.8, deg)) / deg + 0.7
+    z = 0.65 * cauchy * np.exp(1j * angles)
+    da = a[1:] * np.arange(1, deg + 1)
+    amag = np.abs(a)
+    bound = 4.0 * cauchy
+    for sweep in range(ABERTH_MAX_SWEEPS + 1):
+        pv = _horner(a, z)
+        active = ~_small_residual(amag, z, pv)
+        if not active.any():
+            return z
+        if sweep == ABERTH_MAX_SWEEPS:
+            raise NoConvergence(
+                f"root iteration did not reach residual {ROOT_RESIDUAL_TOL:g} in "
+                f"{ABERTH_MAX_SWEEPS} sweeps (degree {degree})")
+        dv = _horner(da, z)
+        w = pv / np.where(dv == 0, 1e-300, dv)
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, np.inf)
+        denom = 1.0 - w * (1.0 / diff).sum(axis=1)
+        z = z - np.where(active, w / np.where(denom == 0, 1e-300, denom), 0.0)
+        # keep runaway iterates within the root bound
+        far = np.abs(z) > bound
+        z[far] = bound * z[far] / np.abs(z[far])
 
 
 def poly_roots(p: Polynomial) -> tuple[complex, ...]:
     """All complex roots (with multiplicity) via the Aberth-Ehrlich iteration.
 
-    Roots are returned sorted by (real, imag) so the output is a stable
-    function of the coefficients alone.
+    Exact zero low coefficients are exact roots at 0 and are stripped before
+    the sweeps.  Roots are returned sorted by (real, imag) so the output is a
+    stable function of the coefficients alone.
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
-    deg = p.degree
-    if deg == 0:
-        return ()
     a = p.coeffs / p.coeffs[-1]  # monic
-    if deg == 1:
-        return (complex(-a[0]),)
-
-    # Strip exact trailing zero coefficients first: those give exact roots at 0
-    # and would otherwise slow the simultaneous iteration down.
-    lead_zero = 0
-    while lead_zero < deg and a[lead_zero] == 0:
-        lead_zero += 1
-    zeros_at_origin = (0.0 + 0.0j,) * lead_zero
-    if lead_zero:
-        a = a[lead_zero:]
-        deg -= lead_zero
-        if deg == 0:
-            return zeros_at_origin
-        if deg == 1:
-            return tuple(sorted(zeros_at_origin + (complex(-a[0]),),
-                                key=lambda r: (r.real, r.imag)))
-
-    cauchy = 1.0 + float(np.max(np.abs(a[:-1])))
-    rng = np.random.default_rng(_ABERTH_SEED)
-    angles = 2.0 * np.pi * (np.arange(deg) + rng.uniform(0.2, 0.8, deg)) / deg + 0.7
-    z = 0.65 * cauchy * np.exp(1j * angles)
-
-    dcoeffs = a[1:] * np.arange(1, deg + 1)
-    bound = 4.0 * cauchy
-
-    def pval(x):
-        acc = np.full(x.shape, a[-1], dtype=np.complex128)
-        for k in range(deg - 1, -1, -1):
-            acc = acc * x + a[k]
-        return acc
-
-    def dval(x):
-        acc = np.full(x.shape, dcoeffs[-1], dtype=np.complex128)
-        for k in range(deg - 2, -1, -1):
-            acc = acc * x + dcoeffs[k]
-        return acc
-
-    amag = np.abs(a)
-    converged = False
-    for _ in range(ABERTH_MAX_SWEEPS):
-        pv = pval(z)
-        active = ~_small_residual(amag, z, pv)
-        if not active.any():
-            converged = True
-            break
-        dv = dval(z)
-        dv = np.where(dv == 0, 1e-300, dv)
-        w = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = (1.0 / diff).sum(axis=1)
-        denom = 1.0 - w * s
-        denom = np.where(denom == 0, 1e-300, denom)
-        step = np.where(active, w / denom, 0.0)
-        z = z - step
-        # keep runaway iterates within the root bound
-        far = np.abs(z) > bound
-        if far.any():
-            z[far] = bound * z[far] / np.abs(z[far])
-        if np.max(np.abs(step)) <= 1e-16 * (1.0 + np.max(np.abs(z))):
-            # Early exit on stagnation, but only once residuals pass: steps
-            # below this absolute floor can still make progress toward roots
-            # of much smaller magnitude, so a failed check keeps sweeping.
-            if bool(_small_residual(amag, z, pval(z)).all()):
-                converged = True
-                break
-    else:
-        converged = bool(_small_residual(amag, z, pval(z)).all())
-    if not converged:
-        raise NoConvergence(
-            f"root iteration did not reach residual {ROOT_RESIDUAL_TOL:g} in "
-            f"{ABERTH_MAX_SWEEPS} sweeps (degree {deg + lead_zero})")
-    out = zeros_at_origin + tuple(complex(v) for v in z)
-    return tuple(sorted(out, key=lambda r: (r.real, r.imag)))
+    at_origin = int(np.flatnonzero(a)[0])
+    a = a[at_origin:]
+    roots = [0j] * at_origin
+    if a.size == 2:
+        roots.append(complex(-a[0]))
+    elif a.size > 2:
+        roots.extend(complex(v) for v in _aberth(a, p.degree))
+    return tuple(sorted(roots, key=lambda r: (r.real, r.imag)))
 
 
 # --------------------------------------------------------------------------

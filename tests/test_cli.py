@@ -271,6 +271,51 @@ def test_family_param_may_name_the_charted_parameter(capsys):
     assert payload == run_json(capsys, "stability", "--method", "m4")
 
 
+@pytest.mark.parametrize("command", ["stability", "paramplane"])
+@pytest.mark.parametrize("method,binding", [("king", "beta=7"),
+                                            ("m4", "beta=2")])
+def test_method_family_refuses_every_param(tmp_path, capsys, command, method,
+                                           binding):
+    # a catalog family varies its own parameter and would drop the binding
+    out = tmp_path / "bound.ppm"
+    render = ("--window", "-6,5,-5.5,5.5", "--res", "8x8", "--out", str(out))
+    code, text, err = run(capsys, command, "--method", method,
+                          "--param", binding,
+                          *(render if command == "paramplane" else ()))
+    assert code == 1 and text == ""
+    assert err == (f"usage error: --param 'beta' would be ignored: the "
+                   f"{method} family takes no --param\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["stability", "paramplane"])
+def test_scheme_family_refuses_a_param_on_the_family_param(tmp_path, capsys,
+                                                           command):
+    path = tmp_path / "two-step.scheme"
+    path.write_text(KING_SCHEME)
+    out = tmp_path / "bound.ppm"
+    render = ("--window", "-6,5,-5.5,5.5", "--res", "8x8", "--out", str(out))
+    code, text, err = run(capsys, command, "--scheme-file", str(path),
+                          "--family-param", "beta", "--param", "beta=7",
+                          *(render if command == "paramplane" else ()))
+    assert code == 1 and text == ""
+    assert err == ("usage error: --param 'beta' would be ignored: "
+                   "--family-param varies it\n")
+    assert not out.exists()
+
+
+def test_scheme_family_keeps_a_param_on_another_parameter(tmp_path, capsys):
+    path = tmp_path / "scaled-king.scheme"
+    path.write_text(KING_SCHEME.replace("y - p(y)", "y - gamma*p(y)"))
+    king = tmp_path / "two-step.scheme"
+    king.write_text(KING_SCHEME)
+    payload = run_json(capsys, "stability", "--scheme-file", str(path),
+                       "--family-param", "beta", "--param", "gamma=1")
+    want = run_json(capsys, "stability", "--scheme-file", str(king),
+                    "--family-param", "beta")
+    assert payload == {**want, "method": str(path)}
+
+
 def test_stability_errors(capsys):
     # one coefficient depends quadratically on the parameter
     code, _, err = run(capsys, "stability", "--method", "os3")

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ndyn.poly
+from ndyn.cli import main
 from ndyn.errors import NoConvergence
 from ndyn.poly import (INF, Polynomial, RationalMap, is_inf, maps_close,
                        poly_roots, rat_derivative, rat_eval, rat_make)
@@ -74,6 +77,17 @@ def test_roots_high_multiplicity():
     assert len(near_two) == 4
 
 
+def test_roots_of_low_degree_and_at_the_origin():
+    assert poly_roots(Polynomial((3.0,))) == ()
+    assert poly_roots(Polynomial((0.0, 2.0))) == (0j,)
+    assert poly_roots(Polynomial((0.0, 0.0, -2.0, 1.0))) == (0j, 0j, 2)
+
+
+def test_roots_are_sorted_by_real_then_imaginary_part():
+    got = poly_roots(Polynomial.from_roots([1 + 2j, -3.0, 1 - 2j, 0.5j, 2.0]))
+    assert list(got) == sorted(got, key=lambda r: (r.real, r.imag))
+
+
 def test_deflate_removes_one_copy():
     p = Polynomial.from_roots([1.0, 1.0, -3.0])
     q = p.deflate(1.0)
@@ -123,6 +137,18 @@ def test_rat_make_reports_a_root_solve_that_does_not_converge(monkeypatch):
         rat_make(Polynomial((-1.0, 0.0, 1.0)), Polynomial((1.0, 1.0)))
 
 
+def test_root_solve_raises_when_the_sweeps_run_out(monkeypatch, capsys):
+    monkeypatch.setattr(ndyn.poly, "ABERTH_MAX_SWEEPS", 0)
+    with pytest.raises(NoConvergence) as raised:
+        poly_roots(Polynomial((0.0, 1.0, 0.0, 1.0)))     # z (z^2 + 1)
+    assert str(raised.value) == ("root iteration did not reach residual "
+                                 "1e-12 in 0 sweeps (degree 3)")
+    assert main(["build", "--method", "king", "--param", "beta=1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: root iteration did not reach ")
+
+
 def test_rat_make_solves_one_side_only(monkeypatch):
     solved = []
 
@@ -156,3 +182,52 @@ def test_rat_make_cancels_unequal_multiplicities(num_roots, den_roots,
     want = (np.prod([z - r for r in num_roots])
             / np.prod([z - r for r in den_roots]))
     assert abs(rat_eval(R, z) - want) <= 1e-9 * abs(want)
+
+
+# Every root of a seeded corpus, bit for bit: random coefficients, doubled
+# roots, exact zero low coefficients, coefficients spread over 1e+-6 and roots
+# on the unit circle, degrees 0 to 16.  `PYTHONPATH=src python
+# tests/test_poly.py` prints the current digest.
+ROOTS_PIN = "320dc269177e87e0c373e00b1925d880ef97496786d0215020dfd3ad3ca352c7"
+
+
+def _root_corpus():
+    rng = np.random.default_rng(20240615)
+
+    def cnormal(size):
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+    out = [Polynomial(cnormal(i % 17 + 1)) for i in range(60)]
+    for _ in range(40):
+        roots = cnormal(rng.integers(1, 9))
+        twice = roots[: rng.integers(1, roots.size + 1)]
+        out.append(Polynomial.from_roots(np.concatenate([roots, twice])))
+    for _ in range(40):
+        c = cnormal(rng.integers(2, 17))
+        c[: rng.integers(1, c.size)] = 0.0
+        out.append(Polynomial(c))
+    for _ in range(30):
+        d = rng.integers(1, 17)
+        out.append(Polynomial(cnormal(d) * 10.0 ** rng.uniform(-6, 6, d)))
+    for _ in range(30):
+        theta = rng.uniform(0, 2 * np.pi, rng.integers(1, 17))
+        out.append(Polynomial.from_roots(np.exp(1j * theta)))
+    return out
+
+
+def _roots_digest(corpus):
+    # + 0.0 reads a root at -0 as 0: only the sign of a zero may differ
+    h = hashlib.sha256()
+    for p in corpus:
+        h.update((np.asarray(poly_roots(p), complex) + 0.0).tobytes())
+    return h.hexdigest()
+
+
+def test_roots_match_pin():
+    corpus = _root_corpus()
+    assert sorted({p.degree for p in corpus}) == list(range(17))
+    assert _roots_digest(corpus) == ROOTS_PIN
+
+
+if __name__ == "__main__":
+    print(_roots_digest(_root_corpus()))
