@@ -20,8 +20,8 @@ import numpy as np
 
 from .conjugate import multiplier_aggregates
 from .errors import NotACycle, PoleAtMinusOne, PoleAtOne
-from .poly import (INF, Polynomial, RationalMap, _clusters, is_inf,
-                   poly_roots, rat_eval)
+from .poly import (INF, Polynomial, RationalMap, _clusters, deflate_anchored,
+                   is_inf, poly_roots, rat_eval)
 
 SUPERATTRACTING_TOL = 1e-10
 INDIFFERENCE_BAND = 1e-8
@@ -82,26 +82,18 @@ def multiplier_at(R: RationalMap, point) -> complex:
 
 def _anchored_roots(p: Polynomial) -> list:
     """Roots of p as (point, multiplicity) clusters: the origin (negligible
-    low coefficients), then +1 and -1, then the solved rest.  +-1 are
-    divided out analytically: a multiple root parked there (common in the
-    palindromic shape) scatters badly under the root solver."""
+    low coefficients), then +1 and -1, divided out by deflate_anchored (a
+    multiple root parked there is common in the palindromic shape), then
+    the solved rest."""
     c = p.coeffs
     scale = float(np.abs(c).max(initial=0.0))
     lead_zero = 0
     while lead_zero < c.size - 1 and abs(c[lead_zero]) <= 1e-12 * scale:
         lead_zero += 1
     out = [(0.0 + 0.0j, lead_zero)] if lead_zero else []
-    rest = Polynomial(c[lead_zero:])
-    for anchor in (1.0, -1.0):
-        mult = 0
-        while rest.degree >= 1:
-            tot = float(np.abs(rest.coeffs).sum())
-            if abs(rest(anchor)) > 1e-8 * tot:
-                break
-            rest = rest.deflate(anchor)
-            mult += 1
-        if mult:
-            out.append((complex(anchor), mult))
+    rows, counts = deflate_anchored(c[None, lead_zero:], (1.0, -1.0))
+    out += [(complex(r), int(m)) for r, m in zip((1.0, -1.0), counts[0]) if m]
+    rest = Polynomial(rows[0])
     if rest.degree >= 1:
         out.extend(_clusters(rest, poly_roots(rest)))
     return out

@@ -318,9 +318,9 @@ def instantiate(scheme: Scheme, ctx: SchemeContext) -> RationalMap:
     """Assemble the operator as a rational map, reduced once per named step.
 
     Inside a step the numerators and denominators are combined unreduced;
-    a single rat_make at the end of each step cancels the common factors,
-    so a step costs one pair of root solves however many operations it
-    holds.
+    a single rat_make at the end of each step cancels the common factors
+    from the coefficients, so a step costs one reduction and no root solve
+    however many operations it holds.
     """
     env: dict[str, RationalMap] = {}
     for name, expr in scheme.steps:

@@ -42,7 +42,8 @@ from .conjugate import common_shape
 from .errors import NdynError
 # poly_roots is unused here but stays bound: bench/test_bench.py checks that
 # the tracer patches and restores it through this module
-from .poly import RationalMap, is_inf, poly_roots  # noqa: F401
+from .poly import (RationalMap, deflate_anchored, is_inf,  # noqa: F401
+                   poly_roots)
 from .stability import affine_fit
 
 OUTCOME_NONE = 0
@@ -327,42 +328,6 @@ def _pair_rows(n, a: np.ndarray) -> np.ndarray:
     return C[:, k:] @ dickson
 
 
-def _syndiv_rows(C: np.ndarray, r: float) -> np.ndarray:
-    """Row-wise synthetic division of ascending coefficients by (w - r)."""
-    P, D = C.shape
-    Q = np.empty((P, D - 1), np.complex128)
-    Q[:, D - 2] = C[:, D - 1]
-    for j in range(D - 3, -1, -1):
-        Q[:, j] = C[:, j + 1] + r * Q[:, j + 1]
-    return Q
-
-
-def _deflate_anchored_rows(Q: np.ndarray) -> np.ndarray:
-    """Divide out every structural factor (w - 2) and (w + 2), per row.
-
-    These are the anchored points z = +-1.  Multiple roots parked there
-    scatter badly under batched eigensolves (radius ~ eps^(1/m)), so they
-    are removed analytically first; a residual vanishing within 1e-8 of
-    sum |Q_j| |r|^j counts as structural.
-    """
-    Q = Q.copy()
-    P, D = Q.shape
-    if D < 2:
-        return Q
-    for r in (2.0, -2.0):
-        powers = (r ** np.arange(D))[None, :]
-        for _ in range(D - 1):
-            vals = (Q * powers).sum(axis=1)
-            scale = (np.abs(Q) * np.abs(powers)).sum(axis=1)
-            mask = (scale > 0) & (np.abs(vals) <= 1e-8 * scale)
-            mask &= np.abs(Q[:, 1:]).sum(axis=1) > 0
-            if not mask.any():
-                break
-            Q[mask, :D - 1] = _syndiv_rows(Q[mask], r)
-            Q[mask, D - 1] = 0.0
-    return Q
-
-
 def _roots_rows(C: np.ndarray) -> np.ndarray:
     """Roots of each row's ascending-coefficient polynomial, nan-padded."""
     P, D = C.shape
@@ -473,7 +438,7 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
     def work(ts):
         n_t, a = (_form_coeffs(family, ts) if n is None
                   else (n, A + ts[:, None] * B))
-        w = _roots_rows(_deflate_anchored_rows(_pair_rows(n_t, a)))
+        w = _roots_rows(deflate_anchored(_pair_rows(n_t, a), (2.0, -2.0))[0])
         seed, dead, no_free, multi = _select_seed_rows(w, selector)
         o, it = _orbit(seed, _form_map(n_t, a), cfg, attr, live=~dead)
         return o, it, no_free, multi

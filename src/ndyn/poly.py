@@ -2,8 +2,9 @@
 
 Coefficients are stored ascending (index j holds the z**j coefficient), the
 zero polynomial is the empty coefficient list, and every map is reduced at
-construction time: common roots of numerator and denominator are cancelled,
-and the denominator is normalised so its first significant coefficient is 1.
+construction time: the common factor of numerator and denominator is
+cancelled from their coefficients by cofactors (no root solve), and the
+denominator is normalised so its first significant coefficient is 1.
 
 The point at infinity is represented by the module-level sentinel ``INF``.
 """
@@ -19,8 +20,9 @@ from .errors import NoConvergence, ZeroDenominator, ZeroPolynomial
 
 # Relative threshold below which trailing coefficients are considered zero.
 TRIM_REL = 1e-12
-# Relative tolerance between a root of one side and the other side's root.
-CANCEL_REL = 1e-9
+# Backward error ||h u - f|| / ||f|| up to which f = h u counts as exact in
+# rat_make; also the relative singular value read as rank deficiency.
+COFACTOR_TOL = 1e-10
 # Residual tolerance |p(r)| / (1 + |r|)**deg for the simultaneous root solver.
 ROOT_RESIDUAL_TOL = 1e-12
 ABERTH_MAX_SWEEPS = 200
@@ -167,14 +169,7 @@ class Polynomial:
         """Divide out a linear factor (z - root), discarding the remainder."""
         if self.degree < 1:
             raise ValueError("cannot deflate a constant polynomial")
-        desc = self._c[::-1]
-        out = np.empty(desc.size - 1, dtype=np.complex128)
-        acc = desc[0]
-        out[0] = acc
-        for i in range(1, desc.size - 1):
-            acc = desc[i] + root * acc
-            out[i] = acc
-        return Polynomial(out[::-1])
+        return Polynomial(_divide_rows(self._c[None, :], root)[0])
 
     def leading(self) -> complex:
         if self.is_zero():
@@ -191,6 +186,44 @@ def _horner(c: np.ndarray, x):
     for cj in c[-2::-1]:
         acc = acc * x + cj
     return acc
+
+
+def _divide_rows(C: np.ndarray, r) -> np.ndarray:
+    """Row-wise synthetic division of ascending coefficients by (z - r),
+    from the top down; the remainder is dropped."""
+    P, D = C.shape
+    Q = np.empty((P, D - 1), np.complex128)
+    Q[:, D - 2] = C[:, D - 1]
+    for j in range(D - 3, -1, -1):
+        Q[:, j] = C[:, j + 1] + r * Q[:, j + 1]
+    return Q
+
+
+def deflate_anchored(C: np.ndarray, anchors) -> tuple:
+    """Divide every factor (z - r), r in anchors, out of each row of C.
+
+    A multiple root at a known point scatters badly under any root solver
+    (radius ~ eps^(1/m)), so it is divided out first: r counts as a root of
+    a row of degree >= 1 while the row's value there vanishes within 1e-8
+    of sum |C_j| |r|^j.  Returns the quotient rows (the width of C, zero at
+    the top) and the number of factors of each anchor, (rows, anchors).
+    """
+    Q = np.array(C, np.complex128)
+    P, D = Q.shape
+    counts = np.zeros((P, len(anchors)), int)
+    for i, r in enumerate(anchors):
+        powers = (r ** np.arange(D))[None, :]
+        while True:
+            vals = (Q * powers).sum(axis=1)
+            scale = (np.abs(Q) * np.abs(powers)).sum(axis=1)
+            mask = (scale > 0) & (np.abs(vals) <= 1e-8 * scale)
+            mask &= np.abs(Q[:, 1:]).sum(axis=1) > 0
+            if not mask.any():
+                break
+            Q[mask, :D - 1] = _divide_rows(Q[mask], r)
+            Q[mask, D - 1] = 0.0
+            counts[mask, i] += 1
+    return Q, counts
 
 
 def _small_residual(amag: np.ndarray, x, px):
@@ -299,23 +332,6 @@ def constant_map(value: complex) -> RationalMap:
     return RationalMap(Polynomial((value,)), Polynomial.one())
 
 
-def poly_map(p: Polynomial) -> RationalMap:
-    return RationalMap(p, Polynomial.one())
-
-
-def _polish(q: Polynomial, dq: Polynomial, x: complex) -> complex:
-    """A few plain Newton steps on q (derivative dq) from x."""
-    for _ in range(40):
-        dv = dq(x)
-        if dv == 0:
-            break
-        step = q(x) / dv
-        x -= step
-        if abs(step) <= 1e-14 * (1.0 + abs(x)):
-            break
-    return x
-
-
 def _clusters(p: Polynomial, roots: Sequence[complex]):
     """Group nearby root estimates and polish each group's center.
 
@@ -346,60 +362,98 @@ def _clusters(p: Polynomial, roots: Sequence[complex]):
         m = len(g)
         while len(derivs) <= m:
             derivs.append(derivs[-1].derivative())
-        x = _polish(derivs[m - 1], derivs[m], sum(g) / m)
-        if abs(x - sum(g) / m) > 10.0 * (1e-4 * (1.0 + abs(x))):
-            # polishing escaped the cluster; fall back to the raw mean
-            x = sum(g) / m
+        x = mean = sum(g) / m
+        for _ in range(40):
+            dv = derivs[m](x)
+            if dv == 0:
+                break
+            step = derivs[m - 1](x) / dv
+            x -= step
+            if abs(step) <= 1e-14 * (1.0 + abs(x)):
+                break
+        if abs(x - mean) > 10.0 * (1e-4 * (1.0 + abs(x))):
+            # Newton escaped the cluster; fall back to the raw mean
+            x = mean
         out.append((x, m))
     return out
 
 
-def _cancel_common(low: Polynomial, high: Polynomial):
-    """Divide out the roots low shares with high, solving only low.
+def _conv_matrix(p: np.ndarray, k: int) -> np.ndarray:
+    """C_k(p), the matrix of q -> p * q on the coefficients of degree-k q."""
+    out = np.zeros((p.size + k, k + 1), np.complex128)
+    for i in range(k + 1):
+        out[i:i + p.size, i] = p
+    return out
 
-    At a cluster (r, m) of low, mb counts high and its derivatives that pass
-    poly_roots' backward-error test at r.  When Newton on high's (mb-1)-th
-    derivative from r ends at s within CANCEL_REL of r, min(m, mb) copies
-    leave each side, each side deflated by its own root (better conditioned).
+
+def _cofactors(f: np.ndarray, g: np.ndarray) -> tuple:
+    """(u, v) with f = h u and g = h v for the h of highest degree j that
+    passes, or (f, g) as given when none does.
+
+    On f, g scaled by powers of two to about unit norm: a null vector
+    (v, -u) of S_j = [C_(n-j)(f) | C_(m-j)(g)] gives f v = g u, and the
+    nullity of S_1 is deg gcd(f, g), so its singular values below
+    COFACTOR_TOL times the largest propose j.  S_j's last right singular
+    vector starts (v, -u), h starts by least squares, and Gauss-Newton
+    steps on f = h u, g = h v refine all three (Zeng and Dayton, ISSAC
+    2004) with rat_make's pivot, the first significant coefficient of v,
+    held at 1, so cofactors that floats hold are reached exactly.  j stands
+    when both backward errors are within COFACTOR_TOL, else j - 1 is tried.
     """
-    derivs = [high]
-    for r, m in _clusters(low, poly_roots(low)):
-        mb = 0
-        while _small_residual(np.abs(derivs[mb].coeffs), r, derivs[mb](r)):
-            mb += 1
-            if len(derivs) == mb:
-                derivs.append(derivs[-1].derivative())
-        s = _polish(derivs[mb - 1], derivs[mb], r) if mb else np.inf
-        if abs(s - r) <= CANCEL_REL * (1.0 + abs(r)):
-            for _ in range(min(m, mb, high.degree)):
-                low, high = low.deflate(r), high.deflate(s)
-    return low, high
+    sf, sg = (2.0 ** -np.round(np.log2(np.linalg.norm(c))) for c in (f, g))
+    f, g = f * sf, g * sg
+    m, n = f.size - 1, g.size - 1
+
+    def sylvester(j):
+        return np.hstack([_conv_matrix(f, n - j), _conv_matrix(g, m - j)])
+
+    target = np.concatenate([[1.0], f, g])
+    sv = np.linalg.svd(sylvester(1), compute_uv=False)
+    for j in range(min(int((sv <= COFACTOR_TOL * sv[0]).sum()), m, n), 0, -1):
+        x = np.linalg.svd(sylvester(j), full_matrices=False)[2][-1].conj()
+        v, u = x[:n - j + 1], -x[n - j + 1:]
+        p = np.flatnonzero(np.abs(v) > TRIM_REL * np.abs(v).max())[0]
+        u, v = u / v[p], v / v[p]
+        both = np.vstack([_conv_matrix(u, j), _conv_matrix(v, j)])
+        h = np.linalg.lstsq(both, target[1:], rcond=None)[0]
+        jac = np.zeros((m + n + 3, m + n - j + 3), np.complex128)
+        jac[0, m + 2 + p] = 1.0
+        for _ in range(3):
+            jac[1:m + 2, :j + 1] = _conv_matrix(u, j)
+            jac[1:m + 2, j + 1:m + 2] = _conv_matrix(h, m - j)
+            jac[m + 2:, :j + 1] = _conv_matrix(v, j)
+            jac[m + 2:, m + 2:] = _conv_matrix(h, n - j)
+            res = np.concatenate([[v[p]], np.convolve(h, u),
+                                  np.convolve(h, v)]) - target
+            step = np.linalg.lstsq(jac, res, rcond=None)[0]
+            h, u, v = h - step[:j + 1], u - step[j + 1:m + 2], v - step[m + 2:]
+        if max(np.linalg.norm(np.convolve(h, c) - q) / np.linalg.norm(q)
+               for q, c in ((f, u), (g, v))) <= COFACTOR_TOL:
+            return u / sf, v / sg
+    return f / sf, g / sg
 
 
 def rat_make(num: Polynomial, den: Polynomial) -> RationalMap:
     """Reduce and normalise num/den into a RationalMap.
 
-    Common roots are cancelled by _cancel_common, which solves only the side
-    of lower degree; the denominator is then scaled so its first significant
-    coefficient equals 1.  A root solve that does not converge raises
-    NoConvergence: an unreduced quotient would carry a false degree.
+    The common factor leaves the coefficients, not the roots: each side's
+    power of z is shifted out exactly (the common one stays out) and
+    _cofactors cancels the rest, so no root is solved for.  The denominator
+    is then scaled so its first significant coefficient is 1.
     """
     if den.is_zero():
         raise ZeroDenominator("denominator is the zero polynomial")
     if num.is_zero():
         return RationalMap(Polynomial.zero(), Polynomial.one())
-
-    if num.degree >= 1 and den.degree >= 1:
-        if num.degree <= den.degree:
-            num, den = _cancel_common(num, den)
-        else:
-            den, num = _cancel_common(den, num)
-
-    dc = den.coeffs
-    mags = np.abs(dc)
-    significant = np.nonzero(mags > TRIM_REL * mags.max())[0]
-    pivot = dc[significant[0]] if significant.size else dc[np.argmax(mags)]
-    return RationalMap(Polynomial(num.coeffs / pivot), Polynomial(dc / pivot))
+    f, g = num.coeffs, den.coeffs
+    a, b = np.flatnonzero(f)[0], np.flatnonzero(g)[0]
+    f, g = f[a:], g[b:]
+    if f.size > 1 and g.size > 1:
+        f, g = _cofactors(f, g)
+    low = min(a, b)
+    f, g = np.pad(f, (a - low, 0)), np.pad(g, (b - low, 0))
+    pivot = g[np.flatnonzero(np.abs(g) > TRIM_REL * np.abs(g).max())[0]]
+    return RationalMap(Polynomial(f / pivot), Polynomial(g / pivot))
 
 
 def rat_eval(R: RationalMap, z):
@@ -457,14 +511,3 @@ def rat_combine(op: str, R1: RationalMap, R2: RationalMap) -> RationalMap:
 def rat_derivative(R: RationalMap) -> RationalMap:
     n, d = R.num, R.den
     return rat_make(n.derivative() * d - n * d.derivative(), d * d)
-
-
-def maps_close(R1: RationalMap, R2: RationalMap, rel: float = 1e-9) -> bool:
-    """Coefficient-wise comparison of two reduced maps up to joint scaling."""
-    a, b = R1.num.coeffs, R2.num.coeffs
-    c, d = R1.den.coeffs, R2.den.coeffs
-    if a.size != b.size or c.size != d.size:
-        return False
-    scale = max(np.abs(b).max(initial=0.0), np.abs(d).max(initial=0.0), 1.0)
-    return bool(np.all(np.abs(a - b) <= rel * scale)
-                and np.all(np.abs(c - d) <= rel * scale))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import maps_close, poly_map
 from ndyn.builder import (BinOp, Const, Deriv, Param, Ref, Scheme,
                           SchemeContext, Var, catalog_entry,
                           catalog_names, check_scheme_lambda_odd,
@@ -10,8 +11,8 @@ from ndyn.conjugate import extract_normal_form, mobius_conjugate, standard_tau
 from ndyn.errors import (DivisionByZeroMap, NdynError, SchemeSyntaxError,
                          UnboundIdentifier, UnknownMethod, ZeroC,
                          ZeroDenominator)
-from ndyn.poly import (Polynomial, constant_map, identity_map, maps_close,
-                       poly_map, rat_combine, rat_eval, rat_make)
+from ndyn.poly import (Polynomial, constant_map, identity_map, rat_combine,
+                       rat_eval, rat_make)
 
 NEWTON = "next = z - p(z)/p'(z);"
 
@@ -116,6 +117,20 @@ def test_evaluate_scheme_agrees_with_instantiation():
     R = instantiate(scheme, ctx)
     for z in (0.7, 1.0 + 0.4j, -2.3):
         direct = evaluate_scheme(scheme, ctx, z)
+        assert abs(direct - rat_eval(R, z)) <= 1e-10 * (1.0 + abs(direct))
+
+
+def test_chun_cancels_every_common_factor():
+    # both sides carry (z^2 + 1)^4, whose roots come back from a root
+    # solver as 4-root clusters ~3e-3 wide
+    entry = catalog_entry("chun")
+    ctx = SchemeContext(d=2, c=1.0, bindings={"alpha": 2.0 - 9.3j})
+    R = instantiate(entry.ast, ctx)
+    assert (R.num.degree, R.den.degree) == (12, 11)
+    rng = np.random.default_rng(0xC4C4)
+    for _ in range(8):
+        z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        direct = evaluate_scheme(entry.ast, ctx, z)
         assert abs(direct - rat_eval(R, z)) <= 1e-10 * (1.0 + abs(direct))
 
 

@@ -77,9 +77,9 @@ PINS = {
     "stability:amat":
         "4148703c68af769fcac09b1e1b0c0dd67f735bbb5208c6821ec62250fa826d13",
     "build:chun":
-        "a4842c28171d9036d066007811dc5a0a7a2f27887595443192bf47414f930b5f",
+        "b61874a29b5470a3338e9de8fe46b74e39c5ba1b0e81747cb167043e83dce2ec",
     "analyze:chun":
-        "a4842c28171d9036d066007811dc5a0a7a2f27887595443192bf47414f930b5f",
+        "b61874a29b5470a3338e9de8fe46b74e39c5ba1b0e81747cb167043e83dce2ec",
     "stability:chun":
         "1230549b9b6aa35d821c78e19793c692370589ad10321b0947312a21a530bc4f",
     "build:chebyshev-halley":

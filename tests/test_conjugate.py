@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import random_form
+from conftest import maps_close, random_form
 from ndyn.builder import (SchemeContext, catalog_entry, catalog_names,
                           conjugated_form, instantiate)
 from ndyn.conjugate import (Mobius, check_iota_symmetry, check_lambda_odd,
@@ -11,7 +11,7 @@ from ndyn.conjugate import (Mobius, check_iota_symmetry, check_lambda_odd,
                             mobius_conjugate, reduced_form, rotations,
                             sampled_identity, standard_tau)
 from ndyn.errors import NotPalindromic
-from ndyn.poly import INF, Polynomial, is_inf, maps_close, rat_eval, rat_make
+from ndyn.poly import INF, Polynomial, is_inf, rat_eval, rat_make
 
 
 def test_tau_sends_the_roots_to_zero_and_infinity():

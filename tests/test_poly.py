@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ndyn.poly
+from conftest import maps_close
 from ndyn.cli import main
 from ndyn.errors import NoConvergence
-from ndyn.poly import (INF, Polynomial, RationalMap, is_inf, maps_close,
-                       poly_roots, rat_derivative, rat_eval, rat_make)
+from ndyn.poly import (INF, Polynomial, deflate_anchored, is_inf, poly_roots,
+                       rat_derivative, rat_eval, rat_make)
 
 finite_floats = st.floats(min_value=-50, max_value=50,
                           allow_nan=False, allow_infinity=False)
@@ -128,15 +129,6 @@ def test_maps_close_scaling_invariance():
     assert not maps_close(R1, R3)
 
 
-def test_rat_make_reports_a_root_solve_that_does_not_converge(monkeypatch):
-    def stalled(p):
-        raise NoConvergence("stalled")
-
-    monkeypatch.setattr(ndyn.poly, "poly_roots", stalled)
-    with pytest.raises(NoConvergence):
-        rat_make(Polynomial((-1.0, 0.0, 1.0)), Polynomial((1.0, 1.0)))
-
-
 def test_root_solve_raises_when_the_sweeps_run_out(monkeypatch, capsys):
     monkeypatch.setattr(ndyn.poly, "ABERTH_MAX_SWEEPS", 0)
     with pytest.raises(NoConvergence) as raised:
@@ -149,19 +141,43 @@ def test_root_solve_raises_when_the_sweeps_run_out(monkeypatch, capsys):
     assert captured.err.startswith("error: root iteration did not reach ")
 
 
-def test_rat_make_solves_one_side_only(monkeypatch):
-    solved = []
+def test_rat_make_makes_no_root_solve(monkeypatch):
+    def refused(p):
+        raise AssertionError("rat_make solved for roots")
 
-    def counting(p):
-        solved.append(p.degree)
-        return poly_roots(p)
-
-    monkeypatch.setattr(ndyn.poly, "poly_roots", counting)
+    monkeypatch.setattr(ndyn.poly, "poly_roots", refused)
     num = Polynomial.from_roots([2.0, -0.5, 1.0j])
     den = Polynomial.from_roots([2.0, 3.0])
     R = rat_make(num, den)
-    assert solved == [2]
     assert (R.num.degree, R.den.degree) == (2, 1)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_rat_make_cancels_a_shared_root_of_any_multiplicity(m):
+    # (z - r)^m (z - 3) / ((z - r)^m (z + 2)(z - 0.3i))
+    r = 1.0 + 0.5j
+    R = rat_make(Polynomial.from_roots([r] * m + [3.0]),
+                 Polynomial.from_roots([r] * m + [-2.0, 0.3j]))
+    assert (R.num.degree, R.den.degree) == (1, 2)
+    z = 0.3 - 0.7j
+    want = (z - 3.0) / ((z + 2.0) * (z - 0.3j))
+    assert abs(rat_eval(R, z) - want) <= 1e-12 * abs(want)
+
+
+def test_rat_make_cancels_a_pole_from_the_derivative_numerator():
+    # W = N'D - N D' for z^3 (z - 1/2)^2 / (1 - z/2)^2 shares one (z - 2)
+    # with the 4-fold D^2
+    N = Polynomial.from_roots([0.0, 0.0, 0.0, 0.5, 0.5])
+    D = Polynomial.from_roots([2.0, 2.0], lead=0.25)
+    R = rat_make(N.derivative() * D - N * D.derivative(), D * D)
+    assert (R.num.degree, R.den.degree) == (5, 3)
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-3])
+def test_rat_make_keeps_roots_that_are_only_close(gap):
+    R = rat_make(Polynomial.from_roots([1.0, 3.0]),
+                 Polynomial.from_roots([1.0 + gap, -2.0]))
+    assert (R.num.degree, R.den.degree) == (2, 2)
 
 
 # shared factors of unequal multiplicity: min(m, mb) copies leave each side
@@ -187,7 +203,7 @@ def test_rat_make_cancels_unequal_multiplicities(num_roots, den_roots,
 # Every root of a seeded corpus, bit for bit: random coefficients, doubled
 # roots, exact zero low coefficients, coefficients spread over 1e+-6 and roots
 # on the unit circle, degrees 0 to 16.  `PYTHONPATH=src python
-# tests/test_poly.py` prints the current digest.
+# tests/test_poly.py` prints the current digest (first line).
 ROOTS_PIN = "320dc269177e87e0c373e00b1925d880ef97496786d0215020dfd3ad3ca352c7"
 
 
@@ -229,5 +245,77 @@ def test_roots_match_pin():
     assert _roots_digest(corpus) == ROOTS_PIN
 
 
+# The reduced degrees of a seeded corpus of planted common factors: one
+# shared root of multiplicity 1 to 6 (and at times a second, simple one)
+# times cofactors of degree 0 to 4, the denominator with a random leading
+# coefficient.  Every pair reduces to its cofactors' degrees.
+# `PYTHONPATH=src python tests/test_poly.py` prints the current digest
+# (second line).
+DEGREES_PIN = "0c2951a4dbedf8f2cb4cc0c63578eeaf669f53fb135223fd857af63ec0f53f18"
+
+
+def _planted_corpus():
+    rng = np.random.default_rng(20261018)
+
+    def croots(size):
+        return rng.uniform(-2, 2, size) + 1j * rng.uniform(-2, 2, size)
+
+    out = []
+    for i in range(120):
+        shared = np.concatenate([np.repeat(croots(1), i % 6 + 1),
+                                 croots(rng.integers(0, 2))])
+        u, v = croots(rng.integers(0, 5)), croots(rng.integers(0, 5))
+        lead = complex(*rng.normal(size=2))
+        out.append((Polynomial.from_roots(np.concatenate([shared, u])),
+                    Polynomial.from_roots(np.concatenate([shared, v]), lead),
+                    (u.size, v.size)))
+    return out
+
+
+def _reduced_degrees(corpus):
+    return [(R.num.degree, R.den.degree)
+            for R in (rat_make(f, g) for f, g, _ in corpus)]
+
+
+def _degrees_digest(degrees):
+    return hashlib.sha256(np.array(degrees).tobytes()).hexdigest()
+
+
+def test_reduced_degrees_match_pin():
+    corpus = _planted_corpus()
+    degrees = _reduced_degrees(corpus)
+    assert degrees == [planted for _, _, planted in corpus]
+    assert _degrees_digest(degrees) == DEGREES_PIN
+
+
+def _anchored_rows():
+    rng = np.random.default_rng(7)
+    rows = np.zeros((12, 12), np.complex128)
+    for i in range(rows.shape[0]):
+        q = rng.normal(size=rng.integers(1, 5)) * (1.0 + 0.5j)
+        p = Polynomial.from_roots([1.0] * (i % 4) + [-1.0] * (i % 3) + list(q))
+        rows[i, :p.coeffs.size] = p.coeffs
+    return rows
+
+
+def test_anchored_deflation_of_a_batch_is_row_by_row():
+    rows = _anchored_rows()
+    batch, counts = deflate_anchored(rows, (1.0, -1.0))
+    for i, row in enumerate(rows):
+        one, count = deflate_anchored(row[None, :], (1.0, -1.0))
+        assert np.array_equal(one[0], batch[i])
+        assert np.array_equal(count[0], counts[i])
+    assert counts.tolist() == [[i % 4, i % 3] for i in range(rows.shape[0])]
+
+
+def test_anchored_deflation_counts_each_anchor():
+    q = Polynomial.from_roots([0.5 + 2.0j, -3.0])
+    p = Polynomial.from_roots([1.0] * 3 + [-1.0] * 2) * q
+    rest, counts = deflate_anchored(p.coeffs[None, :], (1.0, -1.0))
+    assert counts.tolist() == [[3, 2]]
+    assert np.allclose(Polynomial(rest[0]).coeffs, q.coeffs, atol=1e-12)
+
+
 if __name__ == "__main__":
     print(_roots_digest(_root_corpus()))
+    print(_degrees_digest(_reduced_degrees(_planted_corpus())))
