@@ -535,7 +535,9 @@ _FORMS = {
 
 
 def _member(name: str, n: int, coeffs: Callable, t) -> OperatorForm:
-    """The normal form of a form family at t, reduced (reduced_form) after
+    """The normal form of a form family at t: reduced_form divides the
+    factors P shares with P-hat at z = +-1 out (c-family at c = 0 is
+    Halley's z^3 (z + 2)/(1 + 2 z), as chebyshev-halley at alpha = 0), and
     a vanishing bottom coefficient of P joins z^n (make_form)."""
     try:
         a = coeffs(complex(t))
@@ -545,17 +547,23 @@ def _member(name: str, n: int, coeffs: Callable, t) -> OperatorForm:
     return reduced_form(n, a)
 
 
-def _scheme_member(name: str, params: tuple, t) -> OperatorForm:
-    """The normal form of a one-parameter (or parameterless) scheme at t."""
-    return conjugated_form(name, dict(zip(params, (t,))))
+def _scheme_member(method, param: Optional[str], bindings: dict,
+                   c: complex, t) -> OperatorForm:
+    """The normal form of a scheme (a catalog name or a parsed ``Scheme``)
+    at param = t over `bindings`; a parameterless scheme (param None)
+    ignores t."""
+    if param is not None:
+        bindings = {**bindings, param: complex(t)}
+    return conjugated_form(method, bindings, c=c)
 
 
 def _scheme_entry(name, text, nk, doc, stability) -> CatalogEntry:
     ast = parse_scheme(text)
+    param = ast.params[0] if ast.params else None
     return CatalogEntry(
         name=name, params=ast.params, doc=doc, nk=nk, ast=ast,
-        stability_param=ast.params[0] if stability and ast.params else None,
-        stability_producer=(partial(_scheme_member, name, ast.params)
+        stability_param=param if stability else None,
+        stability_producer=(partial(_scheme_member, name, param, {}, 1.0)
                             if stability else None))
 
 

@@ -19,9 +19,9 @@ import re
 import sys
 
 from .analysis import classify_operator, critical_points
-from .builder import (NUMBER, SchemeContext, catalog_entry, catalog_names,
-                      check_scheme_lambda_odd, conjugated_form, number_value,
-                      parse_scheme)
+from .builder import (NUMBER, SchemeContext, _scheme_member, catalog_entry,
+                      catalog_names, check_scheme_lambda_odd, conjugated_form,
+                      number_value, parse_scheme)
 from .conjugate import check_iota_symmetry
 from .errors import NdynError, UnknownMethod
 from .planes import (RenderConfig, dynamical_plane, parameter_plane,
@@ -306,11 +306,8 @@ def _family(args):
             raise UsageError(
                 f"--family-param {name!r} is not a parameter of {label}; "
                 f"its parameters: {', '.join(ast.params) or 'none'}")
-
-        def producer(t: complex):
-            return conjugated_form(ast, {**bindings, name: complex(t)}, c=c)
-
-        return label, name, producer
+        return label, name, functools.partial(_scheme_member, ast, name,
+                                              bindings, c)
     if name not in (None, entry.stability_param):
         raise UsageError(f"--family-param {name!r} is not the charted "
                          f"parameter of {label}; it charts "

@@ -13,7 +13,9 @@ coefficient sequences, which is equivalent to the map commuting with
 iota(z) = 1/z.
 
 It owns the rules of that form: make_form folds a vanishing a_k into z^n,
-reduced_form cancels (z - 1) to sign -1 and common_shape lifts it back,
+reduced_form divides the factors P shares with P-hat at z = 1 and z = -1
+out through poly.deflate_anchored (each (z - 1) flips the sign, each
+(z + 1) keeps it) and common_shape lifts a sign -1 form back,
 multiplier_aggregates gives O'(+-1), and sampled_identity tests every
 symmetry f(g z) = h(f z).
 """
@@ -23,14 +25,16 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 from operator import mul
 
 import numpy as np
 
 from .errors import (DegenerateMobius, NotFixingOneZeroInfinity,
                      NotPalindromic, ZeroC)
-from .poly import (INF, Polynomial, RationalMap, is_inf, poly_roots, rat_make,
-                   _substitute)
+from .poly import (CLUSTER_REL, INF, Polynomial, RationalMap, _clusters,
+                   _substitute, deflate_anchored, is_inf, poly_roots,
+                   rat_make)
 
 MIRROR_REL = 1e-9        # palindromicity tolerance on mirrored coefficients
 SYMMETRY_REL = 1e-9      # sampled-identity tolerance for symmetry checks
@@ -145,14 +149,25 @@ def make_form(n: int, a, sign: int = 1) -> OperatorForm:
     """Build an OperatorForm from n and the coefficient list a_1..a_k.
 
     A vanishing a_k (within 1e-14 of the largest of 1, |a_j|) moves one
-    power of z from P into z^n, the inverse of common_shape's padding.
+    power of z from P into z^n, the inverse of common_shape's padding.  A
+    multiple root of P comes back from poly_roots as a scatter; when two
+    estimates lie within CLUSTER_REL of each other, each cluster's polished
+    center (poly._clusters) is repeated by its multiplicity instead.
     """
     a = [complex(v) for v in a]
     scale = max([1.0] + [abs(v) for v in a])
     while a and abs(a[-1]) <= 1e-14 * scale:
         a.pop()
         n += 1
-    roots = poly_roots(Polynomial(tuple(reversed(a)) + (1.0,))) if a else ()
+    roots = ()
+    if a:
+        p = Polynomial(tuple(reversed(a)) + (1.0,))
+        roots = poly_roots(p)
+        if any(abs(r - s) <= CLUSTER_REL * (1.0 + abs(r))
+               for r, s in combinations(roots, 2)):
+            roots = tuple(sorted((complex(x) for x, m in _clusters(p, roots)
+                                  for _ in range(m)),
+                                 key=lambda r: (r.real, r.imag)))
     return OperatorForm(n=n, k=len(a), a=tuple(a), roots=roots, sign=sign,
                         degenerate=sign == -1 or _collapses(a))
 
@@ -218,17 +233,24 @@ def extract_normal_form(R: RationalMap) -> OperatorForm:
 
 
 def reduced_form(n: int, a) -> OperatorForm:
-    """The form of z^n P / P-hat once the factors (z - 1) it shares cancel.
+    """The form of z^n P / P-hat once the factors it shares cancel.
 
-    When P(1) = 1 + a_1 + ... + a_k vanishes, the map is -z^n Q / Q-hat with
-    the monic Q = P / (z - 1), the inverse of common_shape's lift; a further
-    factor (z - 1) of Q cancels the same way and flips the sign back.
+    P-hat mirrors P, so a factor (z - 1) of P is -(z - 1) in P-hat and a
+    factor (z + 1) is (z + 1): deflate_anchored divides both out of P in
+    one call, and each (z - 1) flips the sign.  With the monic quotient Q,
+    one (z - 1) gives -z^n Q / Q-hat, the inverse of common_shape's lift.
+    Members whose P(1) and P(-1) are clearly nonzero (beyond 1e-7 of
+    1 + sum |a_j|, the rule's 1e-8 with room for rounding) skip the call.
     """
-    sign = 1
-    while _collapses(a):
-        q = Polynomial(tuple(reversed(a)) + (1.0,)).deflate(1.0).coeffs
-        a, sign = tuple(q[-2::-1]), -sign
-    return make_form(n, a, sign)
+    a = tuple(a)
+    scale = 1e-7 * (1.0 + sum(map(abs, a)))
+    if a and (abs(1.0 + sum(a)) <= scale
+              or abs(1.0 - sum(a[::2]) + sum(a[1::2])) <= scale):
+        row = np.array((1.0,) + a, np.complex128)[None, ::-1]
+        rows, counts = deflate_anchored(row, (1.0, -1.0))
+        q = rows[0, :len(a) + 1 - int(counts.sum())]
+        return make_form(n, q[-2::-1], (-1) ** int(counts[0, 0]))
+    return make_form(n, a)
 
 
 def common_shape(forms) -> tuple:

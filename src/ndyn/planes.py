@@ -42,8 +42,8 @@ from .conjugate import common_shape
 from .errors import NdynError
 # poly_roots is unused here but stays bound: bench/test_bench.py checks that
 # the tracer patches and restores it through this module
-from .poly import (RationalMap, deflate_anchored, is_inf,  # noqa: F401
-                   poly_roots)
+from .poly import (CLUSTER_REL, RationalMap, deflate_anchored,  # noqa: F401
+                   is_inf, poly_roots)
 from .stability import affine_fit
 
 OUTCOME_NONE = 0
@@ -377,15 +377,16 @@ def _select_seed_rows(w: np.ndarray, index: Optional[int] = None) -> tuple:
     # A row with more than one usable root holds several pairs or a
     # multiple root (os3's free pair is double), which comes back as m
     # scattered estimates.  Fold each estimate into the first one within
-    # the tolerance of poly._clusters and use their mean, far closer to the
-    # root than any one estimate.  Column by column: memory stays O(P * D).
+    # CLUSTER_REL (the rule of poly._clusters) and use their mean, far
+    # closer to the root than any one estimate.  Column by column: memory
+    # stays O(P * D).
     rows = np.where(usable.sum(axis=1) > 1)[0]
     if rows.size:
         R, U = w[rows], usable[rows]
         total, size = R.copy(), np.ones(R.shape)
         for j in range(1, D):
             near = (np.abs(R[:, :j] - R[:, j, None])
-                    <= 1e-4 * (1.0 + np.abs(R[:, j, None]))) & U[:, :j]
+                    <= CLUSTER_REL * (1.0 + np.abs(R[:, j, None]))) & U[:, :j]
             dup = np.where(U[:, j] & near.any(axis=1))[0]
             first = near[dup].argmax(axis=1)
             total[dup, first] += R[dup, j]

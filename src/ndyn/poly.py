@@ -25,6 +25,9 @@ TRIM_REL = 1e-12
 COFACTOR_TOL = 1e-10
 # Residual tolerance |p(r)| / (1 + |r|)**deg for the simultaneous root solver.
 ROOT_RESIDUAL_TOL = 1e-12
+# Root estimates within CLUSTER_REL * (1 + |r|) of each other are read as
+# the scatter of one multiple root (_clusters).
+CLUSTER_REL = 1e-4
 ABERTH_MAX_SWEEPS = 200
 # Fixed seed: root finding (and everything downstream, e.g. rendered images)
 # must be reproducible run to run.
@@ -164,12 +167,6 @@ class Polynomial:
         if self.is_zero() or k == 0:
             return self if k == 0 else Polynomial(self._c)
         return Polynomial(np.concatenate([np.zeros(k, dtype=np.complex128), self._c]))
-
-    def deflate(self, root: complex) -> "Polynomial":
-        """Divide out a linear factor (z - root), discarding the remainder."""
-        if self.degree < 1:
-            raise ValueError("cannot deflate a constant polynomial")
-        return Polynomial(_divide_rows(self._c[None, :], root)[0])
 
     def leading(self) -> complex:
         if self.is_zero():
@@ -345,7 +342,7 @@ def _clusters(p: Polynomial, roots: Sequence[complex]):
     for r in roots:
         joined = None
         for g in groups:
-            if any(abs(r - s) <= 1e-4 * (1.0 + abs(r)) for s in g):
+            if any(abs(r - s) <= CLUSTER_REL * (1.0 + abs(r)) for s in g):
                 if joined is None:
                     g.append(r)
                     joined = g
@@ -371,7 +368,7 @@ def _clusters(p: Polynomial, roots: Sequence[complex]):
             x -= step
             if abs(step) <= 1e-14 * (1.0 + abs(x)):
                 break
-        if abs(x - mean) > 10.0 * (1e-4 * (1.0 + abs(x))):
+        if abs(x - mean) > 10.0 * (CLUSTER_REL * (1.0 + abs(x))):
             # Newton escaped the cluster; fall back to the raw mean
             x = mean
         out.append((x, m))

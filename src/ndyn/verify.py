@@ -129,8 +129,10 @@ def suite_root_sums() -> SuiteResult:
     return res
 
 
-def _random_form(rng):
-    """A non-degenerate form with n in 2..6, k in 0..5, |a| <= 3."""
+def random_form(rng):
+    """A non-degenerate form with n in 2..6, k in 0..5, |a| <= 3: the
+    draw redone while a_k or the coefficient sum 1 + a_1 + ... + a_k is
+    within 1e-2 of zero."""
     while True:
         n = int(rng.integers(2, 7))
         k = int(rng.integers(0, 6))
@@ -147,7 +149,7 @@ def suite_vieta() -> SuiteResult:
     res = SuiteResult("vieta-roundtrip")
     rng = np.random.default_rng(_SEED + 1)
     for _ in range(40):
-        form = _random_form(rng)
+        form = random_form(rng)
         if form.k:
             prod = Polynomial(
                 np.polynomial.polynomial.polyfromroots(list(form.roots)))
@@ -169,7 +171,7 @@ def suite_fixed_point_structure() -> SuiteResult:
     res = SuiteResult("fixed-point-structure")
     rng = np.random.default_rng(_SEED + 2)
     for _ in range(60):
-        form = _random_form(rng)
+        form = random_form(rng)
         R = form.reconstruct()
         res.check(abs(rat_eval(R, 0.0)) <= 1e-12, "origin not fixed")
         res.check(abs(rat_eval(R, 1.0) - 1.0) <= 1e-9, "one not fixed")

@@ -59,6 +59,15 @@ def test_build_prints_the_normal_form(capsys):
     assert payload["roots"] == ["-2"]
 
 
+def test_build_prints_a_double_root_once_per_copy(capsys):
+    # king at beta = 2 has P = (z + 3)^2: the two solver estimates are one
+    # polished center, printed twice
+    payload = run_json(capsys, "build", "--method", "king",
+                       "--param", "beta=2")
+    assert (payload["n"], payload["k"], payload["a"]) == (4, 2, ["6", "9"])
+    assert payload["roots"] == ["-3", "-3"]
+
+
 def test_build_output_is_stable_bytes(capsys):
     _, first, _ = run(capsys, "build", "--method", "king",
                       "--param", "beta=0.25", "--c", "2-9.3i")

@@ -11,7 +11,8 @@ from ndyn.conjugate import (Mobius, check_iota_symmetry, check_lambda_odd,
                             mobius_conjugate, reduced_form, rotations,
                             sampled_identity, standard_tau)
 from ndyn.errors import NotPalindromic
-from ndyn.poly import INF, Polynomial, is_inf, rat_eval, rat_make
+from ndyn.poly import (INF, Polynomial, deflate_anchored, is_inf, rat_eval,
+                       rat_make)
 
 
 def test_tau_sends_the_roots_to_zero_and_infinity():
@@ -123,6 +124,70 @@ def test_reduced_form_cancels_each_factor_at_one():
     assert (form.n, form.k, form.sign) == (4, 2, 1)
     assert np.allclose(form.a, (4.0, 5.0), rtol=0, atol=1e-12)
     assert reduced_form(3, (2.0,)) == make_form(3, (2.0,))
+
+
+def _a_of(roots):
+    """a_1..a_k of the monic P with these roots."""
+    return tuple(Polynomial.from_roots(roots).coeffs[-2::-1])
+
+
+def test_reduced_form_cancels_the_factors_at_both_anchors():
+    # P = (z - 1) (z + 1)^2 Q: the one (z - 1) flips the sign, the two
+    # (z + 1) keep it, and the form drops three coefficients
+    q = (0.5 + 2.0j, -3.0)
+    a = _a_of((1.0, -1.0, -1.0) + q)
+    form = reduced_form(2, a)
+    assert (form.n, form.k, form.sign) == (2, 2, -1)
+    assert form.degenerate
+    assert np.allclose(form.a, _a_of(q), rtol=0, atol=1e-12)
+    # the map is unchanged: z^n P / P-hat = -z^n Q / Q-hat
+    z = 0.6 + 0.3j
+    v = z ** 2 * np.polyval((1,) + a, z) / np.polyval(a[::-1] + (1,), z)
+    assert abs(rat_eval(form.reconstruct(), z) - v) <= 1e-12 * abs(v)
+
+
+def test_one_operator_reduces_to_one_normal_form():
+    # c-family at c = 0 is Halley's method: P = (z + 1)^2 (z + 2)
+    halley = conjugated_form("chebyshev-halley", {"alpha": 0.0})
+    form = conjugated_form("c-family", {"c": 0.0})
+    assert (form.n, form.k, form.sign) == (halley.n, halley.k, halley.sign)
+    assert max(abs(x - y) for x, y in zip(form.a, halley.a)) <= 1e-12
+    assert catalog_entry("c-family").stability_producer(0.0) == form
+
+
+@pytest.mark.parametrize("method,param,t,want", [
+    ("os2", "a", -2.5, (5, (1.5,))),         # P = (z + 1)^2 (z + 1.5)
+    ("os4", "b", 0.0, (4, (0.0, -3.0))),     # P = (z + 1)^2 (z^2 - 3)
+])
+def test_form_families_drop_a_shared_square_at_minus_one(method, param, t,
+                                                         want):
+    form = conjugated_form(method, {param: t})
+    assert (form.n, form.k, form.sign) == (want[0], len(want[1]), 1)
+    assert not form.degenerate
+    assert max(abs(x - y) for x, y in zip(form.a, want[1])) <= 1e-12
+
+
+def _anchored_reference(n, a):
+    """reduced_form spelled out: one deflate_anchored call, always."""
+    row = np.array((1.0,) + tuple(complex(v) for v in a))[None, ::-1]
+    rows, counts = deflate_anchored(row, (1.0, -1.0))
+    q = rows[0, :len(a) + 1 - int(counts.sum())]
+    return make_form(n, q[-2::-1], (-1) ** int(counts[0, 0]))
+
+
+@pytest.mark.parametrize("anchor", [1.0, -1.0])
+@pytest.mark.parametrize("rel", [1e-5, 3e-8, 1.2e-8, 0.8e-8, 1e-9, 0.0])
+def test_reduced_form_skips_only_what_deflation_keeps(anchor, rel):
+    # P(anchor) moved to rel (1 + sum |a_j|) around deflate_anchored's
+    # 1e-8 boundary: the skip for clearly nonzero P(+-1) never changes
+    # the result of the call
+    rng = np.random.default_rng(0xA7C408)
+    for _ in range(20):
+        a = np.array(_a_of([anchor] + list(rng.uniform(-2, 2, (3, 2))
+                                           @ (1, 1j))))
+        shift = rel * (1.0 + np.abs(a).sum()) * np.exp(2j * rng.uniform(0, 3))
+        a[-1] += shift          # the constant term moves P(1) and P(-1)
+        assert reduced_form(3, a) == _anchored_reference(3, a)
 
 
 def test_iota_symmetry_detection():

@@ -89,11 +89,14 @@ def test_roots_are_sorted_by_real_then_imaginary_part():
     assert list(got) == sorted(got, key=lambda r: (r.real, r.imag))
 
 
-def test_deflate_removes_one_copy():
-    p = Polynomial.from_roots([1.0, 1.0, -3.0])
-    q = p.deflate(1.0)
+def test_anchored_deflation_removes_only_the_anchor():
+    # one copy of (z - 1) leaves; the root 1e-3 away and -3 stay
+    p = Polynomial.from_roots([1.0, 1.001, -3.0])
+    rows, counts = deflate_anchored(p.coeffs[None, :], (1.0, -1.0))
+    assert counts.tolist() == [[1, 0]]
+    q = Polynomial(rows[0])
     assert q.degree == 2
-    assert abs(q(1.0)) <= 1e-12
+    assert abs(q(1.001)) <= 1e-12
     assert abs(q(-3.0)) <= 1e-12
 
 
