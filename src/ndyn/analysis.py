@@ -21,7 +21,7 @@ import numpy as np
 from .conjugate import multiplier_aggregates
 from .errors import NotACycle, PoleAtMinusOne, PoleAtOne
 from .poly import (INF, Polynomial, RationalMap, _clusters, deflate_anchored,
-                   is_inf, poly_roots, rat_eval)
+                   is_inf, point_key, poly_roots, rat_eval)
 
 SUPERATTRACTING_TOL = 1e-10
 INDIFFERENCE_BAND = 1e-8
@@ -101,11 +101,10 @@ def _anchored_roots(p: Polynomial) -> list:
 
 def fixed_points(R: RationalMap) -> list:
     """All fixed points with multipliers and classes; one record per point,
-    finite points by real then imaginary part (compared at 10 decimals, so
-    a conjugate pair keeps its order under rounding)."""
+    finite points in point_key order."""
     g = R.num - Polynomial.identity() * R.den
     finite = sorted((point for point, _m in _anchored_roots(g)),
-                    key=lambda z: (round(z.real, 10), round(z.imag, 10)))
+                    key=point_key)
     records = []
     for point in finite:
         lam = multiplier_at(R, point)

@@ -9,9 +9,9 @@ Statements bind intermediate values; the last statement must bind ``next``.
 ``p`` stands for the target polynomial z^d - c and apostrophes take its
 derivatives, so a single scheme text serves every degree d and constant c.
 Instantiating a scheme substitutes the explicit polynomial and performs the
-rational arithmetic bottom-up without cancelling common factors; each named
-step is reduced once, so the iteration operator comes out as a reduced
-RationalMap.
+rational arithmetic bottom-up without cancelling common factors; each
+distinct subexpression is built once and each named step is reduced once,
+so the iteration operator comes out as a reduced RationalMap.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
+
+import numpy as np
 
 from .errors import (DivisionByZeroMap, SchemeSyntaxError, UnboundIdentifier,
                      UnknownMethod, ZeroC, ZeroDenominator)
@@ -82,9 +84,26 @@ Node = object
 
 @dataclass(frozen=True)
 class Scheme:
-    """Ordered step bindings; the last one is named ``next``."""
+    """Ordered step bindings; the last one is named ``next``.
+
+    Equal subexpressions are interned into one node object, so the
+    interpreters, which remember values by node identity, value each once.
+    """
     steps: tuple   # of (name, Node)
     params: tuple  # parameter names, in order of first use
+
+    def __post_init__(self):
+        nodes: dict = {}
+
+        def intern(node):
+            if isinstance(node, Deriv):
+                node = Deriv(node.order, intern(node.arg))
+            elif isinstance(node, BinOp):
+                node = BinOp(node.op, intern(node.lhs), intern(node.rhs))
+            return nodes.setdefault(node, node)
+
+        object.__setattr__(self, "steps", tuple(
+            (name, intern(expr)) for name, expr in self.steps))
 
 
 # --------------------------------------------------------------------------
@@ -314,19 +333,42 @@ def target_derivative(d: int, c: complex, order: int) -> Polynomial:
     return Polynomial(coeffs)
 
 
+def _fold(scheme: Scheme, node_value: Callable, close: Callable):
+    """Fold a scheme bottom-up, step by step: node_value(node, *operand
+    values) values a node and close(value) binds a step.  Scheme interns
+    equal subexpressions, so each distinct one is valued once."""
+    env: dict = {}
+    memo: dict = {}
+
+    def value(node):
+        key = id(node)
+        if key not in memo:
+            if isinstance(node, Ref):
+                memo[key] = env[node.name]
+            elif isinstance(node, Deriv):
+                memo[key] = node_value(node, value(node.arg))
+            elif isinstance(node, BinOp):
+                memo[key] = node_value(node, value(node.lhs), value(node.rhs))
+            else:
+                memo[key] = node_value(node)
+        return memo[key]
+
+    for name, expr in scheme.steps:
+        env[name] = close(value(expr))
+    return env["next"]
+
+
 def instantiate(scheme: Scheme, ctx: SchemeContext) -> RationalMap:
     """Assemble the operator as a rational map, reduced once per named step.
 
-    Inside a step the numerators and denominators are combined unreduced;
-    a single rat_make at the end of each step cancels the common factors
-    from the coefficients, so a step costs one reduction and no root solve
-    however many operations it holds.
+    Each distinct subexpression is built once.  Inside a step the
+    numerators and denominators are combined unreduced; a single rat_make
+    at the end of each step cancels the common factors from the
+    coefficients, so a step costs one reduction and no root solve however
+    many operations it holds.
     """
-    env: dict[str, RationalMap] = {}
-    for name, expr in scheme.steps:
-        R = _instantiate_expr(expr, ctx, env)
-        env[name] = rat_make(R.num, R.den)
-    return env["next"]
+    return _fold(scheme, partial(_instantiate_node, ctx),
+                 lambda R: rat_make(R.num, R.den))
 
 
 def _quotient(num: Polynomial, den: Polynomial) -> RationalMap:
@@ -343,25 +385,23 @@ def _binding(bindings: dict, name: str) -> complex:
     return complex(bindings[name])
 
 
-def _instantiate_expr(node, ctx: SchemeContext, env: dict) -> RationalMap:
+def _instantiate_node(ctx: SchemeContext, node, *args) -> RationalMap:
     if isinstance(node, Var):
         return identity_map()
     if isinstance(node, Const):
         return constant_map(node.value)
     if isinstance(node, Param):
         return constant_map(_binding(ctx.bindings, node.name))
-    if isinstance(node, Ref):
-        return env[node.name]
     if isinstance(node, Deriv):
-        inner = _instantiate_expr(node.arg, ctx, env)
         pk = ctx.p(node.order)
+        if isinstance(node.arg, Var):      # p^(k)(z) is p^(k) itself
+            return _quotient(pk, Polynomial.one())
         # p^(k)(A/B) = (sum_i p_i A^i B^(m-i)) / B^m
-        m = max(pk.degree, 0)
-        return _quotient(_substitute(pk, inner.num, inner.den, m),
-                         _substitute(Polynomial.one(), inner.num, inner.den, m))
+        inner = args[0]
+        return _quotient(*_substitute((pk, Polynomial.one()), inner.num,
+                                      inner.den, max(pk.degree, 0)))
     if isinstance(node, BinOp):
-        lhs = _instantiate_expr(node.lhs, ctx, env)
-        rhs = _instantiate_expr(node.rhs, ctx, env)
+        lhs, rhs = args
         n1, d1, n2, d2 = lhs.num, lhs.den, rhs.num, rhs.den
         if node.op == "+":
             return _quotient(n1 * d2 + n2 * d1, d1 * d2)
@@ -375,47 +415,57 @@ def _instantiate_expr(node, ctx: SchemeContext, env: dict) -> RationalMap:
     raise TypeError(f"not a scheme node: {node!r}")
 
 
-def evaluate_scheme(scheme: Scheme, ctx: SchemeContext, z: complex) -> complex:
-    """Pointwise evaluation of a scheme at a single z.
+def evaluate_scheme(scheme: Scheme, ctx: SchemeContext, z):
+    """The scheme's value at z: a complex number at a scalar z, an array of
+    values at an array of points.
 
-    Follows the same call-by-value step order as instantiate but never forms
-    coefficient vectors, so it stays accurate for schemes whose expanded
-    operator degree is large.
+    Follows instantiate's step order but never forms coefficient vectors,
+    so it stays accurate for schemes whose expanded operator degree is
+    large.  Each distinct subexpression is evaluated once over all the
+    points.  Where some step divides by exact zero, the array holds NaN and
+    a scalar z raises ZeroDivisionError.
     """
-    env: dict[str, complex] = {}
-    for name, expr in scheme.steps:
-        env[name] = _eval_expr(expr, ctx, env, z)
-    return env["next"]
+    points = np.asarray(z, np.complex128)
+    zs = points.reshape(-1)
+    undefined = np.zeros(zs.shape, bool)
+    with np.errstate(all="ignore"):
+        values = _fold(scheme, partial(_eval_node, ctx, zs, undefined),
+                       lambda v: v)
+    if points.ndim:
+        return np.where(undefined, complex(np.nan, np.nan),
+                        values).reshape(points.shape)
+    if undefined[0]:
+        raise ZeroDivisionError("the scheme divides by zero at this point")
+    return complex(values[0])
 
 
-def _eval_expr(node, ctx: SchemeContext, env: dict, z: complex) -> complex:
+def _eval_node(ctx: SchemeContext, zs: np.ndarray, undefined: np.ndarray,
+               node, *args) -> np.ndarray:
     if isinstance(node, Var):
-        return z
+        return zs
     if isinstance(node, Const):
-        return node.value
+        return np.full(zs.shape, node.value)
     if isinstance(node, Param):
-        return _binding(ctx.bindings, node.name)
-    if isinstance(node, Ref):
-        return env[node.name]
+        return np.full(zs.shape, _binding(ctx.bindings, node.name))
     if isinstance(node, Deriv):
-        w = _eval_expr(node.arg, ctx, env, z)
-        return complex(ctx.p(node.order)(w))
+        return ctx.p(node.order)(args[0])
     if isinstance(node, BinOp):
-        a = _eval_expr(node.lhs, ctx, env, z)
-        b = _eval_expr(node.rhs, ctx, env, z)
+        a, b = args
         if node.op == "+":
             return a + b
         if node.op == "-":
             return a - b
         if node.op == "*":
             return a * b
+        undefined |= b == 0
         return a / b
     raise TypeError(f"not a scheme node: {node!r}")
 
 
 def check_scheme_lambda_odd(scheme: Scheme, ctx: SchemeContext, d: int,
                             trials: int = 50) -> bool:
-    """Sampled d-th root-of-unity equivariance test, evaluated pointwise.
+    """Sampled d-th root-of-unity equivariance test, the scheme evaluated
+    pointwise over all the sampled points at once.
 
     Equivalent in exact arithmetic to check_lambda_odd on the instantiated
     map, but immune to the coefficient-level rounding that expanded

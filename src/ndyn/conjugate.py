@@ -33,8 +33,8 @@ import numpy as np
 from .errors import (DegenerateMobius, NotFixingOneZeroInfinity,
                      NotPalindromic, ZeroC)
 from .poly import (CLUSTER_REL, INF, Polynomial, RationalMap, _clusters,
-                   _substitute, deflate_anchored, is_inf, poly_roots,
-                   rat_make)
+                   _substitute, deflate_anchored, is_inf, point_key,
+                   poly_roots, rat_make)
 
 MIRROR_REL = 1e-9        # palindromicity tolerance on mirrored coefficients
 SYMMETRY_REL = 1e-9      # sampled-identity tolerance for symmetry checks
@@ -101,8 +101,7 @@ def mobius_conjugate(R: RationalMap, M: Mobius) -> RationalMap:
     A = Polynomial((inv.b, inv.a))
     B = Polynomial((inv.d, inv.c))
     m = max(R.num.degree, R.den.degree, 0)
-    num_s = _substitute(R.num, A, B, m)
-    den_s = _substitute(R.den, A, B, m)
+    num_s, den_s = _substitute((R.num, R.den), A, B, m)
     return rat_make(M.a * num_s + M.b * den_s, M.c * num_s + M.d * den_s)
 
 
@@ -152,7 +151,8 @@ def make_form(n: int, a, sign: int = 1) -> OperatorForm:
     power of z from P into z^n, the inverse of common_shape's padding.  A
     multiple root of P comes back from poly_roots as a scatter; when two
     estimates lie within CLUSTER_REL of each other, each cluster's polished
-    center (poly._clusters) is repeated by its multiplicity instead.
+    center (poly._clusters) is repeated by its multiplicity instead.  The
+    roots come in point_key order.
     """
     a = [complex(v) for v in a]
     scale = max([1.0] + [abs(v) for v in a])
@@ -165,9 +165,9 @@ def make_form(n: int, a, sign: int = 1) -> OperatorForm:
         roots = poly_roots(p)
         if any(abs(r - s) <= CLUSTER_REL * (1.0 + abs(r))
                for r, s in combinations(roots, 2)):
-            roots = tuple(sorted((complex(x) for x, m in _clusters(p, roots)
-                                  for _ in range(m)),
-                                 key=lambda r: (r.real, r.imag)))
+            roots = (complex(x) for x, m in _clusters(p, roots)
+                     for _ in range(m))
+        roots = tuple(sorted(roots, key=point_key))
     return OperatorForm(n=n, k=len(a), a=tuple(a), roots=roots, sign=sign,
                         degenerate=sign == -1 or _collapses(a))
 
@@ -291,33 +291,45 @@ def multiplier_aggregates(n: int, p_hat, x: float) -> tuple:
 # --------------------------------------------------------------------------
 
 
+def _values(f, z: np.ndarray) -> np.ndarray:
+    """f at the points z; an f that raises ZeroDivisionError is undefined
+    (NaN) at every point."""
+    try:
+        return np.asarray(f(z), np.complex128)
+    except ZeroDivisionError:
+        return np.full(z.shape, complex(np.nan, np.nan))
+
+
 def sampled_identity(f, moves, trials: int, seed: int) -> bool:
     """Sampled test of f(g z) = h(f z) for every move (g, h).
 
-    z is drawn from [-2, 2]^2 (real part first) until `trials` points pass
-    or 50 trials + 100 draws are spent; a draw is skipped at |z| < 0.1, at
-    f(z) infinite or outside [1e-6, 1e6] in modulus, or on division by
-    zero.  An infinite f(g z) fails the identity.
+    f, g and h take an array of points; f marks a point where it divides by
+    exact zero with NaN and a pole with an infinite value.  Draws z come
+    from [-2, 2]^2 (real part first), 50 trials + 100 of them at once, and
+    are read in order until `trials` pass.  A draw is skipped at |z| < 0.1,
+    where f(z) is undefined or outside [1e-6, 1e6] in modulus, and where
+    some f(g z) is undefined before any move fails; it fails where f(g z)
+    is a pole or misses h(f z) by more than SYMMETRY_REL.  The test is
+    False when a draw fails before the `trials`-th pass.
     """
-    rng = np.random.default_rng(seed)
-    done = attempts = 0
-    while done < trials and attempts < 50 * trials + 100:
-        attempts += 1
-        z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-        if abs(z) < 0.1:
-            continue
-        try:
-            v = f(z)
-            if is_inf(v) or abs(v) < 1e-6 or abs(v) > 1e6:
-                continue
-            for g, h in moves:
-                w, want = f(g(z)), h(v)
-                if is_inf(w) or abs(w - want) > SYMMETRY_REL * (1.0 + abs(want)):
-                    return False
-        except ZeroDivisionError:
-            continue
-        done += 1
-    return True
+    draws = np.random.default_rng(seed).uniform(-2.0, 2.0,
+                                                (50 * trials + 100, 2))
+    z = draws.view(np.complex128)[:, 0]
+    with np.errstate(all="ignore"):
+        v = _values(f, z)
+        keep = (np.abs(z) >= 0.1) & (np.abs(v) >= 1e-6) & (np.abs(v) <= 1e6)
+        z, v = z[keep], v[keep]
+        pending = np.ones(z.shape, bool)   # no move has decided the draw yet
+        failed = np.zeros(z.shape, bool)
+        for g, h in moves:
+            w, want = _values(f, g(z)), h(v)
+            undefined = np.isnan(w)
+            miss = ~undefined & ~(np.abs(w - want)
+                                  <= SYMMETRY_REL * (1.0 + np.abs(want)))
+            failed |= pending & miss
+            pending &= ~(undefined | miss)
+    passes_before = np.cumsum(pending) - pending
+    return not np.any(failed & (passes_before < trials))
 
 
 def rotations(d: int) -> list:

@@ -50,6 +50,13 @@ def is_inf(value) -> bool:
     return value is INF
 
 
+def point_key(z) -> tuple:
+    """The order in which points are reported: real, then imaginary part,
+    both compared at 10 decimals, so a conjugate pair keeps its order (the
+    negative imaginary part first) when rounding splits the real parts."""
+    return (round(z.real, 10), round(z.imag, 10))
+
+
 def _as_array(coeffs) -> np.ndarray:
     arr = np.asarray(list(coeffs) if not isinstance(coeffs, np.ndarray) else coeffs,
                      dtype=np.complex128)
@@ -118,6 +125,12 @@ class Polynomial:
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, z):
+        """The value at z: a complex number, INF at INF for degree >= 1, or
+        an array of values (by Horner) at an array of points."""
+        if isinstance(z, np.ndarray):
+            if self.is_zero():
+                return np.zeros(z.shape, np.complex128)
+            return _horner(self._c, z)
         if is_inf(z):
             if self.is_zero():
                 return 0.0 + 0.0j
@@ -454,7 +467,14 @@ def rat_make(num: Polynomial, den: Polynomial) -> RationalMap:
 
 
 def rat_eval(R: RationalMap, z):
-    """Evaluate on the extended plane; returns INF at poles and handles z=INF."""
+    """Evaluate on the extended plane; returns INF at poles and handles z=INF.
+
+    At an array of points it returns an array, complex infinity at poles.
+    """
+    if isinstance(z, np.ndarray):
+        dv = R.den(z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(dv == 0, complex(np.inf), R.num(z) / dv)
     if is_inf(z):
         dn, dd = R.num.degree, R.den.degree
         if R.num.is_zero():
@@ -471,20 +491,23 @@ def rat_eval(R: RationalMap, z):
     return nv / dv
 
 
-def _substitute(p: Polynomial, A: Polynomial, B: Polynomial, m: int) -> Polynomial:
-    """sum_i p_i * A**i * B**(m-i), the homogenised substitution z -> A/B."""
-    out = Polynomial.zero()
-    apow = Polynomial.one()
+def _substitute(ps, A: Polynomial, B: Polynomial, m: int) -> tuple:
+    """sum_i p_i * A**i * B**(m-i) for each p in ps, the homogenised
+    substitution z -> A/B, from one table of the powers of A and of B."""
     bpows = [Polynomial.one()]
     for _ in range(m):
         bpows.append(bpows[-1] * B)
-    c = p.coeffs
-    for i in range(c.size):
-        if c[i] != 0:
-            out = out + complex(c[i]) * (apow * bpows[m - i])
-        if i < c.size - 1:
-            apow = apow * A
-    return out
+    apows = [Polynomial.one()]
+    for _ in range(max(p.coeffs.size for p in ps) - 1):
+        apows.append(apows[-1] * A)
+    out = []
+    for p in ps:
+        total = Polynomial.zero()
+        for i, c in enumerate(p.coeffs):
+            if c != 0:
+                total = total + complex(c) * (apows[i] * bpows[m - i])
+        out.append(total)
+    return tuple(out)
 
 
 def rat_combine(op: str, R1: RationalMap, R2: RationalMap) -> RationalMap:
@@ -501,7 +524,7 @@ def rat_combine(op: str, R1: RationalMap, R2: RationalMap) -> RationalMap:
         return rat_make(n1 * d2, d1 * n2)
     if op == "compose":
         m = max(n1.degree, d1.degree, 0)
-        return rat_make(_substitute(n1, n2, d2, m), _substitute(d1, n2, d2, m))
+        return rat_make(*_substitute((n1, d1), n2, d2, m))
     raise ValueError(f"unknown operation {op!r}")
 
 

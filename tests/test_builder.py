@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from ndyn.builder import (BinOp, Const, Deriv, Param, Ref, Scheme,
                           catalog_names, check_scheme_lambda_odd,
                           conjugated_form, evaluate_scheme, instantiate,
                           parse_scheme, target_derivative, _lex)
-from ndyn.conjugate import extract_normal_form, mobius_conjugate, standard_tau
+from ndyn.conjugate import (check_iota_symmetry, check_lambda_odd,
+                            extract_normal_form, mobius_conjugate,
+                            standard_tau)
 from ndyn.errors import (DivisionByZeroMap, NdynError, SchemeSyntaxError,
                          UnboundIdentifier, UnknownMethod, ZeroC,
                          ZeroDenominator)
@@ -118,6 +122,27 @@ def test_evaluate_scheme_agrees_with_instantiation():
     for z in (0.7, 1.0 + 0.4j, -2.3):
         direct = evaluate_scheme(scheme, ctx, z)
         assert abs(direct - rat_eval(R, z)) <= 1e-10 * (1.0 + abs(direct))
+
+
+def test_evaluate_scheme_takes_an_array_of_points():
+    scheme = catalog_entry("king").ast
+    ctx = SchemeContext(d=3, c=2.0 - 1.0j, bindings={"beta": 0.5})
+    z = np.array([[0.7, 1.0 + 0.4j], [-2.3j, 1.5 - 0.2j]])
+    values = evaluate_scheme(scheme, ctx, z)
+    assert values.shape == z.shape
+    for u, v in zip(z.flat, values.flat):
+        w = evaluate_scheme(scheme, ctx, u)
+        assert type(w) is complex and w == v
+
+
+def test_division_by_exact_zero_is_nan_in_an_array():
+    # p(z) - p(1) vanishes exactly at z = 1 only
+    scheme = parse_scheme("next = z / (p(z) - p(1));")
+    ctx = SchemeContext(d=2, c=1.0)
+    values = evaluate_scheme(scheme, ctx, np.array([1.0, 2.0]))
+    assert np.isnan(values[0]) and abs(values[1] - 2.0 / 3.0) <= 1e-15
+    with pytest.raises(ZeroDivisionError):
+        evaluate_scheme(scheme, ctx, 1.0)
 
 
 def test_chun_cancels_every_common_factor():
@@ -338,3 +363,74 @@ def test_degenerate_family_reduces_on_build():
     assert (form.n, form.k) == (4, 3)
     want = (8.0, 26.0, 45.0)
     assert max(abs(x - y) for x, y in zip(form.a, want)) <= 1e-9
+
+
+# The coefficient bytes of every catalog scheme instantiated at d = 2, 3
+# and 4, three seeded (c, bindings) draws each, and the verdicts of the
+# sampled symmetry checks on a seeded corpus: check_scheme_lambda_odd on
+# every scheme at d = 2, 3, 4 and trials 20, 50; check_iota_symmetry
+# (trials 20 and 10) and check_lambda_odd (d = 2 and 3) on the reconstructed
+# map of every catalog entry that builds at three seeded parameters.
+# `PYTHONPATH=src python tests/test_builder.py` prints the current digests.
+INSTANTIATE_PIN = "908f55df950d072379a78d58727930829aa8a9d1c9e45d1fdc9d57623ad5d904"
+VERDICTS_PIN = "3b3d86d10cfd46e369fcf76c7567bdf17093504f1eec78d145bd54097faabd45"
+
+SCHEMES = [n for n in catalog_names() if catalog_entry(n).kind == "scheme"]
+
+
+def _instantiate_corpus():
+    rng = np.random.default_rng(0x1257A7E)
+    for name in SCHEMES:
+        entry = catalog_entry(name)
+        for d in (2, 3, 4):
+            # the third draw is real, so signed zeros fill the imaginary parts
+            for im in (1.0, 1.0, 0.0):
+                c = complex(rng.uniform(-3.0, 3.0),
+                            im * rng.uniform(-3.0, 3.0))
+                bindings = {p: complex(rng.uniform(-2.0, 2.0),
+                                       im * rng.uniform(-1.0, 1.0))
+                            for p in entry.params}
+                yield entry.ast, SchemeContext(d=d, c=c, bindings=bindings)
+
+
+def _instantiate_digest():
+    h = hashlib.sha256()
+    for ast, ctx in _instantiate_corpus():
+        R = instantiate(ast, ctx)
+        h.update(R.num.coeffs.tobytes() + b"/" + R.den.coeffs.tobytes() + b";")
+    return h.hexdigest()
+
+
+def _verdicts():
+    out = []
+    rng = np.random.default_rng(0x5E7D1C7)
+    for ast, ctx in _instantiate_corpus():
+        for trials in (20, 50):
+            out.append(check_scheme_lambda_odd(ast, ctx, ctx.d, trials))
+    for name in catalog_names():
+        entry = catalog_entry(name)
+        for _ in range(3):
+            t = complex(rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 1.0))
+            bindings = {p: t for p in entry.params}
+            try:
+                R = conjugated_form(name, bindings).reconstruct()
+            except NdynError:
+                continue
+            out += [check_iota_symmetry(R, 20), check_iota_symmetry(R, 10),
+                    check_lambda_odd(R, 2), check_lambda_odd(R, 3)]
+    return out
+
+
+def test_instantiate_matches_pin():
+    assert _instantiate_digest() == INSTANTIATE_PIN
+
+
+def test_symmetry_verdicts_match_pin():
+    verdicts = _verdicts()
+    assert 0 < verdicts.count(False) < len(verdicts)
+    assert hashlib.sha256(bytes(verdicts)).hexdigest() == VERDICTS_PIN
+
+
+if __name__ == "__main__":
+    print(_instantiate_digest())
+    print(hashlib.sha256(bytes(_verdicts())).hexdigest())

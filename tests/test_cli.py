@@ -5,7 +5,9 @@ import json
 import pytest
 
 from ndyn.builder import catalog_entry, conjugated_form
-from ndyn.cli import UsageError, _form_payload, main, parse_complex_literal
+from ndyn.cli import (UsageError, _fmt_complex, _form_payload, main,
+                      parse_complex_literal)
+from ndyn.poly import point_key
 
 KING_SCHEME = ("y = z - p(z)/p'(z);\n"
                "next = y - p(y)/p'(z) * (p(z) + (beta + 2)*p(y))"
@@ -66,6 +68,34 @@ def test_build_prints_a_double_root_once_per_copy(capsys):
                        "--param", "beta=2")
     assert (payload["n"], payload["k"], payload["a"]) == (4, 2, ["6", "9"])
     assert payload["roots"] == ["-3", "-3"]
+
+
+def test_build_prints_a_conjugate_pair_negative_part_first(capsys):
+    # the solver's real parts of the pair differ in the last bits
+    payload = run_json(capsys, "build", "--method", "os2",
+                       "--param", "a=-0.7")
+    assert payload["roots"] == ["-2.5", "-1.4-1.49666295471i",
+                                "-1.4+1.49666295471i"]
+
+
+SWEEP = {"king": "beta", "amat": "beta", "chebyshev-halley": "alpha",
+         "os2": "a", "os3": "a", "m4": "beta", "c-family": "c", "os4": "b"}
+
+
+@pytest.mark.parametrize("method", sorted(SWEEP))
+def test_build_prints_roots_in_key_order(capsys, method):
+    # the key applies to the computed roots: printed at 12 digits, two real
+    # parts on either side of a rounding boundary can print equal
+    param = SWEEP[method]
+    for step in range(-30, 31):
+        t = step / 10
+        code, out, _ = run(capsys, "build", "--method", method,
+                           "--param", f"{param}={t}")
+        if code != 0:        # a refused member (m4 at beta = 0)
+            continue
+        roots = conjugated_form(method, {param: t}).roots
+        assert json.loads(out)["roots"] == [
+            _fmt_complex(r) for r in sorted(roots, key=point_key)], t
 
 
 def test_build_output_is_stable_bytes(capsys):

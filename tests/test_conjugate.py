@@ -227,6 +227,61 @@ def test_sampled_identity_tests_every_move():
     assert sampled_identity(pole, [flip], 30, 1)      # every draw skipped
 
 
+def _cube_except(where, mark):
+    """z^3, but `mark` wherever where(z) holds."""
+    return lambda z: np.where(where(z), mark, z ** 3)
+
+
+def test_sampled_identity_skips_a_draw_where_f_is_undefined():
+    # z^3 is odd; NaN marks a division by exact zero, which is no failure,
+    # while an infinite f(-z) is a pole, which is one
+    flip = (lambda z: -z,) * 2
+    for mark, holds in ((np.nan, True), (np.inf, False)):
+        f = _cube_except(lambda z: z.real < 0, mark)
+        assert sampled_identity(f, [flip], 30, 1) is holds
+
+
+def test_sampled_identity_fails_a_draw_where_f_of_g_z_is_a_pole():
+    # f(z) stays finite at every draw; f(2 z) has a pole beyond |z| = 3
+    f = _cube_except(lambda z: np.abs(z) > 3.0, np.inf)
+    double = (lambda z: 2.0 * z, lambda v: 8.0 * v)
+    assert not sampled_identity(f, [double], 30, 7)
+    nan = _cube_except(lambda z: np.abs(z) > 3.0, np.nan)
+    assert sampled_identity(nan, [double], 30, 7)
+
+
+def test_sampled_identity_reads_the_moves_in_order():
+    # the first move that decides a draw decides it: undefined skips it
+    f = _cube_except(lambda z: z.real > 10.0, np.nan)
+    undefined = (lambda z: z + 100.0, lambda v: v)
+    wrong = (lambda z: -z, lambda v: v)
+    assert sampled_identity(f, [undefined, wrong], 30, 1)
+    assert not sampled_identity(f, [wrong, undefined], 30, 1)
+
+
+def test_sampled_identity_stops_at_the_trials_th_pass():
+    # one wrong value, at the 11th draw (real part first): it fails the
+    # test only while fewer than `trials` draws have passed before it
+    draws = np.random.default_rng(5).uniform(-2.0, 2.0, (11, 2))
+    z = draws[:, 0] + 1j * draws[:, 1]
+    assert abs(z[10]) >= 0.1
+    passed = int((np.abs(z[:10]) >= 0.1).sum())
+
+    def f(w):
+        return np.where(w == -z[10], 1.0, w ** 3)
+
+    flip = (lambda w: -w,) * 2
+    assert sampled_identity(f, [flip], passed, 5)
+    assert not sampled_identity(f, [flip], passed + 1, 5)
+
+
+def test_sampled_identity_skips_every_draw_of_a_raising_f():
+    def raises(z):
+        raise ZeroDivisionError
+
+    assert sampled_identity(raises, rotations(3), 30, 1)
+
+
 def test_common_shape_lifts_and_pads():
     low = make_form(5, (2.0,))
     high = make_form(3, (1.0, 4.0, 2.0))
