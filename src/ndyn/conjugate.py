@@ -300,21 +300,8 @@ def _values(f, z: np.ndarray) -> np.ndarray:
         return np.full(z.shape, complex(np.nan, np.nan))
 
 
-def sampled_identity(f, moves, trials: int, seed: int) -> bool:
-    """Sampled test of f(g z) = h(f z) for every move (g, h).
-
-    f, g and h take an array of points; f marks a point where it divides by
-    exact zero with NaN and a pole with an infinite value.  Draws z come
-    from [-2, 2]^2 (real part first), 50 trials + 100 of them at once, and
-    are read in order until `trials` pass.  A draw is skipped at |z| < 0.1,
-    where f(z) is undefined or outside [1e-6, 1e6] in modulus, and where
-    some f(g z) is undefined before any move fails; it fails where f(g z)
-    is a pole or misses h(f z) by more than SYMMETRY_REL.  The test is
-    False when a draw fails before the `trials`-th pass.
-    """
-    draws = np.random.default_rng(seed).uniform(-2.0, 2.0,
-                                                (50 * trials + 100, 2))
-    z = draws.view(np.complex128)[:, 0]
+def _draw_verdicts(f, moves, z: np.ndarray) -> tuple:
+    """(failed, passed) of the draws z that are not skipped, in order."""
     with np.errstate(all="ignore"):
         v = _values(f, z)
         keep = (np.abs(z) >= 0.1) & (np.abs(v) >= 1e-6) & (np.abs(v) <= 1e6)
@@ -328,7 +315,33 @@ def sampled_identity(f, moves, trials: int, seed: int) -> bool:
                                   <= SYMMETRY_REL * (1.0 + np.abs(want)))
             failed |= pending & miss
             pending &= ~(undefined | miss)
-    passes_before = np.cumsum(pending) - pending
+    return failed, pending
+
+
+def sampled_identity(f, moves, trials: int, seed: int) -> bool:
+    """Sampled test of f(g z) = h(f z) for every move (g, h).
+
+    f, g and h take an array of points; f marks a point where it divides by
+    exact zero with NaN and a pole with an infinite value.  Draws z come
+    from [-2, 2]^2 (real part first), 50 trials + 100 of them at once, and
+    are read in order until `trials` pass.  A draw is skipped at |z| < 0.1,
+    where f(z) is undefined or outside [1e-6, 1e6] in modulus, and where
+    some f(g z) is undefined before any move fails; it fails where f(g z)
+    is a pole or misses h(f z) by more than SYMMETRY_REL.  The test is
+    False when a draw fails before the `trials`-th pass.  Each draw's
+    verdict depends on that draw alone, so f first sees only the first
+    2 trials + 10 draws, and the rest only when they decide nothing.
+    """
+    draws = np.random.default_rng(seed).uniform(-2.0, 2.0,
+                                                (50 * trials + 100, 2))
+    z = draws.view(np.complex128)[:, 0]
+    head = 2 * trials + 10
+    failed, passed = _draw_verdicts(f, moves, z[:head])
+    if passed.sum() < trials and not failed.any():
+        more_failed, more_passed = _draw_verdicts(f, moves, z[head:])
+        failed = np.concatenate((failed, more_failed))
+        passed = np.concatenate((passed, more_passed))
+    passes_before = np.cumsum(passed) - passed
     return not np.any(failed & (passes_before < trials))
 
 

@@ -22,11 +22,14 @@ the anchored points w = +-2 (z = +-1), and takes one seed per pair from the
 companion-matrix roots.
 
 Every orbit runs through one loop, _orbit, whose state stays compacted.  A
-parameter-plane pixel is evaluated straight from (n, a): Horner passes over
-1, a_1..a_k give P-hat and P, then n multiplications by z; a column equal
-at every pixel of a band is carried as one scalar.  A dynamical plane reads
-its map's exactly zero low numerator coefficients (a normal form's z^n) as
-n the same way.
+seed whose orbit sits on an exact fixed point of its map can never be
+captured, so it leaves the loop early and still ends as none with max_iter
+iterations: outputs are the same as running it out.  A parameter-plane
+pixel is evaluated straight from (n, a): Horner passes over 1, a_1..a_k
+give P-hat and P, then n multiplications by z; a column equal at every
+pixel of a band is carried as one scalar.  A dynamical plane reads its
+map's exactly zero low numerator coefficients (a normal form's z^n) as n
+the same way.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ CONV_RADIUS = 1e-4     # an orbit this close to 0 or an attractor is captured
 INFINITY_RADIUS = 1e8  # and one this far out has escaped
 ANCHOR_TOL = 1e-6      # critical points this close to +-1 are not free seeds
 ORIGIN_TOL = 1e-9      # nor this close to 0 (or to infinity)
+FIXED_CHECK_EVERY = 8  # steps between the tests for an exact fixed point
 
 _SPEED_STOPS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 _SPEED_COLORS = np.array([
@@ -219,6 +223,10 @@ def _orbit(z0: np.ndarray, f: _OrbitMap, cfg: RenderConfig,
     The live seeds' indices, their z and the per-seed columns of `f` shrink
     together when seeds finish.  Seeds outside `live` (no usable critical
     point) never run; they end as outcome none with max_iter iterations.
+    Every FIXED_CHECK_EVERY steps, after the capture tests, a seed whose z
+    equals its previous z exactly leaves the loop too: that previous z was
+    not captured, so z is an exact fixed point of f that never will be, and
+    the seed keeps outcome none with max_iter iterations, as if it had run.
     """
     out = np.zeros(z0.size, np.int8)
     its = np.full(z0.size, cfg.max_iter, np.int32)
@@ -239,9 +247,12 @@ def _orbit(z0: np.ndarray, f: _OrbitMap, cfg: RenderConfig,
                 code = np.where(hit0, OUTCOME_ROOT0, np.where(
                     hit_s, OUTCOME_STRANGE, OUTCOME_ROOTINF))
                 out[idx[done]], its[idx[done]] = code[done], t
+            if t and t % FIXED_CHECK_EVERY == 0:
+                done |= z == prev       # NaN never equals itself: it runs on
+            if done.any():
                 keep = ~done
                 idx, z, f = idx[keep], z[keep], f.take(keep)
-            z = f(z)
+            prev, z = z, f(z)
     return out, its
 
 

@@ -275,6 +275,28 @@ def test_sampled_identity_stops_at_the_trials_th_pass():
     assert not sampled_identity(f, [flip], passed + 1, 5)
 
 
+def test_sampled_identity_reads_on_while_the_first_draws_decide_nothing():
+    # f is undefined at |Re z| <= 1.5, so the first 2 trials + 10 draws hold
+    # fewer than `trials` passes and no failure; a wrong value at the first
+    # defined draw after them still fails the test
+    trials = 30
+    draws = np.random.default_rng(5).uniform(-2.0, 2.0,
+                                             (50 * trials + 100, 2))
+    z = draws[:, 0] + 1j * draws[:, 1]
+    head = 2 * trials + 10
+    defined = np.abs(z.real) > 1.5
+    assert defined[:head].sum() < trials
+    bad = z[head + np.argmax(defined[head:])]
+
+    def f(w, wrong):
+        cube = np.where(np.abs(w.real) > 1.5, w ** 3, np.nan)
+        return np.where(wrong & (w == -bad), 1.0, cube)
+
+    flip = (lambda w: -w,) * 2
+    assert sampled_identity(lambda w: f(w, False), [flip], trials, 5)
+    assert not sampled_identity(lambda w: f(w, True), [flip], trials, 5)
+
+
 def test_sampled_identity_skips_every_draw_of_a_raising_f():
     def raises(z):
         raise ZeroDivisionError

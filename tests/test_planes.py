@@ -23,10 +23,13 @@ from ndyn import (
     write_metadata,
 )
 from ndyn.builder import conjugated_form
+from ndyn.conjugate import make_form
 from ndyn.errors import ZeroDenominator
-from ndyn.planes import (OUTCOME_NAMES, PlaneImage, _form_coeffs, _form_map,
-                         _orbit, _pair_rows, _rational_map, _roots_rows,
-                         _select_seed_rows)
+from ndyn.planes import (CONV_RADIUS, INFINITY_RADIUS, OUTCOME_NAMES,
+                         OUTCOME_ROOT0, OUTCOME_ROOTINF, OUTCOME_STRANGE,
+                         PlaneImage, _flatten_attractors, _form_coeffs,
+                         _form_map, _orbit, _OrbitMap, _pair_rows,
+                         _rational_map, _roots_rows, _select_seed_rows)
 from ndyn.poly import rat_eval, rat_make
 from ndyn.stability import PROBES
 
@@ -386,6 +389,89 @@ def test_orbit_loop_matches_each_seed_alone(seed, k, mixed_n):
         assert (OUTCOME_NAMES[int(out[i])], int(its[i])) == want, i
     if k:
         assert (OUTCOME_NAMES[int(out[1])], int(its[1])) == ("root-inf", 1)
+
+
+def _orbit_reference(z0, f, cfg, attractors, live=None):
+    """The orbit loop with no early exit: every live seed runs until it is
+    captured or max_iter steps have passed."""
+    out = np.zeros(z0.size, np.int8)
+    its = np.full(z0.size, cfg.max_iter, np.int32)
+    idx = np.arange(z0.size) if live is None else np.flatnonzero(live)
+    z, f = np.asarray(z0, np.complex128)[idx], f.take(idx)
+    with np.errstate(all="ignore"):
+        for t in range(cfg.max_iter):
+            if idx.size == 0:
+                break
+            r = np.abs(z)
+            hit0 = r < CONV_RADIUS
+            hit_s = np.zeros_like(hit0)
+            for a in attractors:
+                hit_s |= np.abs(z - a) < CONV_RADIUS
+            done = hit0 | hit_s | (r >= INFINITY_RADIUS)
+            if done.any():
+                # the origin wins over an attractor, which wins over infinity
+                code = np.where(hit0, OUTCOME_ROOT0, np.where(
+                    hit_s, OUTCOME_STRANGE, OUTCOME_ROOTINF))
+                out[idx[done]], its[idx[done]] = code[done], t
+                keep = ~done
+                idx, z, f = idx[keep], z[keep], f.take(keep)
+            z = f(z)
+    return out, its
+
+
+KING_M4 = conjugated_form("king", {"beta": -4.0}).reconstruct()
+GALLERY_WINDOW = (-3.0, 3.0, -3.0, 3.0)
+
+
+def _grid(cfg):
+    return (cfg.x_centers()[None, :] + 1j * cfg.y_centers()[:, None]).ravel()
+
+
+@pytest.mark.parametrize("max_iter", [1, 7, 8, 9, 17, 150])
+def test_fixed_point_exit_matches_the_reference_loop(max_iter):
+    # king at beta = -4 fixes z = 1 superattracting: undeclared, its basin
+    # sits on 1 exactly; with a_2 one ulp off -3 the fixed point is not a
+    # float and orbits end in cycles of adjacent floats instead
+    cfg = small_cfg(window=GALLERY_WINDOW, resolution=(48, 48),
+                    max_iter=max_iter)
+    z0 = _grid(cfg)
+    perturbed = make_form(4, (0.0, -3.000000000000001)).reconstruct()
+    cases = [(z0, _rational_map(R), attractors, None)
+             for R, attractors in ((KING_M4, ()), (KING_M4, (1.0,)),
+                                   (perturbed, ()))]
+    # random bands, z = 1 (fixed by every z^n P / P-hat) left undeclared and
+    # seeded on and one or a few ulps beside it, where a repelling orbit
+    # moves by less than 1e-12 per step for a while before it leaves
+    rng = np.random.default_rng(max_iter)
+    near_one = 1.0 + np.r_[0.0, 2.0 ** -52, -(2.0 ** -53), 1e-15, 1e-15j]
+    for _ in range(12):
+        P, k = 96, int(rng.integers(1, 4))
+        n = rng.integers(1, 6, P)
+        a = rng.uniform(-2, 2, (P, k)) + 1j * rng.uniform(-2, 2, (P, k))
+        z = rng.uniform(-3, 3, P) + 1j * rng.uniform(-3, 3, P)
+        z[:40] = np.repeat(near_one, 8)
+        cases.append((z, _form_map(n, a), (), rng.random(P) > 0.1))
+    for z, f, attractors, live in cases:
+        attr = _flatten_attractors(attractors)
+        got = _orbit(z, f, cfg, attr, live)
+        want = _orbit_reference(z, f, cfg, attr, live)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+def test_fixed_point_exit_cuts_the_orbit_steps(monkeypatch):
+    stepped = []
+    step = _OrbitMap.__call__
+
+    def counted(self, z):
+        stepped.append(z.size)
+        return step(self, z)
+
+    monkeypatch.setattr(_OrbitMap, "__call__", counted)
+    img = dynamical_plane(KING_M4, small_cfg(window=GALLERY_WINDOW,
+                                             resolution=(64, 64),
+                                             max_iter=150, workers=1))
+    assert sum(stepped) < img.iterations.sum() / 2
 
 
 def _derivative_numerator(n, a):
