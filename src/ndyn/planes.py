@@ -16,10 +16,14 @@ so every row has sign +1.  When a(t) is affine in t (stability.affine_fit
 at the fixed generic PROBES, so no window puts a probe on a special member),
 a band's coefficients are A + t B; otherwise the family is called once per
 pixel and its forms are stacked.  The operator commutes with z -> 1/z, so
-its free critical points come in pairs kappa <-> 1/kappa: each band solves
-one degree-k equation Q(w) in w = z + 1/z straight from (n, a), divides out
-the anchored points w = +-2 (z = +-1), and takes one seed per pair from the
-companion-matrix roots.
+its free critical points come in pairs kappa <-> 1/kappa, the roots of one
+degree-k equation Q(w) in w = z + 1/z built from (n, a).  Q is bilinear in
+the coefficients, so an affine family's Q(w; t) = T0 + t T1 + t^2 T2 is
+built once per render, and the anchored factors (w -+ 2) (z = +-1) that it
+has at every t are divided out of it once.  Each band evaluates Q at its
+t (or builds it per pixel), divides out the anchored factors that only
+special members have, and takes one seed per pair from the roots: -c0/c1
+for a linear row, the companion-matrix eigenvalues otherwise.
 
 Every orbit runs through one loop, _orbit, whose state stays compacted.  A
 seed whose orbit sits on an exact fixed point of its map can never be
@@ -45,8 +49,8 @@ from .conjugate import common_shape
 from .errors import NdynError
 # poly_roots is unused here but stays bound: bench/test_bench.py checks that
 # the tracer patches and restores it through this module
-from .poly import (CLUSTER_REL, RationalMap, deflate_anchored,  # noqa: F401
-                   is_inf, poly_roots)
+from .poly import (CLUSTER_REL, RationalMap, _divide_rows,  # noqa: F401
+                   deflate_anchored, is_inf, poly_roots)
 from .stability import affine_fit
 
 OUTCOME_NONE = 0
@@ -66,6 +70,7 @@ INFINITY_RADIUS = 1e8  # and one this far out has escaped
 ANCHOR_TOL = 1e-6      # critical points this close to +-1 are not free seeds
 ORIGIN_TOL = 1e-9      # nor this close to 0 (or to infinity)
 FIXED_CHECK_EVERY = 8  # steps between the tests for an exact fixed point
+_ANCHORS = (2.0, -2.0)  # w = z + 1/z at the anchored points z = +-1
 
 _SPEED_STOPS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 _SPEED_COLORS = np.array([
@@ -153,7 +158,7 @@ def resolve_workers(cfg: RenderConfig) -> int:
 
 def _flatten_attractors(known) -> np.ndarray:
     points = []
-    for item in known or ():
+    for item in () if known is None else known:
         if isinstance(item, (tuple, list)):
             points.extend(item)
         else:
@@ -311,19 +316,18 @@ def _conv_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_rows(n, a: np.ndarray) -> np.ndarray:
-    """Q(w) per row, ascending: the free critical pairs of z^n P / P-hat.
+def _pair_terms(n, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Q(w) per row, ascending, of the pair equation as a bilinear form.
 
-    The derivative numerator without its z^(n-1) is
-    C = n P P-hat + z (P' P-hat - P P-hat'), self-reciprocal of degree 2k,
-    so C(z) = z^k Q(z + 1/z) with Q = C_k + sum_m C_(k+m) D_m(w) and the
-    Dickson polynomials D_m(z + 1/z) = z^m + z^-m.  Each root w of Q is
-    one pair kappa <-> 1/kappa; z = 0 and a padded a_k = 0 sit at w = inf.
+    With p the coefficients of P and q those of P-hat (ascending, one row
+    each), C(p, q) = conv((n + j) p, q) - conv(p, j q) is the derivative
+    numerator without its z^(n-1), C = n P P-hat + z (P' P-hat - P P-hat').
+    When q is the reversal of p, C is self-reciprocal of degree 2k, so
+    C(z) = z^k Q(z + 1/z) with Q = C_k + sum_m C_(k+m) D_m(w) and the
+    Dickson polynomials D_m(z + 1/z) = z^m + z^-m.  Both steps are linear,
+    so Q is bilinear in (p, q) too.
     """
-    P, k = a.shape
-    q = np.ones((P, k + 1), np.complex128)
-    q[:, 1:] = a
-    p = q[:, ::-1]
+    k = q.shape[1] - 1
     j = np.arange(k + 1)
     C = (_conv_rows((np.reshape(n, (-1, 1)) + j) * p, q)
          - _conv_rows(p, j * q))
@@ -337,6 +341,47 @@ def _pair_rows(n, a: np.ndarray) -> np.ndarray:
         dickson[m] -= dickson[m - 2]
     dickson[0, 0] = 1.0           # the middle coefficient C_k stands alone
     return C[:, k:] @ dickson
+
+
+def _pair_rows(n, a: np.ndarray) -> np.ndarray:
+    """Q(w) per row, ascending: the free critical pairs of z^n P / P-hat.
+
+    Each root w of Q is one pair kappa <-> 1/kappa; z = 0 and a padded
+    a_k = 0 sit at w = inf (see _pair_terms).
+    """
+    P, k = a.shape
+    q = np.ones((P, k + 1), np.complex128)
+    q[:, 1:] = a
+    return _pair_terms(n, q[:, ::-1], q)
+
+
+def _family_terms(n, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Rows T0, T1, T2 with Q(w; t) = T0 + t T1 + t^2 T2 for a = A + t B.
+
+    q = qA + t qB with qA = (1, A) and qB = (0, B), so the bilinear
+    _pair_terms splits exactly into Q0 = C(pA, qA), Q1 = C(pA, qB) +
+    C(pB, qA) and Q2 = C(pB, qB).
+    """
+    qA = np.r_[1.0, A].astype(np.complex128)[None, :]
+    qB = np.r_[0.0, B].astype(np.complex128)[None, :]
+    pA, pB = qA[:, ::-1], qB[:, ::-1]
+    return np.concatenate([_pair_terms(n, pA, qA),
+                           _pair_terms(n, pA, qB) + _pair_terms(n, pB, qA),
+                           _pair_terms(n, pB, qB)])
+
+
+def _deflate_shared(T: np.ndarray) -> tuple:
+    """Divide the anchored factors (w -+ 2) that every nonzero row of T has
+    out of all rows, once; each factor drops the top column.  Returns the
+    rows and the number of factors of each anchor."""
+    nonzero = np.abs(T).sum(axis=1) > 0
+    if not nonzero.any():
+        return T, np.zeros(len(_ANCHORS), int)
+    shared = deflate_anchored(T, _ANCHORS)[1][nonzero].min(axis=0)
+    for r, m in zip(_ANCHORS, shared):
+        for _ in range(m):
+            T = _divide_rows(T, r)
+    return T, shared
 
 
 def _roots_rows(C: np.ndarray) -> np.ndarray:
@@ -353,6 +398,10 @@ def _roots_rows(C: np.ndarray) -> np.ndarray:
             continue
         rows = np.where(deg == m)[0]
         monic = C[rows, :m + 1] / C[rows, m][:, None]
+        if m == 1:
+            # the eigenvalue of the 1x1 companion, bit for bit
+            out[rows, 0] = -monic[:, 0]
+            continue
         comp = np.zeros((rows.size, m, m), np.complex128)
         comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
         comp[:, :, m - 1] = -monic[:, :m]
@@ -432,10 +481,12 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
 
     `family` maps a complex parameter to an OperatorForm.  When its
     coefficients a(t) pass the affine fit at the fixed generic PROBES, every
-    band's coefficients are a = A + t B, whatever the window; otherwise the
-    family is called once per pixel.  The seeds come from the pair roots w of
-    _pair_rows (see _select_seed_rows), and _orbit follows each under its
-    pixel's (n, a) (_form_map).  `selector` is None for the default
+    band's coefficients are a = A + t B, whatever the window, and the pair
+    equation is the quadratic in t of _family_terms, built and stripped of
+    its shared anchored factors once; otherwise the family is called once
+    per pixel and _pair_rows builds each pixel's equation.  The seeds come
+    from the pair roots w (see _select_seed_rows), and _orbit follows each
+    under its pixel's (n, a) (_form_map).  `selector` is None for the default
     rule (exactly one free pair) or an integer index into a pixel's free
     pairs, ordered by the argument of their seeds.
     """
@@ -447,10 +498,19 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
     except NdynError:
         n = None
 
+    if n is not None:
+        # shared by every t, so divided out of the terms once per render
+        T, _ = _deflate_shared(_family_terms(n, A, B))
+
     def work(ts):
-        n_t, a = (_form_coeffs(family, ts) if n is None
-                  else (n, A + ts[:, None] * B))
-        w = _roots_rows(deflate_anchored(_pair_rows(n_t, a), (2.0, -2.0))[0])
+        if n is None:
+            n_t, a = _form_coeffs(family, ts)
+            Q = _pair_rows(n_t, a)
+        else:
+            t = ts[:, None]
+            n_t, a = n, A + t * B
+            Q = T[0] + t * (T[1] + t * T[2])
+        w = _roots_rows(deflate_anchored(Q, _ANCHORS)[0])
         seed, dead, no_free, multi = _select_seed_rows(w, selector)
         o, it = _orbit(seed, _form_map(n_t, a), cfg, attr, live=~dead)
         return o, it, no_free, multi

@@ -27,11 +27,12 @@ from ndyn.conjugate import make_form
 from ndyn.errors import ZeroDenominator
 from ndyn.planes import (CONV_RADIUS, INFINITY_RADIUS, OUTCOME_NAMES,
                          OUTCOME_ROOT0, OUTCOME_ROOTINF, OUTCOME_STRANGE,
-                         PlaneImage, _flatten_attractors, _form_coeffs,
-                         _form_map, _orbit, _OrbitMap, _pair_rows,
-                         _rational_map, _roots_rows, _select_seed_rows)
-from ndyn.poly import rat_eval, rat_make
-from ndyn.stability import PROBES
+                         PlaneImage, _deflate_shared, _family_terms,
+                         _flatten_attractors, _form_coeffs, _form_map,
+                         _orbit, _OrbitMap, _pair_rows, _rational_map,
+                         _roots_rows, _select_seed_rows)
+from ndyn.poly import deflate_anchored, rat_eval, rat_make
+from ndyn.stability import PROBES, affine_fit
 
 from conftest import random_form
 
@@ -555,3 +556,99 @@ def test_mirrored_seeds_land_in_mirrored_basins():
         here, _ = orbit_outcome(R, z, cfg)
         there, _ = orbit_outcome(R, 1.0 / z, cfg)
         assert there == mirror[here], f"z={z}: {here} vs {there}"
+
+
+@pytest.mark.parametrize("known", [(1.0, -1.0), ()])
+def test_attractors_given_as_an_array_match_the_tuple(known):
+    cfg = small_cfg(resolution=(8, 8), max_iter=40)
+    R = conjugated_form("os5", {"a": 0.0}).reconstruct()
+    producer = catalog_entry("os5").stability_producer
+    for render, subject in ((dynamical_plane, R),
+                            (parameter_plane, producer)):
+        want = render(subject, cfg, known_attractors=known)
+        got = render(subject, cfg,
+                     known_attractors=np.array(known, np.float64))
+        assert np.array_equal(got.outcome, want.outcome)
+        assert np.array_equal(got.iterations, want.iterations)
+        assert got.diagnostics == want.diagnostics
+
+
+# anchored factors (w = 2, w = -2) of Q(w; t) at generic t
+FAMILY_ANCHORS = {
+    "chebyshev-halley": (0, 0), "king": (0, 1), "amat": (0, 1),
+    "c-family": (0, 2), "os2": (0, 2), "m4": (0, 3), "os4": (1, 2),
+    "os5": (1, 2),
+}
+
+
+@pytest.mark.parametrize("method", sorted(FAMILY_ANCHORS))
+def test_family_terms_are_the_pair_rows_as_a_quadratic_in_t(method):
+    n, _, A, B = affine_fit(catalog_entry(method).stability_producer)
+    T = _family_terms(n, A, B)
+    rng = np.random.default_rng(sorted(FAMILY_ANCHORS).index(method))
+    for t in rng.uniform(-5, 5, 8) + 1j * rng.uniform(-5, 5, 8):
+        want = _pair_rows(n, (A + t * B)[None, :])[0]
+        got = T[0] + t * (T[1] + t * T[2])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), t
+    deflated, counts = _deflate_shared(T)
+    assert deflated.shape == (3, 2)
+    assert tuple(counts) == FAMILY_ANCHORS[method]
+
+
+def test_constant_family_has_no_free_critical_point():
+    # z^0 P / P-hat with P = 1 is the constant map 1: its pair terms are
+    # all zero, so there is no anchored factor to divide out and no seed
+    cfg = small_cfg(resolution=(4, 4), max_iter=10)
+    img = parameter_plane(lambda t: make_form(0, ()), cfg)
+    assert img.diagnostics["vectorized"] is True
+    assert img.diagnostics["no_free_critical"] == 16
+    assert img.counts()["none"] == 16
+
+
+def test_linear_rows_take_the_companion_eigenvalue_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    size = 20000
+    C = (10.0 ** rng.uniform(-12, 12, (size, 2))
+         * np.exp(2j * np.pi * rng.uniform(size=(size, 2))))
+    C[:4, 0] = [0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0)]
+    got = _roots_rows(C)[:, 0]
+    linear = np.isfinite(got)
+    assert linear.sum() > size // 2
+    companion = -(C[linear, 0] / C[linear, 1])[:, None, None]
+    want = np.linalg.eigvals(companion)[:, 0]
+    np.testing.assert_array_equal(got[linear].view(np.int64),
+                                  want.view(np.int64))
+
+
+# members where extra anchored factors appear or Q drops a degree; the m4
+# chart parameter is alpha, whose extra (w - 2) and (w + 2) sit at -35 and 5
+SPECIAL_MEMBERS = [("m4", t) for t in (0.0, -5.0, 35.0, -35.0, 5.0)] + \
+    [("king", t) for t in (-10.0 / 3.0, -2.5, 0.0)] + \
+    [("chebyshev-halley", t) for t in (0.5, 1.0, 1.5)] + \
+    [("c-family", t) for t in (0.0, 0.5)]
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-9])
+@pytest.mark.parametrize("method, t0", SPECIAL_MEMBERS)
+def test_special_members_die_as_the_per_pixel_pair_rows_say(
+        monkeypatch, method, t0, h):
+    producer = catalog_entry(method).stability_producer
+    n, _, A, B = affine_fit(producer)
+    cfg = RenderConfig(window=(t0 - 1.5 * h, t0 + 1.5 * h, -1.5 * h,
+                               1.5 * h), resolution=(3, 3), max_iter=20)
+    seen = []
+
+    def recorded(w, index=None):
+        result = _select_seed_rows(w, index)
+        seen.append(result[1])
+        return result
+
+    monkeypatch.setattr("ndyn.planes._select_seed_rows", recorded)
+    img = parameter_plane(producer, cfg)
+    ts = _grid(cfg)
+    assert ts[4] == t0
+    Q, _ = deflate_anchored(_pair_rows(n, A + ts[:, None] * B), (2.0, -2.0))
+    _, dead, no_free, multi = _select_seed_rows(_roots_rows(Q))
+    assert np.array_equal(np.concatenate(seen), dead)
+    assert img.diagnostics["no_free_critical"] == no_free.sum()
+    assert img.diagnostics["multiple_free_pairs"] == multi.sum()
