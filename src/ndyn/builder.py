@@ -84,26 +84,9 @@ Node = object
 
 @dataclass(frozen=True)
 class Scheme:
-    """Ordered step bindings; the last one is named ``next``.
-
-    Equal subexpressions are interned into one node object, so the
-    interpreters, which remember values by node identity, value each once.
-    """
+    """Ordered step bindings; the last one is named ``next``."""
     steps: tuple   # of (name, Node)
     params: tuple  # parameter names, in order of first use
-
-    def __post_init__(self):
-        nodes: dict = {}
-
-        def intern(node):
-            if isinstance(node, Deriv):
-                node = Deriv(node.order, intern(node.arg))
-            elif isinstance(node, BinOp):
-                node = BinOp(node.op, intern(node.lhs), intern(node.rhs))
-            return nodes.setdefault(node, node)
-
-        object.__setattr__(self, "steps", tuple(
-            (name, intern(expr)) for name, expr in self.steps))
 
 
 # --------------------------------------------------------------------------
@@ -335,23 +318,25 @@ def target_derivative(d: int, c: complex, order: int) -> Polynomial:
 
 def _fold(scheme: Scheme, node_value: Callable, close: Callable):
     """Fold a scheme bottom-up, step by step: node_value(node, *operand
-    values) values a node and close(value) binds a step.  Scheme interns
-    equal subexpressions, so each distinct one is valued once."""
+    values) values a node and close(value) binds a step.  Nodes compare by
+    value and the memo is keyed by the node, so each distinct subexpression
+    is valued once, across steps too (a Ref names a step already bound)."""
     env: dict = {}
     memo: dict = {}
 
     def value(node):
-        key = id(node)
-        if key not in memo:
+        v = memo.get(node)
+        if v is None:
             if isinstance(node, Ref):
-                memo[key] = env[node.name]
+                v = env[node.name]
             elif isinstance(node, Deriv):
-                memo[key] = node_value(node, value(node.arg))
+                v = node_value(node, value(node.arg))
             elif isinstance(node, BinOp):
-                memo[key] = node_value(node, value(node.lhs), value(node.rhs))
+                v = node_value(node, value(node.lhs), value(node.rhs))
             else:
-                memo[key] = node_value(node)
-        return memo[key]
+                v = node_value(node)
+            memo[node] = v
+        return v
 
     for name, expr in scheme.steps:
         env[name] = close(value(expr))

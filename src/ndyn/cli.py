@@ -163,9 +163,10 @@ def _source(args):
 
 
 def _get_form(args):
-    """(label, form) for the normal-form subcommands."""
-    label, _, ast, bindings, c = _source(args)
-    return label, conjugated_form(args.method or ast, bindings, c=c)
+    """(_source's tuple, normal form) for the normal-form subcommands."""
+    source = _source(args)
+    _, _, ast, bindings, c = source
+    return source, conjugated_form(args.method or ast, bindings, c=c)
 
 
 def _window(text: str):
@@ -223,14 +224,13 @@ def _form_payload(label: str, form) -> dict:
 
 
 def cmd_build(args) -> int:
-    label, form = _get_form(args)
+    (label, *_), form = _get_form(args)
     _emit(_form_payload(label, form))
     return 0
 
 
 def cmd_analyze(args) -> int:
-    label, _, ast, bindings, c = _source(args)
-    form = conjugated_form(args.method or ast, bindings, c=c)
+    (label, _, ast, bindings, c), form = _get_form(args)
     info = classify_operator(form)
     payload = _form_payload(label, form)
     payload["order_at_roots"] = info["order_at_roots"]
@@ -337,7 +337,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_dynplane(args) -> int:
-    label, form = _get_form(args)
+    (label, *_), form = _get_form(args)
     cfg = _render_config(args)
     attractors = tuple(parse_complex_literal(v) for v in args.attractor)
     img = dynamical_plane(form.reconstruct(), cfg,

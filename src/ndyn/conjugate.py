@@ -33,7 +33,7 @@ import numpy as np
 from .errors import (DegenerateMobius, NotFixingOneZeroInfinity,
                      NotPalindromic, ZeroC)
 from .poly import (CLUSTER_REL, INF, Polynomial, RationalMap, _clusters,
-                   _substitute, deflate_anchored, is_inf, point_key,
+                   _substitute, _trim, deflate_anchored, is_inf, point_key,
                    poly_roots, rat_make)
 
 MIRROR_REL = 1e-9        # palindromicity tolerance on mirrored coefficients
@@ -144,6 +144,27 @@ def _collapses(a) -> bool:
     return abs(1.0 + sum(a)) <= 1e-10 * scale
 
 
+def _pair_conjugates(roots) -> list:
+    """The roots of a real polynomial with each non-real pair made exact.
+
+    Every root r above the real axis is paired with the unpaired root s
+    below it that is nearest conj(r), and the two become m and conj(m),
+    m = (r + conj(s)) / 2.  An r nearer its own conjugate than any such s
+    is real up to rounding and stays as it is.
+    """
+    roots = list(roots)
+    lower = [j for j, s in enumerate(roots) if s.imag < 0]
+    for i, r in enumerate(roots):
+        if r.imag <= 0 or not lower:
+            continue
+        j = min(lower, key=lambda j: abs(roots[j] - r.conjugate()))
+        if abs(roots[j] - r.conjugate()) < 2.0 * r.imag:
+            lower.remove(j)
+            m = (r + roots[j].conjugate()) / 2.0
+            roots[i], roots[j] = m, m.conjugate()
+    return roots
+
+
 def make_form(n: int, a, sign: int = 1) -> OperatorForm:
     """Build an OperatorForm from n and the coefficient list a_1..a_k.
 
@@ -151,8 +172,10 @@ def make_form(n: int, a, sign: int = 1) -> OperatorForm:
     power of z from P into z^n, the inverse of common_shape's padding.  A
     multiple root of P comes back from poly_roots as a scatter; when two
     estimates lie within CLUSTER_REL of each other, each cluster's polished
-    center (poly._clusters) is repeated by its multiplicity instead.  The
-    roots come in point_key order.
+    center (poly._clusters) is repeated by its multiplicity instead.  When
+    every a_j is real, the non-real roots come as exact conjugate pairs
+    (_pair_conjugates).  The roots come in point_key order, so a pair
+    prints its negative imaginary part first.
     """
     a = [complex(v) for v in a]
     scale = max([1.0] + [abs(v) for v in a])
@@ -167,6 +190,8 @@ def make_form(n: int, a, sign: int = 1) -> OperatorForm:
                for r, s in combinations(roots, 2)):
             roots = (complex(x) for x, m in _clusters(p, roots)
                      for _ in range(m))
+        if not any(v.imag for v in a):
+            roots = _pair_conjugates(roots)
         roots = tuple(sorted(roots, key=point_key))
     return OperatorForm(n=n, k=len(a), a=tuple(a), roots=roots, sign=sign,
                         degenerate=sign == -1 or _collapses(a))
@@ -182,17 +207,9 @@ def extract_normal_form(R: RationalMap) -> OperatorForm:
     num, den = R.num, R.den
     if num.is_zero():
         raise NotFixingOneZeroInfinity("the zero map does not fix infinity")
-
-    def significant(coeffs):
-        # degrees judged at the mirror tolerance, so coefficient junk below
-        # it cannot inflate the reported (n, k)
-        mags = np.abs(coeffs)
-        keep = mags > MIRROR_REL * mags.max()
-        if not keep.any():
-            return coeffs[:0]
-        return coeffs[: np.nonzero(keep)[0][-1] + 1]
-
-    nc = significant(num.coeffs)
+    # degrees judged at the mirror tolerance, so coefficient junk below it
+    # cannot inflate the reported (n, k)
+    nc = _trim(num.coeffs, MIRROR_REL)
     top = np.abs(nc).max()
     n = 0
     while n < nc.size and abs(nc[n]) <= MIRROR_REL * top:
@@ -201,7 +218,7 @@ def extract_normal_form(R: RationalMap) -> OperatorForm:
         raise NotFixingOneZeroInfinity("0 is not a fixed point (no z^n factor)")
     q = nc[n:]
     k = q.size - 1
-    dc = significant(den.coeffs)
+    dc = _trim(den.coeffs, MIRROR_REL)
     if dc.size - 1 != k:
         raise NotFixingOneZeroInfinity(
             f"infinity is not fixed with local degree {n} "

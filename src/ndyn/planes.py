@@ -50,7 +50,7 @@ from .errors import NdynError
 # poly_roots is unused here but stays bound: bench/test_bench.py checks that
 # the tracer patches and restores it through this module
 from .poly import (CLUSTER_REL, RationalMap, _divide_rows,  # noqa: F401
-                   deflate_anchored, is_inf, poly_roots)
+                   _horner, deflate_anchored, is_inf, poly_roots)
 from .stability import affine_fit
 
 OUTCOME_NONE = 0
@@ -173,17 +173,10 @@ def _column(v):
     return v.flat[0] if np.all(v == v.flat[0]) else v
 
 
-def _horner(cols: list, z: np.ndarray):
-    acc = cols[0]
-    for c in cols[1:]:
-        acc = acc * z + c
-    return acc
-
-
 class _OrbitMap(NamedTuple):
     """z -> z^n num(z) / den(z), one step of every seed's orbit.
 
-    `num` and `den` are coefficient columns, highest power first, each one
+    `num` and `den` are coefficient columns, lowest power first, each one
     scalar shared by every seed or one value per seed; `n` is an int or one
     per seed.
     """
@@ -211,14 +204,14 @@ def _rational_map(R: RationalMap) -> _OrbitMap:
     """R's columns, its exactly zero low numerator coefficients read as n."""
     num = R.num.coeffs
     n = int(np.argmax(num != 0)) if num.any() else 0
-    return _OrbitMap(list(num[n:][::-1]), list(R.den.coeffs[::-1]), n)
+    return _OrbitMap(list(num[n:]), list(R.den.coeffs), n)
 
 
 def _form_map(n, a: np.ndarray) -> _OrbitMap:
     """z^n * P / P-hat for each row of `a` (a_1..a_k) and `n` (a scalar or
-    one per row): P reads the columns 1, a_1..a_k top down, P-hat bottom up."""
+    one per row): P-hat's columns are 1, a_1..a_k, P's the same reversed."""
     cols = [np.complex128(1.0)] + [_column(col) for col in a.T]
-    return _OrbitMap(cols, cols[::-1], _column(n))
+    return _OrbitMap(cols[::-1], cols, _column(n))
 
 
 def _orbit(z0: np.ndarray, f: _OrbitMap, cfg: RenderConfig,

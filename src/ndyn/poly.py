@@ -65,8 +65,8 @@ def _as_array(coeffs) -> np.ndarray:
     return arr
 
 
-def _trim(arr: np.ndarray) -> np.ndarray:
-    """Drop trailing coefficients that are negligible next to the largest one."""
+def _trim(arr: np.ndarray, rel: float) -> np.ndarray:
+    """Drop trailing coefficients within rel of the largest one in modulus."""
     if arr.size == 0:
         return arr
     mags = np.abs(arr)
@@ -74,7 +74,7 @@ def _trim(arr: np.ndarray) -> np.ndarray:
     if top == 0.0:
         return arr[:0]
     keep = arr.size
-    while keep > 0 and mags[keep - 1] <= TRIM_REL * top:
+    while keep > 0 and mags[keep - 1] <= rel * top:
         keep -= 1
     return arr[:keep]
 
@@ -85,7 +85,7 @@ class Polynomial:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Iterable[complex] = ()):
-        c = _trim(_as_array(coeffs))
+        c = _trim(_as_array(coeffs), TRIM_REL)
         c.setflags(write=False)
         self._c = c
 
@@ -128,8 +128,8 @@ class Polynomial:
         """The value at z: a complex number, INF at INF for degree >= 1, or
         an array of values (by Horner) at an array of points."""
         if isinstance(z, np.ndarray):
-            if self.is_zero():
-                return np.zeros(z.shape, np.complex128)
+            if self.degree < 1:
+                return np.full(z.shape, self.leading(), np.complex128)
             return _horner(self._c, z)
         if is_inf(z):
             if self.is_zero():
@@ -137,11 +137,7 @@ class Polynomial:
             return INF if self.degree >= 1 else complex(self._c[0])
         if self.is_zero():
             return 0.0 + 0.0j
-        acc = complex(self._c[-1])
-        zz = complex(z)
-        for k in range(self._c.size - 2, -1, -1):
-            acc = acc * zz + self._c[k]
-        return acc
+        return _horner(self._c, complex(z))
 
     # -- calculus and arithmetic ----------------------------------------------
 
@@ -190,9 +186,11 @@ class Polynomial:
         return f"Polynomial({list(self._c)!r})"
 
 
-def _horner(c: np.ndarray, x):
-    """The polynomial with ascending coefficients c at x (scalar or array)."""
-    acc = np.full(np.shape(x), c[-1])
+def _horner(c, x):
+    """The polynomial with ascending coefficients c at x (scalar or array),
+    from the top coefficient down; each coefficient may be a scalar or one
+    value per point."""
+    acc = c[-1]
     for cj in c[-2::-1]:
         acc = acc * x + cj
     return acc

@@ -208,6 +208,22 @@ def test_classify_operator_shapes():
     assert "cycle_multiplier" in info
     strange = info["strange_fixed_points"]
     assert all(abs(r.point) > 1e-12 for r in strange)
+    # sign -1 with n + k even: -1 is fixed and 1 maps onto it
+    info = classify_operator(make_form(2, (0.5, -2.0), sign=-1))
+    assert (info["parity"], info["minus_one"], info["one"]) == (
+        "even", "fixed", "preimage of z=-1")
+    assert "cycle_multiplier" not in info
+
+
+def test_multiplier_of_cycle_refuses_what_is_not_a_cycle():
+    R = rat_make(Polynomial((0.0, 0.0, 1.0)), Polynomial((1.0,)))   # z^2
+    assert multiplier_of_cycle(R, (INF,)) == 0.0
+    for cycle, message in (((), "empty cycle"),
+                           ((1.0, INF), "expected INF"),
+                           ((INF, 1.0), "maps to INF"),
+                           ((0.5, 2.0), "expected 2.0")):
+        with pytest.raises(NotACycle, match=message):
+            multiplier_of_cycle(R, cycle)
 
 
 def _derivative_map_factor(R, src, dst):

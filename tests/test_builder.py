@@ -94,6 +94,34 @@ def test_each_derivative_is_built_once_per_check(monkeypatch):
     assert {0, 1, 2} <= set(orders)
 
 
+def test_unary_minus_is_a_product_with_minus_one():
+    newton = parse_scheme(NEWTON)
+    negated = parse_scheme("next = -(z - p(z)/p'(z));")
+    assert negated.steps[0][1] == BinOp("*", Const(-1.0), newton.steps[0][1])
+    ctx = SchemeContext(d=2, c=1.0)
+    z = np.array([0.3 + 0.7j, -1.2 + 0.1j, 2.0])
+    assert np.array_equal(evaluate_scheme(negated, ctx, z),
+                          -evaluate_scheme(newton, ctx, z))
+
+
+def test_equal_subexpressions_are_valued_once(monkeypatch):
+    # king's p(z) is written three times, p(y) twice and p'(z) twice; the
+    # fold's memo is keyed by node value, so each is built once
+    import ndyn.builder as builder
+    valued = []
+    real = builder._instantiate_node
+
+    def counting(ctx, node, *args):
+        valued.append(node)
+        return real(ctx, node, *args)
+
+    monkeypatch.setattr(builder, "_instantiate_node", counting)
+    instantiate(catalog_entry("king").ast,
+                SchemeContext(d=2, c=1.0, bindings={"beta": 1.0}))
+    assert len(valued) == len(set(valued))
+    assert Deriv(0, Var()) in valued and Deriv(0, Ref("y")) in valued
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(SchemeSyntaxError):
         parse_scheme("next = z +* 3;")

@@ -78,6 +78,23 @@ def test_build_prints_a_conjugate_pair_negative_part_first(capsys):
                                 "-1.4+1.49666295471i"]
 
 
+def test_build_prints_exact_conjugates_across_a_rounding_boundary(capsys):
+    # the solver leaves this pair's real parts 1e-11 apart, on either side
+    # of the 10-decimal key; real a pairs them into exact conjugates
+    payload = run_json(capsys, "build", "--method", "m4",
+                       "--param", "beta=-0.6")
+    assert payload["roots"] == ["-2.27251862505-1.08185110763i",
+                                "-2.27251862505+1.08185110763i",
+                                "-0.727481374941-0.7233036935i",
+                                "-0.727481374941+0.7233036935i"]
+
+
+@pytest.mark.parametrize("z,text", [(2.5j, "2.5i"), (-3.0j, "-3i"),
+                                    (1e-14 + 2.0j, "2i")])
+def test_fmt_complex_prints_a_purely_imaginary_value(z, text):
+    assert _fmt_complex(z) == text
+
+
 SWEEP = {"king": "beta", "amat": "beta", "chebyshev-halley": "alpha",
          "os2": "a", "os3": "a", "m4": "beta", "c-family": "c", "os4": "b"}
 
@@ -390,6 +407,9 @@ def test_usage_errors_exit_one(capsys):
          "--window", "1,2,3"),
         ("dynplane", "--method", "newton", "--out", "x.ppm",
          "--res", "400"),
+        ("dynplane", "--method", "newton", "--out", "x.ppm",
+         "--window", "a,b,c,d"),
+        ("stability", "--scheme-file", "x.scheme"),    # no --family-param
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)

@@ -104,6 +104,19 @@ def test_make_form_folds_zero_bottom_coefficient():
     assert make_form(2, (1e-16j,)) == make_form(3, ())
 
 
+def test_make_form_pairs_conjugate_roots_of_a_real_p():
+    # P = (z^2 + 0.07 z + 2.7)^2 (z + 2.14): the solver's two clusters of
+    # the double pair -0.035 +- 1.643i differ in the last bit of the real part
+    q = Polynomial((2.7, 0.07, 1.0))
+    p = q * q * Polynomial((2.14, 1.0))
+    real, low, low2, high, high2 = make_form(2, p.coeffs[-2::-1].real).roots
+    assert low == low2 and high == high2 and high == low.conjugate()
+    assert abs(high - (-0.035 + 1.6427948745963388j)) <= 1e-12
+    assert abs(real + 2.14) <= 1e-12
+    # complex a keeps the solver's roots as they are
+    assert len(make_form(3, (1.0 + 1e-3j, 2.0)).roots) == 2
+
+
 @settings(max_examples=30, deadline=None)
 @seed(46452)
 @given(st.integers(0, 2 ** 32 - 1))

@@ -558,6 +558,17 @@ def test_mirrored_seeds_land_in_mirrored_basins():
         assert there == mirror[here], f"z={z}: {here} vs {there}"
 
 
+def test_an_attractor_cycle_given_as_a_tuple_reads_as_its_points():
+    # os5 at a = 0 swaps 1 and -1: one 2-cycle, given as one item
+    cfg = small_cfg(resolution=(8, 8), max_iter=40)
+    R = conjugated_form("os5", {"a": 0.0}).reconstruct()
+    want = dynamical_plane(R, cfg, known_attractors=(1.0, -1.0))
+    got = dynamical_plane(R, cfg, known_attractors=[(1.0, -1.0)])
+    assert got.counts()["strange-attractor"] > 0
+    assert np.array_equal(got.outcome, want.outcome)
+    assert np.array_equal(got.iterations, want.iterations)
+
+
 @pytest.mark.parametrize("known", [(1.0, -1.0), ()])
 def test_attractors_given_as_an_array_match_the_tuple(known):
     cfg = small_cfg(resolution=(8, 8), max_iter=40)

@@ -9,8 +9,8 @@ import ndyn.poly
 from conftest import maps_close
 from ndyn.cli import main
 from ndyn.errors import NoConvergence
-from ndyn.poly import (INF, Polynomial, deflate_anchored, is_inf, poly_roots,
-                       rat_derivative, rat_eval, rat_make)
+from ndyn.poly import (INF, Polynomial, _clusters, deflate_anchored, is_inf,
+                       poly_roots, rat_derivative, rat_eval, rat_make)
 
 finite_floats = st.floats(min_value=-50, max_value=50,
                           allow_nan=False, allow_infinity=False)
@@ -113,6 +113,20 @@ def test_rat_eval_pole_and_infinity():
     R = rat_make(Polynomial((1.0,)), Polynomial((0.0, 1.0)))   # 1/z
     assert is_inf(rat_eval(R, 0.0))
     assert rat_eval(R, INF) == 0.0
+    # at INF the degrees decide: numerator above, equal, zero map
+    assert is_inf(rat_eval(rat_make(Polynomial((0.0, 0.0, 1.0)),
+                                    Polynomial((1.0, 1.0))), INF))
+    assert rat_eval(rat_make(Polynomial((1.0, 2.0)),
+                             Polynomial((3.0, 1.0))), INF) == 2.0
+    assert rat_eval(rat_make(Polynomial(), Polynomial((1.0, 1.0))), INF) == 0.0
+
+
+def test_a_bridging_estimate_joins_two_clusters():
+    # 0 and 1.5e-4 are further apart than CLUSTER_REL, but 0.75e-4 lies
+    # within it of both, so the three are one triple root of z^3
+    [(center, m)] = _clusters(Polynomial((0.0, 0.0, 0.0, 1.0)),
+                              [0j, 1.5e-4 + 0j, 0.75e-4 + 0j])
+    assert m == 3 and abs(center) <= 1e-15
 
 
 def test_rat_derivative_quotient_rule():

@@ -5,7 +5,8 @@ from ndyn.builder import catalog_entry
 from ndyn.conjugate import make_form
 from ndyn.errors import (DegenerateFamily, NonRealCoefficients,
                          NonlinearDependence, NotAFixedPoint)
-from ndyn.stability import (classify_strange_at, linearize, oracle_agreement,
+from ndyn.stability import (PROBES, classify_strange_at, linearize,
+                            oracle_agreement,
                             stability_region_z1, stability_region_zm1)
 
 
@@ -25,6 +26,13 @@ def test_linearize_reads_coefficient_lines():
 def test_linearize_rejects_nonlinear_family():
     with pytest.raises(NonlinearDependence):
         linearize(_producer("os3"))
+
+
+def test_linearize_rejects_a_shape_change_across_the_probes():
+    def family(t):
+        return make_form(3 if t == PROBES[2] else 2, (1.0 + t,))
+    with pytest.raises(NonlinearDependence, match="is not constant"):
+        linearize(family)
 
 
 def test_linearize_rejects_complex_lines():
