@@ -8,7 +8,8 @@ of a map commuting with iota(z) = 1/z come in pairs kappa, 1/kappa.
 Multipliers are evaluated pointwise from the numerator and denominator,
 (N'D - N D')/D^2, with infinity read in the chart w = 1/z (the coefficients
 reversed), and critical points are the zeros of N'D - N D' itself; no
-derivative map is built.
+derivative map is built.  Both are read by poly.root_clusters, as the
+roots of P are, so a real map's non-real points are exact conjugate pairs.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 
 from .conjugate import multiplier_aggregates
 from .errors import NotACycle, PoleAtMinusOne, PoleAtOne
-from .poly import (INF, Polynomial, RationalMap, _clusters, deflate_anchored,
-                   is_inf, point_key, poly_roots, rat_eval)
+from .poly import (INF, Polynomial, RationalMap, is_inf, point_key, rat_eval,
+                   root_clusters)
 
 SUPERATTRACTING_TOL = 1e-10
 INDIFFERENCE_BAND = 1e-8
@@ -80,30 +81,11 @@ def multiplier_at(R: RationalMap, point) -> complex:
     return _chart_factor(R, point, point)
 
 
-def _anchored_roots(p: Polynomial) -> list:
-    """Roots of p as (point, multiplicity) clusters: the origin (negligible
-    low coefficients), then +1 and -1, divided out by deflate_anchored (a
-    multiple root parked there is common in the palindromic shape), then
-    the solved rest."""
-    c = p.coeffs
-    scale = float(np.abs(c).max(initial=0.0))
-    lead_zero = 0
-    while lead_zero < c.size - 1 and abs(c[lead_zero]) <= 1e-12 * scale:
-        lead_zero += 1
-    out = [(0.0 + 0.0j, lead_zero)] if lead_zero else []
-    rows, counts = deflate_anchored(c[None, lead_zero:], (1.0, -1.0))
-    out += [(complex(r), int(m)) for r, m in zip((1.0, -1.0), counts[0]) if m]
-    rest = Polynomial(rows[0])
-    if rest.degree >= 1:
-        out.extend(_clusters(rest, poly_roots(rest)))
-    return out
-
-
 def fixed_points(R: RationalMap) -> list:
     """All fixed points with multipliers and classes; one record per point,
     finite points in point_key order."""
     g = R.num - Polynomial.identity() * R.den
-    finite = sorted((point for point, _m in _anchored_roots(g)),
+    finite = sorted((point for point, _m in root_clusters(g)),
                     key=point_key)
     records = []
     for point in finite:
@@ -132,7 +114,7 @@ def critical_points(R: RationalMap) -> list:
     """
     W = R.num.derivative() * R.den - R.num * R.den.derivative()
     W = Polynomial(W.coeffs[:max(2 * R.degree - 1, 0)])
-    finite = _anchored_roots(W)
+    finite = root_clusters(W)
     inf_mult = 2 * R.degree - 2 - W.degree
     points = [p for p, _ in finite]
     records = []

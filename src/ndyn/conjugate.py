@@ -12,10 +12,11 @@ with global sign s0 = +-1: numerator and denominator carry mirrored
 coefficient sequences, which is equivalent to the map commuting with
 iota(z) = 1/z.
 
-It owns the rules of that form: make_form folds a vanishing a_k into z^n,
-reduced_form divides the factors P shares with P-hat at z = 1 and z = -1
-out through poly.deflate_anchored (each (z - 1) flips the sign, each
-(z + 1) keeps it) and common_shape lifts a sign -1 form back,
+It owns the rules of that form: make_form folds a vanishing a_k into z^n
+and reads P's roots by poly.root_clusters, reduced_form divides the
+factors P shares with P-hat at z = 1 and z = -1 out through
+poly.deflate_pm_one (each (z - 1) flips the sign, each (z + 1) keeps it)
+and common_shape lifts a sign -1 form back,
 multiplier_aggregates gives O'(+-1), and sampled_identity tests every
 symmetry f(g z) = h(f z).
 """
@@ -25,16 +26,16 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
 from operator import mul
 
 import numpy as np
 
 from .errors import (DegenerateMobius, NotFixingOneZeroInfinity,
                      NotPalindromic, ZeroC)
-from .poly import (CLUSTER_REL, INF, Polynomial, RationalMap, _clusters,
-                   _substitute, _trim, deflate_anchored, is_inf, point_key,
-                   poly_roots, rat_make)
+# poly_roots stays bound for bench/test_bench.py's tracer check
+from .poly import (INF, Polynomial, RationalMap, _substitute,  # noqa: F401
+                   _trim, deflate_pm_one, is_inf, point_key, poly_roots,
+                   rat_make, root_clusters)
 
 MIRROR_REL = 1e-9        # palindromicity tolerance on mirrored coefficients
 SYMMETRY_REL = 1e-9      # sampled-identity tolerance for symmetry checks
@@ -144,38 +145,15 @@ def _collapses(a) -> bool:
     return abs(1.0 + sum(a)) <= 1e-10 * scale
 
 
-def _pair_conjugates(roots) -> list:
-    """The roots of a real polynomial with each non-real pair made exact.
-
-    Every root r above the real axis is paired with the unpaired root s
-    below it that is nearest conj(r), and the two become m and conj(m),
-    m = (r + conj(s)) / 2.  An r nearer its own conjugate than any such s
-    is real up to rounding and stays as it is.
-    """
-    roots = list(roots)
-    lower = [j for j, s in enumerate(roots) if s.imag < 0]
-    for i, r in enumerate(roots):
-        if r.imag <= 0 or not lower:
-            continue
-        j = min(lower, key=lambda j: abs(roots[j] - r.conjugate()))
-        if abs(roots[j] - r.conjugate()) < 2.0 * r.imag:
-            lower.remove(j)
-            m = (r + roots[j].conjugate()) / 2.0
-            roots[i], roots[j] = m, m.conjugate()
-    return roots
-
-
 def make_form(n: int, a, sign: int = 1) -> OperatorForm:
     """Build an OperatorForm from n and the coefficient list a_1..a_k.
 
     A vanishing a_k (within 1e-14 of the largest of 1, |a_j|) moves one
-    power of z from P into z^n, the inverse of common_shape's padding.  A
-    multiple root of P comes back from poly_roots as a scatter; when two
-    estimates lie within CLUSTER_REL of each other, each cluster's polished
-    center (poly._clusters) is repeated by its multiplicity instead.  When
-    every a_j is real, the non-real roots come as exact conjugate pairs
-    (_pair_conjugates).  The roots come in point_key order, so a pair
-    prints its negative imaginary part first.
+    power of z from P into z^n, the inverse of common_shape's padding.  The
+    roots of P are read by poly.root_clusters (polished, a multiple root
+    repeated by its multiplicity, exact conjugate pairs when every a_j is
+    real) and come in point_key order, so a pair prints its negative
+    imaginary part first.
     """
     a = [complex(v) for v in a]
     scale = max([1.0] + [abs(v) for v in a])
@@ -185,14 +163,8 @@ def make_form(n: int, a, sign: int = 1) -> OperatorForm:
     roots = ()
     if a:
         p = Polynomial(tuple(reversed(a)) + (1.0,))
-        roots = poly_roots(p)
-        if any(abs(r - s) <= CLUSTER_REL * (1.0 + abs(r))
-               for r, s in combinations(roots, 2)):
-            roots = (complex(x) for x, m in _clusters(p, roots)
-                     for _ in range(m))
-        if not any(v.imag for v in a):
-            roots = _pair_conjugates(roots)
-        roots = tuple(sorted(roots, key=point_key))
+        roots = tuple(sorted((complex(x) for x, m in root_clusters(p)
+                              for _ in range(m)), key=point_key))
     return OperatorForm(n=n, k=len(a), a=tuple(a), roots=roots, sign=sign,
                         degenerate=sign == -1 or _collapses(a))
 
@@ -253,21 +225,15 @@ def reduced_form(n: int, a) -> OperatorForm:
     """The form of z^n P / P-hat once the factors it shares cancel.
 
     P-hat mirrors P, so a factor (z - 1) of P is -(z - 1) in P-hat and a
-    factor (z + 1) is (z + 1): deflate_anchored divides both out of P in
-    one call, and each (z - 1) flips the sign.  With the monic quotient Q,
-    one (z - 1) gives -z^n Q / Q-hat, the inverse of common_shape's lift.
-    Members whose P(1) and P(-1) are clearly nonzero (beyond 1e-7 of
-    1 + sum |a_j|, the rule's 1e-8 with room for rounding) skip the call.
+    factor (z + 1) is (z + 1): poly.deflate_pm_one divides both out of P
+    (members whose P(1) and P(-1) are clearly nonzero skip the division),
+    and each (z - 1) flips the sign.  With the monic quotient Q, one
+    (z - 1) gives -z^n Q / Q-hat, the inverse of common_shape's lift.
     """
     a = tuple(a)
-    scale = 1e-7 * (1.0 + sum(map(abs, a)))
-    if a and (abs(1.0 + sum(a)) <= scale
-              or abs(1.0 - sum(a[::2]) + sum(a[1::2])) <= scale):
-        row = np.array((1.0,) + a, np.complex128)[None, ::-1]
-        rows, counts = deflate_anchored(row, (1.0, -1.0))
-        q = rows[0, :len(a) + 1 - int(counts.sum())]
-        return make_form(n, q[-2::-1], (-1) ** int(counts[0, 0]))
-    return make_form(n, a)
+    q, counts = deflate_pm_one(np.array((1.0,) + a, np.complex128)[::-1])
+    q = q[:len(a) + 1 - sum(counts)]
+    return make_form(n, q[-2::-1], (-1) ** counts[0])
 
 
 def common_shape(forms) -> tuple:

@@ -430,7 +430,7 @@ def _select_seed_rows(w: np.ndarray, index: Optional[int] = None) -> tuple:
     # A row with more than one usable root holds several pairs or a
     # multiple root (os3's free pair is double), which comes back as m
     # scattered estimates.  Fold each estimate into the first one within
-    # CLUSTER_REL (the rule of poly._clusters) and use their mean, far
+    # CLUSTER_REL (the rule of poly.root_clusters) and use their mean, far
     # closer to the root than any one estimate.  Column by column: memory
     # stays O(P * D).
     rows = np.where(usable.sum(axis=1) > 1)[0]

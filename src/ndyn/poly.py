@@ -7,6 +7,9 @@ cancelled from their coefficients by cofactors (no root solve), and the
 denominator is normalised so its first significant coefficient is 1.
 
 The point at infinity is represented by the module-level sentinel ``INF``.
+
+root_clusters is the one reader of every point ndyn reports: the roots of
+a normal form's P, fixed points and critical points.
 """
 
 from __future__ import annotations
@@ -347,7 +350,8 @@ def _clusters(p: Polynomial, roots: Sequence[complex]):
     estimates around the true value (the float coefficients split it into m
     simple roots).  The cluster center is a simple, well-conditioned root of
     the (m-1)-th derivative, so a few plain Newton steps on that derivative
-    pin it down to near machine precision.
+    pin it down to near machine precision (for m = 1, on p itself).  The
+    derivatives are Python lists, the cheapest input for a scalar _horner.
     """
     groups: list[list[complex]] = []
     for r in roots:
@@ -362,20 +366,21 @@ def _clusters(p: Polynomial, roots: Sequence[complex]):
                     g.clear()
         if joined is None:
             groups.append([r])
-    derivs = [p]
+    derivs = [p.coeffs.tolist()]
     out = []
     for g in groups:
         if not g:
             continue
         m = len(g)
         while len(derivs) <= m:
-            derivs.append(derivs[-1].derivative())
+            c = derivs[-1]
+            derivs.append([j * c[j] for j in range(1, len(c))])
         x = mean = sum(g) / m
         for _ in range(40):
-            dv = derivs[m](x)
+            dv = _horner(derivs[m], x)
             if dv == 0:
                 break
-            step = derivs[m - 1](x) / dv
+            step = _horner(derivs[m - 1], x) / dv
             x -= step
             if abs(step) <= 1e-14 * (1.0 + abs(x)):
                 break
@@ -384,6 +389,54 @@ def _clusters(p: Polynomial, roots: Sequence[complex]):
             x = mean
         out.append((x, m))
     return out
+
+
+def _pair_conjugates(clusters) -> list:
+    """Real-coefficient clusters with each non-real pair made exact: a point
+    r above the real axis and the unpaired point s of its multiplicity
+    below it nearest conj(r), if within 2 Im r, become m and conj(m) with
+    m = (r + conj(s)) / 2.  Any other r is real up to rounding and stays."""
+    out = list(clusters)
+    lower = [j for j, (s, _) in enumerate(out) if s.imag < 0]
+    for i, (r, mult) in enumerate(out):
+        near = [j for j in lower if out[j][1] == mult
+                and abs(out[j][0] - r.conjugate()) < 2.0 * r.imag]
+        if near:
+            j = min(near, key=lambda j: abs(out[j][0] - r.conjugate()))
+            lower.remove(j)
+            m = (r + out[j][0].conjugate()) / 2.0
+            out[i], out[j] = (m, mult), (m.conjugate(), mult)
+    return out
+
+
+def deflate_pm_one(c: np.ndarray) -> tuple:
+    """(q, (m_plus, m_minus)): deflate_anchored on the one row c at +1 and
+    -1.  A row whose values there are both beyond 1e-7 of sum |c_j| (the
+    rule's 1e-8 with room for rounding) is returned as it is."""
+    v = c.tolist()        # a short row: Python sums beat numpy's overhead
+    tol = 1e-7 * sum(map(abs, v))
+    if abs(sum(v)) > tol and abs(sum(v[::2]) - sum(v[1::2])) > tol:
+        return c, (0, 0)
+    rows, counts = deflate_anchored(c[None, :], (1.0, -1.0))
+    return rows[0], tuple(int(m) for m in counts[0])
+
+
+def root_clusters(p: Polynomial) -> list:
+    """The roots of p as (point, multiplicity) clusters: the origin, from
+    low coefficients within 1e-12 of the largest; +1 and -1, divided out
+    by deflate_pm_one (a multiple root parked there is common in the
+    palindromic shape); then the rest by poly_roots, grouped and polished
+    by _clusters.  Real coefficients give exact conjugate pairs."""
+    v = p.coeffs.tolist()
+    tol = 1e-12 * max(map(abs, v), default=0.0)
+    low = next((j for j, x in enumerate(v) if abs(x) > tol), 0)
+    out = [(0j, low)] if low else []
+    rest, counts = deflate_pm_one(p.coeffs[low:])
+    out += [(complex(r), m) for r, m in zip((1.0, -1.0), counts) if m]
+    rest = Polynomial(rest)
+    if rest.degree >= 1:
+        out += _clusters(rest, poly_roots(rest))
+    return out if any(x.imag for x in v) else _pair_conjugates(out)
 
 
 def _conv_matrix(p: np.ndarray, k: int) -> np.ndarray:

@@ -27,6 +27,23 @@ def _by_point(records, z, tol=1e-6):
     return hits[0]
 
 
+def test_points_of_a_real_map_come_in_exact_conjugate_pairs():
+    # every fixed and critical point printed as non-real (imaginary part
+    # beyond 1e-12 of the modulus) has its exact conjugate in the report
+    rng = np.random.default_rng(0xC0C0)
+    forms = [make_form(5, (-1.5791369604234018,))]
+    forms += [make_form(int(rng.integers(1, 6)),
+                        rng.normal(0.0, 2.0, int(rng.integers(1, 5))))
+              for _ in range(40)]
+    for form in forms:
+        R = form.reconstruct()
+        for records in (fixed_points(R), critical_points(R)):
+            points = [r.point for r in records if not is_inf(r.point)]
+            for z in points:
+                if abs(z.imag) > 1e-12 * abs(z):
+                    assert z.conjugate() in points, (form, z)
+
+
 def test_fixed_points_of_the_shifted_cube():
     # z^3 (z+2) / (1+2z): fixed at 0, 1, infinity, and the golden pair
     form = make_form(3, (2.0,))

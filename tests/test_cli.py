@@ -80,13 +80,32 @@ def test_build_prints_a_conjugate_pair_negative_part_first(capsys):
 
 def test_build_prints_exact_conjugates_across_a_rounding_boundary(capsys):
     # the solver leaves this pair's real parts 1e-11 apart, on either side
-    # of the 10-decimal key; real a pairs them into exact conjugates
+    # of the 10-decimal key; real a pairs them into exact conjugates, and
+    # polishing prints the true roots -2.272518625059480 +- 1.081851107637634i
+    # correctly rounded
     payload = run_json(capsys, "build", "--method", "m4",
                        "--param", "beta=-0.6")
-    assert payload["roots"] == ["-2.27251862505-1.08185110763i",
-                                "-2.27251862505+1.08185110763i",
+    assert payload["roots"] == ["-2.27251862506-1.08185110764i",
+                                "-2.27251862506+1.08185110764i",
                                 "-0.727481374941-0.7233036935i",
                                 "-0.727481374941+0.7233036935i"]
+
+
+# roots printed wrongly before every reported point was polished; the
+# references are the 12-digit roundings of a 50-digit solve of P
+@pytest.mark.parametrize("method,param,roots", [
+    ("king", "beta=4.992", ["-6.78292282336", "-2.20907717664"]),
+    ("amat", "beta=-2.694", ["-2.796-0.605296621501i",
+                             "-2.796+0.605296621501i"]),
+    ("os3", "a=1.648", ["-2.8776628327", "-2.11268918675-0.313791861931i",
+                        "-2.11268918675+0.313791861931i",
+                        "-0.544958793809"]),
+    ("os5", "a=-2.524", ["-2.71322518411", "-0.881387407944-1.67939013119i",
+                         "-0.881387407944+1.67939013119i"]),
+])
+def test_build_prints_correctly_rounded_roots(capsys, method, param, roots):
+    payload = run_json(capsys, "build", "--method", method, "--param", param)
+    assert payload["roots"] == roots
 
 
 @pytest.mark.parametrize("z,text", [(2.5j, "2.5i"), (-3.0j, "-3i"),

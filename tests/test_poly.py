@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 
 import numpy as np
@@ -10,7 +11,8 @@ from conftest import maps_close
 from ndyn.cli import main
 from ndyn.errors import NoConvergence
 from ndyn.poly import (INF, Polynomial, _clusters, deflate_anchored, is_inf,
-                       poly_roots, rat_derivative, rat_eval, rat_make)
+                       poly_roots, rat_derivative, rat_eval, rat_make,
+                       root_clusters)
 
 finite_floats = st.floats(min_value=-50, max_value=50,
                           allow_nan=False, allow_infinity=False)
@@ -127,6 +129,49 @@ def test_a_bridging_estimate_joins_two_clusters():
     [(center, m)] = _clusters(Polynomial((0.0, 0.0, 0.0, 1.0)),
                               [0j, 1.5e-4 + 0j, 0.75e-4 + 0j])
     assert m == 3 and abs(center) <= 1e-15
+
+
+def test_reader_takes_the_origin_from_negligible_low_coefficients():
+    # z^2 (z - 3) with its constant term at 1e-15 of the largest
+    p = Polynomial((1e-15, 0.0, -3.0, 1.0))
+    assert root_clusters(p) == [(0j, 2), (3.0 + 0j, 1)]
+    assert root_clusters(Polynomial()) == []
+
+
+def test_reader_divides_plus_and_minus_one_out_exactly():
+    # (z - 1)^3 (z + 1)^2 (z^2 - 2z + 5): the anchors come first, exact
+    p = (Polynomial.from_roots([1.0] * 3 + [-1.0] * 2)
+         * Polynomial((5.0, -2.0, 1.0)))
+    got = root_clusters(p)
+    assert got[:2] == [(1.0 + 0j, 3), (-1.0 + 0j, 2)]
+    (low, m), (high, k) = sorted(got[2:], key=lambda c: c[0].imag)
+    assert (m, k) == (1, 1) and high == low.conjugate()
+    assert abs(high - (1.0 + 2.0j)) <= 1e-14
+
+
+def test_reader_polishes_a_scattered_double_root():
+    r = 0.3 + 0.4j
+    p = Polynomial.from_roots([r, r, -2.0])
+    scatter = [x for x in poly_roots(p) if abs(x - r) < 0.1]
+    assert len(scatter) == 2 and abs(scatter[0] - scatter[1]) > 1e-10
+    [(minus_two, one), (center, two)] = root_clusters(p)
+    assert (one, two) == (1, 2)
+    assert abs(minus_two + 2.0) <= 1e-15 and abs(center - r) <= 1e-15
+
+
+def test_reader_pairs_conjugates_for_real_coefficients_only():
+    # two conjugate pairs and a real root of a real P
+    p = (Polynomial((2.7, 0.07, 1.0)) * Polynomial((3.1, -1.3, 1.0))
+         * Polynomial((2.14, 1.0)))
+    points = [x for x, _ in root_clusters(p)]
+    assert sum(x.imag != 0 for x in points) == 4
+    assert all(x.conjugate() in points for x in points)
+    # z^2 + 1 + 1e-6i has the roots +-r, r = sqrt(-1 - 1e-6i) ~ 5e-7 - i,
+    # which are no conjugate pair: complex coefficients keep them apart
+    r = cmath.sqrt(-1.0 - 1e-6j)
+    low, high = sorted((x for x, _ in root_clusters(
+        Polynomial((1.0 + 1e-6j, 0.0, 1.0)))), key=lambda x: x.imag)
+    assert abs(low - r) <= 1e-15 and abs(high + r) <= 1e-15
 
 
 def test_rat_derivative_quotient_rule():
