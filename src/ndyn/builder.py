@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (DivisionByZeroMap, SchemeSyntaxError, UnboundIdentifier,
                      UnknownMethod, ZeroC, ZeroDenominator)
 from .conjugate import (CHECK_SEED, OperatorForm, check_lambda_odd,
-                        extract_normal_form, mobius_conjugate, reduced_form,
+                        extract_normal_form, make_form, mobius_conjugate,
                         rotations, sampled_identity, standard_tau)
 from .poly import (Polynomial, RationalMap, _substitute, constant_map,
                    identity_map, rat_make)
@@ -559,9 +559,9 @@ _FORMS = {
             "subfamily whose last coefficient depends rationally on a"),
     "os4": ("b", (4, 4), lambda b: (2.0, -2.0, -6.0, 4.0 * b - 3.0),
             "subfamily with z=1 superattracting for every parameter"),
-    # the coefficient sum vanishes identically, so every member loses the
-    # shared factor (z - 1), one coefficient, and carries a global sign -1
-    # (reduced_form)
+    # the coefficient sum vanishes identically, so make_form divides the
+    # shared factor (z - 1) out of every member, which loses one
+    # coefficient and carries a global sign -1
     "os5": ("a", (4, 3),
             lambda a: (6.0 + a, 14.0 + 4.0 * a, 14.0 + 5.0 * a,
                        -35.0 - 10.0 * a),
@@ -570,16 +570,16 @@ _FORMS = {
 
 
 def _member(name: str, n: int, coeffs: Callable, t) -> OperatorForm:
-    """The normal form of a form family at t: reduced_form divides the
-    factors P shares with P-hat at z = +-1 out (c-family at c = 0 is
-    Halley's z^3 (z + 2)/(1 + 2 z), as chebyshev-halley at alpha = 0), and
-    a vanishing bottom coefficient of P joins z^n (make_form)."""
+    """The normal form of a form family at t, by make_form: the factors P
+    shares with P-hat at z = +-1 divide out (c-family at c = 0 is Halley's
+    z^3 (z + 2)/(1 + 2 z), as chebyshev-halley at alpha = 0), and a
+    vanishing bottom coefficient of P joins z^n."""
     try:
         a = coeffs(complex(t))
     except ZeroDivisionError:
         raise ZeroDenominator(f"the closed form of {name} divides by zero "
                               f"at this {_FORMS[name][0]}") from None
-    return reduced_form(n, a)
+    return make_form(n, a)
 
 
 def _scheme_member(method, param: Optional[str], bindings: dict,

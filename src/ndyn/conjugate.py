@@ -12,13 +12,12 @@ with global sign s0 = +-1: numerator and denominator carry mirrored
 coefficient sequences, which is equivalent to the map commuting with
 iota(z) = 1/z.
 
-It owns the rules of that form: make_form folds a vanishing a_k into z^n
-and reads P's roots by poly.root_clusters, reduced_form divides the
-factors P shares with P-hat at z = 1 and z = -1 out through
-poly.deflate_pm_one (each (z - 1) flips the sign, each (z + 1) keeps it)
-and common_shape lifts a sign -1 form back,
-multiplier_aggregates gives O'(+-1), and sampled_identity tests every
-symmetry f(g z) = h(f z).
+It owns the rules of that form: make_form, the one constructor, divides
+the factors P shares with P-hat at z = 1 and z = -1 out through
+poly.deflate_pm_one (each (z - 1) flips the sign, each (z + 1) keeps it),
+folds a vanishing a_k into z^n and reads P's roots by poly.root_clusters;
+common_shape lifts a sign -1 form back, multiplier_aggregates gives
+O'(+-1), and sampled_identity tests every symmetry f(g z) = h(f z).
 """
 
 from __future__ import annotations
@@ -117,10 +116,7 @@ class OperatorForm:
 
     ``a`` holds a_1..a_k (so P(z) = a_k + a_{k-1} z + ... + a_1 z^{k-1} + z^k
     and P* has the reversed coefficients); ``roots`` are the k roots of P.
-    ``degenerate`` marks the collapse case: either the coefficient sum
-    1 + a_1 + ... + a_k vanishes (P has the root 1, which cancels against
-    the denominator) or the map already carries the residual sign -1 of
-    that cancellation.
+    make_form builds it with no factor shared at z = +-1 left in P.
     """
 
     n: int
@@ -128,7 +124,11 @@ class OperatorForm:
     a: tuple = ()
     roots: tuple = ()
     sign: int = 1
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        """Sign -1, which cancelling a shared factor (z - 1) leaves."""
+        return self.sign == -1
 
     def p_coeffs(self) -> Polynomial:
         """P ascending: a_k, a_{k-1}, ..., a_1, 1."""
@@ -139,23 +139,24 @@ class OperatorForm:
         return rat_make(num, Polynomial((1.0,) + tuple(self.a)))
 
 
-def _collapses(a) -> bool:
-    """Whether P(1) = P-hat(1) = 1 + a_1 + ... + a_k vanishes."""
-    scale = 1.0 + max((abs(v) for v in a), default=0.0)
-    return abs(1.0 + sum(a)) <= 1e-10 * scale
-
-
 def make_form(n: int, a, sign: int = 1) -> OperatorForm:
-    """Build an OperatorForm from n and the coefficient list a_1..a_k.
+    """The normal form of sign * z^n P / P-hat, P monic with a_1..a_k.
 
-    A vanishing a_k (within 1e-14 of the largest of 1, |a_j|) moves one
-    power of z from P into z^n, the inverse of common_shape's padding.  The
-    roots of P are read by poly.root_clusters (polished, a multiple root
-    repeated by its multiplicity, exact conjugate pairs when every a_j is
-    real) and come in point_key order, so a pair prints its negative
-    imaginary part first.
+    P-hat mirrors P, so a factor (z - 1) of P is -(z - 1) in P-hat and a
+    factor (z + 1) is (z + 1): poly.deflate_pm_one divides both out of P
+    (a P whose values at 1 and -1 are clearly nonzero skips the division),
+    and each (z - 1) flips the sign.  With the monic quotient Q, one
+    (z - 1) gives -z^n Q / Q-hat, the inverse of common_shape's lift.
+    Then a vanishing a_k (within 1e-14 of the largest of 1, |a_j|) moves
+    one power of z from P into z^n, the inverse of common_shape's padding.
+    The roots of P are read by poly.root_clusters (polished, a multiple
+    root repeated by its multiplicity, exact conjugate pairs when every
+    a_j is real) and come in point_key order, so a pair prints its
+    negative imaginary part first.
     """
-    a = [complex(v) for v in a]
+    a = tuple(a)
+    q, counts = deflate_pm_one(np.array((1.0,) + a, np.complex128)[::-1])
+    a = [complex(v) for v in q[:len(a) + 1 - sum(counts)][-2::-1]]
     scale = max([1.0] + [abs(v) for v in a])
     while a and abs(a[-1]) <= 1e-14 * scale:
         a.pop()
@@ -165,8 +166,8 @@ def make_form(n: int, a, sign: int = 1) -> OperatorForm:
         p = Polynomial(tuple(reversed(a)) + (1.0,))
         roots = tuple(sorted((complex(x) for x, m in root_clusters(p)
                               for _ in range(m)), key=point_key))
-    return OperatorForm(n=n, k=len(a), a=tuple(a), roots=roots, sign=sign,
-                        degenerate=sign == -1 or _collapses(a))
+    return OperatorForm(n=n, k=len(a), a=tuple(a), roots=roots,
+                        sign=sign * (-1) ** counts[0])
 
 
 def extract_normal_form(R: RationalMap) -> OperatorForm:
@@ -212,28 +213,12 @@ def extract_normal_form(R: RationalMap) -> OperatorForm:
     if not np.all(np.abs(q - mirror) <= MIRROR_REL * scale):
         worst = float(np.max(np.abs(q - mirror)))
         raise NotPalindromic(f"mirror defect {worst:.3e} exceeds tolerance")
-    if k >= 1 and abs(dc[-1]) <= MIRROR_REL * scale:
-        raise NotPalindromic("a_k vanishes; the form has lower k")
     form = make_form(n, dc[1:], sign)
     # Vieta guard: a_1 = -sum r_i must hold for the computed roots
-    if k and abs(sum(form.roots) + form.a[0]) > 1e-8 * (1.0 + abs(form.a[0])):
+    if form.k and (abs(sum(form.roots) + form.a[0])
+                   > 1e-8 * (1.0 + abs(form.a[0]))):
         raise NotPalindromic("root/coefficient consistency check failed")
     return form
-
-
-def reduced_form(n: int, a) -> OperatorForm:
-    """The form of z^n P / P-hat once the factors it shares cancel.
-
-    P-hat mirrors P, so a factor (z - 1) of P is -(z - 1) in P-hat and a
-    factor (z + 1) is (z + 1): poly.deflate_pm_one divides both out of P
-    (members whose P(1) and P(-1) are clearly nonzero skip the division),
-    and each (z - 1) flips the sign.  With the monic quotient Q, one
-    (z - 1) gives -z^n Q / Q-hat, the inverse of common_shape's lift.
-    """
-    a = tuple(a)
-    q, counts = deflate_pm_one(np.array((1.0,) + a, np.complex128)[::-1])
-    q = q[:len(a) + 1 - sum(counts)]
-    return make_form(n, q[-2::-1], (-1) ** counts[0])
 
 
 def common_shape(forms) -> tuple:

@@ -91,7 +91,9 @@ class RenderConfig:
     workers: Optional[int] = None
 
     def __post_init__(self):
-        x0, x1, y0, y1 = self.window
+        x0, x1, y0, y1 = map(float, self.window)
+        if not np.all(np.isfinite((x0, x1, y0, y1, x1 - x0, y1 - y0))):
+            raise ValueError("window bounds and extents must be finite")
         if not (x0 < x1 and y0 < y1):
             raise ValueError("window must satisfy x_min < x_max, y_min < y_max")
         w, h = self.resolution
@@ -201,10 +203,11 @@ class _OrbitMap(NamedTuple):
 
 
 def _rational_map(R: RationalMap) -> _OrbitMap:
-    """R's columns, its exactly zero low numerator coefficients read as n."""
+    """R's columns, its exactly zero low numerator coefficients read as n;
+    the zero map gets the single numerator column 0."""
     num = R.num.coeffs
     n = int(np.argmax(num != 0)) if num.any() else 0
-    return _OrbitMap(list(num[n:]), list(R.den.coeffs), n)
+    return _OrbitMap(list(num[n:]) or [0.0], list(R.den.coeffs), n)
 
 
 def _form_map(n, a: np.ndarray) -> _OrbitMap:

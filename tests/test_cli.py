@@ -449,11 +449,23 @@ def test_negative_pair_index_is_a_usage_error(tmp_path, capsys):
     ("--max-iter", "0"),
     ("--res", "0x8"),
     ("--window", "1,1,-3,3"),
+    ("--window=0,1,0,inf",),
+    ("--window=0,1,-1e308,1e308",),     # the extent overflows
 ])
 def test_invalid_render_settings_are_usage_errors(tmp_path, capsys, setting):
     out = tmp_path / "m.ppm"
     code, _, err = run(capsys, "dynplane", "--method", "newton",
                        "--out", str(out), *setting)
+    assert code == 1 and err.startswith("usage error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("window", ["0,1,0,inf", "0,1,-1e308,1e308"])
+def test_non_finite_parameter_window_is_a_usage_error(tmp_path, capsys,
+                                                      window):
+    out = tmp_path / "s.ppm"
+    code, _, err = run(capsys, "paramplane", "--method", "king",
+                       f"--window={window}", "--res", "4x4", "--out", str(out))
     assert code == 1 and err.startswith("usage error:")
     assert not out.exists()
 

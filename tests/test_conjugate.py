@@ -7,8 +7,8 @@ from conftest import maps_close, random_form
 from ndyn.builder import (SchemeContext, catalog_entry, catalog_names,
                           conjugated_form, instantiate)
 from ndyn.conjugate import (Mobius, check_iota_symmetry, check_lambda_odd,
-                            common_shape, extract_normal_form, make_form,
-                            mobius_conjugate, reduced_form, rotations,
+                            OperatorForm, common_shape, extract_normal_form,
+                            make_form, mobius_conjugate, rotations,
                             sampled_identity, standard_tau)
 from ndyn.errors import NotPalindromic
 from ndyn.poly import (INF, Polynomial, deflate_anchored, is_inf, rat_eval,
@@ -125,7 +125,7 @@ def test_reduced_form_inverts_the_lift(draw):
     form = random_form(np.random.default_rng(draw))
     form = make_form(form.n, form.a, -1)
     n, a = common_shape([form])
-    back = reduced_form(int(n[0]), a[0])
+    back = make_form(int(n[0]), a[0])
     assert (back.n, back.k, back.sign) == (form.n, form.k, -1)
     err = max((abs(x - y) for x, y in zip(back.a, form.a)), default=0.0)
     assert err <= 1e-12 * max(1.0, max((abs(v) for v in form.a), default=1.0))
@@ -133,10 +133,24 @@ def test_reduced_form_inverts_the_lift(draw):
 
 def test_reduced_form_cancels_each_factor_at_one():
     # P = (z - 1)^2 (z^2 + 4 z + 5): the second cancellation flips the sign back
-    form = reduced_form(4, (2.0, -2.0, -6.0, 5.0))
+    form = make_form(4, (2.0, -2.0, -6.0, 5.0))
     assert (form.n, form.k, form.sign) == (4, 2, 1)
     assert np.allclose(form.a, (4.0, 5.0), rtol=0, atol=1e-12)
-    assert reduced_form(3, (2.0,)) == make_form(3, (2.0,))
+
+
+def test_make_form_keeps_a_form_clear_of_the_anchors():
+    # P(1) = 3 and P(-1) = -1: nothing divides out, and a comes back as given
+    form = make_form(3, (2.0,))
+    assert (form.n, form.k, form.sign, form.a) == (3, 1, 1, (2.0,))
+    assert form.roots == (-2.0,)
+    form = make_form(2, (0.5 - 1.0j, 3.0), -1)
+    assert (form.n, form.k, form.sign) == (2, 2, -1)
+    assert form.a == (0.5 - 1.0j, 3.0)
+
+
+def test_degenerate_is_the_sign():
+    assert OperatorForm(n=4, k=1, a=(2.0,), sign=-1).degenerate
+    assert not OperatorForm(n=4, k=1, a=(2.0,)).degenerate
 
 
 def _a_of(roots):
@@ -144,12 +158,26 @@ def _a_of(roots):
     return tuple(Polynomial.from_roots(roots).coeffs[-2::-1])
 
 
+def test_planted_anchor_roots_survive_re_extraction():
+    # P with one or two roots planted at +-1: make_form and the
+    # re-extraction of its map agree
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        form = random_form(rng)
+        planted = rng.choice((1.0, -1.0), int(rng.integers(1, 3)))
+        made = make_form(form.n, _a_of(tuple(planted) + form.roots))
+        back = extract_normal_form(made.reconstruct())
+        assert (back.n, back.k, back.sign) == (made.n, made.k, made.sign)
+        err = max((abs(x - y) for x, y in zip(back.a, made.a)), default=0.0)
+        assert err <= 1e-8
+
+
 def test_reduced_form_cancels_the_factors_at_both_anchors():
     # P = (z - 1) (z + 1)^2 Q: the one (z - 1) flips the sign, the two
     # (z + 1) keep it, and the form drops three coefficients
     q = (0.5 + 2.0j, -3.0)
     a = _a_of((1.0, -1.0, -1.0) + q)
-    form = reduced_form(2, a)
+    form = make_form(2, a)
     assert (form.n, form.k, form.sign) == (2, 2, -1)
     assert form.degenerate
     assert np.allclose(form.a, _a_of(q), rtol=0, atol=1e-12)
@@ -166,6 +194,8 @@ def test_one_operator_reduces_to_one_normal_form():
     assert (form.n, form.k, form.sign) == (halley.n, halley.k, halley.sign)
     assert max(abs(x - y) for x, y in zip(form.a, halley.a)) <= 1e-12
     assert catalog_entry("c-family").stability_producer(0.0) == form
+    # make_form itself divides (z + 1)^2 out of the unreduced coefficients
+    assert make_form(3, (4, 5, 2)) == form
 
 
 @pytest.mark.parametrize("method,param,t,want", [
@@ -181,7 +211,8 @@ def test_form_families_drop_a_shared_square_at_minus_one(method, param, t,
 
 
 def _anchored_reference(n, a):
-    """reduced_form spelled out: one deflate_anchored call, always."""
+    """make_form's deflation spelled out: one deflate_anchored call,
+    always."""
     row = np.array((1.0,) + tuple(complex(v) for v in a))[None, ::-1]
     rows, counts = deflate_anchored(row, (1.0, -1.0))
     q = rows[0, :len(a) + 1 - int(counts.sum())]
@@ -200,7 +231,7 @@ def test_reduced_form_skips_only_what_deflation_keeps(anchor, rel):
                                            @ (1, 1j))))
         shift = rel * (1.0 + np.abs(a).sum()) * np.exp(2j * rng.uniform(0, 3))
         a[-1] += shift          # the constant term moves P(1) and P(-1)
-        assert reduced_form(3, a) == _anchored_reference(3, a)
+        assert make_form(3, a) == _anchored_reference(3, a)
 
 
 def test_iota_symmetry_detection():

@@ -49,6 +49,11 @@ def small_cfg(**kw):
 @pytest.mark.parametrize("bad", [
     dict(window=(1.0, 1.0, 0.0, 2.0)),
     dict(window=(0.0, 2.0, 3.0, 1.0)),
+    dict(window=(0.0, 1.0, 0.0, math.inf)),
+    dict(window=(-math.inf, 1.0, 0.0, 1.0)),
+    dict(window=(math.nan, 1.0, 0.0, 1.0)),
+    dict(window=(0.0, 1.0, -1e308, 1e308)),     # the extent overflows
+    dict(window=(-1e308, 1e308, 0.0, 1.0)),
     dict(resolution=(0, 10)),
     dict(max_iter=0),
     dict(mode="glow"),
@@ -74,6 +79,16 @@ def test_orbit_counts_applications_before_capture():
     assert (name, its) == ("root-0", 4)
     name, its = orbit_outcome(Z_SQUARED, 2.0, cfg)
     assert name == "root-inf" and its == 5
+
+
+def test_zero_map_sends_every_seed_to_zero():
+    # rat_make returns 0 / 1 for a zero numerator
+    zero = rat_make(Polynomial(()), Polynomial((1.0,)))
+    cfg = small_cfg(resolution=(4, 4))
+    assert orbit_outcome(zero, 0.5 + 0.2j, cfg) == ("root-0", 1)
+    img = dynamical_plane(zero, cfg)
+    assert img.counts()["root-0"] == 16
+    assert np.all(img.iterations == 1)
 
 
 def test_orbit_none_means_full_budget():
