@@ -16,7 +16,6 @@ so the iteration operator comes out as a reduced RationalMap.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from functools import partial
@@ -303,17 +302,10 @@ class SchemeContext:
 
 def target_derivative(d: int, c: complex, order: int) -> Polynomial:
     """The polynomial p^(order) for p(z) = z^d - c."""
-    if order == 0:
-        coeffs = [0.0] * (d + 1)
-        coeffs[0] = -c
-        coeffs[d] = 1.0
-        return Polynomial(coeffs)
-    if order > d:
-        return Polynomial.zero()
-    factor = math.perm(d, order)
-    coeffs = [0.0] * (d - order + 1)
-    coeffs[-1] = factor
-    return Polynomial(coeffs)
+    p = Polynomial([-c] + [0.0] * (d - 1) + [1.0])
+    for _ in range(order):
+        p = p.derivative()
+    return p
 
 
 def _fold(scheme: Scheme, node_value: Callable, close: Callable):

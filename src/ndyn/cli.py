@@ -97,7 +97,8 @@ def _add_operator_args(p) -> None:
                    help="bind a scheme parameter (value per the scheme "
                         "number grammar, e.g. beta=-4 or a=2-9.3i)")
     p.add_argument("--d", type=int, default=2,
-                   help="polynomial degree for the scheme (default 2)")
+                   help="polynomial degree for the scheme; the normal form "
+                        "needs 2, the default")
     p.add_argument("--c", default="1",
                    help="polynomial constant term c (default 1)")
 

@@ -15,9 +15,10 @@ iota(z) = 1/z.
 It owns the rules of that form: make_form, the one constructor, divides
 the factors P shares with P-hat at z = 1 and z = -1 out through
 poly.deflate_pm_one (each (z - 1) flips the sign, each (z + 1) keeps it),
-folds a vanishing a_k into z^n and reads P's roots by poly.root_clusters;
-common_shape lifts a sign -1 form back, multiplier_aggregates gives
-O'(+-1), and sampled_identity tests every symmetry f(g z) = h(f z).
+folds each a_j that extraction trims into z^n and reads P's roots by
+poly.root_clusters; common_shape lifts a sign -1 form back,
+multiplier_aggregates gives O'(+-1), and sampled_identity tests every
+symmetry f(g z) = h(f z).
 """
 
 from __future__ import annotations
@@ -147,20 +148,22 @@ def make_form(n: int, a, sign: int = 1) -> OperatorForm:
     (a P whose values at 1 and -1 are clearly nonzero skips the division),
     and each (z - 1) flips the sign.  With the monic quotient Q, one
     (z - 1) gives -z^n Q / Q-hat, the inverse of common_shape's lift.
-    Then a vanishing a_k (within 1e-14 of the largest of 1, |a_j|) moves
-    one power of z from P into z^n, the inverse of common_shape's padding.
-    The roots of P are read by poly.root_clusters (polished, a multiple
-    root repeated by its multiplicity, exact conjugate pairs when every
-    a_j is real) and come in point_key order, so a pair prints its
-    negative imaginary part first.
+    Then P-hat = (1, a_1..a_k) is trimmed by poly._trim at MIRROR_REL, as
+    extract_normal_form trims a denominator, and each a_j dropped moves one
+    power of z from P into z^n, the inverse of common_shape's padding.  So
+    the form re-extracts from its map as made, unless P and P-hat share a
+    factor off +-1: make_form(2, (1.7, 1.0)), P = P-hat, gives the map z^2,
+    which re-extracts as (2, 0).  The roots of P are read by
+    poly.root_clusters (polished, a multiple root repeated by its
+    multiplicity, exact conjugate pairs when every a_j is real) and come in
+    point_key order, so a pair prints its negative imaginary part first.
     """
     a = tuple(a)
     q, counts = deflate_pm_one(np.array((1.0,) + a, np.complex128)[::-1])
-    a = [complex(v) for v in q[:len(a) + 1 - sum(counts)][-2::-1]]
-    scale = max([1.0] + [abs(v) for v in a])
-    while a and abs(a[-1]) <= 1e-14 * scale:
-        a.pop()
-        n += 1
+    k = len(a) - sum(counts)
+    p_hat = _trim(q[k::-1], MIRROR_REL)
+    n += k + 1 - p_hat.size
+    a = [complex(v) for v in p_hat[1:]]
     roots = ()
     if a:
         p = Polynomial(tuple(reversed(a)) + (1.0,))

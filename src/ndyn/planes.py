@@ -38,6 +38,7 @@ the same way.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -97,6 +98,9 @@ class RenderConfig:
         if not (x0 < x1 and y0 < y1):
             raise ValueError("window must satisfy x_min < x_max, y_min < y_max")
         w, h = self.resolution
+        if not all(isinstance(v, numbers.Integral)
+                   for v in (w, h, self.max_iter, self.workers or 1)):
+            raise ValueError("resolution, max_iter, workers must be integers")
         if w < 1 or h < 1:
             raise ValueError("resolution must be positive")
         if self.max_iter < 1:
@@ -432,10 +436,12 @@ def _select_seed_rows(w: np.ndarray, index: Optional[int] = None) -> tuple:
     usable &= np.abs(w + 2.0) > ANCHOR_TOL ** 2
     # A row with more than one usable root holds several pairs or a
     # multiple root (os3's free pair is double), which comes back as m
-    # scattered estimates.  Fold each estimate into the first one within
-    # CLUSTER_REL (the rule of poly.root_clusters) and use their mean, far
-    # closer to the root than any one estimate.  Column by column: memory
-    # stays O(P * D).
+    # scattered estimates.  Fold each estimate into the first unfolded one
+    # within CLUSTER_REL and use their mean, far closer to the root than
+    # any one estimate.  Unlike poly._clusters this never joins through a
+    # folded member nor merges two groups: os3's one double pair is two
+    # estimates, and a bridge needs three.  Column by column: memory stays
+    # O(P * D).
     rows = np.where(usable.sum(axis=1) > 1)[0]
     if rows.size:
         R, U = w[rows], usable[rows]

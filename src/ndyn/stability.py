@@ -21,11 +21,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .analysis import classify_multiplier, multiplier_at
+from .analysis import classify_multiplier, multiplier_of_cycle
 from .conjugate import OperatorForm, common_shape, multiplier_aggregates
 from .errors import (DegenerateFamily, NonlinearDependence,
-                     NonRealCoefficients, NotAFixedPoint)
-from .poly import is_inf, rat_eval
+                     NonRealCoefficients, NotACycle, NotAFixedPoint)
 
 LINEAR_CERT_TOL = 1e-8
 AGGREGATE_TOL = 1e-9
@@ -189,15 +188,13 @@ def classify_strange_at(form: OperatorForm, target: complex) -> tuple:
     """Direct (multiplier, class) of the fixed point `target` of one operator.
 
     Serves as the sample-by-sample oracle against which region predictions
-    are cross-checked.  Raises NotAFixedPoint when the operator does not fix
-    the target within 1e-8.
+    are cross-checked: multiplier_of_cycle of the cycle [target], so the
+    target may be INF, with its NotACycle raised as NotAFixedPoint.
     """
-    R = form.reconstruct()
-    value = rat_eval(R, target)
-    if is_inf(value) or abs(value - target) > 1e-8 * (1.0 + abs(target)):
-        raise NotAFixedPoint(
-            f"operator sends {target} to {value}, not itself")
-    lam = multiplier_at(R, target)
+    try:
+        lam = multiplier_of_cycle(form.reconstruct(), [target])
+    except NotACycle as exc:
+        raise NotAFixedPoint(str(exc)) from exc
     return lam, classify_multiplier(lam)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -264,6 +265,14 @@ def test_target_derivative_orders():
     assert list(p0.coeffs) == [-2.0, 0.0, 0.0, 1.0]
     p2 = target_derivative(3, 2.0, 2)     # 6z
     assert list(p2.coeffs) == [0.0, 6.0]
+    # every order 0..d + 1 against the closed form, exactly: z^d - c, then
+    # d!/(d - k)! z^(d - k), then the zero polynomial
+    for d in (2, 3, 4):
+        want = [[-2.0] + [0.0] * (d - 1) + [1.0]]
+        want += [[0.0] * (d - k) + [math.perm(d, k)] for k in range(1, d + 1)]
+        want.append([])
+        assert [target_derivative(d, 2.0, k).coeffs.tolist()
+                for k in range(d + 2)] == want
 
 
 def test_zero_c_rejected():
@@ -301,6 +310,12 @@ def test_vanishing_bottom_coefficient_collapses_into_the_power():
     assert (form.n, form.k) == (6, 2)
     assert abs(form.a[0] - 3.2) <= 1e-12
     assert abs(form.a[1] - 2.8) <= 1e-12
+
+    # os3's a_3 and a_4 vanish at a = -2.8 too; 1e-12 away a_3 is ~5e-12
+    # and folds all the same, as extraction trims it
+    form = conjugated_form("os3", {"a": -2.8 + 1e-12})
+    assert (form.n, form.k) == (6, 2)
+    assert extract_normal_form(form.reconstruct()) == form
 
     # a_3 = 2 - 4c and a_4 = 4b - 3 vanish at c = 1/2 and b = 3/4
     form = conjugated_form("c-family", {"c": 0.5})

@@ -61,6 +61,13 @@ def test_build_prints_the_normal_form(capsys):
     assert payload["roots"] == ["-2"]
 
 
+def test_build_folds_a_coefficient_within_the_mirror_tolerance(capsys):
+    # os3's a_3 is ~5e-12 here: folded into z^n, as extraction would read it
+    payload = run_json(capsys, "build", "--method", "os3",
+                       "--param", "a=-2.800000000001")
+    assert (payload["n"], payload["k"]) == (6, 2)
+
+
 def test_build_prints_a_double_root_once_per_copy(capsys):
     # king at beta = 2 has P = (z + 3)^2: the two solver estimates are one
     # polished center, printed twice

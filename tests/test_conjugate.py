@@ -102,6 +102,12 @@ def test_make_form_folds_zero_bottom_coefficient():
     # a_k = 0 pulls a factor z out of P into z^n
     assert make_form(3, (1.0, 0.0)) == make_form(4, (1.0,))
     assert make_form(2, (1e-16j,)) == make_form(3, ())
+    # a_k within MIRROR_REL of max(1, |a_j|) folds, as extraction trims it,
+    # so the map re-extracts as the form made
+    for rel in (1e-13, 1e-11, 1e-10):
+        form = make_form(3, (4.0, 5.0, 5.0 * rel))
+        assert (form.n, form.k) == (4, 2)
+        assert extract_normal_form(form.reconstruct()) == form
 
 
 def test_make_form_pairs_conjugate_roots_of_a_real_p():

@@ -59,6 +59,10 @@ def small_cfg(**kw):
     dict(mode="glow"),
     dict(workers=0),
     dict(workers=-2),
+    dict(resolution=(4.5, 4)),                  # not integers
+    dict(resolution=(4, 4.0)),
+    dict(max_iter=2.5),
+    dict(workers=1.5),
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from ndyn.builder import catalog_entry
+from ndyn.builder import catalog_entry, conjugated_form
 from ndyn.conjugate import make_form
 from ndyn.errors import (DegenerateFamily, NonRealCoefficients,
                          NonlinearDependence, NotAFixedPoint)
+from ndyn.poly import INF
 from ndyn.stability import (PROBES, classify_strange_at, linearize,
                             oracle_agreement,
                             stability_region_z1, stability_region_zm1)
@@ -157,6 +158,10 @@ def test_superattracting_parameter_is_sharp():
     lam, cls = classify_strange_at(entry.stability_producer(-4.0), 1.0)
     assert cls == "superattracting"
     assert abs(lam) <= 1e-9
+    # infinity, the image of a root of p, is a fixed point like any other
+    lam, cls = classify_strange_at(conjugated_form("king", {"beta": 1.0}),
+                                   INF)
+    assert (lam, cls) == (0, "superattracting")
 
 
 # Explicit real affine families a(t) = A + t B, one per region kind at z = 1.
