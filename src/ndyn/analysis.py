@@ -229,11 +229,8 @@ def classify_operator(form) -> dict:
         if parity_odd:
             report["minus_one"] = "on a 2-cycle with z=1"
             report["one"] = "on a 2-cycle with z=-1"
-            try:
-                report["cycle_multiplier"] = multiplier_of_cycle(
-                    R, [1.0 + 0.0j, -1.0 + 0.0j])
-            except NotACycle:
-                report["cycle_multiplier"] = None
+            report["cycle_multiplier"] = multiplier_of_cycle(
+                R, [1.0 + 0.0j, -1.0 + 0.0j])
         else:
             report["minus_one"] = "fixed"
             report["one"] = "preimage of z=-1"

@@ -16,6 +16,7 @@ so the iteration operator comes out as a reduced RationalMap.
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass, field
 from functools import partial
@@ -23,8 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (DivisionByZeroMap, SchemeSyntaxError, UnboundIdentifier,
-                     UnknownMethod, ZeroC, ZeroDenominator)
+from .errors import (DivisionByZeroMap, NdynError, SchemeSyntaxError,
+                     UnboundIdentifier, UnknownMethod, ZeroC, ZeroDenominator)
 from .conjugate import (CHECK_SEED, OperatorForm, check_lambda_odd,
                         extract_normal_form, make_form, mobius_conjugate,
                         rotations, sampled_identity, standard_tau)
@@ -101,10 +102,14 @@ _NUMBER = re.compile(NUMBER)
 
 
 def number_value(literal: str) -> complex:
-    """The value of a NUMBER, which may carry a leading sign."""
-    if literal.endswith("i"):
-        return complex(0.0, float(literal[:-1]))
-    return complex(float(literal))
+    """The value of a NUMBER, which may carry a leading sign; one too large
+    for a float raises ValueError."""
+    value = (complex(0.0, float(literal[:-1])) if literal.endswith("i")
+             else complex(float(literal)))
+    if not cmath.isfinite(value):
+        raise ValueError(f"the number {literal[:16]}... is too large "
+                         "for a float")
+    return value
 
 
 class _Token:
@@ -140,8 +145,11 @@ def _lex(text: str) -> list:
         number = _NUMBER.match(text, i)
         if number:
             j = number.end()
-            tokens.append(_Token("number", text[i:j], line, col,
-                                 number_value(text[i:j])))
+            try:
+                value = number_value(text[i:j])
+            except ValueError as e:
+                raise SchemeSyntaxError(line, col, str(e)) from None
+            tokens.append(_Token("number", text[i:j], line, col, value))
         elif ch.isalpha() or ch == "_":
             j = i + 1
             while j < len(text) and (text[j].isalpha() or text[j] == "_"
@@ -359,7 +367,11 @@ def _quotient(num: Polynomial, den: Polynomial) -> RationalMap:
 def _binding(bindings: dict, name: str) -> complex:
     if name not in bindings:
         raise UnboundIdentifier(name, "no binding supplied")
-    return complex(bindings[name])
+    value = complex(bindings[name])
+    if not cmath.isfinite(value):
+        raise NdynError(f"parameter {name!r} is bound to {value}, "
+                        "which is not finite")
+    return value
 
 
 def _instantiate_node(ctx: SchemeContext, node, *args) -> RationalMap:

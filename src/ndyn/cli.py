@@ -53,7 +53,10 @@ def parse_complex_literal(text: str) -> complex:
     if not m:
         raise UsageError(
             f"bad complex literal {text!r}; use forms like 2, -4.5, 1.5+2i")
-    return sum(number_value(part) for part in m.groups() if part)
+    try:
+        return sum(number_value(part) for part in m.groups() if part)
+    except ValueError as e:
+        raise UsageError(f"bad complex literal: {e}") from None
 
 
 def _fmt_real(x: float) -> str:

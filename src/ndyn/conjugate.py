@@ -12,11 +12,11 @@ with global sign s0 = +-1: numerator and denominator carry mirrored
 coefficient sequences, which is equivalent to the map commuting with
 iota(z) = 1/z.
 
-It owns the rules of that form: make_form, the one constructor, divides
-the factors P shares with P-hat at z = 1 and z = -1 out through
+It owns the rules of that form: make_form, the one constructor and reducer,
+divides the factors P shares with P-hat at z = +-1 out through
 poly.deflate_pm_one (each (z - 1) flips the sign, each (z + 1) keeps it),
-folds each a_j that extraction trims into z^n and reads P's roots by
-poly.root_clusters; common_shape lifts a sign -1 form back,
+folds each a_j that extraction trims into z^n, reads P's roots by
+poly.root_clusters and cancels the rest; common_shape lifts a sign -1 form,
 multiplier_aggregates gives O'(+-1), and sampled_identity tests every
 symmetry f(g z) = h(f z).
 """
@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 from operator import mul
 
 import numpy as np
@@ -33,9 +34,9 @@ import numpy as np
 from .errors import (DegenerateMobius, NotFixingOneZeroInfinity,
                      NotPalindromic, ZeroC)
 # poly_roots stays bound for bench/test_bench.py's tracer check
-from .poly import (INF, Polynomial, RationalMap, _substitute,  # noqa: F401
-                   _trim, deflate_pm_one, is_inf, point_key, poly_roots,
-                   rat_make, root_clusters)
+from .poly import (INF, Polynomial, RationalMap, _cofactors,  # noqa: F401
+                   _substitute, _trim, deflate_pm_one, is_inf, point_key,
+                   poly_roots, rat_make, root_clusters)
 
 MIRROR_REL = 1e-9        # palindromicity tolerance on mirrored coefficients
 SYMMETRY_REL = 1e-9      # sampled-identity tolerance for symmetry checks
@@ -117,7 +118,7 @@ class OperatorForm:
 
     ``a`` holds a_1..a_k (so P(z) = a_k + a_{k-1} z + ... + a_1 z^{k-1} + z^k
     and P* has the reversed coefficients); ``roots`` are the k roots of P.
-    make_form builds it with no factor shared at z = +-1 left in P.
+    make_form builds it with no factor shared with P* left in P.
     """
 
     n: int
@@ -136,8 +137,9 @@ class OperatorForm:
         return Polynomial(tuple(reversed(self.a)) + (1.0,))
 
     def reconstruct(self) -> RationalMap:
+        """sign z^n P / P*, multiplied out: make_form left no common factor."""
         num = (self.sign * self.p_coeffs()).shift(self.n)
-        return rat_make(num, Polynomial((1.0,) + tuple(self.a)))
+        return RationalMap(num, Polynomial((1.0,) + tuple(self.a)))
 
 
 def make_form(n: int, a, sign: int = 1) -> OperatorForm:
@@ -150,27 +152,31 @@ def make_form(n: int, a, sign: int = 1) -> OperatorForm:
     (z - 1) gives -z^n Q / Q-hat, the inverse of common_shape's lift.
     Then P-hat = (1, a_1..a_k) is trimmed by poly._trim at MIRROR_REL, as
     extract_normal_form trims a denominator, and each a_j dropped moves one
-    power of z from P into z^n, the inverse of common_shape's padding.  So
-    the form re-extracts from its map as made, unless P and P-hat share a
-    factor off +-1: make_form(2, (1.7, 1.0)), P = P-hat, gives the map z^2,
-    which re-extracts as (2, 0).  The roots of P are read by
-    poly.root_clusters (polished, a multiple root repeated by its
-    multiplicity, exact conjugate pairs when every a_j is real) and come in
-    point_key order, so a pair prints its negative imaginary part first.
+    power of z from P into z^n, the inverse of common_shape's padding.  The
+    roots of P are read by poly.root_clusters (polished, a multiple root
+    repeated by its multiplicity, exact conjugate pairs when every a_j is
+    real) in point_key order.  Two of them with r s within 1e-6 of 1 send P
+    and P-hat to poly._cofactors; a common factor found is self-reciprocal,
+    so it cancels keeping sign and n, and the quotient is made again.  So
+    the form re-extracts from its map as made.
     """
     a = tuple(a)
     q, counts = deflate_pm_one(np.array((1.0,) + a, np.complex128)[::-1])
     k = len(a) - sum(counts)
     p_hat = _trim(q[k::-1], MIRROR_REL)
     n += k + 1 - p_hat.size
+    sign *= (-1) ** counts[0]
     a = [complex(v) for v in p_hat[1:]]
     roots = ()
     if a:
         p = Polynomial(tuple(reversed(a)) + (1.0,))
         roots = tuple(sorted((complex(x) for x, m in root_clusters(p)
                               for _ in range(m)), key=point_key))
-    return OperatorForm(n=n, k=len(a), a=tuple(a), roots=roots,
-                        sign=sign * (-1) ** counts[0])
+        if any(abs(r * s - 1.0) <= 1e-6 for r, s in combinations(roots, 2)):
+            _, v = _cofactors(p_hat[::-1], p_hat)
+            if v.size < p_hat.size:
+                return make_form(n, v[1:] / v[0], sign)
+    return OperatorForm(n=n, k=len(a), a=tuple(a), roots=roots, sign=sign)
 
 
 def extract_normal_form(R: RationalMap) -> OperatorForm:

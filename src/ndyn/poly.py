@@ -394,18 +394,20 @@ def _clusters(p: Polynomial, roots: Sequence[complex]):
 def _pair_conjugates(clusters) -> list:
     """Real-coefficient clusters with each non-real pair made exact: a point
     r above the real axis and the unpaired point s of its multiplicity
-    below it nearest conj(r), if within 2 Im r, become m and conj(m) with
-    m = (r + conj(s)) / 2.  Any other r is real up to rounding and stays."""
+    below it nearest conj(r), if within 2 Im r, become conj(m) and m with
+    m = (r + conj(s)) / 2, conj(m) in the earlier of their two slots, so a
+    pair reads its negative imaginary part first.  Any other r is real up
+    to rounding and stays."""
     out = list(clusters)
-    lower = [j for j, (s, _) in enumerate(out) if s.imag < 0]
-    for i, (r, mult) in enumerate(out):
-        near = [j for j in lower if out[j][1] == mult
-                and abs(out[j][0] - r.conjugate()) < 2.0 * r.imag]
+    lower = [j for j, (s, _) in enumerate(clusters) if s.imag < 0]
+    for i, (r, mult) in enumerate(clusters):
+        near = [j for j in lower if clusters[j][1] == mult
+                and abs(clusters[j][0] - r.conjugate()) < 2.0 * r.imag]
         if near:
-            j = min(near, key=lambda j: abs(out[j][0] - r.conjugate()))
+            j = min(near, key=lambda j: abs(clusters[j][0] - r.conjugate()))
             lower.remove(j)
-            m = (r + out[j][0].conjugate()) / 2.0
-            out[i], out[j] = (m, mult), (m.conjugate(), mult)
+            m = (r + clusters[j][0].conjugate()) / 2.0
+            out[min(i, j)], out[max(i, j)] = (m.conjugate(), mult), (m, mult)
     return out
 
 

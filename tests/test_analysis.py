@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -9,7 +11,7 @@ from ndyn.analysis import (classify_multiplier, classify_operator,
                            multiplier_at_minus_one_closed,
                            multiplier_at_one_closed, multiplier_of_cycle)
 from ndyn.builder import conjugated_form
-from ndyn.conjugate import make_form
+from ndyn.conjugate import OperatorForm, make_form
 from ndyn.errors import NotACycle, PoleAtMinusOne, PoleAtOne
 from ndyn.poly import (INF, Polynomial, RationalMap, is_inf, rat_combine,
                        rat_derivative, rat_eval, rat_make)
@@ -170,6 +172,23 @@ def test_moebius_sum_pole():
     assert abs(P(1.0)) <= 1e-12
     with pytest.raises(PoleAtOne):
         moebius_sum(P, "+")
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (partial(moebius_sum, Polynomial((2.0, 1.0)), "0"), ValueError,
+     "sign must be '+' or '-'"),
+    (partial(moebius_sum, Polynomial(), "+"), ValueError, "zero polynomial"),
+    (partial(moebius_sum, Polynomial((3.0, 2.0, -1.0)), "-"), PoleAtMinusOne,
+     "alternating coefficient sum vanishes (root at -1)"),
+    # a hand-built form that make_form would reduce: P = z - 1 cancels
+    # against P-hat, so z = 1 and z = -1 are no 2-cycle of its map
+    (partial(classify_operator, OperatorForm(n=2, k=1, a=(-1.0,), sign=-1)),
+     NotACycle, "point (1+0j) maps to INF, expected (-1+0j)"),
+], ids=["bad-sign", "zero-polynomial", "pole-at-minus-one", "unreduced-form"])
+def test_analysis_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error) as refused:
+        call()
+    assert str(refused.value) == message
 
 
 def test_closed_multipliers_match_direct_derivative():

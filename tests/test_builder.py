@@ -1,5 +1,6 @@
 import hashlib
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ndyn.conjugate import (check_iota_symmetry, check_lambda_odd,
 from ndyn.errors import (DivisionByZeroMap, NdynError, SchemeSyntaxError,
                          UnboundIdentifier, UnknownMethod, ZeroC,
                          ZeroDenominator)
+from ndyn.cli import main
 from ndyn.poly import (Polynomial, constant_map, identity_map, rat_combine,
                        rat_eval, rat_make)
 
@@ -128,6 +130,46 @@ def test_parse_rejects_garbage():
         parse_scheme("next = z +* 3;")
     with pytest.raises(SchemeSyntaxError):
         parse_scheme("= z;")
+
+
+OVERFLOW = "1" + "0" * 400      # a NUMBER beyond the largest float
+
+
+@pytest.mark.parametrize("case,message", [
+    # scheme texts, which a user reaches through `ndyn build --scheme-file`
+    ("next = (z;", "line 1, col 10: expected ')', found ';'"),
+    ("z = 1;\nnext = z;", "line 1, col 1: 'z' is reserved"),
+    ("p = 1;\nnext = z;", "line 1, col 1: 'p' is reserved"),
+    ("y = z;\ny = 2*z;\nnext = y;", "line 2, col 1: step 'y' is bound twice"),
+    ("# nothing here\n", "line 2, col 1: empty scheme"),
+    ("y = z - p(z)/p'(z);", "line 1, col 20: the last statement must bind"),
+    ("next = f(z);", "unbound identifier 'f' (line 1: only p can be applied)"),
+    ("next = f'(z);", "line 1, col 9: derivatives apply only to p"),
+    (f"next = z - {OVERFLOW}i*p(z);",
+     "line 1, col 12: the number 1000000000000000... is too large"),
+    # library calls no command line reaches: `--d` other than 2 and a
+    # non-finite binding are refused before these
+    (partial(SchemeContext, d=1, c=1.0), "degree d must be at least 2"),
+    (partial(conjugated_form, "king", {"beta": float("inf")}),
+     "parameter 'beta' is bound to (inf+0j), which is not finite"),
+    (partial(conjugated_form, "m4", {"beta": complex(1.0, float("nan"))}),
+     "which is not finite"),
+], ids=["expected-op", "reserved-z", "reserved-p", "bound-twice", "empty",
+        "last-not-next", "only-p-applied", "derivative-of-a-name",
+        "overflowing-literal", "degree-one", "infinite-binding",
+        "nan-binding"])
+def test_builder_refusals_name_their_cause(tmp_path, capsys, case, message):
+    if isinstance(case, str):
+        path = tmp_path / "bad.scheme"
+        path.write_text(case, encoding="utf-8")
+        code = main(["build", "--scheme-file", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.endswith("\n")
+    else:
+        with pytest.raises((NdynError, ValueError)) as refused:
+            case()
+        assert message in str(refused.value)
 
 
 def test_unbound_identifier_reported():

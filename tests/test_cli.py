@@ -85,6 +85,16 @@ def test_build_prints_a_conjugate_pair_negative_part_first(capsys):
                                 "-1.4+1.49666295471i"]
 
 
+def test_analyze_prints_a_critical_pair_negative_part_first(capsys):
+    # the solver returns this pair's upper member first; the pair keeps
+    # its two slots, the lower member in the earlier one
+    payload = run_json(capsys, "analyze", "--method", "king",
+                       "--param", "beta=-0.622")
+    assert [r["point"] for r in payload["critical_points"]] == [
+        "0", "-1", "-0.828850638978-0.559469944024i",
+        "-0.828850638978+0.559469944024i", "inf"]
+
+
 def test_build_prints_exact_conjugates_across_a_rounding_boundary(capsys):
     # the solver leaves this pair's real parts 1e-11 apart, on either side
     # of the 10-decimal key; real a pairs them into exact conjugates, and
@@ -441,6 +451,20 @@ def test_usage_errors_exit_one(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert "usage error" in err, argv
+
+
+@pytest.mark.parametrize("flag,value", [("--param", "beta="), ("--c", ""),
+                                        ("--param", "beta=1-"),
+                                        ("--c", "2.5+")])
+def test_a_literal_beyond_the_largest_float_is_a_usage_error(capsys, flag,
+                                                            value):
+    # 1 followed by 400 zeros, as a real part or as an imaginary part
+    big = "1" + "0" * 400 + ("i" if value.endswith(("-", "+")) else "")
+    code, out, err = run(capsys, "build", "--method", "king", flag,
+                         value + big)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: bad complex literal: the number ")
+    assert err.endswith("0000... is too large for a float\n")
 
 
 def test_negative_pair_index_is_a_usage_error(tmp_path, capsys):

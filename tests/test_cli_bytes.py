@@ -3,6 +3,9 @@
 `build`, `analyze` and `stability` run for every catalog method (refusals
 included), the first two at one fixed binding of its parameter and
 `stability` on the family, which takes no binding; `catalog` runs once.
+`build` and `analyze` of each method with a parameter run once more at a
+real binding (pin `command:method=value`), where the map is real and its
+non-real points come in exact conjugate pairs.
 The digest covers the exit code, stdout and stderr, so any change to a
 printed form, point, class, region or error message shows up here.
 `PYTHONPATH=src python tests/test_cli_bytes.py` prints the current digests
@@ -20,6 +23,13 @@ from ndyn.cli import main
 
 BINDING = "2-9.3i"
 COMMANDS = ("build", "analyze", "stability")
+# one real binding per method with a parameter: each but chun's and
+# traub-steffensen's (alpha = 0, the one chun member with a normal form,
+# and a refusal) gives a non-real critical pair
+REAL_BINDINGS = {"traub-steffensen": "0.5", "king": "-0.622", "amat": "1.25",
+                 "chun": "0", "chebyshev-halley": "0.3", "c-family": "-0.45",
+                 "m4": "-0.622", "os2": "-0.622", "os3": "-1.7",
+                 "os4": "-3.1", "os5": "-0.622"}
 
 PINS = {
     "build:newton":
@@ -126,6 +136,50 @@ PINS = {
         "8847bf769a0fde09656b7e32dc1d226a197f4cbda077608550a69651393fa091",
     "catalog":
         "13694e785d35870c5714009add74deb9b8bfbfca4b2065601c247e24dc425a27",
+    "build:traub-steffensen=0.5":
+        "943df012bb11908cd4b3cc5491a78b99f7c6c428c3ca77884ab37dd1551703c8",
+    "analyze:traub-steffensen=0.5":
+        "943df012bb11908cd4b3cc5491a78b99f7c6c428c3ca77884ab37dd1551703c8",
+    "build:king=-0.622":
+        "1c87ee9be612d18091083becda2d4ad93e0140dc4ff13f07b1e9f72a2b0a7800",
+    "analyze:king=-0.622":
+        "fb6df3b83ca342f0a87be64a3a30828c210caebfc79ade660a0708cd80d53d02",
+    "build:amat=1.25":
+        "4a419bfd8228b7b2d178bce955cd4bb2b4f8215cc26ba9ab3ce46bc1af54ba69",
+    "analyze:amat=1.25":
+        "ef84cb0468c711a5110c1b1175c13ca256daba816770f8f347f8d4bb34772cb3",
+    "build:chun=0":
+        "6ac6ad73012867ec2681e309664b3403f531977d7ccc711ff3ede77f591ddd0a",
+    "analyze:chun=0":
+        "d9948b0c84bd582bc89c50a299f5eab8481b97d9e5f8a469e8341ff53f86da63",
+    "build:chebyshev-halley=0.3":
+        "180a5a97f19503b93e9239370420c645e9c16de26d7c5dee7463ba4e3b02a255",
+    "analyze:chebyshev-halley=0.3":
+        "6b59dcd046dda1c1523163e86e3f0bdf99bc5496d7dca7058eb0d94d84874e2f",
+    "build:c-family=-0.45":
+        "f683b7dc9b101ff0d0c64a60030ddc5a86af7423eef4bcb01bd376ac7c6f6ef2",
+    "analyze:c-family=-0.45":
+        "893362adf5ac71353658c1b58c8a0a67c35a10117d5cab7f52fa6b7b4049f32a",
+    "build:m4=-0.622":
+        "68afe2d296793abbe96c97ee8062404373218925bc11f36366dafb73f56509d6",
+    "analyze:m4=-0.622":
+        "decb39309c08d59d7548dab406672a44bf1ea1c699f58bc9394cc01001d5ef4e",
+    "build:os2=-0.622":
+        "7fc7703a446d475a92f2230e7b8567fd06115040a23bb071127c903c04b9d9c2",
+    "analyze:os2=-0.622":
+        "6255fd783e50748cbb48fdb29e5c3d8eefa027b13424daef54c780d555eed29a",
+    "build:os3=-1.7":
+        "2a9f21897019d2f96abb86add07eaec0277da418b6ed6f5d2d21c1670bd16b94",
+    "analyze:os3=-1.7":
+        "fe24f65966a2536c420a564bbedb131e31d6c02f29edd8d5a36270298300e83f",
+    "build:os4=-3.1":
+        "ec382355081210ad9de391143f8a63e8d77fbfc160a05627c2efd819af3e071f",
+    "analyze:os4=-3.1":
+        "803a69f76d6e94d1179372b45a4e7e9f23ce3f3d65da50b3943a3eed26740ee8",
+    "build:os5=-0.622":
+        "b938aeed0ea5c6e55b302c3eabd679697cabdbeaec7b71057fe8a552abd690fb",
+    "analyze:os5=-0.622":
+        "cfec02b4154e26f5a67af344eae47e7cd0c10d9593a7dad67d29640be561d353",
 }
 
 
@@ -134,10 +188,11 @@ def _argv(name):
     if name == "catalog":
         return ["catalog"]
     command, method = name.split(":")
+    method, _, value = method.partition("=")
     argv = [command, "--method", method]
     if command != "stability":
         for param in catalog_entry(method).params:
-            argv += ["--param", f"{param}={BINDING}"]
+            argv += ["--param", f"{param}={value or BINDING}"]
     return argv
 
 
@@ -151,7 +206,9 @@ def _digest(name):
 
 def _names():
     return [f"{cmd}:{m}" for m in catalog_names() for cmd in COMMANDS] \
-        + ["catalog"]
+        + ["catalog"] \
+        + [f"{cmd}:{m}={REAL_BINDINGS[m]}" for m in catalog_names()
+           if catalog_entry(m).params for cmd in ("build", "analyze")]
 
 
 def test_every_request_is_pinned():

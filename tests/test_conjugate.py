@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -10,9 +12,11 @@ from ndyn.conjugate import (Mobius, check_iota_symmetry, check_lambda_odd,
                             OperatorForm, common_shape, extract_normal_form,
                             make_form, mobius_conjugate, rotations,
                             sampled_identity, standard_tau)
-from ndyn.errors import NotPalindromic
-from ndyn.poly import (INF, Polynomial, deflate_anchored, is_inf, rat_eval,
-                       rat_make)
+import ndyn.conjugate
+from ndyn.cli import main
+from ndyn.errors import NdynError, NotPalindromic
+from ndyn.poly import (COFACTOR_TOL, INF, Polynomial, RationalMap,
+                       deflate_anchored, is_inf, rat_eval, rat_make)
 
 
 def test_tau_sends_the_roots_to_zero_and_infinity():
@@ -238,6 +242,113 @@ def test_reduced_form_skips_only_what_deflation_keeps(anchor, rel):
         shift = rel * (1.0 + np.abs(a).sum()) * np.exp(2j * rng.uniform(0, 3))
         a[-1] += shift          # the constant term moves P(1) and P(-1)
         assert make_form(3, a) == _anchored_reference(3, a)
+
+
+def test_make_form_cancels_a_factor_shared_with_p_hat():
+    # P = P-hat = z^2 + 1.7 z + 1: z^2 P / P-hat is the map z^2
+    assert make_form(2, (1.7, 1.0)) == make_form(2, ())
+    # a conjugate pair on the unit circle is a reciprocal pair as well,
+    # and the self-reciprocal factor keeps the sign
+    a = _a_of((np.exp(0.7j), np.exp(-0.7j), 0.5 - 2.0j))
+    form = make_form(3, a, -1)
+    assert (form.n, form.k, form.sign) == (3, 1, -1)
+    assert abs(form.a[0] - (-0.5 + 2.0j)) <= 1e-12
+
+
+def _planted_pair(rng, delta=0.0):
+    """A random form, and the a of its P times (z - r)(z - 1/r - delta)
+    for a random r with 1/4 <= |r| <= 4."""
+    form = random_form(rng)
+    r = np.exp(complex(rng.uniform(-np.log(4.0), np.log(4.0)),
+                       rng.uniform(-np.pi, np.pi)))
+    return form, _a_of((r, 1.0 / r + delta) + form.roots)
+
+
+def test_planted_reciprocal_pairs_cancel_and_re_extract():
+    rng = np.random.default_rng(0x5EC1)
+    for i in range(300):
+        sign = (1, -1)[i % 2]
+        form, a = _planted_pair(rng)
+        made = make_form(form.n, a, sign)
+        assert (made.n, made.k, made.sign) == (form.n, form.k, sign)
+        err = max((abs(x - y) for x, y in zip(made.a, form.a)), default=0.0)
+        assert err <= 1e-8 * max(1.0, max(map(abs, form.a), default=1.0))
+        assert extract_normal_form(made.reconstruct()) == made
+
+
+@pytest.mark.parametrize("delta,cancels", [(1e-2 * COFACTOR_TOL, True),
+                                           (1e3 * COFACTOR_TOL, False)])
+def test_a_near_reciprocal_pair_re_extracts_as_made(delta, cancels):
+    # r, 1/r + delta with |r delta| far inside make_form's 1e-6 pairing
+    # test: the cofactor fit cancels the pair at a backward error below
+    # COFACTOR_TOL and keeps it above, and either way the map
+    # re-extracts as the form made
+    rng = np.random.default_rng(0xDE17A)
+    for _ in range(100):
+        form, a = _planted_pair(rng, delta)
+        made = make_form(form.n, a)
+        assert made.k == form.k + (0 if cancels else 2)
+        assert extract_normal_form(made.reconstruct()) == made
+
+
+def _refuse(*args):
+    raise AssertionError("reconstruct reduced its map")
+
+
+def test_reconstruct_multiplies_a_map_rat_make_would_keep(monkeypatch):
+    rng = np.random.default_rng(0xF02)
+    forms = [random_form(rng) for _ in range(60)]
+    forms += [make_form(form.n, a) for form, a in
+              (_planted_pair(rng) for _ in range(20))]
+    forms += [conjugated_form(name, {param: t})
+              for name, param in (("king", "beta"), ("amat", "beta"),
+                                  ("chebyshev-halley", "alpha"),
+                                  ("c-family", "c"), ("m4", "beta"),
+                                  ("os2", "a"), ("os3", "a"), ("os4", "b"),
+                                  ("os5", "a"))
+              for t in (-0.622, 1.25, 2.0 - 9.3j)]
+    with monkeypatch.context() as patch:
+        patch.setattr(ndyn.conjugate, "rat_make", _refuse)
+        patch.setattr(ndyn.conjugate, "_cofactors", _refuse)
+        maps = [form.reconstruct() for form in forms]
+    for form, R in zip(forms, maps):
+        want = (form.sign * form.p_coeffs()).shift(form.n)
+        assert np.array_equal(R.num.coeffs, want.coeffs)
+        assert np.array_equal(R.den.coeffs, (1.0,) + form.a)
+        reduced = rat_make(R.num, R.den)
+        assert np.array_equal(reduced.num.coeffs, R.num.coeffs)
+        assert np.array_equal(reduced.den.coeffs, R.den.coeffs)
+
+
+@pytest.mark.parametrize("case,message", [
+    # scheme texts, which a user reaches through `ndyn build --scheme-file`
+    ("next = 0 - 1;", "the zero map does not fix infinity"),
+    ("next = 2*z;", "0 is not a fixed point (no z^n factor)"),
+    ("next = (z - 1)/2;", "infinity is not fixed with local degree 1 "
+                          "(numerator co-degree 0, denominator degree 1)"),
+    ("next = (3*z + 1)/(z + 3);", "leading coefficient"),
+    # library calls no command line reaches
+    (partial(extract_normal_form,
+             RationalMap(Polynomial((1e-13, 1.0, 1.0)),
+                         Polynomial((0.0, 1.0)))),
+     "denominator vanishes at 0"),
+    (partial(standard_tau, 0.0), "the polynomial z^d - c needs c != 0"),
+    (partial(Mobius, 1.0, 2.0, 2.0, 4.0), "matrix determinant vanishes"),
+], ids=["zero-map", "no-power-of-z", "infinity-not-fixed", "leading-not-1",
+        "denominator-zero-at-0", "tau-at-c-0", "singular-mobius"])
+def test_conjugate_refusals_name_their_cause(tmp_path, capsys, case,
+                                             message):
+    if isinstance(case, str):
+        path = tmp_path / "bad.scheme"
+        path.write_text(case, encoding="utf-8")
+        code = main(["build", "--scheme-file", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.endswith("\n")
+    else:
+        with pytest.raises(NdynError) as refused:
+            case()
+        assert str(refused.value) == message
 
 
 def test_iota_symmetry_detection():
