@@ -24,18 +24,19 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (DivisionByZeroMap, NdynError, SchemeSyntaxError,
-                     UnboundIdentifier, UnknownMethod, ZeroC, ZeroDenominator)
-from .conjugate import (CHECK_SEED, OperatorForm, check_lambda_odd,
-                        extract_normal_form, make_form, mobius_conjugate,
-                        rotations, sampled_identity, standard_tau)
+from .errors import (DivisionByZeroMap, NdynError, NotFixingOneZeroInfinity,
+                     SchemeSyntaxError, UnboundIdentifier, UnknownMethod, ZeroC,
+                     ZeroDenominator)
+from .conjugate import (CHECK_SEED, OperatorForm, extract_normal_form,
+                        make_form, mobius_conjugate, rotations,
+                        sampled_identity, standard_tau)
 from .poly import (Polynomial, RationalMap, _substitute, constant_map,
                    identity_map, rat_make)
 
 __all__ = [
     "Var", "Const", "Param", "Deriv", "BinOp", "Ref", "Scheme",
     "SchemeContext", "CatalogEntry", "parse_scheme", "instantiate",
-    "evaluate_scheme", "check_lambda_odd", "check_scheme_lambda_odd",
+    "evaluate_scheme", "check_scheme_lambda_odd",
     "catalog_entry", "catalog_names", "conjugated_form", "target_derivative",
 ]
 
@@ -635,7 +636,8 @@ def catalog_entry(name: str) -> CatalogEntry:
 
 def conjugated_form(method, bindings=None, c: complex = 1.0) -> OperatorForm:
     """The palindromic normal form for d=2 of a catalog method (by name) or
-    of a parsed ``Scheme``."""
+    of a parsed ``Scheme``.  An operator that is the constant sqrt(c)
+    conjugates to the constant infinity, which is refused."""
     bindings = dict(bindings or {})
     if isinstance(method, str):
         entry = catalog_entry(method)
@@ -644,4 +646,10 @@ def conjugated_form(method, bindings=None, c: complex = 1.0) -> OperatorForm:
                            _binding(bindings, entry.params[0]))
         method = entry.ast
     op = instantiate(method, SchemeContext(d=2, c=c, bindings=bindings))
-    return extract_normal_form(mobius_conjugate(op, standard_tau(c)))
+    try:
+        conj_map = mobius_conjugate(op, standard_tau(c))
+    except ZeroDenominator:
+        raise NotFixingOneZeroInfinity(
+            "the operator is the constant sqrt(c), so its conjugate is the "
+            "constant infinity, which does not fix 0") from None
+    return extract_normal_form(conj_map)

@@ -13,6 +13,7 @@ seeded checks, so identical invocations print identical bytes.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import re
@@ -54,9 +55,13 @@ def parse_complex_literal(text: str) -> complex:
         raise UsageError(
             f"bad complex literal {text!r}; use forms like 2, -4.5, 1.5+2i")
     try:
-        return sum(number_value(part) for part in m.groups() if part)
+        value = sum(number_value(part) for part in m.groups() if part)
     except ValueError as e:
         raise UsageError(f"bad complex literal: {e}") from None
+    if not cmath.isfinite(value):       # each part fits, their sum does not
+        raise UsageError(f"bad complex literal: the number {text.strip()[:16]}"
+                         "... is too large for a float")
+    return value
 
 
 def _fmt_real(x: float) -> str:

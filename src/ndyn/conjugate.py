@@ -12,11 +12,12 @@ with global sign s0 = +-1: numerator and denominator carry mirrored
 coefficient sequences, which is equivalent to the map commuting with
 iota(z) = 1/z.
 
-It owns the rules of that form: make_form, the one constructor and reducer,
-divides the factors P shares with P-hat at z = +-1 out through
+It owns the rules of that form: OperatorForm reads P's roots by
+poly.root_clusters and guards them by a_1 = -sum r_i; make_form, the one
+reducer, divides the factors P shares with P-hat at z = +-1 out through
 poly.deflate_pm_one (each (z - 1) flips the sign, each (z + 1) keeps it),
-folds each a_j that extraction trims into z^n, reads P's roots by
-poly.root_clusters and cancels the rest; common_shape lifts a sign -1 form,
+folds each a_j that extraction trims into z^n, and cancels the rest by the
+form's roots; common_shape lifts a sign -1 form,
 multiplier_aggregates gives O'(+-1), and sampled_identity tests every
 symmetry f(g z) = h(f z).
 """
@@ -24,7 +25,7 @@ symmetry f(g z) = h(f z).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
 from operator import mul
@@ -117,15 +118,30 @@ class OperatorForm:
     """Palindromic normal form sign * z^n * P(z) / P*(z).
 
     ``a`` holds a_1..a_k (so P(z) = a_k + a_{k-1} z + ... + a_1 z^{k-1} + z^k
-    and P* has the reversed coefficients); ``roots`` are the k roots of P.
-    make_form builds it with no factor shared with P* left in P.
+    and P* has the reversed coefficients); k must be len(a) and sign +-1.
+    ``roots``, the k roots of P, are derived here by poly.root_clusters
+    (polished, a multiple root repeated by its multiplicity, exact conjugate
+    pairs when every a_j is real) in point_key order, and guarded: a_1 must
+    be -sum r_i.  make_form builds it with no factor shared with P* left in P.
     """
 
     n: int
     k: int
     a: tuple = ()
-    roots: tuple = ()
     sign: int = 1
+    roots: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.k != len(self.a) or self.sign not in (1, -1):
+            raise ValueError(f"a form needs k = len(a) = {len(self.a)} and "
+                             f"sign +-1, not k = {self.k}, sign = {self.sign}")
+        clusters = root_clusters(self.p_coeffs()) if self.k else ()
+        roots = tuple(sorted((complex(x) for x, m in clusters
+                              for _ in range(m)), key=point_key))
+        if self.k and (abs(sum(roots) + self.a[0])
+                       > 1e-8 * (1.0 + abs(self.a[0]))):
+            raise NotPalindromic("root/coefficient consistency check failed")
+        object.__setattr__(self, "roots", roots)
 
     @property
     def degenerate(self) -> bool:
@@ -152,13 +168,12 @@ def make_form(n: int, a, sign: int = 1) -> OperatorForm:
     (z - 1) gives -z^n Q / Q-hat, the inverse of common_shape's lift.
     Then P-hat = (1, a_1..a_k) is trimmed by poly._trim at MIRROR_REL, as
     extract_normal_form trims a denominator, and each a_j dropped moves one
-    power of z from P into z^n, the inverse of common_shape's padding.  The
-    roots of P are read by poly.root_clusters (polished, a multiple root
-    repeated by its multiplicity, exact conjugate pairs when every a_j is
-    real) in point_key order.  Two of them with r s within 1e-6 of 1 send P
-    and P-hat to poly._cofactors; a common factor found is self-reciprocal,
-    so it cancels keeping sign and n, and the quotient is made again.  So
-    the form re-extracts from its map as made.
+    power of z from P into z^n, the inverse of common_shape's padding.  Two
+    roots of the form built from that (OperatorForm derives and guards
+    them) with r s within 1e-6 of 1 send P and P-hat to poly._cofactors; a
+    common factor found is self-reciprocal, so it cancels keeping sign and
+    n, and the quotient is made again.  So the form re-extracts from its map
+    as made.
     """
     a = tuple(a)
     q, counts = deflate_pm_one(np.array((1.0,) + a, np.complex128)[::-1])
@@ -166,17 +181,13 @@ def make_form(n: int, a, sign: int = 1) -> OperatorForm:
     p_hat = _trim(q[k::-1], MIRROR_REL)
     n += k + 1 - p_hat.size
     sign *= (-1) ** counts[0]
-    a = [complex(v) for v in p_hat[1:]]
-    roots = ()
-    if a:
-        p = Polynomial(tuple(reversed(a)) + (1.0,))
-        roots = tuple(sorted((complex(x) for x, m in root_clusters(p)
-                              for _ in range(m)), key=point_key))
-        if any(abs(r * s - 1.0) <= 1e-6 for r, s in combinations(roots, 2)):
-            _, v = _cofactors(p_hat[::-1], p_hat)
-            if v.size < p_hat.size:
-                return make_form(n, v[1:] / v[0], sign)
-    return OperatorForm(n=n, k=len(a), a=tuple(a), roots=roots, sign=sign)
+    form = OperatorForm(n=n, k=p_hat.size - 1,
+                        a=tuple(complex(v) for v in p_hat[1:]), sign=sign)
+    if any(abs(r * s - 1.0) <= 1e-6 for r, s in combinations(form.roots, 2)):
+        _, v = _cofactors(p_hat[::-1], p_hat)
+        if v.size < p_hat.size:
+            return make_form(n, v[1:] / v[0], sign)
+    return form
 
 
 def extract_normal_form(R: RationalMap) -> OperatorForm:
@@ -192,10 +203,7 @@ def extract_normal_form(R: RationalMap) -> OperatorForm:
     # degrees judged at the mirror tolerance, so coefficient junk below it
     # cannot inflate the reported (n, k)
     nc = _trim(num.coeffs, MIRROR_REL)
-    top = np.abs(nc).max()
-    n = 0
-    while n < nc.size and abs(nc[n]) <= MIRROR_REL * top:
-        n += 1
+    n = nc.size - _trim(nc[::-1], MIRROR_REL).size
     if n < 1:
         raise NotFixingOneZeroInfinity("0 is not a fixed point (no z^n factor)")
     q = nc[n:]
@@ -222,12 +230,7 @@ def extract_normal_form(R: RationalMap) -> OperatorForm:
     if not np.all(np.abs(q - mirror) <= MIRROR_REL * scale):
         worst = float(np.max(np.abs(q - mirror)))
         raise NotPalindromic(f"mirror defect {worst:.3e} exceeds tolerance")
-    form = make_form(n, dc[1:], sign)
-    # Vieta guard: a_1 = -sum r_i must hold for the computed roots
-    if form.k and (abs(sum(form.roots) + form.a[0])
-                   > 1e-8 * (1.0 + abs(form.a[0]))):
-        raise NotPalindromic("root/coefficient consistency check failed")
-    return form
+    return make_form(n, dc[1:], sign)
 
 
 def common_shape(forms) -> tuple:

@@ -104,10 +104,6 @@ class StabilityRegion:
     indifferent_everywhere: bool = False
     aggregates: dict = field(default_factory=dict)
 
-    def multiplier(self, t: complex) -> complex:
-        g = self.aggregates
-        return (g["A"] + t * g["B"]) / (g["A'"] + t * g["B'"])
-
     def verdict(self, t: complex, band: float = BOUNDARY_BAND) -> str:
         """attracting / repelling / indifferent / boundary at one parameter."""
         if self.kind == "not-applicable":
@@ -134,8 +130,11 @@ def _build_region(target: str, A: float, B: float, A2: float,
     """|O'(t)| < 1 <=> |A + t B|^2 < |A' + t B'|^2, which for real aggregates
     is q |t|^2 + 2 l Re t + c < 0 with q = B^2 - B'^2, l = A B - A' B' and
     c = A^2 - A'^2: a disc or its outside when q != 0, a half-plane when only
-    l != 0, and the sign of c everywhere when both vanish."""
+    l != 0, and the sign of c everywhere when both vanish.  An aggregate
+    within tol of zero is zero, so rounding residue neither prints nor
+    enters the region."""
     tol = AGGREGATE_TOL * max(1.0, abs(A), abs(B), abs(A2), abs(B2))
+    A, B, A2, B2 = (0.0 if abs(v) <= tol else v for v in (A, B, A2, B2))
     aggregates = {"A": A, "B": B, "A'": A2, "B'": B2}
 
     if abs(A2) <= tol and abs(B2) <= tol:

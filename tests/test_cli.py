@@ -325,6 +325,32 @@ def test_stability_via_scheme_family(tmp_path, capsys):
     assert payload["parameter"] == "beta"
 
 
+# (n, k) = (2, 1) with a_1 = 1 + 2t: the multiplier aggregates of z = +-1
+# give half-planes, and A' at z = -1 is 0 exactly, not rounding residue
+HALF_PLANE_SCHEME = "next = z - p(z)/(p'(z) + t*p(z)*p''(z)/p'(z));\n"
+
+
+def test_stability_half_plane_payload(tmp_path, capsys):
+    path = tmp_path / "half-plane.scheme"
+    path.write_text(HALF_PLANE_SCHEME)
+    payload = run_json(capsys, "stability", "--scheme-file", str(path),
+                       "--family-param", "t")
+    flags = {"superattracting_everywhere": False,
+             "indifferent_everywhere": False}
+    assert payload == {
+        "method": str(path), "parameter": "t", "n": 2, "k": 1,
+        "A": ["1"], "B": ["2"],
+        "z=1": {"kind": "half-plane", "threshold": "-1.5",
+                "attracting_side": "left", "superattracting_parameter": "-2",
+                **flags,
+                "aggregates": {"A": "4", "B": "2", "A'": "2", "B'": "2"}},
+        "z=-1": {"kind": "half-plane", "threshold": "0.5",
+                 "attracting_side": "right", "superattracting_parameter": "1",
+                 **flags,
+                 "aggregates": {"A": "2", "B": "-2", "A'": "0", "B'": "-2"}},
+    }
+
+
 @pytest.mark.parametrize("command", ["stability", "paramplane"])
 def test_family_param_must_be_a_scheme_parameter(tmp_path, capsys, command):
     path = tmp_path / "two-step.scheme"
@@ -465,6 +491,22 @@ def test_a_literal_beyond_the_largest_float_is_a_usage_error(capsys, flag,
     assert (code, out) == (1, "")
     assert err.startswith("usage error: bad complex literal: the number ")
     assert err.endswith("0000... is too large for a float\n")
+
+
+BIG = "1" + "0" * 308       # fits a float; twice it does not
+
+
+@pytest.mark.parametrize("flag,literal", [
+    ("--c", f"{BIG}+{BIG}"), ("--c", f"-{BIG}-{BIG}"),
+    ("--c", f"{BIG}i+{BIG}i"), ("--param", f"{BIG}+{BIG}")],
+    ids=["real", "negative", "imaginary", "param"])
+def test_a_sum_beyond_the_largest_float_is_a_usage_error(capsys, flag,
+                                                         literal):
+    value = literal if flag == "--c" else f"beta={literal}"
+    code, out, err = run(capsys, "build", "--method", "king", flag, value)
+    assert (code, out) == (1, "")
+    assert err == ("usage error: bad complex literal: the number "
+                   f"{literal[:16]}... is too large for a float\n")
 
 
 def test_negative_pair_index_is_a_usage_error(tmp_path, capsys):

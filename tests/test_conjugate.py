@@ -1,3 +1,4 @@
+import inspect
 from functools import partial
 
 import numpy as np
@@ -26,6 +27,10 @@ def test_tau_sends_the_roots_to_zero_and_infinity():
         assert is_inf(tau(r))
         assert abs(tau(-r)) <= 1e-12
         assert abs(tau(INF) - 1.0) <= 1e-12
+
+
+def test_a_mobius_map_with_c_zero_fixes_infinity():
+    assert Mobius(1.0, 0.0, 0.0, 1.0)(INF) is INF
 
 
 def test_mobius_compose_inverse():
@@ -161,6 +166,33 @@ def test_make_form_keeps_a_form_clear_of_the_anchors():
 def test_degenerate_is_the_sign():
     assert OperatorForm(n=4, k=1, a=(2.0,), sign=-1).degenerate
     assert not OperatorForm(n=4, k=1, a=(2.0,)).degenerate
+
+
+def test_a_form_derives_its_roots():
+    assert "roots" not in inspect.signature(OperatorForm).parameters
+    assert OperatorForm(n=4, k=1, a=(2.0,)).roots == ((-2 + 0j),)
+
+
+@pytest.mark.parametrize("k,sign", [(3, 1), (1, 2)], ids=["k", "sign"])
+def test_a_form_refuses_a_k_or_sign_that_disagrees(k, sign):
+    with pytest.raises(ValueError):
+        OperatorForm(n=4, k=k, a=(2.0,), sign=sign)
+
+
+@pytest.mark.parametrize("method,bindings", [("os3", {"a": 1.0}),
+                                             ("king", {"beta": 1.0})])
+def test_every_form_is_vieta_guarded(monkeypatch, method, bindings):
+    # a form family member (os3) is made without extract_normal_form, a
+    # scheme (king) through it: the guard reads the roots either way
+    clusters = ndyn.conjugate.root_clusters
+
+    def shifted(p):
+        (x, m), *rest = clusters(p)
+        return [(x + 1e-3, 1)] + [(x, m - 1)] * (m > 1) + rest
+    monkeypatch.setattr(ndyn.conjugate, "root_clusters", shifted)
+    with pytest.raises(NotPalindromic,
+                       match="root/coefficient consistency check failed"):
+        conjugated_form(method, bindings)
 
 
 def _a_of(roots):
@@ -349,6 +381,24 @@ def test_conjugate_refusals_name_their_cause(tmp_path, capsys, case,
         with pytest.raises(NdynError) as refused:
             case()
         assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("text,c,command", [
+    ("next = 1;", "1", "build"), ("next = 1;", "1", "analyze"),
+    ("next = 2;", "4", "build")], ids=["1-build", "1-analyze", "2-at-c-4"])
+def test_the_constant_sqrt_c_is_refused(tmp_path, capsys, text, c, command):
+    # tau sends sqrt(c) to infinity, so the constant sqrt(c) conjugates to
+    # the constant infinity, which fixes neither 0 nor 1
+    path = tmp_path / "constant.scheme"
+    path.write_text(text, encoding="utf-8")
+    code = main([command, "--scheme-file", str(path), "--c", c])
+    assert (code, *capsys.readouterr()) == (2, "", (
+        "error: the operator is the constant sqrt(c), so its conjugate is "
+        "the constant infinity, which does not fix 0\n"))
+    # any other constant conjugates to a finite constant
+    code = main([command, "--scheme-file", str(path), "--c", "2"])
+    assert (code, *capsys.readouterr()) == (
+        2, "", "error: 0 is not a fixed point (no z^n factor)\n")
 
 
 def test_iota_symmetry_detection():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import ndyn.poly
 from conftest import maps_close
 from ndyn.cli import main
-from ndyn.errors import NoConvergence
+from ndyn.errors import NoConvergence, ZeroPolynomial
 from ndyn.poly import (INF, Polynomial, _clusters, deflate_anchored, is_inf,
                        poly_roots, rat_derivative, rat_eval, rat_make,
                        root_clusters)
@@ -32,6 +32,26 @@ def test_product_degree_and_derivative_rule():
     lhs = prod.derivative()
     rhs = p.derivative() * q + p * q.derivative()
     assert np.allclose(lhs.coeffs, rhs.coeffs)
+
+
+@pytest.mark.parametrize("coeffs,value", [((), 0j), ((2.5 - 1j,), 2.5 - 1j),
+                                          ((0.0, 0.0, 3.0), INF)],
+                         ids=["zero", "constant", "quadratic"])
+def test_value_at_infinity(coeffs, value):
+    got = Polynomial(coeffs)(INF)
+    assert got is INF if value is INF else (type(got), got) == (complex, value)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: poly_roots(Polynomial.zero()), ZeroPolynomial,
+     "cannot extract roots of the zero polynomial"),
+    (lambda: Polynomial([[1, 2]]), ValueError,
+     "coefficients must form a one-dimensional sequence"),
+], ids=["roots-of-zero", "two-dimensional"])
+def test_poly_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error) as refused:
+        call()
+    assert str(refused.value) == message
 
 
 @settings(max_examples=40, deadline=None)

@@ -117,7 +117,9 @@ def test_multiplier_against_region_prediction():
         if verdict == "boundary":
             continue
         lam, cls = classify_strange_at(entry.stability_producer(t), 1.0)
-        assert abs(lam - reg.multiplier(t)) <= 1e-8 * max(1.0, abs(lam))
+        g = reg.aggregates
+        want = (g["A"] + t * g["B"]) / (g["A'"] + t * g["B'"])
+        assert abs(lam - want) <= 1e-8 * max(1.0, abs(lam))
         if verdict == "attracting":
             assert cls in ("attracting", "superattracting")
         elif verdict == "repelling":
