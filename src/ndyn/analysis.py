@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .conjugate import multiplier_aggregates
-from .errors import NotACycle, PoleAtMinusOne, PoleAtOne
+from .errors import NotACycle, PoleAtMinusOne, PoleAtOne, ZeroPolynomial
 from .poly import (INF, Polynomial, RationalMap, is_inf, point_key, rat_eval,
                    root_clusters)
 
@@ -83,8 +83,11 @@ def multiplier_at(R: RationalMap, point) -> complex:
 
 def fixed_points(R: RationalMap) -> list:
     """All fixed points with multipliers and classes; one record per point,
-    finite points in point_key order."""
+    finite points in point_key order.  The identity map, which fixes every
+    point, raises ZeroPolynomial."""
     g = R.num - Polynomial.identity() * R.den
+    if g.is_zero():
+        raise ZeroPolynomial("the map is the identity: every point is fixed")
     finite = sorted((point for point, _m in root_clusters(g)),
                     key=point_key)
     records = []

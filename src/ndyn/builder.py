@@ -452,17 +452,17 @@ def _eval_node(ctx: SchemeContext, zs: np.ndarray, undefined: np.ndarray,
     raise TypeError(f"not a scheme node: {node!r}")
 
 
-def check_scheme_lambda_odd(scheme: Scheme, ctx: SchemeContext, d: int,
+def check_scheme_lambda_odd(scheme: Scheme, ctx: SchemeContext,
                             trials: int = 50) -> bool:
-    """Sampled d-th root-of-unity equivariance test, the scheme evaluated
-    pointwise over all the sampled points at once.
+    """Sampled ctx.d-th root-of-unity equivariance test (seed CHECK_SEED +
+    ctx.d), the scheme evaluated pointwise over all the sampled points at once.
 
     Equivalent in exact arithmetic to check_lambda_odd on the instantiated
     map, but immune to the coefficient-level rounding that expanded
     high-degree operators accumulate.
     """
     return sampled_identity(partial(evaluate_scheme, scheme, ctx),
-                            rotations(d), trials, CHECK_SEED + d)
+                            rotations(ctx.d), trials, CHECK_SEED + ctx.d)
 
 
 # --------------------------------------------------------------------------

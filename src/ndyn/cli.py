@@ -212,7 +212,7 @@ def _write_outputs(img, args, extra: dict) -> None:
     write_image(img, args.out)
     meta = args.out + ".meta"
     write_metadata(img, meta, extra=extra)
-    w, h = img.width, img.height
+    w, h = img.config.resolution
     print(f"wrote {args.out} ({w}x{h}, mode={args.mode})")
     print(f"wrote {meta}")
 
@@ -266,7 +266,7 @@ def cmd_analyze(args) -> int:
         ctx = SchemeContext(d=args.d, c=c, bindings=bindings)
         payload["rotation_symmetry"] = {
             "d": args.d,
-            "holds": bool(check_scheme_lambda_odd(ast, ctx, args.d)),
+            "holds": bool(check_scheme_lambda_odd(ast, ctx)),
         }
     _emit(payload)
     return 0

@@ -71,6 +71,7 @@ INFINITY_RADIUS = 1e8  # and one this far out has escaped
 ANCHOR_TOL = 1e-6      # critical points this close to +-1 are not free seeds
 ORIGIN_TOL = 1e-9      # nor this close to 0 (or to infinity)
 FIXED_CHECK_EVERY = 8  # steps between the tests for an exact fixed point
+MAX_ITER = int(np.iinfo(np.int32).max)  # iteration counts are int32
 _ANCHORS = (2.0, -2.0)  # w = z + 1/z at the anchored points z = +-1
 
 _SPEED_STOPS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -105,6 +106,8 @@ class RenderConfig:
             raise ValueError("resolution must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if self.max_iter > MAX_ITER:
+            raise ValueError(f"max_iter must be <= {MAX_ITER}")
         if self.mode not in ("speed", "attractor"):
             raise ValueError("mode must be 'speed' or 'attractor'")
         if self.workers is not None and self.workers < 1:
@@ -132,8 +135,7 @@ class RenderConfig:
 
 @dataclass
 class PlaneImage:
-    width: int
-    height: int
+    """Per-pixel outcomes and counts; `config` fixes size and palette."""
     outcome: np.ndarray           # (h, w) int8 codes
     iterations: np.ndarray        # (h, w) int32
     config: RenderConfig
@@ -143,10 +145,6 @@ class PlaneImage:
         flat = self.outcome.ravel()
         return {name: int(np.count_nonzero(flat == code))
                 for code, name in OUTCOME_NAMES.items()}
-
-    @property
-    def rgb(self) -> np.ndarray:
-        return colorize(self, self.config.mode)
 
 
 def resolve_workers(cfg: RenderConfig) -> int:
@@ -293,7 +291,7 @@ def dynamical_plane(R: RationalMap, cfg: RenderConfig,
     attr = _flatten_attractors(known_attractors)
     f = _rational_map(R)
     outcome, iters = _run_bands(cfg, lambda zz: _orbit(zz, f, cfg, attr))
-    return PlaneImage(cfg.width, cfg.height, outcome, iters, cfg)
+    return PlaneImage(outcome, iters, cfg)
 
 
 # --------------------------------------------------------------------------
@@ -496,21 +494,21 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
         raise ValueError("selector must be a nonnegative pair index")
     attr = _flatten_attractors(known_attractors)
     try:
-        n, _, A, B = affine_fit(family)
+        fit = affine_fit(family)
     except NdynError:
-        n = None
+        fit = None
 
-    if n is not None:
+    if fit is not None:
         # shared by every t, so divided out of the terms once per render
-        T, _ = _deflate_shared(_family_terms(n, A, B))
+        T, _ = _deflate_shared(_family_terms(fit.n, fit.A, fit.B))
 
     def work(ts):
-        if n is None:
+        if fit is None:
             n_t, a = _form_coeffs(family, ts)
             Q = _pair_rows(n_t, a)
         else:
             t = ts[:, None]
-            n_t, a = n, A + t * B
+            n_t, a = fit.n, fit.A + t * fit.B
             Q = T[0] + t * (T[1] + t * T[2])
         w = _roots_rows(deflate_anchored(Q, _ANCHORS)[0])
         seed, dead, no_free, multi = _select_seed_rows(w, selector)
@@ -521,10 +519,9 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
     diagnostics = {
         "no_free_critical": int(no_free.sum()),
         "multiple_free_pairs": int(multi.sum()),
-        "vectorized": n is not None,
+        "vectorized": fit is not None,
     }
-    return PlaneImage(cfg.width, cfg.height, outcome, iters, cfg,
-                      diagnostics=diagnostics)
+    return PlaneImage(outcome, iters, cfg, diagnostics=diagnostics)
 
 
 # --------------------------------------------------------------------------
@@ -539,29 +536,32 @@ def _speed_rgb(t: np.ndarray) -> np.ndarray:
     return rgb
 
 
-def colorize(img: PlaneImage, mode: Optional[str] = None) -> np.ndarray:
-    """Pure per-pixel record -> RGB mapping; uint8 (h, w, 3).
+def colorize(img: PlaneImage) -> np.ndarray:
+    """Per-pixel record -> uint8 (h, w, 3) RGB, in img.config.mode's palette.
 
     Each color is a function of the outcome and the iteration count alone,
     so it is computed once per (outcome, count) into a table and gathered.
+    The table stops at the largest count of a resolved pixel: a none pixel
+    is black at every count, so it is read at count 0.
     """
-    mode = mode or img.config.mode
-    max_iter = img.config.max_iter
-    t = np.clip(np.arange(max_iter + 1, dtype=np.float64) / float(max_iter),
+    cfg = img.config
+    counts = np.where(img.outcome != OUTCOME_NONE, img.iterations, 0)
+    top = int(counts.max(initial=0))
+    t = np.clip(np.arange(top + 1, dtype=np.float64) / float(cfg.max_iter),
                 0.0, 1.0)
     speed = np.rint(_speed_rgb(t)).astype(np.uint8)
-    table = np.zeros((len(OUTCOME_NAMES), max_iter + 1, 3), np.uint8)
+    table = np.zeros((len(OUTCOME_NAMES), top + 1, 3), np.uint8)
     table[[OUTCOME_ROOT0, OUTCOME_ROOTINF, OUTCOME_STRANGE]] = speed
-    if mode != "speed":
+    if cfg.mode != "speed":
         table[OUTCOME_STRANGE] = 0
         table[OUTCOME_STRANGE, :, 1] = np.rint(
             np.interp(t, [0.0, 1.0], [255.0, 96.0]))
-    return table[img.outcome, img.iterations]
+    return table[img.outcome, counts]
 
 
 def write_image(img: PlaneImage, path: str) -> None:
     rgb = colorize(img)
-    header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
+    header = b"P6\n%d %d\n255\n" % img.config.resolution
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(rgb.tobytes())
@@ -571,8 +571,8 @@ def write_metadata(img: PlaneImage, path: str, extra: Optional[dict] = None) -> 
     """key=value sidecar: config echo, outcome counts, diagnostics."""
     cfg = img.config
     lines = [
-        f"width={img.width}",
-        f"height={img.height}",
+        f"width={cfg.width}",
+        f"height={cfg.height}",
         f"x_min={cfg.window[0]!r}",
         f"x_max={cfg.window[1]!r}",
         f"y_min={cfg.window[2]!r}",

@@ -34,28 +34,31 @@ BOUNDARY_BAND = 1e-6
 PROBES = (0.3137 + 0.1171j, 1.2749 - 0.2243j, -0.6421 + 0.9319j)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearCoeffs:
-    """Affine model a_j(t) = A_j + B_j t for a one-parameter family."""
+    """Affine model a_j(t) = A_j + B_j t of a family; k is len(A)."""
     n: int
-    k: int
-    A: tuple
-    B: tuple
+    A: np.ndarray
+    B: np.ndarray
+
+    @property
+    def k(self) -> int:
+        return len(self.A)
 
     def aggregates_at(self, x: float) -> tuple:
         """(A, B, A', B') with O'(x) = (A + t B) / (A' + t B'), x = +-1."""
-        A, A2 = multiplier_aggregates(self.n, (1.0,) + self.A, x)
-        B, B2 = multiplier_aggregates(self.n, (0.0,) + self.B, x)
-        return A, float(B), A2, float(B2)
+        A, A2 = multiplier_aggregates(self.n, np.r_[1.0, self.A], x)
+        B, B2 = multiplier_aggregates(self.n, np.r_[0.0, self.B], x)
+        return float(A), float(B), float(A2), float(B2)
 
 
-def affine_fit(family: Callable[[complex], OperatorForm]) -> tuple:
+def affine_fit(family: Callable[[complex], OperatorForm]) -> LinearCoeffs:
     """Fit a(t) = A + B t through the first two PROBES, certified at the third.
 
     The samples are read in their common shape (conjugate.common_shape), so
-    the family must keep one (n, k) in that sense.  Returns (n, k, A, B)
-    with complex coefficient arrays; a shape change or a miss at the third
-    probe raises NonlinearDependence.
+    the family must keep one (n, k) in that sense.  A and B are complex
+    arrays; a shape change or a miss at the third probe raises
+    NonlinearDependence.
     """
     t0, t1, t2 = PROBES
     n, (a0, a1, a2) = common_shape([family(t) for t in PROBES])
@@ -72,21 +75,20 @@ def affine_fit(family: Callable[[complex], OperatorForm]) -> tuple:
         raise NonlinearDependence(
             f"coefficient a_{j + 1} fails the affine certification at "
             f"t={t2} (defect {defect[j]:.3e})")
-    return int(n[0]), A.size, A, B
+    return LinearCoeffs(int(n[0]), A, B)
 
 
 def linearize(family: Callable[[complex], OperatorForm]) -> LinearCoeffs:
-    """The affine coefficient model of affine_fit, with real A_j and B_j;
-    nonreal affine data raise NonRealCoefficients."""
-    n, k, A, B = affine_fit(family)
-    scale = 1.0 + np.abs([A, B]).max(axis=0)
-    bad = np.nonzero(np.abs([A.imag, B.imag]).max(axis=0)
+    """affine_fit with real A and B; nonreal affine data raise
+    NonRealCoefficients."""
+    fit = affine_fit(family)
+    scale = 1.0 + np.abs([fit.A, fit.B]).max(axis=0)
+    bad = np.nonzero(np.abs([fit.A.imag, fit.B.imag]).max(axis=0)
                      > LINEAR_CERT_TOL * scale)[0]
     if bad.size:
         raise NonRealCoefficients(
             f"coefficient a_{bad[0] + 1} has nonreal affine data")
-    return LinearCoeffs(n=n, k=k, A=tuple(float(v) for v in A.real),
-                        B=tuple(float(v) for v in B.real))
+    return LinearCoeffs(fit.n, fit.A.real, fit.B.real)
 
 
 @dataclass(frozen=True)

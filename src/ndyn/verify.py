@@ -224,7 +224,7 @@ def suite_symmetry() -> SuiteResult:
         entry = catalog_entry(name)
         for d, expect in zip((2, 3, 4), want):
             ctx = SchemeContext(d=d, c=c, bindings=dict(bindings))
-            got = check_scheme_lambda_odd(entry.ast, ctx, d, trials=20)
+            got = check_scheme_lambda_odd(entry.ast, ctx, trials=20)
             res.check(got == expect,
                       f"{name}{bindings} d={d}: rotation symmetry {got}")
     for name in catalog_names():

@@ -17,6 +17,7 @@ from ndyn import (
     catalog_names,
     check_iota_symmetry,
     classify_strange_at,
+    colorize,
     conjugated_form,
     critical_points,
     dynamical_plane,
@@ -284,7 +285,7 @@ def test_criterion_08_symmetry_suites(capsys):
         bad = []
         for d in (2, 3, 4):
             ctx = SchemeContext(d=d, c=1.3, bindings=dict(BINDINGS.get(name, {})))
-            if not check_scheme_lambda_odd(entry.ast, ctx, d, trials=50):
+            if not check_scheme_lambda_odd(entry.ast, ctx, trials=50):
                 bad.append(d)
         if bad:
             problems.append(f"{name} not rotation-symmetric for d in {bad}")
@@ -373,7 +374,7 @@ def test_criterion_10_renderer_sanity(capsys):
     for other, workers in zip(images[1:], (4, 8)):
         if not (np.array_equal(base.outcome, other.outcome)
                 and np.array_equal(base.iterations, other.iterations)
-                and base.rgb.tobytes() == other.rgb.tobytes()):
+                and colorize(base).tobytes() == colorize(other).tobytes()):
             problems.append(f"bytes differ at workers={workers}")
     _report(capsys, 10, not problems, "; ".join(problems))
     assert not problems, problems

@@ -92,7 +92,7 @@ def test_each_derivative_is_built_once_per_check(monkeypatch):
     monkeypatch.setattr(builder, "target_derivative", counting)
     ast = catalog_entry("chebyshev-halley").ast
     ctx = SchemeContext(d=3, c=2.0, bindings={"alpha": 0.5})
-    assert check_scheme_lambda_odd(ast, ctx, 3, trials=20)
+    assert check_scheme_lambda_odd(ast, ctx, trials=20)
     assert sorted(orders) == sorted(set(orders))
     assert {0, 1, 2} <= set(orders)
 
@@ -491,7 +491,7 @@ def _verdicts():
     rng = np.random.default_rng(0x5E7D1C7)
     for ast, ctx in _instantiate_corpus():
         for trials in (20, 50):
-            out.append(check_scheme_lambda_odd(ast, ctx, ctx.d, trials))
+            out.append(check_scheme_lambda_odd(ast, ctx, trials))
     for name in catalog_names():
         entry = catalog_entry(name)
         for _ in range(3):

@@ -472,11 +472,24 @@ def test_usage_errors_exit_one(capsys):
         ("dynplane", "--method", "newton", "--out", "x.ppm",
          "--window", "a,b,c,d"),
         ("stability", "--scheme-file", "x.scheme"),    # no --family-param
+        # refused by the argument parser itself
+        ("build", "--method", "newton", "--bogus"),
+        (),                                             # no subcommand
+        ("build", "--method"),                          # no method name
     ]
     for argv in cases:
-        code, _, err = run(capsys, *argv)
-        assert code == 1, argv
-        assert "usage error" in err, argv
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("usage error:"), argv
+
+
+def test_analyze_refuses_the_identity_map(tmp_path, capsys):
+    # num - z den is the zero polynomial: no finite list of fixed points
+    path = tmp_path / "identity.scheme"
+    path.write_text("next = z;", encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--scheme-file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: the map is the identity: every point is fixed\n"
 
 
 @pytest.mark.parametrize("flag,value", [("--param", "beta="), ("--c", ""),
@@ -524,6 +537,7 @@ def test_negative_pair_index_is_a_usage_error(tmp_path, capsys):
     ("--window", "1,1,-3,3"),
     ("--window=0,1,0,inf",),
     ("--window=0,1,-1e308,1e308",),     # the extent overflows
+    ("--max-iter", "2147483648"),       # counts are int32
 ])
 def test_invalid_render_settings_are_usage_errors(tmp_path, capsys, setting):
     out = tmp_path / "m.ppm"

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,7 @@ def small_cfg(**kw):
     dict(resolution=(4, 4.0)),
     dict(max_iter=2.5),
     dict(workers=1.5),
+    dict(max_iter=2 ** 31),                     # counts are int32
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
@@ -136,7 +138,7 @@ def test_worker_count_does_not_change_bytes():
         small_cfg(resolution=(40, 48), workers=4))
     assert np.array_equal(maps.outcome, multi.outcome)
     assert np.array_equal(maps.iterations, multi.iterations)
-    assert maps.rgb.tobytes() == multi.rgb.tobytes()
+    assert colorize(maps).tobytes() == colorize(multi).tobytes()
 
 
 def test_resolve_workers_sources(monkeypatch):
@@ -154,8 +156,7 @@ def test_resolve_workers_sources(monkeypatch):
 
 
 def _hand_image(outcome, iterations, cfg):
-    return PlaneImage(cfg.width, cfg.height,
-                      np.asarray(outcome, np.int8),
+    return PlaneImage(np.asarray(outcome, np.int8),
                       np.asarray(iterations, np.int32), cfg)
 
 
@@ -163,16 +164,16 @@ def test_speed_palette_keyframes():
     cfg = small_cfg(resolution=(6, 1), max_iter=100)
     img = _hand_image([[1, 1, 1, 1, 1, 0]],
                       [[0, 25, 50, 75, 100, 100]], cfg)
-    rgb = colorize(img, "speed")
+    rgb = colorize(img)
     expect = [(255, 0, 0), (255, 255, 0), (0, 255, 0),
               (0, 0, 255), (128, 128, 128), (0, 0, 0)]
     assert [tuple(px) for px in rgb[0]] == expect
 
 
 def test_attractor_palette_green_ramp():
-    cfg = small_cfg(resolution=(4, 1), max_iter=100)
+    cfg = small_cfg(resolution=(4, 1), max_iter=100, mode="attractor")
     img = _hand_image([[3, 3, 1, 0]], [[0, 100, 0, 100]], cfg)
-    rgb = colorize(img, "attractor")
+    rgb = colorize(img)
     assert tuple(rgb[0, 0]) == (0, 255, 0)
     assert tuple(rgb[0, 1]) == (0, 96, 0)
     assert tuple(rgb[0, 2]) == (255, 0, 0)   # roots keep the speed ramp
@@ -199,13 +200,28 @@ def _reference_rgb(img, mode):
 @pytest.mark.parametrize("mode", ["speed", "attractor"])
 def test_colorize_matches_the_float_formula(max_iter, mode):
     rng = np.random.default_rng(max_iter)
-    cfg = small_cfg(resolution=(40, 30), max_iter=max_iter)
+    cfg = small_cfg(resolution=(40, 30), max_iter=max_iter, mode=mode)
     img = _hand_image(rng.integers(0, 4, (30, 40)),
                       rng.integers(0, max_iter + 1, (30, 40)), cfg)
     img.iterations[0, :2] = (0, max_iter)
-    got = colorize(img, mode)
+    got = colorize(img)
     assert got.dtype == np.uint8 and got.shape == (30, 40, 3)
     assert np.array_equal(got, _reference_rgb(img, mode))
+
+
+def test_colorize_memory_follows_the_resolved_counts():
+    # the palette table stops at the largest resolved count (3 here), not
+    # at max_iter; the none pixel is black at its count 10^6 all the same
+    cfg = small_cfg(resolution=(2, 2), max_iter=10 ** 6)
+    img = _hand_image([[1, 2], [3, 0]], [[0, 3], [2, 10 ** 6]], cfg)
+    tracemalloc.start()
+    try:
+        rgb = colorize(img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert np.array_equal(rgb, _reference_rgb(img, "speed"))
 
 
 def test_ppm_bytes(tmp_path):
@@ -613,7 +629,8 @@ FAMILY_ANCHORS = {
 
 @pytest.mark.parametrize("method", sorted(FAMILY_ANCHORS))
 def test_family_terms_are_the_pair_rows_as_a_quadratic_in_t(method):
-    n, _, A, B = affine_fit(catalog_entry(method).stability_producer)
+    fit = affine_fit(catalog_entry(method).stability_producer)
+    n, A, B = fit.n, fit.A, fit.B
     T = _family_terms(n, A, B)
     rng = np.random.default_rng(sorted(FAMILY_ANCHORS).index(method))
     for t in rng.uniform(-5, 5, 8) + 1j * rng.uniform(-5, 5, 8):
@@ -663,7 +680,8 @@ SPECIAL_MEMBERS = [("m4", t) for t in (0.0, -5.0, 35.0, -35.0, 5.0)] + \
 def test_special_members_die_as_the_per_pixel_pair_rows_say(
         monkeypatch, method, t0, h):
     producer = catalog_entry(method).stability_producer
-    n, _, A, B = affine_fit(producer)
+    fit = affine_fit(producer)
+    n, A, B = fit.n, fit.A, fit.B
     cfg = RenderConfig(window=(t0 - 1.5 * h, t0 + 1.5 * h, -1.5 * h,
                                1.5 * h), resolution=(3, 3), max_iter=20)
     seen = []
