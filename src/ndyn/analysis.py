@@ -71,9 +71,14 @@ def _chart_factor(R: RationalMap, src, dst) -> complex:
         src = 0.0
     if is_inf(dst):
         num, den = den, num
-    d = den(src)
-    return complex((num.derivative()(src) * d - num(src) * den.derivative()(src))
-                   / (d * d))
+    return _slope(num, den, num.derivative(), den.derivative(), src)
+
+
+def _slope(num, den, dnum, dden, x) -> complex:
+    """(N'D - N D') / D^2 at x, given N' and D': Polynomial values are numpy
+    scalars, whose division rounds as the printed multipliers were pinned."""
+    d = den(x)
+    return complex((dnum(x) * d - num(x) * dden(x)) / (d * d))
 
 
 def multiplier_at(R: RationalMap, point) -> complex:
@@ -90,9 +95,11 @@ def fixed_points(R: RationalMap) -> list:
         raise ZeroPolynomial("the map is the identity: every point is fixed")
     finite = sorted((point for point, _m in root_clusters(g)),
                     key=point_key)
+    # multiplier_at at each finite point, N' and D' built once
+    dnum, dden = R.num.derivative(), R.den.derivative()
     records = []
     for point in finite:
-        lam = multiplier_at(R, point)
+        lam = _slope(R.num, R.den, dnum, dden, point)
         records.append(FixedPointRecord(
             point=complex(point), multiplier=lam,
             cls=classify_multiplier(lam), strange=abs(point) > 1e-12))

@@ -35,8 +35,8 @@ from .poly import (Polynomial, RationalMap, _substitute, constant_map,
 
 __all__ = [
     "Var", "Const", "Param", "Deriv", "BinOp", "Ref", "Scheme",
-    "SchemeContext", "CatalogEntry", "parse_scheme", "instantiate",
-    "evaluate_scheme", "check_scheme_lambda_odd",
+    "SchemeContext", "CatalogEntry", "FormFamily", "parse_scheme",
+    "instantiate", "evaluate_scheme", "check_scheme_lambda_odd",
     "catalog_entry", "catalog_names", "conjugated_form", "target_derivative",
 ]
 
@@ -477,10 +477,12 @@ class CatalogEntry:
     doc: str
     nk: Optional[tuple] = None     # (n, k) of the conjugated d=2 operator
     ast: Optional[Scheme] = None   # parsed scheme (scheme entries)
-    coeffs: Optional[Callable] = None  # t -> (a_1..a_k) (form entries)
+    form: Optional["FormFamily"] = None  # its members (form entries)
     # linear coordinate used for stability regions, when one exists
     stability_param: Optional[str] = None
-    stability_producer: Optional[Callable] = None  # t -> OperatorForm
+    # t -> OperatorForm in that coordinate; a form entry's is a FormFamily,
+    # which affine_fit reads through its closed form, solving no roots
+    stability_producer: Optional[Callable] = None
 
     @property
     def kind(self) -> str:
@@ -574,17 +576,33 @@ _FORMS = {
 }
 
 
-def _member(name: str, n: int, coeffs: Callable, t) -> OperatorForm:
-    """The normal form of a form family at t, by make_form: the factors P
-    shares with P-hat at z = +-1 divide out (c-family at c = 0 is Halley's
+@dataclass(frozen=True)
+class FormFamily:
+    """A form family: the members z^n P / P-hat of a closed form
+    t -> (a_1..a_k) in the parameter `param`.
+
+    Calling it at t gives make_form(n, a(t)): the factors P shares with
+    P-hat at z = +-1 divide out (c-family at c = 0 is Halley's
     z^3 (z + 2)/(1 + 2 z), as chebyshev-halley at alpha = 0), and a
-    vanishing bottom coefficient of P joins z^n."""
-    try:
-        a = coeffs(complex(t))
-    except ZeroDivisionError:
-        raise ZeroDenominator(f"the closed form of {name} divides by zero "
-                              f"at this {_FORMS[name][0]}") from None
-    return make_form(n, a)
+    vanishing bottom coefficient of P joins z^n.  closed_form(t) hands out
+    the unreduced (n, a(t)) itself, so a fit reads it with no root solve.
+    """
+    name: str
+    param: str
+    n: int
+    coeffs: Callable
+
+    def closed_form(self, t) -> tuple:
+        """(n, a(t)) as the closed form gives it; a pole raises
+        ZeroDenominator."""
+        try:
+            return self.n, self.coeffs(complex(t))
+        except ZeroDivisionError:
+            raise ZeroDenominator(f"the closed form of {self.name} divides "
+                                  f"by zero at this {self.param}") from None
+
+    def __call__(self, t) -> OperatorForm:
+        return make_form(*self.closed_form(t))
 
 
 def _scheme_member(method, param: Optional[str], bindings: dict,
@@ -608,13 +626,12 @@ def _scheme_entry(name, text, nk, doc, stability) -> CatalogEntry:
 
 
 def _form_entry(name, param, nk, coeffs, doc) -> CatalogEntry:
+    form = FormFamily(name, param, nk[0], coeffs)
     # m4 is charted by alpha = a_4 = (5 beta - 1)/beta, in which a is affine
-    chart, chart_coeffs = (("alpha", lambda alpha: (6.0, 14.0, 14.0, alpha))
-                           if name == "m4" else (param, coeffs))
-    return CatalogEntry(
-        name=name, params=(param,), doc=doc, nk=nk, coeffs=coeffs,
-        stability_param=chart,
-        stability_producer=partial(_member, name, nk[0], chart_coeffs))
+    chart = form if name != "m4" else FormFamily(
+        name, "alpha", nk[0], lambda alpha: (6.0, 14.0, 14.0, alpha))
+    return CatalogEntry(name=name, params=(param,), doc=doc, nk=nk, form=form,
+                        stability_param=chart.param, stability_producer=chart)
 
 
 _CATALOG = {**{name: _scheme_entry(name, *row)
@@ -641,9 +658,8 @@ def conjugated_form(method, bindings=None, c: complex = 1.0) -> OperatorForm:
     bindings = dict(bindings or {})
     if isinstance(method, str):
         entry = catalog_entry(method)
-        if entry.coeffs is not None:
-            return _member(method, entry.nk[0], entry.coeffs,
-                           _binding(bindings, entry.params[0]))
+        if entry.form is not None:
+            return entry.form(_binding(bindings, entry.params[0]))
         method = entry.ast
     op = instantiate(method, SchemeContext(d=2, c=c, bindings=bindings))
     try:

@@ -413,14 +413,26 @@ def _pair_conjugates(clusters) -> list:
 
 def deflate_pm_one(c: np.ndarray) -> tuple:
     """(q, (m_plus, m_minus)): deflate_anchored on the one row c at +1 and
-    -1.  A row whose values there are both beyond 1e-7 of sum |c_j| (the
-    rule's 1e-8 with room for rounding) is returned as it is."""
-    v = c.tolist()        # a short row: Python sums beat numpy's overhead
+    -1, in Python scalars (a short row: they beat numpy's per-call
+    overhead).  The rule and the top-down recurrence are deflate_anchored's,
+    so q is its quotient bit for bit; only the sums the rule compares run
+    in another order.  A row whose values there are both beyond 1e-7 of
+    sum |c_j| (the rule's 1e-8 with room for rounding) is returned as it
+    is."""
+    v = c.tolist()
     tol = 1e-7 * sum(map(abs, v))
     if abs(sum(v)) > tol and abs(sum(v[::2]) - sum(v[1::2])) > tol:
         return c, (0, 0)
-    rows, counts = deflate_anchored(c[None, :], (1.0, -1.0))
-    return rows[0], tuple(int(m) for m in counts[0])
+    counts = [0, 0]
+    for i, r in enumerate((1.0, -1.0)):
+        while any(v[1:]) and (abs(sum(v[::2]) + r * sum(v[1::2]))
+                              <= 1e-8 * sum(map(abs, v))):
+            q = [v[-1]]
+            for x in v[-2:0:-1]:
+                q.append(x + r * q[-1])
+            v = q[::-1] + [0j]
+            counts[i] += 1
+    return np.array(v, np.complex128), tuple(counts)
 
 
 def root_clusters(p: Polynomial) -> list:

@@ -7,11 +7,12 @@ operator at z = 1 is a Moebius function of the parameter,
     O'(1) = (A + t B) / (A' + t B'),
 
 with real aggregates (conjugate.multiplier_aggregates of A and of B, each
-sample read in its conjugate.common_shape).  So |O'(1)| < 1 is the one
-quadratic form (B^2 - B'^2)|t|^2 + 2 (A B - A' B') Re t + A^2 - A'^2 < 0:
-a disc or its outside, a half-plane, or everything or nothing.  The same
-holds at z = -1 with alternating-sign aggregates whenever n + k is odd,
-so that -1 is fixed.
+sample read in its conjugate.common_shape, or as a form family's closed
+form gives it).  So |O'(1)| < 1 is the one quadratic form
+(B^2 - B'^2)|t|^2 + 2 (A B - A' B') Re t + A^2 - A'^2 < 0: a disc or its
+outside, a half-plane, or everything or nothing.  The same holds at z = -1
+with alternating-sign aggregates whenever n + k is odd, so that -1 is
+fixed.
 """
 
 from __future__ import annotations
@@ -55,13 +56,20 @@ class LinearCoeffs:
 def affine_fit(family: Callable[[complex], OperatorForm]) -> LinearCoeffs:
     """Fit a(t) = A + B t through the first two PROBES, certified at the third.
 
-    The samples are read in their common shape (conjugate.common_shape), so
-    the family must keep one (n, k) in that sense.  A and B are complex
-    arrays; a shape change or a miss at the third probe raises
-    NonlinearDependence.
+    A family that offers closed_form(t) -> (n, a(t)), as a catalog form
+    family (builder.FormFamily) does, is sampled there: no form is built
+    and no root solved.  Any other family's forms are read in their common
+    shape (conjugate.common_shape), so it must keep one (n, k) in that
+    sense.  A and B are complex arrays; a shape change or a miss at the
+    third probe raises NonlinearDependence.
     """
     t0, t1, t2 = PROBES
-    n, (a0, a1, a2) = common_shape([family(t) for t in PROBES])
+    closed = getattr(family, "closed_form", None)
+    if closed is None:
+        n, (a0, a1, a2) = common_shape([family(t) for t in PROBES])
+    else:
+        n, rows = zip(*map(closed, PROBES))
+        a0, a1, a2 = np.array(rows, np.complex128)
     if np.unique(n).size != 1:
         raise NonlinearDependence(
             "family shape (n, k) is not constant across sample parameters")

@@ -10,9 +10,9 @@ import ndyn.poly
 from conftest import maps_close
 from ndyn.cli import main
 from ndyn.errors import NoConvergence, ZeroPolynomial
-from ndyn.poly import (INF, Polynomial, _clusters, deflate_anchored, is_inf,
-                       poly_roots, rat_derivative, rat_eval, rat_make,
-                       root_clusters)
+from ndyn.poly import (INF, Polynomial, _clusters, deflate_anchored,
+                       deflate_pm_one, is_inf, poly_roots, rat_derivative,
+                       rat_eval, rat_make, root_clusters)
 
 finite_floats = st.floats(min_value=-50, max_value=50,
                           allow_nan=False, allow_infinity=False)
@@ -388,6 +388,32 @@ def test_anchored_deflation_of_a_batch_is_row_by_row():
         assert np.array_equal(one[0], batch[i])
         assert np.array_equal(count[0], counts[i])
     assert counts.tolist() == [[i % 4, i % 3] for i in range(rows.shape[0])]
+
+
+def _planted_rows():
+    """Seeded rows with (z - 1)^a (z + 1)^b planted, a, b in 0..7 (wang has
+    7-fold roots at +-1), real and complex cofactors, some rescaled."""
+    rng = np.random.default_rng(0xDEF1A7E)
+    for a in range(8):
+        for b in range(8):
+            for case in range(3):
+                k = int(rng.integers(0, 5))
+                q = rng.normal(size=k) + 1j * rng.normal(size=k) * (case != 0)
+                p = Polynomial.from_roots([1.0] * a + [-1.0] * b + list(q))
+                yield p.coeffs * (1.0 if case < 2 else 3.0 - 0.7j)
+
+
+def test_scalar_pm_one_deflation_is_the_batched_one_bit_for_bit():
+    rng = np.random.default_rng(3)
+    unchanged = [Polynomial.from_roots(rng.normal(size=6) + 2.0j).coeffs,
+                 np.array([2.0, -1.0, 0.5, 3.0], np.complex128)]
+    for c in list(_planted_rows()) + unchanged:
+        q, counts = deflate_pm_one(c)
+        rows, want = deflate_anchored(c[None, :], (1.0, -1.0))
+        assert q.tobytes() == rows[0].tobytes()
+        assert counts == tuple(want[0].tolist())
+    for c in unchanged:
+        assert deflate_pm_one(c)[0] is c
 
 
 def test_anchored_deflation_counts_each_anchor():

@@ -1,13 +1,18 @@
+import contextlib
+import io
+import re
+
 import numpy as np
 import pytest
 
 from ndyn.builder import catalog_entry, conjugated_form
+from ndyn.cli import main
 from ndyn.conjugate import make_form
 from ndyn.errors import (DegenerateFamily, NonRealCoefficients,
                          NonlinearDependence, NotAFixedPoint)
 from ndyn.poly import INF
-from ndyn.stability import (PROBES, classify_strange_at, linearize,
-                            oracle_agreement,
+from ndyn.stability import (PROBES, affine_fit, classify_strange_at,
+                            linearize, oracle_agreement,
                             stability_region_z1, stability_region_zm1)
 
 
@@ -27,6 +32,51 @@ def test_linearize_reads_coefficient_lines():
 def test_linearize_rejects_nonlinear_family():
     with pytest.raises(NonlinearDependence):
         linearize(_producer("os3"))
+
+
+AFFINE_FORM_FAMILIES = ("c-family", "m4", "os2", "os4", "os5")
+
+
+def _stability_output(name):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["stability", "--method", name])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_form_families_fit_from_their_closed_form(monkeypatch):
+    # tests/test_cli_bytes.py pins these outputs; with every form's root
+    # solve made to fail, the fit and the CLI still print them
+    names = AFFINE_FORM_FAMILIES + ("os3",)
+    want = {name: _stability_output(name) for name in names}
+
+    def no_roots(p):
+        raise AssertionError("a form-family fit solved for roots")
+
+    monkeypatch.setattr("ndyn.conjugate.root_clusters", no_roots)
+    for name in AFFINE_FORM_FAMILIES:
+        linearize(_producer(name))
+    with pytest.raises(NonlinearDependence, match=re.escape(
+            "coefficient a_4 fails the affine certification at "
+            "t=(-0.6421+0.9319j) (defect 6.026e-01)")):
+        linearize(_producer("os3"))
+    for name in names:
+        assert _stability_output(name) == want[name], name
+
+
+@pytest.mark.parametrize("name", AFFINE_FORM_FAMILIES)
+def test_closed_form_fit_is_the_fit_of_the_forms(name):
+    # the same family without its closed form is fit from its forms
+    family = _producer(name)
+    closed, forms = affine_fit(family), affine_fit(lambda t: family(t))
+    assert closed.n == forms.n
+    if name == "os5":
+        # its forms cancel (z - 1), and common_shape multiplies it back
+        assert np.allclose(closed.A, forms.A, rtol=0, atol=1e-12)
+        assert np.allclose(closed.B, forms.B, rtol=0, atol=1e-12)
+    else:
+        assert closed.A.tobytes() == forms.A.tobytes()
+        assert closed.B.tobytes() == forms.B.tobytes()
 
 
 def test_linearize_rejects_a_shape_change_across_the_probes():
