@@ -123,7 +123,8 @@ def _add_render_args(p, window_default=None) -> None:
     p.add_argument("--max-iter", type=int, default=150,
                    help="iteration budget per pixel (default 150)")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: NDYN_THREADS or cpu count)")
+                   help="worker threads (default: NDYN_THREADS, else the "
+                        "CPUs this process may run on)")
     p.add_argument("--attractor", action="append", default=[],
                    metavar="VALUE",
                    help="known extra attractor (repeatable); points captured "

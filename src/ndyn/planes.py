@@ -25,19 +25,30 @@ t (or builds it per pixel), divides out the anchored factors that only
 special members have, and takes one seed per pair from the roots: -c0/c1
 for a linear row, the companion-matrix eigenvalues otherwise.
 
-Every orbit runs through one loop, _orbit, whose state stays compacted.  A
-seed whose orbit sits on an exact fixed point of its map can never be
-captured, so it leaves the loop early and still ends as none with max_iter
-iterations: outputs are the same as running it out.  A parameter-plane
-pixel is evaluated straight from (n, a): Horner passes over 1, a_1..a_k
-give P-hat and P, then n multiplications by z; a column equal at every
-pixel of a band is carried as one scalar.  A dynamical plane reads its
-map's exactly zero low numerator coefficients (a normal form's z^n) as n
-the same way.
+Every orbit runs through one loop, _orbit.  It allocates its work arrays
+once per call, sized to the batch, and every step and capture test writes
+into them, so a step allocates no batch-sized array; they stay local to the
+call because bands run on worker threads.  No product writes over one of
+its operands (two buffers take turns): numpy's complex multiply rounds a
+one-element array without FMA when its output aliases an input, so a lone
+seed (orbit_outcome, a band's last live seed) would step differently from
+the same seed in a batch.  Adds and the divide run in place, which is
+exact.  A finished seed is masked out and stepped on, unread, until
+COMPACT_FRACTION of the batch has finished; then the live seeds' indices,
+z and per-seed columns shrink together and the work arrays are sliced to
+the live count.  A seed whose orbit sits on an exact fixed point of its
+map can never be captured, so it leaves the loop early and still ends as
+none with max_iter iterations: outputs are the same as running it out.  A
+parameter-plane pixel is evaluated straight from (n, a): Horner passes
+over 1, a_1..a_k give P-hat and P, then n multiplications by z; a column
+equal at every pixel of a band is carried as one scalar.  A dynamical
+plane reads its map's exactly zero low numerator coefficients (a normal
+form's z^n) as n the same way.
 """
 
 from __future__ import annotations
 
+import json
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -51,7 +62,7 @@ from .errors import NdynError
 # poly_roots is unused here but stays bound: bench/test_bench.py checks that
 # the tracer patches and restores it through this module
 from .poly import (CLUSTER_REL, RationalMap, _divide_rows,  # noqa: F401
-                   _horner, deflate_anchored, is_inf, poly_roots)
+                   deflate_anchored, is_inf, poly_roots)
 from .stability import affine_fit
 
 OUTCOME_NONE = 0
@@ -71,6 +82,7 @@ INFINITY_RADIUS = 1e8  # and one this far out has escaped
 ANCHOR_TOL = 1e-6      # critical points this close to +-1 are not free seeds
 ORIGIN_TOL = 1e-9      # nor this close to 0 (or to infinity)
 FIXED_CHECK_EVERY = 8  # steps between the tests for an exact fixed point
+COMPACT_FRACTION = 1 / 8  # share of finished seeds that triggers compaction
 MAX_ITER = int(np.iinfo(np.int32).max)  # iteration counts are int32
 _ANCHORS = (2.0, -2.0)  # w = z + 1/z at the anchored points z = +-1
 
@@ -148,11 +160,15 @@ class PlaneImage:
 
 
 def resolve_workers(cfg: RenderConfig) -> int:
-    """cfg.workers, else NDYN_THREADS when set, else the CPU count."""
+    """cfg.workers, else NDYN_THREADS when set, else the number of CPUs
+    this process may run on (its affinity mask, which taskset or a cpuset
+    narrows; the machine's CPU count where the OS has no such mask)."""
     if cfg.workers is not None:
         return cfg.workers
     env = os.environ.get("NDYN_THREADS", "").strip()
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0)) or 1
         return os.cpu_count() or 1
     if not env.isdecimal() or int(env) < 1:
         raise ValueError(f"NDYN_THREADS must be a positive integer, "
@@ -195,13 +211,69 @@ class _OrbitMap(NamedTuple):
         return _OrbitMap([pick(c) for c in self.num],
                          [pick(c) for c in self.den], pick(self.n))
 
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        num, n = _horner(self.num, z), self.n
+    def __call__(self, z: np.ndarray, out=None, work=None) -> np.ndarray:
+        """f(z) into `out`, with the intermediates in `work` (_step_work of
+        z.size); either is allocated when not given.
+
+        Bit for bit the out-of-place poly._horner formula.  No product
+        writes over one of its operands: numpy's complex multiply rounds a
+        one-element array without FMA when its output aliases an input, so
+        a lone seed would step differently from the same seed in a batch.
+        Adds and the divide are exact in place.
+        """
+        a, b, c, mask = _step_work(z.size) if work is None else work
+        num, n = _horner_into(self.num, z, a, b), self.n
         per_seed = isinstance(n, np.ndarray)
         for m in range(n.max(initial=0) if per_seed else n):
-            num = np.where(n > m, num * z, num) if per_seed else num * z
+            dst = _other(num, a, b)
+            np.multiply(num, z, out=dst)
+            if per_seed:        # seeds with n <= m keep num
+                np.copyto(dst, num, where=np.less_equal(n, m, out=mask))
+            num = dst
+        den = _horner_into(self.den, z, _other(num, a, b), c)
         # out= keeps one value per seed when both polynomials are constant
-        return np.divide(num, _horner(self.den, z), out=np.empty_like(z))
+        return np.divide(num, den, out=np.empty_like(z) if out is None else out)
+
+
+def _step_work(size: int) -> list:
+    """Intermediates of one _OrbitMap step: three complex arrays and a mask."""
+    return _one_block(size, 3 * [np.complex128] + [bool])
+
+
+def _one_block(size: int, dtypes) -> list:
+    """One array of `size` values per dtype (widest first, so each stays
+    aligned), all cut from one allocation.  glibc frees a block this size
+    back to its heap and hands it out again on the next call; separate
+    arrays are mapped, faulted in and unmapped on every call until a larger
+    block has been freed (its mmap threshold adapts to the largest)."""
+    dtypes = [np.dtype(d) for d in dtypes]
+    block = np.empty(size * sum(d.itemsize for d in dtypes), np.uint8)
+    arrays, at = [], 0
+    for d in dtypes:
+        arrays.append(block[at:at + size * d.itemsize].view(d))
+        at += size * d.itemsize
+    return arrays
+
+
+def _other(v, a, b):
+    """Whichever of the buffers a, b does not hold v."""
+    return b if v is a else a
+
+
+def _horner_into(c, x, a, b):
+    """poly._horner(c, x), bit for bit, computed in the buffers a and b.
+
+    Each product writes to the buffer that does not hold its operand and
+    each add runs in place.  The result is a or b, or c[0] itself when c
+    has one column.
+    """
+    acc = c[-1]
+    for cj in c[-2::-1]:
+        dst = _other(acc, a, b)
+        np.multiply(acc, x, out=dst)
+        np.add(dst, cj, out=dst)
+        acc = dst
+    return acc
 
 
 def _rational_map(R: RationalMap) -> _OrbitMap:
@@ -223,39 +295,72 @@ def _orbit(z0: np.ndarray, f: _OrbitMap, cfg: RenderConfig,
            attractors: np.ndarray, live: Optional[np.ndarray] = None):
     """Orbit classification for a flat batch of seeds under the map `f`.
 
-    The live seeds' indices, their z and the per-seed columns of `f` shrink
-    together when seeds finish.  Seeds outside `live` (no usable critical
-    point) never run; they end as outcome none with max_iter iterations.
-    Every FIXED_CHECK_EVERY steps, after the capture tests, a seed whose z
-    equals its previous z exactly leaves the loop too: that previous z was
-    not captured, so z is an exact fixed point of f that never will be, and
-    the seed keeps outcome none with max_iter iterations, as if it had run.
+    Seeds outside `live` (no usable critical point) never run; they end as
+    outcome none with max_iter iterations.  Every FIXED_CHECK_EVERY steps,
+    after the capture tests, a seed whose z equals its previous z exactly
+    leaves the loop too: that previous z was not captured, so z is an exact
+    fixed point of f that never will be, and the seed keeps outcome none
+    with max_iter iterations, as if it had run.
+
+    The work arrays are allocated once per call, in one block sized to the
+    batch, and every step and capture test writes into them (they stay
+    local: bands run on worker threads).  A finished seed is masked out of `alive` and
+    stepped on until a COMPACT_FRACTION of the seeds has finished; then the
+    live seeds' indices, their z and the per-seed columns of `f` shrink
+    together and the work arrays are sliced to the live count.
     """
     out = np.zeros(z0.size, np.int8)
     its = np.full(z0.size, cfg.max_iter, np.int32)
     idx = np.arange(z0.size) if live is None else np.flatnonzero(live)
     z, f = np.asarray(z0, np.complex128)[idx], f.take(idx)
+    arrays = _one_block(idx.size, 5 * [np.complex128] + [np.float64]
+                        + 6 * [bool])
+
+    def cut(m):
+        """The work arrays sliced to the first m seeds, all of them alive."""
+        z1, z2, a, b, c, r, alive, hit0, hit_s, done, spare, mask = (
+            v[:m] for v in arrays)
+        alive[:] = True
+        return (z1, z2), r, alive, hit0, hit_s, done, spare, (a, b, c, mask)
+
+    zs, r, alive, hit0, hit_s, done, spare, work = cut(idx.size)
+    finished = 0        # seeds masked out of alive since the last compaction
     with np.errstate(all="ignore"):
         for t in range(cfg.max_iter):
             if idx.size == 0:
                 break
-            r = np.abs(z)
-            hit0 = r < CONV_RADIUS
-            hit_s = np.zeros_like(hit0)
-            for a in attractors:
-                hit_s |= np.abs(z - a) < CONV_RADIUS
-            done = hit0 | hit_s | (r >= INFINITY_RADIUS)
+            np.abs(z, out=r)
+            np.less(r, CONV_RADIUS, out=hit0)
+            np.greater_equal(r, INFINITY_RADIUS, out=done)
+            done |= hit0
+            for j, a in enumerate(attractors):
+                np.abs(np.subtract(z, a, out=work[0]), out=r)
+                np.less(r, CONV_RADIUS, out=spare if j else hit_s)
+                if j:
+                    hit_s |= spare
+            if attractors.size:
+                done |= hit_s
+            done &= alive
             if done.any():
                 # the origin wins over an attractor, which wins over infinity
-                code = np.where(hit0, OUTCOME_ROOT0, np.where(
-                    hit_s, OUTCOME_STRANGE, OUTCOME_ROOTINF))
-                out[idx[done]], its[idx[done]] = code[done], t
+                sel = np.flatnonzero(done)
+                code = (np.where(hit_s[sel], OUTCOME_STRANGE, OUTCOME_ROOTINF)
+                        if attractors.size else OUTCOME_ROOTINF)
+                out[idx[sel]] = np.where(hit0[sel], OUTCOME_ROOT0, code)
+                its[idx[sel]] = t
             if t and t % FIXED_CHECK_EVERY == 0:
-                done |= z == prev       # NaN never equals itself: it runs on
+                # NaN never equals itself: it runs on
+                np.equal(z, prev, out=spare)
+                spare &= alive
+                done |= spare
             if done.any():
-                keep = ~done
-                idx, z, f = idx[keep], z[keep], f.take(keep)
-            prev, z = z, f(z)
+                alive ^= done
+                finished += int(np.count_nonzero(done))
+                if finished >= COMPACT_FRACTION * idx.size:
+                    idx, z, f = idx[alive], z[alive], f.take(alive)
+                    zs, r, alive, hit0, hit_s, done, spare, work = cut(idx.size)
+                    finished = 0
+            prev, z = z, f(z, zs[t % 2], work)
     return out, its
 
 
@@ -567,6 +672,14 @@ def write_image(img: PlaneImage, path: str) -> None:
         fh.write(rgb.tobytes())
 
 
+def _ascii(text: str) -> str:
+    """text with each character outside printable ASCII escaped as JSON
+    escapes it (\\n, \\u00f6, a surrogate pair above U+FFFF); printable
+    ASCII, quotes and backslashes included, is kept as it is."""
+    return "".join(c if " " <= c <= "~" else json.dumps(c)[1:-1]
+                   for c in text)
+
+
 def write_metadata(img: PlaneImage, path: str, extra: Optional[dict] = None) -> None:
     """key=value sidecar: config echo, outcome counts, diagnostics."""
     cfg = img.config
@@ -587,6 +700,6 @@ def write_metadata(img: PlaneImage, path: str, extra: Optional[dict] = None) -> 
     for key in sorted(img.diagnostics):
         lines.append(f"diag_{key}={img.diagnostics[key]}")
     for key in sorted(extra or {}):
-        lines.append(f"{key}={extra[key]}")
+        lines.append(f"{key}={_ascii(str(extra[key]))}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -659,6 +659,32 @@ def test_dynplane_writes_image_and_metadata(tmp_path, capsys):
     assert "count_root_0=" in meta
 
 
+@pytest.mark.parametrize("command,family", [
+    ("dynplane", ("--param", "beta=-1")),
+    ("paramplane", ("--family-param", "beta")),
+])
+def test_render_metadata_escapes_a_non_ascii_subject(tmp_path, capsys,
+                                                     command, family):
+    # the subject is the scheme file's path; .meta writes it the way the
+    # JSON of `ndyn build` does, so it stays ASCII
+    path = tmp_path / "k\u00f6nigs.scheme"
+    path.write_text(KING_SCHEME)
+    code, text, _ = run(capsys, "build", "--scheme-file", str(path),
+                        "--param", "beta=-1")
+    assert code == 0
+    method = next(line for line in text.splitlines() if '"method"' in line)
+    escaped = method.split('"method": "', 1)[1].rstrip('",')
+    assert "\\u00f6nigs" in escaped
+    out = tmp_path / "k.ppm"
+    code, _, err = run(capsys, command, "--scheme-file", str(path), *family,
+                       "--window", "-2,2,-2,2", "--res", "8x8",
+                       "--max-iter", "20", "--out", str(out))
+    assert code == 0, err
+    meta = (tmp_path / "k.ppm.meta").read_bytes()
+    assert meta.isascii()
+    assert f"subject={escaped}\n".encode() in meta
+
+
 def test_dynplane_bytes_ignore_thread_count(tmp_path, capsys):
     args = ("dynplane", "--method", "king", "--param", "beta=1",
             "--window", "-2,2,-2,2", "--res", "40x40",

@@ -31,8 +31,8 @@ from ndyn.planes import (CONV_RADIUS, INFINITY_RADIUS, OUTCOME_NAMES,
                          PlaneImage, _deflate_shared, _family_terms,
                          _flatten_attractors, _form_coeffs, _form_map,
                          _orbit, _OrbitMap, _pair_rows, _rational_map,
-                         _roots_rows, _select_seed_rows)
-from ndyn.poly import deflate_anchored, rat_eval, rat_make
+                         _roots_rows, _select_seed_rows, _step_work)
+from ndyn.poly import _horner, deflate_anchored, rat_eval, rat_make
 from ndyn.stability import PROBES, affine_fit
 
 from conftest import random_form
@@ -155,6 +155,21 @@ def test_resolve_workers_sources(monkeypatch):
         assert resolve_workers(small_cfg(workers=2)) == 2
 
 
+def test_default_workers_follow_the_cpu_affinity(monkeypatch):
+    # taskset or a cpuset leaves fewer CPUs than the machine has
+    monkeypatch.delenv("NDYN_THREADS", raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {2, 5},
+                        raising=False)
+    assert resolve_workers(small_cfg()) == 2
+    monkeypatch.setenv("NDYN_THREADS", "3")
+    assert resolve_workers(small_cfg()) == 3
+    monkeypatch.delenv("NDYN_THREADS")
+    # where the OS has no affinity mask, the CPU count
+    monkeypatch.delattr("os.sched_getaffinity")
+    assert resolve_workers(small_cfg()) == 64
+
+
 def _hand_image(outcome, iterations, cfg):
     return PlaneImage(np.asarray(outcome, np.int8),
                       np.asarray(iterations, np.int32), cfg)
@@ -250,6 +265,19 @@ def test_metadata_sidecar(tmp_path):
     assert total == 64
     # worker count must never leak into reproducible metadata
     assert not any(line.startswith("workers") for line in lines)
+
+
+def test_metadata_escapes_what_is_not_printable_ascii(tmp_path):
+    img = dynamical_plane(Z_SQUARED, small_cfg(resolution=(4, 4)))
+    path = tmp_path / "odd.meta"
+    subject = 'a "b"\\c\tline\nk\u00f6nigs \U0001f600\x7f'
+    write_metadata(img, str(path), extra={"subject": subject})
+    data = path.read_bytes()
+    assert data.isascii()
+    # printable ASCII (quotes, backslash) keeps its bytes; the rest is
+    # escaped as JSON escapes it, so the subject stays on one line
+    want = 'subject=a "b"\\c\\tline\\nk\\u00f6nigs \\ud83d\\ude00\\u007f\n'
+    assert data.endswith(want.encode())
 
 
 def test_affine_family_renders_vectorized():
@@ -499,15 +527,79 @@ def test_fixed_point_exit_cuts_the_orbit_steps(monkeypatch):
     stepped = []
     step = _OrbitMap.__call__
 
-    def counted(self, z):
+    def counted(self, z, *buffers):
         stepped.append(z.size)
-        return step(self, z)
+        return step(self, z, *buffers)
 
     monkeypatch.setattr(_OrbitMap, "__call__", counted)
     img = dynamical_plane(KING_M4, small_cfg(window=GALLERY_WINDOW,
                                              resolution=(64, 64),
                                              max_iter=150, workers=1))
     assert sum(stepped) < img.iterations.sum() / 2
+
+
+def _step_reference(f, z):
+    """One step of f by the out-of-place formula: every product and sum in
+    a new array."""
+    num, n = _horner(f.num, z), f.n
+    if isinstance(n, np.ndarray):
+        for m in range(n.max(initial=0)):
+            num = np.where(n > m, num * z, num)
+    else:
+        for _ in range(n):
+            num = num * z
+    return np.divide(num, _horner(f.den, z), out=np.empty_like(z))
+
+
+def _step_maps(rng, size):
+    """Maps of `size` seeds: per-seed columns, shared scalar columns,
+    per-seed n, constant polynomials and _rational_map maps."""
+    def cx(*shape):
+        return rng.uniform(-2, 2, shape) + 1j * rng.uniform(-2, 2, shape)
+    a = cx(size, 3)
+    shared = np.repeat(cx(1, 2), size, axis=0)
+    return [
+        _form_map(3, a),
+        _form_map(rng.integers(0, 6, size), a),
+        _form_map(2, shared),
+        _form_map(rng.integers(1, 4, size), shared),
+        _form_map(np.full(size, 4), np.c_[shared, a[:, :1]]),
+        _form_map(0, np.zeros((size, 0))),
+        _rational_map(KING_M4),
+        _rational_map(random_form(rng).reconstruct()),
+        _rational_map(Z_SQUARED),
+    ]
+
+
+def test_orbit_steps_match_the_out_of_place_formula_bit_for_bit():
+    # numpy's complex multiply rounds a one-element array without FMA when
+    # its output aliases an input, so a lone seed (orbit_outcome, a band's
+    # last live seed) would step differently from the same seed in a batch
+    rng = np.random.default_rng(30)
+    big = _step_work(80)
+    out = np.empty(80, np.complex128)
+    for size in range(1, 65):
+        for _ in range(4):
+            z = (rng.uniform(-3, 3, size) + 1j * rng.uniform(-3, 3, size))
+            for f in _step_maps(rng, size):
+                want = _step_reference(f, z).view(np.uint64)
+                work = [w[:size] for w in big]
+                for got in (f(z), f(z, out[:size], work)):
+                    assert np.array_equal(got.view(np.uint64), want), size
+
+
+def test_a_lone_seed_steps_as_in_its_band():
+    # king at beta = -4, z = 1 declared: the band's last live seed runs on
+    # alone for its last steps, and orbit_outcome runs every seed alone
+    cfg = small_cfg(window=(-2.0, -1.8, -0.28, -0.08), resolution=(8, 8),
+                    max_iter=150)
+    img = dynamical_plane(KING_M4, cfg, known_attractors=(1.0,))
+    its = np.sort(img.iterations.ravel())
+    assert its[-1] >= its[-2] + 3 and its[-1] < cfg.max_iter
+    for (i, j), z in np.ndenumerate(_grid(cfg).reshape(8, 8)):
+        want = (OUTCOME_NAMES[int(img.outcome[i, j])],
+                int(img.iterations[i, j]))
+        assert orbit_outcome(KING_M4, z, cfg, (1.0,)) == want, (i, j)
 
 
 def _derivative_numerator(n, a):
