@@ -31,7 +31,7 @@ from .conjugate import (CHECK_SEED, OperatorForm, extract_normal_form,
                         make_form, mobius_conjugate, rotations,
                         sampled_identity, standard_tau)
 from .poly import (Polynomial, RationalMap, _substitute, constant_map,
-                   identity_map, rat_make)
+                   rat_make)
 
 __all__ = [
     "Var", "Const", "Param", "Deriv", "BinOp", "Ref", "Scheme",
@@ -375,21 +375,29 @@ def _binding(bindings: dict, name: str) -> complex:
     return value
 
 
-def _instantiate_node(ctx: SchemeContext, node, *args) -> RationalMap:
+def _instantiate_node(ctx: SchemeContext, node, *args,
+                      scale=1) -> RationalMap:
+    """The node's value as a map of z; given a scale s with s^d = c and ctx
+    built at c = 1, as a map of u = z/s that keeps z's units: the bare z is
+    s u and p^(k)(A/B) is s^(d-k) q^(k)((A/s)/B), q = u^d - 1.  At s = 1
+    the arithmetic is the unscaled one, bit for bit."""
     if isinstance(node, Var):
-        return identity_map()
+        return RationalMap(Polynomial((0.0, scale)), Polynomial.one())
     if isinstance(node, Const):
         return constant_map(node.value)
     if isinstance(node, Param):
         return constant_map(_binding(ctx.bindings, node.name))
     if isinstance(node, Deriv):
         pk = ctx.p(node.order)
+        if scale != 1:
+            pk = pk * scale ** (ctx.d - node.order)
         if isinstance(node.arg, Var):      # p^(k)(z) is p^(k) itself
             return _quotient(pk, Polynomial.one())
         # p^(k)(A/B) = (sum_i p_i A^i B^(m-i)) / B^m
         inner = args[0]
-        return _quotient(*_substitute((pk, Polynomial.one()), inner.num,
-                                      inner.den, max(pk.degree, 0)))
+        A = inner.num if scale == 1 else Polynomial(inner.num.coeffs / scale)
+        return _quotient(*_substitute((pk, Polynomial.one()), A, inner.den,
+                                      max(pk.degree, 0)))
     if isinstance(node, BinOp):
         lhs, rhs = args
         n1, d1, n2, d2 = lhs.num, lhs.den, rhs.num, rhs.den
@@ -654,16 +662,29 @@ def catalog_entry(name: str) -> CatalogEntry:
 def conjugated_form(method, bindings=None, c: complex = 1.0) -> OperatorForm:
     """The palindromic normal form for d=2 of a catalog method (by name) or
     of a parsed ``Scheme``.  An operator that is the constant sqrt(c)
-    conjugates to the constant infinity, which is refused."""
+    conjugates to the constant infinity, which is refused.
+
+    A scheme is folded in u = z/s, s = sqrt(c) the root standard_tau takes,
+    and O(s u)/s is conjugated by standard_tau(1), which is the same map.
+    c enters only through s, so a scheme whose constants carry no units of
+    z has one form at every c; a fold in z spans powers of c.
+    """
     bindings = dict(bindings or {})
     if isinstance(method, str):
         entry = catalog_entry(method)
         if entry.form is not None:
             return entry.form(_binding(bindings, entry.params[0]))
         method = entry.ast
-    op = instantiate(method, SchemeContext(d=2, c=c, bindings=bindings))
+    if c == 0:                  # as a SchemeContext at c refuses it
+        raise ZeroC("the target family needs c != 0")
+    s = cmath.sqrt(c)
+    unit = SchemeContext(d=2, c=1.0, bindings=bindings)
+    op = _fold(method, partial(_instantiate_node, unit, scale=s),
+               lambda R: rat_make(R.num, R.den))
+    op = RationalMap(op.num if s == 1 else Polynomial(op.num.coeffs / s),
+                     op.den)
     try:
-        conj_map = mobius_conjugate(op, standard_tau(c))
+        conj_map = mobius_conjugate(op, standard_tau(1.0))
     except ZeroDenominator:
         raise NotFixingOneZeroInfinity(
             "the operator is the constant sqrt(c), so its conjugate is the "

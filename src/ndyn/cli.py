@@ -26,7 +26,7 @@ from .builder import (NUMBER, SchemeContext, _scheme_member, catalog_entry,
 from .conjugate import check_iota_symmetry
 from .errors import NdynError, UnknownMethod
 from .planes import (RenderConfig, dynamical_plane, parameter_plane,
-                     resolve_workers, write_image, write_metadata)
+                     write_image, write_metadata)
 from .poly import is_inf
 from .stability import linearize, stability_region_z1, stability_region_zm1
 from .verify import run_all
@@ -104,9 +104,6 @@ def _add_operator_args(p) -> None:
                    metavar="NAME=VALUE",
                    help="bind a scheme parameter (value per the scheme "
                         "number grammar, e.g. beta=-4 or a=2-9.3i)")
-    p.add_argument("--d", type=int, default=2,
-                   help="polynomial degree for the scheme; the normal form "
-                        "needs 2, the default")
     p.add_argument("--c", default="1",
                    help="polynomial constant term c (default 1)")
 
@@ -123,8 +120,8 @@ def _add_render_args(p, window_default=None) -> None:
     p.add_argument("--max-iter", type=int, default=150,
                    help="iteration budget per pixel (default 150)")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: NDYN_THREADS, else the "
-                        "CPUs this process may run on)")
+                   help="worker threads (default: the CPUs this process "
+                        "may run on)")
     p.add_argument("--attractor", action="append", default=[],
                    metavar="VALUE",
                    help="known extra attractor (repeatable); points captured "
@@ -151,9 +148,6 @@ def _source(args):
         raise UsageError("exactly one of --method / --scheme-file is required")
     bindings = _bindings(args)
     c = parse_complex_literal(args.c)
-    if args.d != 2:
-        raise NdynError("the palindromic normal form is built from the "
-                        "quadratic polynomial; use --d 2")
     if args.method:
         try:
             entry = catalog_entry(args.method)
@@ -198,13 +192,11 @@ def _resolution(text: str):
 
 def _render_config(args) -> RenderConfig:
     try:
-        cfg = RenderConfig(window=_window(args.window),
-                           resolution=_resolution(args.res),
-                           max_iter=args.max_iter,
-                           mode=args.mode,
-                           workers=args.threads)
-        resolve_workers(cfg)    # a malformed NDYN_THREADS is a usage error
-        return cfg
+        return RenderConfig(window=_window(args.window),
+                            resolution=_resolution(args.res),
+                            max_iter=args.max_iter,
+                            mode=args.mode,
+                            workers=args.threads)
     except ValueError as e:
         raise UsageError(str(e))
 
@@ -264,9 +256,9 @@ def cmd_analyze(args) -> int:
         for r in critical_points(R)]
     payload["inversion_symmetric"] = bool(check_iota_symmetry(R))
     if ast is not None:
-        ctx = SchemeContext(d=args.d, c=c, bindings=bindings)
+        ctx = SchemeContext(d=2, c=c, bindings=bindings)
         payload["rotation_symmetry"] = {
-            "d": args.d,
+            "d": ctx.d,
             "holds": bool(check_scheme_lambda_odd(ast, ctx)),
         }
     _emit(payload)

@@ -74,13 +74,6 @@ class Mobius:
     def inverse(self) -> "Mobius":
         return Mobius(self.d, -self.b, -self.c, self.a)
 
-    def compose(self, other: "Mobius") -> "Mobius":
-        """self after other (matrix product)."""
-        return Mobius(self.a * other.a + self.b * other.c,
-                      self.a * other.b + self.b * other.d,
-                      self.c * other.a + self.d * other.c,
-                      self.c * other.b + self.d * other.d)
-
 
 def standard_tau(c: complex) -> Mobius:
     """The conjugacy (z + sqrt(c)) / (z - sqrt(c)), principal square root.

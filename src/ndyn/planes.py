@@ -160,20 +160,14 @@ class PlaneImage:
 
 
 def resolve_workers(cfg: RenderConfig) -> int:
-    """cfg.workers, else NDYN_THREADS when set, else the number of CPUs
-    this process may run on (its affinity mask, which taskset or a cpuset
-    narrows; the machine's CPU count where the OS has no such mask)."""
+    """cfg.workers, else the number of CPUs this process may run on (its
+    affinity mask, which taskset or a cpuset narrows; the machine's CPU
+    count where the OS has no such mask)."""
     if cfg.workers is not None:
         return cfg.workers
-    env = os.environ.get("NDYN_THREADS", "").strip()
-    if not env:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0)) or 1
-        return os.cpu_count() or 1
-    if not env.isdecimal() or int(env) < 1:
-        raise ValueError(f"NDYN_THREADS must be a positive integer, "
-                         f"got {env!r}")
-    return int(env)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
 
 
 def _flatten_attractors(known) -> np.ndarray:

@@ -14,12 +14,13 @@ a normal form's P, fixed points and critical points.
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NoConvergence, ZeroDenominator, ZeroPolynomial
+from .errors import NdynError, NoConvergence, ZeroDenominator, ZeroPolynomial
 
 # Relative threshold below which trailing coefficients are considered zero.
 TRIM_REL = 1e-12
@@ -69,11 +70,18 @@ def _as_array(coeffs) -> np.ndarray:
 
 
 def _trim(arr: np.ndarray, rel: float) -> np.ndarray:
-    """Drop trailing coefficients within rel of the largest one in modulus."""
+    """Drop trailing coefficients within rel of the largest one in modulus.
+
+    A largest coefficient that is not finite (an overflow upstream, or NaN)
+    is refused: within rel of infinity it would read as the zero
+    polynomial."""
     if arr.size == 0:
         return arr
     mags = np.abs(arr)
     top = mags.max()
+    if not math.isfinite(top):
+        raise NdynError("a coefficient is not finite (the arithmetic that "
+                        "made it overflowed)")
     if top == 0.0:
         return arr[:0]
     keep = arr.size
@@ -83,7 +91,8 @@ def _trim(arr: np.ndarray, rel: float) -> np.ndarray:
 
 
 class Polynomial:
-    """Immutable dense polynomial with complex coefficients."""
+    """Immutable dense polynomial with complex coefficients, trimmed by
+    _trim, so a non-finite coefficient is refused with NdynError."""
 
     __slots__ = ("_c",)
 
@@ -461,11 +470,24 @@ def _conv_matrix(p: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _unit_scale(c: np.ndarray) -> float:
+    """2 ** -round(log2 ||c||), the norm taken of c / e, e a power of two
+    near the largest |c_j|, and multiplied back: the sum of squares cannot
+    overflow, and the scale is the plain one wherever ||c|| is a float.  A
+    norm beyond the float range is refused."""
+    e = 2.0 ** np.floor(np.log2(np.abs(c).max()))
+    norm = float(np.linalg.norm(c / e)) * float(e)
+    if not math.isfinite(norm):
+        raise NdynError("the coefficients' norm is beyond the float range")
+    return 2.0 ** -np.round(np.log2(norm))
+
+
 def _cofactors(f: np.ndarray, g: np.ndarray) -> tuple:
     """(u, v) with f = h u and g = h v for the h of highest degree j that
     passes, or (f, g) as given when none does.
 
-    On f, g scaled by powers of two to about unit norm: a null vector
+    On f, g scaled by powers of two to about unit norm (_unit_scale, which
+    does not overflow): a null vector
     (v, -u) of S_j = [C_(n-j)(f) | C_(m-j)(g)] gives f v = g u, and the
     nullity of S_1 is deg gcd(f, g), so its singular values below
     COFACTOR_TOL times the largest propose j.  S_j's last right singular
@@ -475,7 +497,7 @@ def _cofactors(f: np.ndarray, g: np.ndarray) -> tuple:
     held at 1, so cofactors that floats hold are reached exactly.  j stands
     when both backward errors are within COFACTOR_TOL, else j - 1 is tried.
     """
-    sf, sg = (2.0 ** -np.round(np.log2(np.linalg.norm(c))) for c in (f, g))
+    sf, sg = _unit_scale(f), _unit_scale(g)
     f, g = f * sf, g * sg
     m, n = f.size - 1, g.size - 1
 

@@ -147,8 +147,8 @@ OVERFLOW = "1" + "0" * 400      # a NUMBER beyond the largest float
     ("next = f'(z);", "line 1, col 9: derivatives apply only to p"),
     (f"next = z - {OVERFLOW}i*p(z);",
      "line 1, col 12: the number 1000000000000000... is too large"),
-    # library calls no command line reaches: `--d` other than 2 and a
-    # non-finite binding are refused before these
+    # library calls no command line reaches: the command line builds at
+    # d = 2 only and refuses a non-finite binding before these
     (partial(SchemeContext, d=1, c=1.0), "degree d must be at least 2"),
     (partial(conjugated_form, "king", {"beta": float("inf")}),
      "parameter 'beta' is bound to (inf+0j), which is not finite"),
@@ -320,6 +320,43 @@ def test_target_derivative_orders():
 def test_zero_c_rejected():
     with pytest.raises(ZeroC):
         instantiate(catalog_entry("newton").ast, SchemeContext(d=2, c=0.0))
+
+
+# the schemes that have a conjugated operator, and half-decade moduli of c
+# from 1e-8 to 1e8 on the real axis and on the ray (0.6 - 0.8i)
+CONJUGATED = [("newton", {}), ("traub", {}), ("ostrowski", {}),
+              ("jarratt", {}), ("wang", {}), ("king", {"beta": 1.0}),
+              ("amat", {"beta": 0.7}), ("chebyshev-halley", {"alpha": 0.3}),
+              ("chun", {"alpha": 0.0})]
+C_GRID = [m * ray for ray in (1.0, 0.6 - 0.8j)
+          for m in 10.0 ** (np.arange(-16, 17) / 2)]
+
+
+@pytest.mark.parametrize("name,bindings", CONJUGATED,
+                         ids=[name for name, _ in CONJUGATED])
+def test_scheme_forms_do_not_depend_on_c(name, bindings):
+    # the conjugated operator of a scheme whose constants carry no units of
+    # z is one form at every c
+    want = conjugated_form(name, bindings)
+    for c in C_GRID:
+        got = conjugated_form(name, bindings, c=c)
+        where = f"{name} at c = {c}"
+        assert (got.n, got.k, got.sign) == (want.n, want.k, want.sign), where
+        for u, v in zip(got.a, want.a):
+            assert abs(u - v) <= 1e-9 * (1.0 + abs(v)), where
+
+
+def test_scheme_forms_build_at_extreme_c():
+    form = conjugated_form("jarratt", c=1e-20)
+    assert (form.n, form.k) == (4, 0)
+    with pytest.raises(ZeroC, match="the target family needs c != 0"):
+        conjugated_form("jarratt", c=0.0)
+
+
+def test_a_constant_with_units_of_z_keeps_the_form_moving_with_c():
+    scheme = parse_scheme("next = z - p(z)/p'(z) + 0.1*p(z)*p(z)*z;")
+    assert abs(conjugated_form(scheme, c=1.0).a[1] - 6.8) <= 1e-12
+    assert abs(conjugated_form(scheme, c=4.0).a[1] - 18.8) <= 1e-12
 
 
 def test_unknown_method():

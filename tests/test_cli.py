@@ -557,40 +557,49 @@ def test_non_finite_parameter_window_is_a_usage_error(tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("threads, env", [
-    ("0", None), ("-2", None), (None, "abc"), (None, "0"),
-])
-def test_invalid_worker_counts_are_usage_errors(tmp_path, capsys,
-                                                monkeypatch, threads, env):
-    if env is not None:
-        monkeypatch.setenv("NDYN_THREADS", env)
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_invalid_worker_counts_are_usage_errors(tmp_path, capsys, threads):
     out = tmp_path / "m.ppm"
-    argv = ["dynplane", "--method", "newton", "--window", "-2,2,-2,2",
-            "--res", "8x8", "--out", str(out)]
-    if threads is not None:
-        argv += ["--threads", threads]
-    code, _, err = run(capsys, *argv)
+    code, _, err = run(capsys, "dynplane", "--method", "newton",
+                       "--window", "-2,2,-2,2", "--res", "8x8",
+                       "--out", str(out), "--threads", threads)
     assert code == 1 and err.startswith("usage error:")
-    assert ("NDYN_THREADS" in err) == (env is not None)
     assert not out.exists()
 
 
 def test_family_subcommands_refuse_other_degrees(tmp_path, capsys):
+    # the normal form is built from z^2 - c only, so there is no --d
     code, out, err = run(capsys, "stability", "--method", "king", "--d", "3")
-    assert code == 2 and "use --d 2" in err and out == ""
+    assert code == 1 and err.startswith("usage error:") and out == ""
     ppm = tmp_path / "k.ppm"
     code, _, err = run(capsys, "paramplane", "--method", "king", "--d", "3",
                        "--window", "-6,5,-5.5,5.5", "--res", "8x8",
                        "--out", str(ppm))
-    assert code == 2 and "use --d 2" in err
+    assert code == 1 and err.startswith("usage error:")
     assert not ppm.exists()
+    code, out, err = run(capsys, "build", "--method", "newton", "--d", "3")
+    assert code == 1 and err.startswith("usage error:") and out == ""
+
+
+@pytest.mark.parametrize("text,message", [
+    # each constant is a float, their product overflows
+    (f"next = z - 1{'0' * 200}*1{'0' * 200}*p(z)/p'(z);",
+     "a coefficient is not finite"),
+    # coefficients whose sum of squares overflows reach rat_make
+    (f"next = z - 1{'0' * 160}*p(z)/p'(z);",
+     "0 is not a fixed point (no z^n factor)"),
+], ids=["product-overflows", "above-1e154"])
+def test_huge_scheme_constants_are_computation_errors(tmp_path, capsys,
+                                                      text, message):
+    path = tmp_path / "huge.scheme"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "build", "--scheme-file", str(path))
+    assert (code, out) == (2, "") and err.startswith(f"error: {message}")
 
 
 def test_computation_errors_exit_two(capsys):
     code, _, err = run(capsys, "build", "--method", "steffensen")
     assert code == 2 and "error" in err
-    code, _, err = run(capsys, "build", "--method", "newton", "--d", "3")
-    assert code == 2
     code, _, err = run(capsys, "build", "--scheme-file", "/no/such/file")
     assert code == 2
 

@@ -141,30 +141,17 @@ def test_worker_count_does_not_change_bytes():
     assert colorize(maps).tobytes() == colorize(multi).tobytes()
 
 
-def test_resolve_workers_sources(monkeypatch):
-    monkeypatch.setenv("NDYN_THREADS", "3")
-    assert resolve_workers(small_cfg()) == 3
+def test_resolve_workers_sources():
     assert resolve_workers(small_cfg(workers=2)) == 2
-    monkeypatch.delenv("NDYN_THREADS")
     assert resolve_workers(small_cfg()) >= 1
-    # a malformed or non-positive value is an error, not the CPU count
-    for bad in ("not-a-number", "0", "-2", "1.5"):
-        monkeypatch.setenv("NDYN_THREADS", bad)
-        with pytest.raises(ValueError, match="NDYN_THREADS"):
-            resolve_workers(small_cfg())
-        assert resolve_workers(small_cfg(workers=2)) == 2
 
 
 def test_default_workers_follow_the_cpu_affinity(monkeypatch):
     # taskset or a cpuset leaves fewer CPUs than the machine has
-    monkeypatch.delenv("NDYN_THREADS", raising=False)
     monkeypatch.setattr("os.cpu_count", lambda: 64)
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {2, 5},
                         raising=False)
     assert resolve_workers(small_cfg()) == 2
-    monkeypatch.setenv("NDYN_THREADS", "3")
-    assert resolve_workers(small_cfg()) == 3
-    monkeypatch.delenv("NDYN_THREADS")
     # where the OS has no affinity mask, the CPU count
     monkeypatch.delattr("os.sched_getaffinity")
     assert resolve_workers(small_cfg()) == 64

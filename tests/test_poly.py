@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import ndyn.poly
 from conftest import maps_close
 from ndyn.cli import main
-from ndyn.errors import NoConvergence, ZeroPolynomial
+from ndyn.errors import NdynError, NoConvergence, ZeroPolynomial
 from ndyn.poly import (INF, Polynomial, _clusters, deflate_anchored,
                        deflate_pm_one, is_inf, poly_roots, rat_derivative,
                        rat_eval, rat_make, root_clusters)
@@ -32,6 +32,24 @@ def test_product_degree_and_derivative_rule():
     lhs = prod.derivative()
     rhs = p.derivative() * q + p * q.derivative()
     assert np.allclose(lhs.coeffs, rhs.coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [(np.inf,), (np.nan, 1.0)],
+                         ids=["inf", "nan"])
+def test_non_finite_coefficients_are_refused(coeffs):
+    # an infinite largest coefficient would trim to the zero polynomial
+    with pytest.raises(NdynError, match="a coefficient is not finite"):
+        Polynomial(coeffs)
+
+
+def test_rat_make_scales_large_coefficients_without_overflow():
+    # the sum of squares of these coefficients overflows, their norm does not
+    big = rat_make(Polynomial((3e160, 3e160)), Polynomial((1.0, 2.0, 1.0)))
+    assert np.array_equal(big.num.coeffs, (3e160,))
+    assert np.array_equal(big.den.coeffs, (1.0, 1.0))
+    with pytest.raises(NdynError, match="beyond the float range"):
+        rat_make(Polynomial((1.5e308, 1.5e308, 1e308)),
+                 Polynomial((1.0, 1.0)))
 
 
 @pytest.mark.parametrize("coeffs,value", [((), 0j), ((2.5 - 1j,), 2.5 - 1j),
