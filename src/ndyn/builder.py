@@ -345,16 +345,34 @@ def _fold(scheme: Scheme, node_value: Callable, close: Callable):
 
 
 def instantiate(scheme: Scheme, ctx: SchemeContext) -> RationalMap:
-    """Assemble the operator as a rational map, reduced once per named step.
+    """The operator as a rational map of z: U(u) = O(s u)/s of _unit_map,
+    the fold conjugated_form reads, as O(z) = s U(z/s).  A change of
+    variable keeps a reduced map reduced, so the degrees do not depend on
+    the size of c; at c = 1 the map is U itself."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        U, s = _unit_map(scheme, ctx.d, ctx.c, ctx.bindings)
+        if s == 1:
+            return U
+        # z^j takes s^(m+1-j) above and s^(m-j) below, m den's power of z
+        num, den = U.num.coeffs, U.den.coeffs
+        w = s ** (np.flatnonzero(den)[0] - np.arange(max(num.size, den.size)))
+        return RationalMap(Polynomial(s * num * w[:num.size]),
+                           Polynomial(den * w[:den.size]))
 
-    Each distinct subexpression is built once.  Inside a step the
-    numerators and denominators are combined unreduced; a single rat_make
-    at the end of each step cancels the common factors from the
-    coefficients, so a step costs one reduction and no root solve however
-    many operations it holds.
-    """
-    return _fold(scheme, partial(_instantiate_node, ctx),
-                 lambda R: rat_make(R.num, R.den))
+
+def _unit_map(scheme: Scheme, d: int, c: complex, bindings: dict) -> tuple:
+    """(U, s), s the principal d-th root of c and U(u) = O(s u)/s the
+    scheme folded in u = z/s from the table of u^d - 1, one rat_make per
+    named step.  c enters only through s, so a scheme whose constants carry
+    no units of z folds to one U at every c; a fold in z spans powers of c."""
+    if c == 0:                  # as a SchemeContext at c refuses it
+        raise ZeroC("the target family needs c != 0")
+    s = cmath.sqrt(c) if d == 2 else complex(c) ** (1.0 / d)
+    unit = SchemeContext(d=d, c=1.0, bindings=bindings)
+    op = _fold(scheme, partial(_instantiate_node, unit, scale=s),
+               lambda R: rat_make(R.num, R.den))
+    return RationalMap(op.num if s == 1 else Polynomial(op.num.coeffs / s),
+                       op.den), s
 
 
 def _quotient(num: Polynomial, den: Polynomial) -> RationalMap:
@@ -376,11 +394,11 @@ def _binding(bindings: dict, name: str) -> complex:
 
 
 def _instantiate_node(ctx: SchemeContext, node, *args,
-                      scale=1) -> RationalMap:
-    """The node's value as a map of z; given a scale s with s^d = c and ctx
-    built at c = 1, as a map of u = z/s that keeps z's units: the bare z is
-    s u and p^(k)(A/B) is s^(d-k) q^(k)((A/s)/B), q = u^d - 1.  At s = 1
-    the arithmetic is the unscaled one, bit for bit."""
+                      scale) -> RationalMap:
+    """The node's value as a map of u = z/s that keeps z's units, for ctx
+    at c = 1 and s^d = c: the bare z is s u and p^(k)(A/B) is
+    s^(d-k) q^(k)((A/s)/B), q = u^d - 1.  At s = 1 no operation scales,
+    so the arithmetic is a fold in z at c = 1, bit for bit."""
     if isinstance(node, Var):
         return RationalMap(Polynomial((0.0, scale)), Polynomial.one())
     if isinstance(node, Const):
@@ -664,10 +682,10 @@ def conjugated_form(method, bindings=None, c: complex = 1.0) -> OperatorForm:
     of a parsed ``Scheme``.  An operator that is the constant sqrt(c)
     conjugates to the constant infinity, which is refused.
 
-    A scheme is folded in u = z/s, s = sqrt(c) the root standard_tau takes,
-    and O(s u)/s is conjugated by standard_tau(1), which is the same map.
-    c enters only through s, so a scheme whose constants carry no units of
-    z has one form at every c; a fold in z spans powers of c.
+    A scheme's U(u) = O(s u)/s from _unit_map, the fold instantiate reads,
+    is conjugated by standard_tau(1); with s = sqrt(c), the root
+    standard_tau takes, that is O conjugated by standard_tau(c).  So a
+    scheme whose constants carry no units of z has one form at every c.
     """
     bindings = dict(bindings or {})
     if isinstance(method, str):
@@ -675,18 +693,12 @@ def conjugated_form(method, bindings=None, c: complex = 1.0) -> OperatorForm:
         if entry.form is not None:
             return entry.form(_binding(bindings, entry.params[0]))
         method = entry.ast
-    if c == 0:                  # as a SchemeContext at c refuses it
-        raise ZeroC("the target family needs c != 0")
-    s = cmath.sqrt(c)
-    unit = SchemeContext(d=2, c=1.0, bindings=bindings)
-    op = _fold(method, partial(_instantiate_node, unit, scale=s),
-               lambda R: rat_make(R.num, R.den))
-    op = RationalMap(op.num if s == 1 else Polynomial(op.num.coeffs / s),
-                     op.den)
-    try:
-        conj_map = mobius_conjugate(op, standard_tau(1.0))
-    except ZeroDenominator:
-        raise NotFixingOneZeroInfinity(
-            "the operator is the constant sqrt(c), so its conjugate is the "
-            "constant infinity, which does not fix 0") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        U, _ = _unit_map(method, 2, c, bindings)
+        try:
+            conj_map = mobius_conjugate(U, standard_tau(1.0))
+        except ZeroDenominator:
+            raise NotFixingOneZeroInfinity(
+                "the operator is the constant sqrt(c), so its conjugate is "
+                "the constant infinity, which does not fix 0") from None
     return extract_normal_form(conj_map)

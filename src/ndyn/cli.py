@@ -104,7 +104,7 @@ def _add_operator_args(p) -> None:
                    metavar="NAME=VALUE",
                    help="bind a scheme parameter (value per the scheme "
                         "number grammar, e.g. beta=-4 or a=2-9.3i)")
-    p.add_argument("--c", default="1",
+    p.add_argument("--c", default=None,
                    help="polynomial constant term c (default 1)")
 
 
@@ -147,7 +147,7 @@ def _source(args):
     if bool(args.method) == bool(args.scheme_file):
         raise UsageError("exactly one of --method / --scheme-file is required")
     bindings = _bindings(args)
-    c = parse_complex_literal(args.c)
+    c = parse_complex_literal("1" if args.c is None else args.c)
     if args.method:
         try:
             entry = catalog_entry(args.method)
@@ -292,7 +292,8 @@ def _family(args):
     """(label, parameter name, producer) for the one-parameter subcommands;
     --family-param names a scheme's parameter or a method's charted one.  A
     --param on the varied parameter, or on any parameter of a method (whose
-    catalog family takes no bindings), would be ignored, so it is refused."""
+    catalog family takes no bindings), would be ignored, so it is refused;
+    so is a --c given with a method, whose family is charted at c = 1."""
     name = args.family_param
     if args.scheme_file and not name:
         raise UsageError("--scheme-file needs --family-param NAME")
@@ -303,6 +304,9 @@ def _family(args):
                 f"--param {bound!r} would be ignored: "
                 + (f"the {label} family takes no --param" if entry
                    else "--family-param varies it"))
+    if entry is not None and args.c is not None:
+        raise UsageError(f"--c would be ignored: the {label} family takes "
+                         "no --c")
     if entry is None:
         if name not in ast.params:
             raise UsageError(

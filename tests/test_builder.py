@@ -114,9 +114,9 @@ def test_equal_subexpressions_are_valued_once(monkeypatch):
     valued = []
     real = builder._instantiate_node
 
-    def counting(ctx, node, *args):
+    def counting(ctx, node, *args, scale):
         valued.append(node)
-        return real(ctx, node, *args)
+        return real(ctx, node, *args, scale=scale)
 
     monkeypatch.setattr(builder, "_instantiate_node", counting)
     instantiate(catalog_entry("king").ast,
@@ -346,6 +346,44 @@ def test_scheme_forms_do_not_depend_on_c(name, bindings):
             assert abs(u - v) <= 1e-9 * (1.0 + abs(v)), where
 
 
+# the parameters of the catalog schemes, and moduli 10^(k/2), k = -4..4,
+# on the real axis and on the ray (0.6 - 0.8i)
+UNIT_BINDINGS = {"beta": 1.0, "alpha": 0.3, "gamma": 1.0}
+MAP_GRID = [m * ray for ray in (1.0, 0.6 - 0.8j)
+            for m in 10.0 ** (np.arange(-4, 5) / 2)]
+
+
+def test_instantiate_keeps_its_degrees_at_every_c():
+    # instantiate reads the map off the fold in u = z/sqrt(c), so the
+    # degrees are those at c = 1 and the values are the scheme's
+    rng = np.random.default_rng(0xC0DE)
+    for name in SCHEMES:
+        entry = catalog_entry(name)
+        bindings = {p: UNIT_BINDINGS[p] for p in entry.params}
+        R = instantiate(entry.ast, SchemeContext(d=2, c=1.0,
+                                                 bindings=bindings))
+        want = (R.num.degree, R.den.degree)
+        for c in MAP_GRID:
+            ctx = SchemeContext(d=2, c=c, bindings=bindings)
+            R = instantiate(entry.ast, ctx)
+            where = f"{name} at c = {c}"
+            assert (R.num.degree, R.den.degree) == want, where
+            s = abs(c) ** 0.5
+            z = s * (rng.uniform(-1.5, 1.5, 16)
+                     + 1j * rng.uniform(-1.5, 1.5, 16))
+            poles = np.roots(R.den.coeffs[::-1])
+            z = z[np.abs(z[:, None] - poles).min(axis=1, initial=np.inf)
+                  >= 0.1 * s]
+            assert z.size >= 8, where
+            v = evaluate_scheme(entry.ast, ctx, z)
+            err = np.abs(rat_eval(R, z) - v)
+            assert np.all(err <= 1e-7 * (s + np.abs(v))), where
+    # past the grid too: king at beta = 1 keeps (6, 5) at c = 1e4
+    R = instantiate(catalog_entry("king").ast,
+                    SchemeContext(d=2, c=1e4, bindings={"beta": 1.0}))
+    assert (R.num.degree, R.den.degree) == (6, 5)
+
+
 def test_scheme_forms_build_at_extreme_c():
     form = conjugated_form("jarratt", c=1e-20)
     assert (form.n, form.k) == (4, 0)
@@ -493,31 +531,34 @@ def test_degenerate_family_reduces_on_build():
 # every scheme at d = 2, 3, 4 and trials 20, 50; check_iota_symmetry
 # (trials 20 and 10) and check_lambda_odd (d = 2 and 3) on the reconstructed
 # map of every catalog entry that builds at three seeded parameters.
-# `PYTHONPATH=src python tests/test_builder.py` prints the current digests.
-INSTANTIATE_PIN = "908f55df950d072379a78d58727930829aa8a9d1c9e45d1fdc9d57623ad5d904"
+# `PYTHONPATH=src python tests/test_builder.py` prints the current digests
+# and the degrees of each instantiate case.
+INSTANTIATE_PIN = "518706e931b293c8040891845a4b06aa4e7974160060388a8c18fee1f2089bd2"
 VERDICTS_PIN = "3b3d86d10cfd46e369fcf76c7567bdf17093504f1eec78d145bd54097faabd45"
 
 SCHEMES = [n for n in catalog_names() if catalog_entry(n).kind == "scheme"]
 
 
 def _instantiate_corpus():
+    """(scheme, d, draw, ast, ctx) for each corpus case."""
     rng = np.random.default_rng(0x1257A7E)
     for name in SCHEMES:
         entry = catalog_entry(name)
         for d in (2, 3, 4):
             # the third draw is real, so signed zeros fill the imaginary parts
-            for im in (1.0, 1.0, 0.0):
+            for draw, im in enumerate((1.0, 1.0, 0.0)):
                 c = complex(rng.uniform(-3.0, 3.0),
                             im * rng.uniform(-3.0, 3.0))
                 bindings = {p: complex(rng.uniform(-2.0, 2.0),
                                        im * rng.uniform(-1.0, 1.0))
                             for p in entry.params}
-                yield entry.ast, SchemeContext(d=d, c=c, bindings=bindings)
+                yield name, d, draw, entry.ast, SchemeContext(
+                    d=d, c=c, bindings=bindings)
 
 
 def _instantiate_digest():
     h = hashlib.sha256()
-    for ast, ctx in _instantiate_corpus():
+    for *_, ast, ctx in _instantiate_corpus():
         R = instantiate(ast, ctx)
         h.update(R.num.coeffs.tobytes() + b"/" + R.den.coeffs.tobytes() + b";")
     return h.hexdigest()
@@ -526,7 +567,7 @@ def _instantiate_digest():
 def _verdicts():
     out = []
     rng = np.random.default_rng(0x5E7D1C7)
-    for ast, ctx in _instantiate_corpus():
+    for *_, ast, ctx in _instantiate_corpus():
         for trials in (20, 50):
             out.append(check_scheme_lambda_odd(ast, ctx, trials))
     for name in catalog_names():
@@ -556,3 +597,8 @@ def test_symmetry_verdicts_match_pin():
 if __name__ == "__main__":
     print(_instantiate_digest())
     print(hashlib.sha256(bytes(_verdicts())).hexdigest())
+    # the (num, den) degrees of each corpus case, so a re-pin shows in a
+    # diff of this output which shapes it changes
+    for name, d, draw, ast, ctx in _instantiate_corpus():
+        R = instantiate(ast, ctx)
+        print(f"{name} d={d} draw={draw}: ({R.num.degree}, {R.den.degree})")

@@ -407,6 +407,22 @@ def test_method_family_refuses_every_param(tmp_path, capsys, command, method,
 
 
 @pytest.mark.parametrize("command", ["stability", "paramplane"])
+@pytest.mark.parametrize("method", ["king", "c-family"])
+def test_method_family_refuses_a_c(tmp_path, capsys, command, method):
+    # a scheme family is charted at c = 1 and a form family has no c, so an
+    # explicit --c would change nothing, even when it reads 1
+    out = tmp_path / "c.ppm"
+    render = ("--window", "-6,5,-5.5,5.5", "--res", "8x8", "--out", str(out))
+    for c in ("5", "1"):
+        code, text, err = run(capsys, command, "--method", method, "--c", c,
+                              *(render if command == "paramplane" else ()))
+        assert code == 1 and text == ""
+        assert err == (f"usage error: --c would be ignored: the {method} "
+                       "family takes no --c\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["stability", "paramplane"])
 def test_scheme_family_refuses_a_param_on_the_family_param(tmp_path, capsys,
                                                            command):
     path = tmp_path / "two-step.scheme"
@@ -588,7 +604,9 @@ def test_family_subcommands_refuse_other_degrees(tmp_path, capsys):
     # coefficients whose sum of squares overflows reach rat_make
     (f"next = z - 1{'0' * 160}*p(z)/p'(z);",
      "0 is not a fixed point (no z^n factor)"),
-], ids=["product-overflows", "above-1e154"])
+    # a float whose sums overflow, which numpy would warn of
+    (f"next = z - 9{'0' * 307}*p(z)/p'(z);", "a coefficient is not finite"),
+], ids=["product-overflows", "above-1e154", "sum-overflows"])
 def test_huge_scheme_constants_are_computation_errors(tmp_path, capsys,
                                                       text, message):
     path = tmp_path / "huge.scheme"
