@@ -19,8 +19,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .conjugate import multiplier_aggregates
-from .errors import NotACycle, PoleAtMinusOne, PoleAtOne, ZeroPolynomial
+from .conjugate import multiplier_aggregates, pm_one_image
+from .errors import (NotACycle, NotAFixedPoint, PoleAtMinusOne, PoleAtOne,
+                     ZeroPolynomial)
 from .poly import (INF, Polynomial, RationalMap, is_inf, point_key, rat_eval,
                    root_clusters)
 
@@ -203,15 +204,22 @@ def moebius_sum(P: Polynomial, sign: str) -> complex:
     return complex(num / den)
 
 
+def _closed_multiplier(form, x: float, sign: str) -> complex:
+    """O'(x) at a fixed x = +-1: O'/O = n/z + P'/P - P-hat'/P-hat, so the
+    form's sign cancels and O'(x) = n + moebius_sum(P, x's sign)."""
+    if pm_one_image(form.n, form.k, form.sign, x) != x:
+        raise NotAFixedPoint(f"the form does not fix z={x:g}")
+    return complex(form.n + moebius_sum(form.p_coeffs(), sign))
+
+
 def multiplier_at_one_closed(form) -> complex:
-    """O'(1) for a normal form, via the coefficient sum identity."""
-    return complex(form.n + moebius_sum(form.p_coeffs(), "+"))
+    """O'(1) for a normal form that fixes 1, via the sign + identity."""
+    return _closed_multiplier(form, 1.0, "+")
 
 
 def multiplier_at_minus_one_closed(form) -> complex:
-    """O'(-1) for a normal form with n+k odd, via the sign - identity."""
-    parity = (-1.0) ** (form.n + form.k - 1)
-    return complex(parity * (form.n + moebius_sum(form.p_coeffs(), "-")))
+    """O'(-1) for a normal form that fixes -1, via the sign - identity."""
+    return _closed_multiplier(form, -1.0, "-")
 
 
 # --------------------------------------------------------------------------
@@ -220,11 +228,10 @@ def multiplier_at_minus_one_closed(form) -> complex:
 
 
 def classify_operator(form) -> dict:
-    """Structural report of a normal form: parities, the status of -1 and
-    of the degenerate collapse, every strange fixed point with class, and
-    the reconstructed map ("map")."""
+    """Structural report of a normal form: parities, where it sends 1 and -1
+    (pm_one_image) with the multiplier of the 2-cycle when it swaps them,
+    every strange fixed point with class, and the reconstructed "map"."""
     R = form.reconstruct()
-    parity_odd = (form.n + form.k) % 2 == 1
     report = {
         "map": R,
         "n": form.n,
@@ -232,21 +239,16 @@ def classify_operator(form) -> dict:
         "sign": form.sign,
         "degenerate": form.degenerate,
         "order_at_roots": form.n,
-        "parity": "odd" if parity_odd else "even",
+        "parity": "odd" if (form.n + form.k) % 2 else "even",
     }
-    if form.sign == -1:
-        # reduced collapse: 1 maps to -1
-        if parity_odd:
-            report["minus_one"] = "on a 2-cycle with z=1"
-            report["one"] = "on a 2-cycle with z=-1"
-            report["cycle_multiplier"] = multiplier_of_cycle(
-                R, [1.0 + 0.0j, -1.0 + 0.0j])
-        else:
-            report["minus_one"] = "fixed"
-            report["one"] = "preimage of z=-1"
-    else:
-        report["one"] = "fixed"
-        report["minus_one"] = "fixed" if parity_odd else "preimage of z=1"
+    image = {x: pm_one_image(form.n, form.k, form.sign, x) for x in (1, -1)}
+    for x, key in ((1, "one"), (-1, "minus_one")):
+        y = image[x]
+        report[key] = ("fixed" if y == x else f"preimage of z={y}"
+                       if image[y] == y else f"on a 2-cycle with z={y}")
+    if image == {1: -1, -1: 1}:
+        report["cycle_multiplier"] = multiplier_of_cycle(
+            R, [1.0 + 0.0j, -1.0 + 0.0j])
     records = fixed_points(R)
     report["fixed_points"] = records
     report["strange_fixed_points"] = [r for r in records if r.strange]

@@ -17,8 +17,8 @@ poly.root_clusters and guards them by a_1 = -sum r_i; make_form, the one
 reducer, divides the factors P shares with P-hat at z = +-1 out through
 poly.deflate_pm_one (each (z - 1) flips the sign, each (z + 1) keeps it),
 folds each a_j that extraction trims into z^n, and cancels the rest by the
-form's roots; common_shape lifts a sign -1 form,
-multiplier_aggregates gives O'(+-1), and sampled_identity tests every
+form's roots; common_shape lifts a sign -1 form, pm_one_image gives
+O(+-1) and multiplier_aggregates O'(+-1), and sampled_identity tests every
 symmetry f(g z) = h(f z).
 """
 
@@ -244,14 +244,20 @@ def common_shape(forms) -> tuple:
     return np.array([n - (k - len(a)) for n, a in lifted]), out
 
 
+def pm_one_image(n: int, k: int, sign: int, x):
+    """O(x) at x = +-1 for O = sign z^n P / P-hat, k = deg P: P(x) is
+    x^k P-hat(x), so O(x) = sign x^(n + k).  Every decision on +-1 reads it."""
+    return sign * x ** (n + k)
+
+
 def multiplier_aggregates(n: int, p_hat, x: float) -> tuple:
     """(num, den) with O'(x) = num / den at x = +-1 for O = z^n P / P-hat.
 
     `p_hat` holds the ascending coefficients c_0..c_k of P-hat (1, a_1..a_k
     for a form).  With s = n + k, num = sum x^j (s - 2j) c_j and
     den = sum x^j c_j = P-hat(x).  Both are linear in c, so a(t) = A + t B
-    gives num and den affine in t (B read with c_0 = 0).  At x = -1 the
-    quotient is O'(-1) when n + k is odd, so that -1 is fixed.
+    gives num and den affine in t (B read with c_0 = 0).  The quotient is
+    O'(x) wherever the form fixes x (pm_one_image).
     """
     s = n + len(p_hat) - 1
     num = sum(x ** j * (s - 2 * j) * c for j, c in enumerate(p_hat))

@@ -399,8 +399,28 @@ def dynamical_plane(R: RationalMap, cfg: RenderConfig,
 
 
 def _form_coeffs(family, ts) -> tuple:
-    """(n, a) of the family's forms at each t, in their common shape."""
-    return common_shape([family(complex(t)) for t in ts])
+    """(n, a) of the family's forms at each t, in their common shape.
+
+    A member the family cannot build (NdynError) gets a NaN row of a, so
+    its pair equation has no root and its pixel is dead, counted as having
+    no free critical point.  A band with no member built raises the first
+    member's error.
+    """
+    forms, errors = [], []
+    for t in ts:
+        try:
+            forms.append(family(complex(t)))
+        except NdynError as exc:
+            forms.append(None)
+            errors.append(exc)
+    built = np.array([f is not None for f in forms])
+    if not built.any():
+        raise errors[0]
+    n_built, a_built = common_shape([f for f in forms if f is not None])
+    n = np.zeros(len(forms), int)
+    a = np.full((len(forms), a_built.shape[1]), np.nan, np.complex128)
+    n[built], a[built] = n_built, a_built
+    return n, a
 
 
 def _conv_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -485,8 +505,6 @@ def _roots_rows(C: np.ndarray) -> np.ndarray:
     """Roots of each row's ascending-coefficient polynomial, nan-padded."""
     P, D = C.shape
     out = np.full((P, max(D - 1, 1)), np.nan + 0.0j, np.complex128)
-    if D <= 1:
-        return out
     scale = np.abs(C).max(axis=1)
     big = np.abs(C) > 1e-12 * np.maximum(scale, 1e-300)[:, None]
     deg = np.where(big.any(axis=1), D - 1 - big[:, ::-1].argmax(axis=1), -1)
@@ -523,7 +541,7 @@ def _select_seed_rows(w: np.ndarray, index: Optional[int] = None) -> tuple:
     pair; an integer index picks that pair in the order of the seeds'
     arguments, and a pixel with no such pair counts as having no free
     critical point.
-    Returns (seed, dead_mask, no_free_mask, multi_mask).
+    Returns (seed, dead, no_free, multi masks); seed is undefined where dead.
     """
     P, D = w.shape
     # |z| > ORIGIN_TOL <=> |w| < 1 / ORIGIN_TOL, and since
@@ -569,9 +587,7 @@ def _select_seed_rows(w: np.ndarray, index: Optional[int] = None) -> tuple:
     multi = (count > 1) & (index is None)
     pick = np.argsort(key, axis=1, kind="stable")[:, min(i, D - 1)]
     seed = seeds[np.arange(P), pick]
-    dead = no_free | multi
-    seed = np.where(dead, 0.0 + 0.0j, seed)
-    return seed, dead, no_free, multi
+    return seed, no_free | multi, no_free, multi
 
 
 def parameter_plane(family, cfg: RenderConfig, selector=None,

@@ -82,8 +82,6 @@ def _trim(arr: np.ndarray, rel: float) -> np.ndarray:
     if not math.isfinite(top):
         raise NdynError("a coefficient is not finite (the arithmetic that "
                         "made it overflowed)")
-    if top == 0.0:
-        return arr[:0]
     keep = arr.size
     while keep > 0 and mags[keep - 1] <= rel * top:
         keep -= 1
@@ -154,8 +152,6 @@ class Polynomial:
     # -- calculus and arithmetic ----------------------------------------------
 
     def derivative(self) -> "Polynomial":
-        if self._c.size <= 1:
-            return Polynomial.zero()
         return Polynomial(self._c[1:] * np.arange(1, self._c.size))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -185,8 +181,6 @@ class Polynomial:
 
     def shift(self, k: int) -> "Polynomial":
         """Multiply by z**k."""
-        if self.is_zero() or k == 0:
-            return self if k == 0 else Polynomial(self._c)
         return Polynomial(np.concatenate([np.zeros(k, dtype=np.complex128), self._c]))
 
     def leading(self) -> complex:
@@ -318,11 +312,9 @@ def poly_roots(p: Polynomial) -> tuple[complex, ...]:
 
 
 class RationalMap:
-    """Reduced quotient of two polynomials.
-
-    Use :func:`rat_make` to build one; the constructor assumes the arguments
-    are already reduced and normalised.
-    """
+    """The quotient num/den exactly as given: the constructor neither
+    reduces nor normalises (builder's step quotients stay unreduced), and
+    :func:`rat_make` builds the reduced, normalised map the rest reads."""
 
     __slots__ = ("num", "den")
 

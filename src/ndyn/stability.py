@@ -11,8 +11,8 @@ sample read in its conjugate.common_shape, or as a form family's closed
 form gives it).  So |O'(1)| < 1 is the one quadratic form
 (B^2 - B'^2)|t|^2 + 2 (A B - A' B') Re t + A^2 - A'^2 < 0: a disc or its
 outside, a half-plane, or everything or nothing.  The same holds at z = -1
-with alternating-sign aggregates whenever n + k is odd, so that -1 is
-fixed.
+with alternating-sign aggregates wherever the family, read in its sign +1
+shape, fixes -1 (conjugate.pm_one_image).
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .analysis import classify_multiplier, multiplier_of_cycle
-from .conjugate import OperatorForm, common_shape, multiplier_aggregates
+from .conjugate import (OperatorForm, common_shape, multiplier_aggregates,
+                        pm_one_image)
 from .errors import (DegenerateFamily, NonlinearDependence,
                      NonRealCoefficients, NotACycle, NotAFixedPoint)
 
@@ -186,8 +187,8 @@ def stability_region_z1(lc: LinearCoeffs) -> StabilityRegion:
 
 
 def stability_region_zm1(lc: LinearCoeffs) -> StabilityRegion:
-    """Region for z = -1; not applicable unless n + k is odd (so -1 is fixed)."""
-    if (lc.n + lc.k) % 2 == 0:
+    """Region for z = -1; not-applicable unless the family fixes -1."""
+    if pm_one_image(lc.n, lc.k, 1, -1.0) != -1.0:
         return StabilityRegion(target="z=-1", kind="not-applicable")
     C, D, C2, D2 = lc.aggregates_at(-1.0)
     return _build_region("z=-1", C, D, C2, D2)

@@ -17,7 +17,8 @@ import numpy as np
 from .analysis import free_critical_points, moebius_sum
 from .builder import (SchemeContext, catalog_entry, catalog_names,
                       check_scheme_lambda_odd, conjugated_form)
-from .conjugate import check_iota_symmetry, extract_normal_form, make_form
+from .conjugate import (check_iota_symmetry, extract_normal_form, make_form,
+                        pm_one_image)
 from .errors import DegenerateFamily, NotPalindromic
 from .poly import Polynomial, is_inf, rat_eval
 from .stability import linearize, oracle_agreement, stability_region_z1
@@ -167,20 +168,20 @@ def suite_vieta() -> SuiteResult:
 
 
 def suite_fixed_point_structure() -> SuiteResult:
-    """0, 1, infinity are fixed; the value at -1 follows the parity rule."""
+    """0 and infinity are fixed, and +-1 go where pm_one_image sends them."""
     res = SuiteResult("fixed-point-structure")
     rng = np.random.default_rng(_SEED + 2)
     for _ in range(60):
         form = random_form(rng)
         R = form.reconstruct()
         res.check(abs(rat_eval(R, 0.0)) <= 1e-12, "origin not fixed")
-        res.check(abs(rat_eval(R, 1.0) - 1.0) <= 1e-9, "one not fixed")
         res.check(R.num.degree - R.den.degree == form.n,
                   "wrong local degree at infinity")
-        at = rat_eval(R, -1.0)
-        want = -1.0 if (form.n + form.k) % 2 else 1.0
-        res.check(abs(at - want) <= 1e-9,
-                  f"value at -1 is {at:.3g}, wanted {want}")
+        for x in (1.0, -1.0):
+            at = rat_eval(R, x)
+            want = pm_one_image(form.n, form.k, form.sign, x)
+            res.check(abs(at - want) <= 1e-9,
+                      f"value at {x:g} is {at:.3g}, wanted {want}")
     return res
 
 

@@ -12,7 +12,8 @@ from ndyn.analysis import (classify_multiplier, classify_operator,
                            multiplier_at_one_closed, multiplier_of_cycle)
 from ndyn.builder import conjugated_form
 from ndyn.conjugate import OperatorForm, make_form
-from ndyn.errors import NotACycle, PoleAtMinusOne, PoleAtOne, ZeroPolynomial
+from ndyn.errors import (NotACycle, NotAFixedPoint, PoleAtMinusOne, PoleAtOne,
+                         ZeroPolynomial)
 from ndyn.poly import (INF, Polynomial, RationalMap, identity_map, is_inf,
                        rat_combine, rat_derivative, rat_eval, rat_make)
 
@@ -319,6 +320,47 @@ def test_pointwise_multipliers_match_derivative_maps(form):
         ref = (_derivative_map_factor(R, cycle[0], cycle[1])
                * _derivative_map_factor(R, cycle[1], cycle[0]))
         assert _close(multiplier_of_cycle(R, cycle), ref, 1e-7)
+
+
+# sign -1 with n + k even fixes -1 only; sign +1 with n + k even fixes 1 only
+_FIXING_ONE_SIDE = [make_form(2, (0.5, -2.0), sign=-1),
+                    make_form(2, (0.5, 0.3))]
+
+
+@pytest.mark.parametrize("form", _seeded_forms() + _FIXING_ONE_SIDE)
+def test_closed_multipliers_match_direct_ones_or_refuse(form):
+    R = form.reconstruct()
+    for closed, x in ((multiplier_at_one_closed, 1.0),
+                      (multiplier_at_minus_one_closed, -1.0)):
+        if abs(rat_eval(R, x) - x) > 1e-9:
+            with pytest.raises(NotAFixedPoint,
+                               match=f"the form does not fix z={x:g}$"):
+                closed(form)
+            continue
+        lam, direct = closed(form), multiplier_at(R, x)
+        assert abs(lam - direct) <= 1e-9 * max(1.0, abs(lam)), (x, lam, direct)
+
+
+@pytest.mark.parametrize("form, one, minus_one", [
+    (make_form(2, (0.5, 0.3)), "fixed", "preimage of z=1"),
+    (make_form(2, (0.5,)), "fixed", "fixed"),
+    (make_form(2, (0.5, -2.0), sign=-1), "preimage of z=-1", "fixed"),
+    (make_form(3, (0.5, -2.0), sign=-1),
+     "on a 2-cycle with z=-1", "on a 2-cycle with z=1"),
+], ids=["sign+1-even", "sign+1-odd", "sign-1-even", "sign-1-odd"])
+def test_classify_operator_reads_where_plus_and_minus_one_go(form, one,
+                                                             minus_one):
+    info = classify_operator(form)
+    assert (info["one"], info["minus_one"]) == (one, minus_one)
+    assert info["parity"] == ("odd" if (form.n + form.k) % 2 else "even")
+    R = form.reconstruct()
+    images = [rat_eval(R, x) for x in (1.0, -1.0)]
+    swapped = abs(images[0] + 1.0) <= 1e-9 and abs(images[1] - 1.0) <= 1e-9
+    assert ("cycle_multiplier" in info) == swapped
+    if swapped:
+        ref = (_derivative_map_factor(R, 1.0, -1.0)
+               * _derivative_map_factor(R, -1.0, 1.0))
+        assert _close(info["cycle_multiplier"], ref, 1e-9)
 
 
 @pytest.mark.parametrize("form", _seeded_forms() + [

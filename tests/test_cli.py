@@ -547,6 +547,20 @@ def test_negative_pair_index_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_paramplane_renders_across_a_pole_of_the_family(tmp_path, capsys):
+    # the centre member sits on os3's pole and cannot be built: it renders
+    # as a dead pixel instead of aborting the plane
+    out = tmp_path / "pole.ppm"
+    code, _, err = run(capsys, "paramplane", "--method", "os3",
+                       "--window=-4.223722222222222,-4.220722222222222,"
+                       "1.9861159799998132,1.9891159799998133",
+                       "--res", "3x3", "--out", str(out))
+    assert code == 0, err
+    assert out.exists()
+    meta = (tmp_path / "pole.ppm.meta").read_text().splitlines()
+    assert "diag_no_free_critical=1" in meta
+
+
 @pytest.mark.parametrize("setting", [
     ("--max-iter", "0"),
     ("--res", "0x8"),

@@ -3,15 +3,24 @@
 Every figure is rendered at 64x64 with max_iter 150 from the script's own
 windows, modes and attractors, at one worker and at two.  The digest covers
 the outcome and iteration arrays, so any change to seeds, rows or orbits
-that moves a pixel shows up here.  The chebyshev-halley and king parameter
-planes also pin their exact outcome counts at 300x300.  `PYTHONPATH=src python
-tests/test_figures.py` prints the current digests in the order of PINS.
+that moves a pixel shows up here.  The pinned arrays themselves are kept
+in figure_pins.npz (outcomes as int8, iterations as uint8), so a failing pin
+says how many pixels moved and where.  The chebyshev-halley and king
+parameter planes also pin their exact outcome counts at 300x300.
+
+`PYTHONPATH=src python tests/test_figures.py` prints the current digests in
+the order of PINS; `PYTHONPATH=src python tests/test_figures.py PATH` also
+writes the arrays to PATH and rewrites PINS in this file (a re-pin, with
+PATH tests/figure_pins.npz).
 """
 
+import dataclasses
 import hashlib
 import os
+import re
 import sys
 
+import numpy as np
 import pytest
 
 from ndyn import (RenderConfig, catalog_entry, conjugated_form,
@@ -22,6 +31,7 @@ from render_figures import DYNAMICAL_FIGURES, PARAMETER_FIGURES  # noqa: E402
 
 RESOLUTION = (64, 64)
 MAX_ITER = 150
+PIN_ARRAYS = os.path.join(os.path.dirname(__file__), "figure_pins.npz")
 
 PINS = {
     "param_chebyshev_halley":
@@ -81,8 +91,30 @@ def _render(name, workers, resolution=RESOLUTION):
 
 
 def _digest(img):
-    return hashlib.sha256(img.outcome.tobytes()
-                          + img.iterations.tobytes()).hexdigest()
+    return _array_digest(img.outcome, img.iterations)
+
+
+def _array_digest(outcome, iterations):
+    return hashlib.sha256(outcome.tobytes() + iterations.tobytes()).hexdigest()
+
+
+def _pinned(name):
+    """The stored arrays of one figure, read back in the render's dtypes."""
+    with np.load(PIN_ARRAYS) as pins:
+        return (pins[f"{name}_outcome"].astype(np.int8),
+                pins[f"{name}_iterations"].astype(np.int32))
+
+
+def _moved(name, img, workers, shown=5):
+    """Which pixels of a render moved against the stored arrays."""
+    outcome, iterations = _pinned(name)
+    o_moved = img.outcome != outcome
+    i_moved = img.iterations != iterations
+    moved = np.argwhere(o_moved | i_moved)[:shown]
+    first = [tuple(map(int, p)) for p in moved]
+    return (f"{name} at {workers} worker(s): {int(o_moved.sum())} outcomes "
+            f"and {int(i_moved.sum())} iteration counts moved, first at "
+            f"(row, col) {first}")
 
 
 def test_every_figure_is_pinned():
@@ -90,10 +122,29 @@ def test_every_figure_is_pinned():
     assert sorted(PINS) == sorted(names)
 
 
+def test_stored_arrays_hash_to_the_pins():
+    for name in PINS:
+        outcome, iterations = _pinned(name)
+        assert outcome.shape == iterations.shape == RESOLUTION[::-1], name
+        assert _array_digest(outcome, iterations) == PINS[name], name
+
+
+def test_a_moved_pixel_is_named():
+    img = _render("dyn_king_beta_m4", 1)
+    outcome, iterations = img.outcome.copy(), img.iterations.copy()
+    outcome[3, 4] ^= 1
+    iterations[[3, 10], [4, 2]] += 1
+    moved = dataclasses.replace(img, outcome=outcome, iterations=iterations)
+    assert _moved("dyn_king_beta_m4", moved, 2) == (
+        "dyn_king_beta_m4 at 2 worker(s): 1 outcomes and 2 iteration counts "
+        "moved, first at (row, col) [(3, 4), (10, 2)]")
+
+
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_figure_pixels_match_pin(name):
     for workers in (1, 2):
-        assert _digest(_render(name, workers)) == PINS[name], workers
+        img = _render(name, workers)
+        assert _digest(img) == PINS[name], _moved(name, img, workers)
 
 
 @pytest.mark.parametrize("name", sorted(COUNTS_300))
@@ -103,7 +154,27 @@ def test_parameter_plane_counts_at_300(name):
         assert img.counts() == COUNTS_300[name], workers
 
 
+def _repin(path, images):
+    """Write the arrays of `images` to path and their digests into PINS."""
+    assert MAX_ITER <= np.iinfo(np.uint8).max
+    arrays = {}
+    for name, img in images.items():
+        arrays[f"{name}_outcome"] = img.outcome.astype(np.int8)
+        arrays[f"{name}_iterations"] = img.iterations.astype(np.uint8)
+    np.savez_compressed(path, **arrays)
+    with open(__file__) as f:
+        text = f.read()
+    for name, img in images.items():
+        text = re.sub(rf'("{name}":\s*")[0-9a-f]{{64}}"',
+                      rf'\g<1>{_digest(img)}"', text)
+    with open(__file__, "w") as f:
+        f.write(text)
+
+
 if __name__ == "__main__":
-    # print the current digest of every figure, in PINS order, at one worker
-    for name in PINS:
-        print(name, _digest(_render(name, 1)))
+    # the current digest of every figure, in PINS order, at one worker
+    images = {name: _render(name, 1) for name in PINS}
+    for name, img in images.items():
+        print(name, _digest(img))
+    if len(sys.argv) > 1:
+        _repin(sys.argv[1], images)

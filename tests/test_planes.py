@@ -1,6 +1,7 @@
 """Rendering pipeline: geometry, orbit classification, color, determinism."""
 
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -25,7 +26,7 @@ from ndyn import (
 )
 from ndyn.builder import conjugated_form
 from ndyn.conjugate import make_form
-from ndyn.errors import ZeroDenominator
+from ndyn.errors import NdynError, ZeroDenominator
 from ndyn.planes import (CONV_RADIUS, INFINITY_RADIUS, OUTCOME_NAMES,
                          OUTCOME_ROOT0, OUTCOME_ROOTINF, OUTCOME_STRANGE,
                          PlaneImage, _deflate_shared, _family_terms,
@@ -300,6 +301,44 @@ def test_known_attractors_mark_strange_pixels():
     img = parameter_plane(entry.stability_producer, cfg,
                           known_attractors=(1.0, -1.0))
     assert img.counts()["strange-attractor"] > 0
+
+
+# a 3x3 window centred on os3's pole a* = (-76 + i sqrt(1280)) / 18, where
+# a_4 is so large that the centre member fails the Vieta guard
+OS3_POLE_WINDOW = (-4.223722222222222, -4.220722222222222,
+                   1.9861159799998132, 1.9891159799998133)
+
+
+def test_member_the_family_cannot_build_is_a_dead_pixel():
+    producer = catalog_entry("os3").stability_producer
+    cfg = RenderConfig(window=OS3_POLE_WINDOW, resolution=(3, 3), max_iter=60)
+    ys, xs = cfg.y_centers(), cfg.x_centers()
+    with pytest.raises(NdynError):
+        producer(complex(xs[1], ys[1]))
+    for workers in (1, 2):
+        img = parameter_plane(producer, dataclasses.replace(cfg,
+                                                            workers=workers))
+        assert img.diagnostics["no_free_critical"] == 1
+        assert img.diagnostics["multiple_free_pairs"] == 0
+        for i, y in enumerate(ys):
+            for j, x in enumerate(xs):
+                got = (OUTCOME_NAMES[int(img.outcome[i, j])],
+                       int(img.iterations[i, j]))
+                if (i, j) == (1, 1):
+                    assert got == ("none", cfg.max_iter)
+                    continue
+                R = producer(complex(x, y)).reconstruct()
+                assert got == orbit_outcome(R, _default_seed(R), cfg), (i, j)
+
+
+def test_family_that_builds_no_member_refuses_the_plane():
+    def family(t):
+        raise ZeroDenominator(f"no member at {t}")
+
+    cfg = RenderConfig(window=(-1.0, 1.0, -1.0, 1.0), resolution=(4, 4),
+                       max_iter=20)
+    with pytest.raises(ZeroDenominator, match="no member at"):
+        parameter_plane(family, cfg)
 
 
 def test_nonaffine_family_uses_scalar_path_deterministically():
