@@ -228,19 +228,12 @@ def multiplier_at_minus_one_closed(form) -> complex:
 
 
 def classify_operator(form) -> dict:
-    """Structural report of a normal form: parities, where it sends 1 and -1
-    (pm_one_image) with the multiplier of the 2-cycle when it swaps them,
-    every strange fixed point with class, and the reconstructed "map"."""
+    """What analysis derives from a normal form, and nothing the form holds:
+    "map" (the reconstructed R), "parity" of n + k, where it sends 1 and -1
+    ("one", "minus_one", read off pm_one_image), "cycle_multiplier" exactly
+    when it swaps them, and "fixed_points", every fixed point with class."""
     R = form.reconstruct()
-    report = {
-        "map": R,
-        "n": form.n,
-        "k": form.k,
-        "sign": form.sign,
-        "degenerate": form.degenerate,
-        "order_at_roots": form.n,
-        "parity": "odd" if (form.n + form.k) % 2 else "even",
-    }
+    report = {"map": R, "parity": "odd" if (form.n + form.k) % 2 else "even"}
     image = {x: pm_one_image(form.n, form.k, form.sign, x) for x in (1, -1)}
     for x, key in ((1, "one"), (-1, "minus_one")):
         y = image[x]
@@ -249,7 +242,5 @@ def classify_operator(form) -> dict:
     if image == {1: -1, -1: 1}:
         report["cycle_multiplier"] = multiplier_of_cycle(
             R, [1.0 + 0.0j, -1.0 + 0.0j])
-    records = fixed_points(R)
-    report["fixed_points"] = records
-    report["strange_fixed_points"] = [r for r in records if r.strange]
+    report["fixed_points"] = fixed_points(R)
     return report

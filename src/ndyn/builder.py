@@ -96,6 +96,11 @@ class Scheme:
 
 _OPS = set("+-*/=();'")
 
+# The most tokens one statement's expression (between = and ;) may hold.
+# Parsing and folding recurse once per level of nesting, so the bound keeps
+# the deepest statement, 399 unary minuses, within Python's recursion limit.
+MAX_STATEMENT_TOKENS = 400
+
 # The number grammar of scheme texts and of complex values on the command
 # line: ASCII digits with at most one decimal point, then an optional i.
 NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)i?"
@@ -202,6 +207,13 @@ class _Parser:
                 raise SchemeSyntaxError(tok.line, tok.col,
                                         f"{name!r} is reserved and cannot be rebound")
             self.expect_op("=")
+            end = self.pos
+            while self.tokens[end].text not in (";", ""):
+                end += 1
+            if end - self.pos > MAX_STATEMENT_TOKENS:
+                raise SchemeSyntaxError(
+                    tok.line, tok.col, f"the statement binding {name!r} has "
+                    f"more than {MAX_STATEMENT_TOKENS} tokens")
             expr = self.expr()
             self.expect_op(";")
             if name in self.bound:

@@ -155,8 +155,14 @@ def _source(args):
             raise UsageError(str(e))
         label, ast, params = args.method, entry.ast, entry.params
     else:
-        with open(args.scheme_file, encoding="utf-8") as fh:
-            ast = parse_scheme(fh.read())
+        try:
+            with open(args.scheme_file, encoding="utf-8") as fh:
+                text = fh.read()    # decoded in one piece: offsets are exact
+        except UnicodeDecodeError as e:
+            raise NdynError(f"{args.scheme_file} is not UTF-8: byte "
+                            f"{e.object[e.start]:#04x} at offset {e.start}"
+                            ) from None
+        ast = parse_scheme(text)
         label, entry, params = args.scheme_file, None, ast.params
     for name in bindings:
         if name not in params:
@@ -235,7 +241,7 @@ def cmd_analyze(args) -> int:
     (label, _, ast, bindings, c), form = _get_form(args)
     info = classify_operator(form)
     payload = _form_payload(label, form)
-    payload["order_at_roots"] = info["order_at_roots"]
+    payload["order_at_roots"] = form.n
     payload["parity"] = info["parity"]
     payload["one"] = info["one"]
     payload["minus_one"] = info["minus_one"]

@@ -243,10 +243,11 @@ def test_classify_operator_shapes():
     info = classify_operator(conjugated_form("king", {"beta": 1.0}))
     assert info["parity"] == "even"
     assert info["minus_one"] == "preimage of z=1"
-    info = classify_operator(conjugated_form("os5", {"a": 0.0}))
-    assert info["degenerate"]
+    form = conjugated_form("os5", {"a": 0.0})
+    info = classify_operator(form)
+    assert form.degenerate
     assert "cycle_multiplier" in info
-    strange = info["strange_fixed_points"]
+    strange = [r for r in info["fixed_points"] if r.strange]
     assert all(abs(r.point) > 1e-12 for r in strange)
     # sign -1 with n + k even: -1 is fixed and 1 maps onto it
     info = classify_operator(make_form(2, (0.5, -2.0), sign=-1))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import maps_close, poly_map
-from ndyn.builder import (BinOp, Const, Deriv, Param, Ref, Scheme,
-                          SchemeContext, Var, catalog_entry,
+from ndyn.builder import (MAX_STATEMENT_TOKENS, BinOp, Const, Deriv, Param,
+                          Ref, Scheme, SchemeContext, Var, catalog_entry,
                           catalog_names, check_scheme_lambda_odd,
                           conjugated_form, evaluate_scheme, instantiate,
                           parse_scheme, target_derivative, _lex)
@@ -79,6 +79,24 @@ def test_name_stops_before_a_non_ascii_digit():
         parse_scheme("next = z - p(z)/p'(z) + z²;")
     assert str(err.value) == "line 1, col 26: unexpected character '²'"
     assert parse_scheme("next = z - β*p(z)/p'(z);").params == ("β",)
+
+
+def test_statement_above_the_bound_is_refused_at_its_first_token():
+    step = "y = " + " + ".join(["z"] * 200) + ";\n"       # 399 tokens
+    assert parse_scheme(step + "next = y;").steps[0][0] == "y"
+    with pytest.raises(SchemeSyntaxError) as err:
+        parse_scheme("u = z;\n  " + step.replace("z;", "z + z;") + "next = y;")
+    assert str(err.value) == (f"line 2, col 3: the statement binding 'y' has "
+                              f"more than {MAX_STATEMENT_TOKENS} tokens")
+
+
+def test_catalog_schemes_parse_the_same_without_the_bound(monkeypatch):
+    import ndyn.builder as builder
+    bounded = {name: parse_scheme(text)
+               for name, (text, *_) in builder._SCHEMES.items()}
+    monkeypatch.setattr(builder, "MAX_STATEMENT_TOKENS", 10 ** 9)
+    for name, (text, *_) in builder._SCHEMES.items():
+        assert parse_scheme(text) == bounded[name] == catalog_entry(name).ast
 
 
 def test_each_derivative_is_built_once_per_check(monkeypatch):

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from ndyn.builder import catalog_entry, conjugated_form
+from ndyn.builder import (MAX_STATEMENT_TOKENS, _lex, catalog_entry,
+                          conjugated_form)
 from ndyn.cli import (UsageError, _fmt_complex, _form_payload, main,
                       parse_complex_literal)
 from ndyn.poly import point_key
@@ -267,6 +268,54 @@ def test_non_ascii_digit_in_a_scheme_is_a_located_error(tmp_path, capsys):
     code, out, err = run(capsys, "build", "--scheme-file", str(path))
     assert code == 2 and out == ""
     assert err == "error: line 2, col 15: unexpected character '\u00b2'\n"
+
+
+def test_scheme_file_that_is_not_utf8_is_refused(tmp_path, capsys):
+    path = tmp_path / "bad.scheme"
+    path.write_bytes(b"next = z - p(z)/p\xff(z);\n")
+    code, out, err = run(capsys, "build", "--scheme-file", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path} is not UTF-8: byte 0xff at offset 17\n"
+
+
+NEWTON_STEP = "z - p(z)/p'(z)"      # 12 tokens
+# statements whose expression holds `size` tokens, nested three ways
+_DEEP_SHAPES = {
+    "parentheses": lambda size: "(" * ((size - 12) // 2) + NEWTON_STEP
+    + ")" * ((size - 12) // 2),
+    "terms": lambda size: NEWTON_STEP + " + 0*z" * ((size - 12) // 4),
+    "minuses": lambda size: "-" * (size - 14) + f"({NEWTON_STEP})",
+}
+
+
+@pytest.mark.parametrize("text", [
+    "next = " + "(" * 400 + "z" + ")" * 400 + ";",
+    "next = z" + " + 0*z" * 1200 + ";",
+    "next = " + "-" * 800 + "z;",
+], ids=["400-parentheses", "1200-terms", "800-minuses"])
+def test_oversized_statement_is_a_located_error(tmp_path, capsys, text):
+    path = tmp_path / "deep.scheme"
+    path.write_text("y = z;\n" + text + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "build", "--scheme-file", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: line 2, col 1: the statement binding 'next' has "
+                   f"more than {MAX_STATEMENT_TOKENS} tokens\n")
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP_SHAPES))
+def test_statement_at_the_bound_builds_and_analyzes(tmp_path, capsys, shape):
+    path = tmp_path / "deep.scheme"
+    text = _DEEP_SHAPES[shape](MAX_STATEMENT_TOKENS)
+    assert len(_lex(text)) - 1 == MAX_STATEMENT_TOKENS  # less end of input
+    path.write_text(f"next = {text};\n", encoding="utf-8")
+    built = run_json(capsys, "build", "--scheme-file", str(path))
+    newton = run_json(capsys, "build", "--method", "newton")
+    for key in ("n", "k", "sign", "a"):
+        assert built[key] == newton[key]
+    assert run_json(capsys, "analyze", "--scheme-file", str(path))["n"] == 2
+    text = _DEEP_SHAPES[shape](MAX_STATEMENT_TOKENS + 4)
+    path.write_text(f"next = {text};\n", encoding="utf-8")
+    assert run(capsys, "build", "--scheme-file", str(path))[0] == 2
 
 
 def test_parser_keeps_no_state_between_calls(capsys):
