@@ -294,6 +294,13 @@ def _region_payload(reg) -> dict:
     return out
 
 
+def _refuse_c(args, label: str) -> None:
+    """A --c given to a family that ignores it is a usage error."""
+    if args.c is not None:
+        raise UsageError(f"--c would be ignored: the {label} family takes "
+                         "no --c")
+
+
 def _family(args):
     """(label, parameter name, producer) for the one-parameter subcommands;
     --family-param names a scheme's parameter or a method's charted one.  A
@@ -310,9 +317,8 @@ def _family(args):
                 f"--param {bound!r} would be ignored: "
                 + (f"the {label} family takes no --param" if entry
                    else "--family-param varies it"))
-    if entry is not None and args.c is not None:
-        raise UsageError(f"--c would be ignored: the {label} family takes "
-                         "no --c")
+    if entry is not None:
+        _refuse_c(args, label)
     if entry is None:
         if name not in ast.params:
             raise UsageError(
@@ -349,7 +355,10 @@ def cmd_stability(args) -> int:
 
 
 def cmd_dynplane(args) -> int:
-    (label, *_), form = _get_form(args)
+    label, entry, ast, bindings, c = _source(args)
+    if entry is not None and entry.kind == "form":     # it has no c
+        _refuse_c(args, label)
+    form = conjugated_form(args.method or ast, bindings, c=c)
     cfg = _render_config(args)
     attractors = tuple(parse_complex_literal(v) for v in args.attractor)
     img = dynamical_plane(form.reconstruct(), cfg,

@@ -5,8 +5,9 @@ Orbits are checked before each application of the map: a point within
 CONV_RADIUS of 0 ends as root-0, within CONV_RADIUS of a known finite
 attractor as strange-attractor, and at modulus >= INFINITY_RADIUS as
 root-inf.  Points still undecided after max_iter applications are "none"
-and render black.  The grid is processed in fixed 32-row bands so output
-bytes do not depend on the worker count.
+and render black.  The grid is processed in bands of whole rows, each of
+at most BAND_PIXELS pixels (or one row, when a row is wider), fixed by the
+grid alone so output bytes do not depend on the worker count.
 
 Parameter planes follow the orbit of one free critical point per pixel.
 A family's pixel is its normal form z^n * P / P-hat, read as (n, a(t))
@@ -76,7 +77,10 @@ OUTCOME_NAMES = {
     OUTCOME_STRANGE: "strange-attractor",
 }
 
-CHUNK_ROWS = 32
+# pixels per band: large enough that numpy calls on worker threads outrun
+# their contention for the GIL, small enough that a band's work arrays stay
+# within what a 600-wide band of 32 rows used
+BAND_PIXELS = 16384
 CONV_RADIUS = 1e-4     # an orbit this close to 0 or an attractor is captured
 INFINITY_RADIUS = 1e8  # and one this far out has escaped
 ANCHOR_TOL = 1e-6      # critical points this close to +-1 are not free seeds
@@ -358,23 +362,38 @@ def _orbit(z0: np.ndarray, f: _OrbitMap, cfg: RenderConfig,
     return out, its
 
 
-def _run_bands(cfg: RenderConfig, work: Callable) -> tuple:
-    """Images of the grid, computed in fixed bands of CHUNK_ROWS rows:
-    `work` maps a band's points, flattened, to one flat array per image."""
+def _bands(width: int, height: int) -> list:
+    """Row ranges (r0, r1) of the bands of a width x height grid, top to
+    bottom: as many rows as fit in BAND_PIXELS pixels (at least one), the
+    last band taking what is left."""
+    rows = max(1, BAND_PIXELS // width)
+    return [(r0, min(r0 + rows, height)) for r0 in range(0, height, rows)]
+
+
+def _run_bands(cfg: RenderConfig, work: Callable, dtypes) -> list:
+    """Images of the grid, one (height, width) array per dtype, computed in
+    the bands of _bands: `work` maps a band's points, flattened, to one
+    flat array per image, which fills the band's rows of that image.  The
+    bands run on resolve_workers(cfg) threads, or in this thread when there
+    is one worker or one band; an error in a band is raised here."""
     xs, ys = cfg.x_centers(), cfg.y_centers()
+    images = [np.empty((cfg.height, cfg.width), d) for d in dtypes]
 
-    def band(r0):
-        return work((xs[None, :] + 1j * ys[r0:r0 + CHUNK_ROWS, None]).ravel())
+    def band(rows):
+        r0, r1 = rows
+        parts = work((xs[None, :] + 1j * ys[r0:r1, None]).ravel())
+        for image, part in zip(images, parts):
+            image[r0:r1] = part.reshape(r1 - r0, cfg.width)
 
-    starts = range(0, cfg.height, CHUNK_ROWS)
+    bands = _bands(cfg.width, cfg.height)
     workers = resolve_workers(cfg)
-    if workers <= 1 or len(starts) == 1:
-        done = [band(r0) for r0 in starts]
+    if workers <= 1 or len(bands) == 1:
+        for rows in bands:
+            band(rows)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(band, starts))
-    return tuple(np.concatenate(parts).reshape(cfg.height, cfg.width)
-                 for parts in zip(*done))
+            list(pool.map(band, bands))     # raises the first band's error
+    return images
 
 
 def orbit_outcome(R: RationalMap, z0: complex, cfg: RenderConfig,
@@ -389,7 +408,8 @@ def dynamical_plane(R: RationalMap, cfg: RenderConfig,
                     known_attractors=()) -> PlaneImage:
     attr = _flatten_attractors(known_attractors)
     f = _rational_map(R)
-    outcome, iters = _run_bands(cfg, lambda zz: _orbit(zz, f, cfg, attr))
+    outcome, iters = _run_bands(cfg, lambda zz: _orbit(zz, f, cfg, attr),
+                                (np.int8, np.int32))
     return PlaneImage(outcome, iters, cfg)
 
 
@@ -630,7 +650,8 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
         o, it = _orbit(seed, _form_map(n_t, a), cfg, attr, live=~dead)
         return o, it, no_free, multi
 
-    outcome, iters, no_free, multi = _run_bands(cfg, work)
+    outcome, iters, no_free, multi = _run_bands(
+        cfg, work, (np.int8, np.int32, bool, bool))
     diagnostics = {
         "no_free_critical": int(no_free.sum()),
         "multiple_free_pairs": int(multi.sum()),

@@ -455,16 +455,19 @@ def test_method_family_refuses_every_param(tmp_path, capsys, command, method,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["stability", "paramplane"])
-@pytest.mark.parametrize("method", ["king", "c-family"])
+@pytest.mark.parametrize("method,command", [
+    (method, command) for method in ("king", "c-family")
+    for command in ("stability", "paramplane")]
+    + [("c-family", "dynplane"), ("m4", "dynplane")])
 def test_method_family_refuses_a_c(tmp_path, capsys, command, method):
     # a scheme family is charted at c = 1 and a form family has no c, so an
-    # explicit --c would change nothing, even when it reads 1
+    # explicit --c would change nothing, even when it reads 1; a scheme's
+    # dynamical plane is built at its --c
     out = tmp_path / "c.ppm"
     render = ("--window", "-6,5,-5.5,5.5", "--res", "8x8", "--out", str(out))
     for c in ("5", "1"):
         code, text, err = run(capsys, command, "--method", method, "--c", c,
-                              *(render if command == "paramplane" else ()))
+                              *(render if command != "stability" else ()))
         assert code == 1 and text == ""
         assert err == (f"usage error: --c would be ignored: the {method} "
                        "family takes no --c\n")

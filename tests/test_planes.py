@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -27,9 +28,10 @@ from ndyn import (
 from ndyn.builder import conjugated_form
 from ndyn.conjugate import make_form
 from ndyn.errors import NdynError, ZeroDenominator
-from ndyn.planes import (CONV_RADIUS, INFINITY_RADIUS, OUTCOME_NAMES,
-                         OUTCOME_ROOT0, OUTCOME_ROOTINF, OUTCOME_STRANGE,
-                         PlaneImage, _deflate_shared, _family_terms,
+from ndyn.planes import (BAND_PIXELS, CONV_RADIUS, INFINITY_RADIUS,
+                         OUTCOME_NAMES, OUTCOME_ROOT0, OUTCOME_ROOTINF,
+                         OUTCOME_STRANGE, PlaneImage, _bands,
+                         _deflate_shared, _family_terms,
                          _flatten_attractors, _form_coeffs, _form_map,
                          _orbit, _OrbitMap, _pair_rows, _rational_map,
                          _roots_rows, _select_seed_rows, _step_work)
@@ -140,6 +142,89 @@ def test_worker_count_does_not_change_bytes():
     assert np.array_equal(maps.outcome, multi.outcome)
     assert np.array_equal(maps.iterations, multi.iterations)
     assert colorize(maps).tobytes() == colorize(multi).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3 * BAND_PIXELS), st.integers(1, 5000))
+def test_bands_cover_the_rows_in_order_within_the_budget(width, height):
+    bands = _bands(width, height)
+    assert bands[0][0] == 0 and bands[-1][1] == height
+    assert all(r1 == next_r0 for (_, r1), (next_r0, _) in
+               zip(bands, bands[1:]))
+    rows = [r1 - r0 for r0, r1 in bands]
+    assert min(rows) >= 1
+    assert all(r * width <= BAND_PIXELS for r in rows) or rows == [1] * height
+    # every band but the last is as full as the budget allows
+    assert all((r + 1) * width > BAND_PIXELS for r in rows[:-1])
+
+
+def _recorded_pools(monkeypatch) -> list:
+    """The worker counts of the thread pools that renders open from now."""
+    pools = []
+
+    class Recorded(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr("ndyn.planes.ThreadPoolExecutor", Recorded)
+    return pools
+
+
+def test_bands_follow_the_grid_not_the_workers(monkeypatch):
+    assert len(_bands(48, 48)) == 1
+    assert len(_bands(240, 240)) == 4
+    # no band holds more pixels than a 32-row band of a 600-wide grid
+    assert max((r1 - r0) * 600 for r0, r1 in _bands(600, 600)) <= 32 * 600
+    pools = _recorded_pools(monkeypatch)
+    producer = catalog_entry("chebyshev-halley").stability_producer
+    parameter_plane(producer, RenderConfig(
+        window=(-1.0, 5.0, -3.0, 3.0), resolution=(48, 48), max_iter=20,
+        workers=2))
+    assert pools == []          # a thumbnail is one band, run in place
+
+
+def _king_plane(cfg):
+    return dynamical_plane(
+        conjugated_form("king", {"beta": -4.0}).reconstruct(), cfg)
+
+
+def _ch_plane(cfg):
+    return parameter_plane(catalog_entry("chebyshev-halley")
+                           .stability_producer, cfg)
+
+
+def _os3_plane(cfg):
+    return parameter_plane(catalog_entry("os3").stability_producer, cfg)
+
+
+# a 3x3 window centred on os3's pole a* = (-76 + i sqrt(1280)) / 18, where
+# a_4 is so large that the centre member fails the Vieta guard
+OS3_POLE_WINDOW = (-4.223722222222222, -4.220722222222222,
+                   1.9861159799998132, 1.9891159799998133)
+
+
+@pytest.mark.parametrize("render, window, resolution, budget", [
+    (_king_plane, (-3.0, 3.0, -3.0, 3.0), (40, 48), 200),
+    # alpha = 0, 0.5, 1, 1.5 on the middle row: special members die
+    (_ch_plane, (-0.625, 2.375, -1.125, 1.125), (12, 9), 24),
+    # the centre member cannot be built: a dead pixel
+    (_os3_plane, OS3_POLE_WINDOW, (3, 3), 3),
+], ids=["dynamical", "affine", "per-pixel"])
+def test_small_bands_on_worker_threads_match_the_default_split(
+        monkeypatch, render, window, resolution, budget):
+    cfg = RenderConfig(window=window, resolution=resolution, max_iter=60)
+    whole = render(dataclasses.replace(cfg, workers=1))
+    assert len(_bands(*resolution)) == 1
+    monkeypatch.setattr("ndyn.planes.BAND_PIXELS", budget)
+    assert len(_bands(*resolution)) >= 3
+    pools = _recorded_pools(monkeypatch)
+    for workers in (1, 2, 3):
+        img = render(dataclasses.replace(cfg, workers=workers))
+        assert np.array_equal(img.outcome, whole.outcome)
+        assert np.array_equal(img.iterations, whole.iterations)
+        assert img.diagnostics == whole.diagnostics
+    assert pools == [2, 3]
 
 
 def test_resolve_workers_sources():
@@ -301,12 +386,6 @@ def test_known_attractors_mark_strange_pixels():
     img = parameter_plane(entry.stability_producer, cfg,
                           known_attractors=(1.0, -1.0))
     assert img.counts()["strange-attractor"] > 0
-
-
-# a 3x3 window centred on os3's pole a* = (-76 + i sqrt(1280)) / 18, where
-# a_4 is so large that the centre member fails the Vieta guard
-OS3_POLE_WINDOW = (-4.223722222222222, -4.220722222222222,
-                   1.9861159799998132, 1.9891159799998133)
 
 
 def test_member_the_family_cannot_build_is_a_dead_pixel():
