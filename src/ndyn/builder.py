@@ -25,8 +25,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (DivisionByZeroMap, NdynError, NotFixingOneZeroInfinity,
-                     SchemeSyntaxError, UnboundIdentifier, UnknownMethod, ZeroC,
-                     ZeroDenominator)
+                     NotPalindromic, SchemeSyntaxError, UnboundIdentifier,
+                     UnknownMethod, ZeroC, ZeroDenominator)
 from .conjugate import (CHECK_SEED, OperatorForm, extract_normal_form,
                         make_form, mobius_conjugate, rotations,
                         sampled_identity, standard_tau)
@@ -512,7 +512,6 @@ def check_scheme_lambda_odd(scheme: Scheme, ctx: SchemeContext,
 class CatalogEntry:
     name: str
     params: tuple
-    doc: str
     nk: Optional[tuple] = None     # (n, k) of the conjugated d=2 operator
     ast: Optional[Scheme] = None   # parsed scheme (scheme entries)
     form: Optional["FormFamily"] = None  # its members (form entries)
@@ -522,95 +521,67 @@ class CatalogEntry:
     # which affine_fit reads through its closed form, solving no roots
     stability_producer: Optional[Callable] = None
 
-    @property
-    def kind(self) -> str:
-        return "scheme" if self.ast is not None else "form"
-
 
 # The schemes: name -> (text, (n, k) of the conjugated d = 2 operator or
-# None when it is not palindromic, doc, whether its parameter (if any) is
+# None when it is not palindromic, whether its parameter (if any) is
 # charted as a stability family).  The parameters are read from the parse.
 _SCHEMES = {
-    "newton": ("next = z - p(z)/p'(z);", (2, 0),
-               "tangent-line step, quadratic convergence", True),
+    "newton": ("next = z - p(z)/p'(z);", (2, 0), True),
     "traub": ("y = z - p(z)/p'(z);\n"
-              "next = y - p(y)/p'(z);", (3, 1),
-              "two Newton steps reusing the first derivative, third order",
-              True),
+              "next = y - p(y)/p'(z);", (3, 1), True),
     "steffensen": ("next = z - p(z)*p(z) / (p(z + p(z)) - p(z));", None,
-                   "derivative-free step using a forward difference of p",
                    False),
     "traub-steffensen": ("w = z + gamma*p(z);\n"
                          "next = z - gamma*p(z)*p(z) / (p(w) - p(z));", None,
-                         "derivative-free family with a scaled difference "
-                         "node", False),
+                         False),
     "ostrowski": ("y = z - p(z)/p'(z);\n"
                   "next = y - p(y)/p'(z) * p(z)/(p(z) - 2*p(y));", (4, 0),
-                  "Newton step plus a weighted corrector, fourth order", True),
+                  True),
     "king": ("y = z - p(z)/p'(z);\n"
              "next = y - p(y)/p'(z) * (p(z) + (beta + 2)*p(y))"
-             "/(p(z) + beta*p(y));", (4, 2),
-             "one-parameter fourth-order correctors extending the weighted "
-             "step", True),
+             "/(p(z) + beta*p(y));", (4, 2), True),
     "jarratt": ("y = z - (2/3) * p(z)/p'(z);\n"
                 "j = (3*p'(y) + p'(z)) / (2*(3*p'(y) - p'(z)));\n"
-                "next = z - j * p(z)/p'(z);", (4, 0),
-                "two-thirds predictor with a derivative-ratio weight, fourth "
-                "order", True),
+                "next = z - j * p(z)/p'(z);", (4, 0), True),
     "wang": ("y = z - (2/3) * p(z)/p'(z);\n"
              "j = (3*p'(y) + p'(z)) / (6*p'(y) - 2*p'(z));\n"
              "w = z - j * p(z)/p'(z);\n"
-             "next = w - p(w)/p'(w);", (8, 0),
-             "derivative-ratio predictor followed by a fresh Newton step",
-             True),
+             "next = w - p(w)/p'(w);", (8, 0), True),
     "amat": ("u = p(z)/p'(z);\n"
              "h = (p'(z - (2/3)*u) - p'(z)) / p'(z);\n"
              "next = z - u + (3/4)*u*h * (1 + beta*h)"
-             "/(1 + (3/2 + beta)*h);", (4, 2),
-             "fourth-order family built from a relative derivative increment",
-             True),
+             "/(1 + (3/2 + beta)*h);", (4, 2), True),
     "chun": ("y = z - (2/3) * p(z)/p'(z);\n"
              "j = (3*p'(y) + p'(z)) / (2*(3*p'(y) - p'(z)));\n"
              "w = z - j * p(z)/p'(z);\n"
              "next = w - p(w) / (alpha*(w - z)*(w - y)"
-             " + (3/2)*j*p'(y) + (1 - (3/2)*j)*p'(z));", (8, 0),
-             "sixth-order family mixing secant-like and derivative terms; "
-             "only the alpha=0 member conjugates to the mirrored shape",
-             False),
+             " + (3/2)*j*p'(y) + (1 - (3/2)*j)*p'(z));", (8, 0), False),
     "chebyshev-halley": ("y = z - p(z)/p'(z);\n"
                          "L = p(z)*p''(z) / (p'(z)*p'(z));\n"
                          "next = y - (1/2) * L/(1 - alpha*L) * p(z)/p'(z);",
-                         (3, 1),
-                         "classical one-parameter family using second "
-                         "derivatives", True),
+                         (3, 1), True),
 }
 
 
 # The form families: d = 2 normal forms whose coefficients a_1..a_k are
 # closed forms in one parameter t.
-# name -> (parameter, (n, k) of a generic member, t -> (a_1..a_k), doc)
+# name -> (parameter, (n, k) of a generic member, t -> (a_1..a_k))
 _FORMS = {
-    "c-family": ("c", (3, 3), lambda c: (4.0, 5.0, 2.0 - 4.0 * c),
-                 "cubic-over-cubic family whose last coefficient moves with c"),
+    "c-family": ("c", (3, 3), lambda c: (4.0, 5.0, 2.0 - 4.0 * c)),
     "m4": ("beta", (4, 4),
-           lambda beta: (6.0, 14.0, 14.0, (5.0 * beta - 1.0) / beta),
-           "three-step frozen-derivative family, quartic normal form"),
-    "os2": ("a", (5, 3), lambda a: (6.0 + a, 14.0 + 4.0 * a, 14.0 + 5.0 * a),
-            "weighted two-step subfamily with quintic local degree"),
+           lambda beta: (6.0, 14.0, 14.0, (5.0 * beta - 1.0) / beta)),
+    "os2": ("a", (5, 3), lambda a: (6.0 + a, 14.0 + 4.0 * a, 14.0 + 5.0 * a)),
     "os3": ("a", (4, 4),
             lambda a: (6.0 + a, 14.0 + 4.0 * a, 14.0 + 5.0 * a,
                        5.0 * (14.0 + 5.0 * a) ** 2
-                       / (196.0 + 76.0 * a + 9.0 * a * a)),
-            "subfamily whose last coefficient depends rationally on a"),
-    "os4": ("b", (4, 4), lambda b: (2.0, -2.0, -6.0, 4.0 * b - 3.0),
-            "subfamily with z=1 superattracting for every parameter"),
+                       / (196.0 + 76.0 * a + 9.0 * a * a))),
+    "os4": ("b", (4, 4), lambda b: (2.0, -2.0, -6.0, 4.0 * b - 3.0)),
     # the coefficient sum vanishes identically, so make_form divides the
     # shared factor (z - 1) out of every member, which loses one
     # coefficient and carries a global sign -1
     "os5": ("a", (4, 3),
             lambda a: (6.0 + a, 14.0 + 4.0 * a, 14.0 + 5.0 * a,
-                       -35.0 - 10.0 * a),
-            "degenerate subfamily: the coefficient sum vanishes identically"),
+                       -35.0 - 10.0 * a)),
 }
 
 
@@ -624,6 +595,9 @@ class FormFamily:
     z^3 (z + 2)/(1 + 2 z), as chebyshev-halley at alpha = 0), and a
     vanishing bottom coefficient of P joins z^n.  closed_form(t) hands out
     the unreduced (n, a(t)) itself, so a fit reads it with no root solve.
+    A member is z^n P / P-hat by construction, so one whose roots fail
+    make_form's coefficient guard (an a(t) too large to solve, as near a
+    pole) is refused as the pole itself is, with ZeroDenominator.
     """
     name: str
     param: str
@@ -640,7 +614,12 @@ class FormFamily:
                                   f"by zero at this {self.param}") from None
 
     def __call__(self, t) -> OperatorForm:
-        return make_form(*self.closed_form(t))
+        try:
+            return make_form(*self.closed_form(t))
+        except NotPalindromic:
+            raise ZeroDenominator(f"the closed form of {self.name} is too "
+                                  f"near a pole at this {self.param} for "
+                                  f"its roots to be solved") from None
 
 
 def _scheme_member(method, param: Optional[str], bindings: dict,
@@ -653,22 +632,22 @@ def _scheme_member(method, param: Optional[str], bindings: dict,
     return conjugated_form(method, bindings, c=c)
 
 
-def _scheme_entry(name, text, nk, doc, stability) -> CatalogEntry:
+def _scheme_entry(name, text, nk, stability) -> CatalogEntry:
     ast = parse_scheme(text)
     param = ast.params[0] if ast.params else None
     return CatalogEntry(
-        name=name, params=ast.params, doc=doc, nk=nk, ast=ast,
+        name=name, params=ast.params, nk=nk, ast=ast,
         stability_param=param if stability else None,
         stability_producer=(partial(_scheme_member, name, param, {}, 1.0)
                             if stability else None))
 
 
-def _form_entry(name, param, nk, coeffs, doc) -> CatalogEntry:
+def _form_entry(name, param, nk, coeffs) -> CatalogEntry:
     form = FormFamily(name, param, nk[0], coeffs)
     # m4 is charted by alpha = a_4 = (5 beta - 1)/beta, in which a is affine
     chart = form if name != "m4" else FormFamily(
         name, "alpha", nk[0], lambda alpha: (6.0, 14.0, 14.0, alpha))
-    return CatalogEntry(name=name, params=(param,), doc=doc, nk=nk, form=form,
+    return CatalogEntry(name=name, params=(param,), nk=nk, form=form,
                         stability_param=chart.param, stability_producer=chart)
 
 

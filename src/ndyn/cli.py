@@ -356,7 +356,7 @@ def cmd_stability(args) -> int:
 
 def cmd_dynplane(args) -> int:
     label, entry, ast, bindings, c = _source(args)
-    if entry is not None and entry.kind == "form":     # it has no c
+    if entry is not None and entry.form is not None:  # it has no c
         _refuse_c(args, label)
     form = conjugated_form(args.method or ast, bindings, c=c)
     cfg = _render_config(args)

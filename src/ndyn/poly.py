@@ -398,8 +398,8 @@ def _pair_conjugates(clusters) -> list:
     below it nearest conj(r), if within 2 Im r, become conj(m) and m with
     m = (r + conj(s)) / 2, conj(m) in the earlier of their two slots, so a
     pair reads its negative imaginary part first.  Any other r is real up
-    to rounding and stays."""
-    out = list(clusters)
+    to rounding and reads as exactly real, Re r."""
+    out = [(complex(r.real), mult) for r, mult in clusters]
     lower = [j for j, (s, _) in enumerate(clusters) if s.imag < 0]
     for i, (r, mult) in enumerate(clusters):
         near = [j for j in lower if clusters[j][1] == mult

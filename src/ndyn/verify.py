@@ -117,16 +117,11 @@ def suite_root_sums() -> SuiteResult:
             if min(abs(u - 1.0), abs(u + 1.0)) >= 5e-2 and abs(u) >= 5e-2:
                 roots.append(u)
         P = Polynomial(np.polynomial.polynomial.polyfromroots(roots))
-        direct_plus = sum((1 + u) / (1 - u) for u in roots)
-        direct_minus = sum((1 - u) / (1 + u) for u in roots)
-        got_plus = moebius_sum(P, "+")
-        got_minus = moebius_sum(P, "-")
-        scale = max(1.0, abs(direct_plus))
-        res.check(abs(got_plus - direct_plus) <= 1e-8 * scale,
-                  f"plus sum off by {abs(got_plus - direct_plus):.2e}")
-        scale = max(1.0, abs(direct_minus))
-        res.check(abs(got_minus - direct_minus) <= 1e-8 * scale,
-                  f"minus sum off by {abs(got_minus - direct_minus):.2e}")
+        for sign, word, r in (("+", "plus", 1.0), ("-", "minus", -1.0)):
+            direct = sum((1 + r * u) / (1 - r * u) for u in roots)
+            miss = abs(moebius_sum(P, sign) - direct)
+            res.check(miss <= 1e-8 * max(1.0, abs(direct)),
+                      f"{word} sum off by {miss:.2e}")
     return res
 
 
@@ -254,45 +249,36 @@ def suite_symmetry() -> SuiteResult:
 
 
 def _region_for(name):
-    entry = catalog_entry(name)
-    lc = linearize(entry.stability_producer)
-    return stability_region_z1(lc)
+    return stability_region_z1(
+        linearize(catalog_entry(name).stability_producer))
+
+
+# the z = 1 stability circles: family -> (centre, radius, attracting side,
+# superattracting parameter or None, tolerance)
+_REGION_GOLDENS = {
+    "chebyshev-halley": (13.0 / 6.0, 1.0 / 3.0, "inside", 2.0, 1e-12),
+    "king": (-226.0 / 55.0, 16.0 / 55.0, "inside", -4.0, 1e-12),
+    "c-family": (3.0, 8.0, "outside", None, 1e-9),
+    "m4": (-35.0, 128.0, "outside", None, 1e-9),
+}
 
 
 def suite_region_goldens() -> SuiteResult:
     """Stability regions land on their known centers, radii, thresholds."""
     res = SuiteResult("region-goldens")
-    reg = _region_for("chebyshev-halley")
-    res.check(reg.kind == "circle"
-              and abs(reg.center - 13.0 / 6.0) <= 1e-12
-              and abs(reg.radius - 1.0 / 3.0) <= 1e-12
-              and reg.attracting_side == "inside",
-              f"circle family: {reg.kind} {reg.center} {reg.radius}")
-    res.check(abs(reg.superattracting_parameter - 2.0) <= 1e-12,
-              "circle family: superattracting parameter")
-    reg = _region_for("king")
-    res.check(reg.kind == "circle"
-              and abs(reg.center + 226.0 / 55.0) <= 1e-12
-              and abs(reg.radius - 16.0 / 55.0) <= 1e-12
-              and reg.attracting_side == "inside",
-              f"two-step family: {reg.kind} {reg.center} {reg.radius}")
-    res.check(abs(reg.superattracting_parameter + 4.0) <= 1e-12,
-              "two-step family: superattracting parameter")
-    reg = _region_for("c-family")
-    res.check(reg.kind == "circle"
-              and abs(reg.center - 3.0) <= 1e-9
-              and abs(reg.radius - 8.0) <= 1e-9
-              and reg.attracting_side == "outside",
-              f"cubic family: {reg.kind} {reg.center} {reg.radius}")
+    for name, (center, radius, side, sa, tol) in _REGION_GOLDENS.items():
+        reg = _region_for(name)
+        res.check(reg.kind == "circle"
+                  and abs(reg.center - center) <= tol
+                  and abs(reg.radius - radius) <= tol
+                  and reg.attracting_side == side,
+                  f"{name}: {reg.kind} {reg.center} {reg.radius}")
+        if sa is not None:
+            res.check(abs(reg.superattracting_parameter - sa) <= tol,
+                      f"{name}: superattracting parameter")
     reg = _region_for("os4")
     res.check(reg.superattracting_everywhere,
-              f"always-superattracting family: {reg.kind}")
-    reg = _region_for("m4")
-    res.check(reg.kind == "circle"
-              and abs(reg.center + 35.0) <= 1e-9
-              and abs(reg.radius - 128.0) <= 1e-9
-              and reg.attracting_side == "outside",
-              f"fourth-order family: {reg.kind} {reg.center} {reg.radius}")
+              f"os4 is not superattracting everywhere: {reg.kind}")
     try:
         _region_for("os5")
         res.check(False, "degenerate family not detected")
@@ -308,12 +294,11 @@ def suite_region_oracle() -> SuiteResult:
     cases = [("chebyshev-halley", (-1.0, 5.0, -3.0, 3.0)),
              ("king", (-8.0, 8.0, -8.0, 8.0))]
     for name, (x0, x1, y0, y1) in cases:
-        entry = catalog_entry(name)
-        region = stability_region_z1(linearize(entry.stability_producer))
         draws = (complex(rng.uniform(x0, x1), rng.uniform(y0, y1))
                  for _ in range(150))
         for t, verdict, cls, agree in oracle_agreement(
-                region, entry.stability_producer, draws):
+                _region_for(name), catalog_entry(name).stability_producer,
+                draws):
             res.check(agree, f"{name} t={t:.6g}: {verdict} vs {cls}")
     return res
 

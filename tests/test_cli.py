@@ -1,6 +1,7 @@
 """End-to-end command line checks: exit codes, JSON payloads, files."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ from ndyn.builder import (MAX_STATEMENT_TOKENS, _lex, catalog_entry,
                           conjugated_form)
 from ndyn.cli import (UsageError, _fmt_complex, _form_payload, main,
                       parse_complex_literal)
+from ndyn.errors import ZeroDenominator
 from ndyn.poly import point_key
 
 KING_SCHEME = ("y = z - p(z)/p'(z);\n"
@@ -259,6 +261,24 @@ def test_form_family_without_binding_is_a_computation_error(capsys, method,
     code, out, err = run(capsys, "build", "--method", method)
     assert code == 2 and out == ""
     assert err == f"error: unbound identifier {param!r} (no binding supplied)\n"
+
+
+@pytest.mark.parametrize("method,binding", [
+    # |a_4| of os3 is ~5e16 here, next to its pole 196 + 76a + 9a^2 = 0
+    ("os3", "a=-4.222222222222222+1.9876159799998132i"),
+    ("m4", "beta=0.0000000000000001"),      # a_4 = (5 beta - 1)/beta
+])
+def test_member_next_to_a_pole_is_refused_as_a_pole(capsys, method, binding):
+    # such a member's roots fail the Vieta guard; the family says why
+    param = binding.split("=")[0]
+    code, out, err = run(capsys, "build", "--method", method,
+                         "--param", binding)
+    assert (code, out) == (2, "")
+    assert err == (f"error: the closed form of {method} is too near a pole "
+                   f"at this {param} for its roots to be solved\n")
+    with pytest.raises(ZeroDenominator, match=f"{method} .* {param} "):
+        conjugated_form(method, {param: parse_complex_literal(
+            binding.split("=")[1])})
 
 
 def test_non_ascii_digit_in_a_scheme_is_a_located_error(tmp_path, capsys):
@@ -732,6 +752,22 @@ def test_catalog_listing(capsys):
     assert "n=4 k=2" in king and "beta" in king
     steff = next(line for line in lines if line.startswith("steffensen"))
     assert "not palindromic" in steff
+
+
+def test_readme_catalog_table_matches_the_listing(capsys):
+    # README's table: method | n | k | parameters (notes after " (") | ...
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    table = readme.split("\n| method | n | k | parameters |")[1]
+    rows = []
+    for line in table.split("\n\n")[0].splitlines()[2:]:
+        name, n, k, params = (c.strip() for c in line.split("|")[1:5])
+        shape = n if n == "not palindromic" else f"n={n} k={k}"
+        rows.append((name, shape, params.split(" (")[0] or "-"))
+    _, listing, _ = run(capsys, "catalog")
+    listed = [(line[:18].strip(), line[19:37].strip(),
+               line.split("params: ")[1]) for line in listing.splitlines()]
+    assert rows == listed
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from ndyn import (
     write_image,
     write_metadata,
 )
-from ndyn.builder import conjugated_form
+from ndyn.builder import _scheme_member, conjugated_form, parse_scheme
 from ndyn.conjugate import make_form
 from ndyn.errors import NdynError, ZeroDenominator
 from ndyn.planes import (BAND_PIXELS, CONV_RADIUS, INFINITY_RADIUS,
@@ -480,6 +481,30 @@ def test_pair_index_selector_agrees_with_default_rule():
                              selector=1)
     assert second.diagnostics["no_free_critical"] == 64
     assert second.counts()["none"] == 64
+
+
+# a King step, then a Newton step: two distinct free pairs at each beta
+KING_NEWTON = ("y = z - p(z)/p'(z);\n"
+               "w = y - p(y)/p'(z)*(p(z)+(beta+2)*p(y))/(p(z)+beta*p(y));\n"
+               "next = w - p(w)/p'(w);")
+
+
+def test_pair_index_selector_follows_either_of_two_free_pairs():
+    producer = partial(_scheme_member, parse_scheme(KING_NEWTON), "beta", {},
+                       1.0)
+    cfg = RenderConfig(window=(-3.0, 3.0, -3.0, 3.0), resolution=(8, 8),
+                       max_iter=40)
+    default = parameter_plane(producer, cfg)
+    assert default.diagnostics["multiple_free_pairs"] == 64
+    assert default.counts()["none"] == 64
+    first, second = (parameter_plane(producer, cfg, selector=i)
+                     for i in (0, 1))
+    for img in (first, second):
+        assert img.diagnostics["multiple_free_pairs"] == 0
+        assert img.diagnostics["no_free_critical"] == 0
+        assert img.counts()["none"] == 0
+    assert (first.counts()["root-0"], second.counts()["root-0"]) == (2, 44)
+    assert int((first.outcome != second.outcome).sum()) == 44
 
 
 def test_negative_pair_index_is_rejected():

@@ -33,7 +33,7 @@ def cases():
     out = []
     for name in catalog_names():
         entry = catalog_entry(name)
-        if entry.kind != "scheme":
+        if entry.ast is None:
             continue
         bindings = ([{entry.params[0]: t} for t in _parameters()]
                     if entry.params else [{}])
