@@ -606,12 +606,15 @@ class FormFamily:
 
     def closed_form(self, t) -> tuple:
         """(n, a(t)) as the closed form gives it; a pole raises
-        ZeroDenominator."""
+        ZeroDenominator and an overflow NdynError."""
         try:
             return self.n, self.coeffs(complex(t))
         except ZeroDivisionError:
             raise ZeroDenominator(f"the closed form of {self.name} divides "
                                   f"by zero at this {self.param}") from None
+        except OverflowError:
+            raise NdynError(f"the closed form of {self.name} overflows at "
+                            f"this {self.param}") from None
 
     def __call__(self, t) -> OperatorForm:
         try:

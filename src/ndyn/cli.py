@@ -18,6 +18,9 @@ import functools
 import json
 import re
 import sys
+from dataclasses import is_dataclass
+
+import numpy as np
 
 from .analysis import classify_operator, critical_points
 from .builder import (NUMBER, SchemeContext, _scheme_member, catalog_entry,
@@ -64,34 +67,50 @@ def parse_complex_literal(text: str) -> complex:
     return value
 
 
-def _fmt_real(x: float) -> str:
-    x = float(x)
-    if x == 0.0:
-        x = 0.0
-    return f"{x:.12g}"
-
-
-def _fmt_complex(z) -> str:
+def _fmt_number(z) -> str:
+    """A printed number: INF as inf, else each part at 12 significant
+    digits, a part within 1e-12 of a finite nonzero modulus read as 0 and
+    a zero part left out (3, 2.5i, 1-2i).  A value whose modulus is not
+    finite prints its parts (inf, -inf, nan)."""
     if is_inf(z):
         return "inf"
     z = complex(z)
-    re_, im = z.real, z.imag
-    mag = abs(z)
-    if mag > 0.0:
+    re_, im, mag = z.real, z.imag, abs(z)
+    if mag > 0.0 and cmath.isfinite(mag):
         if abs(im) <= 1e-12 * mag:
             im = 0.0
         if abs(re_) <= 1e-12 * mag:
             re_ = 0.0
     if im == 0.0:
-        return _fmt_real(re_)
+        return f"{re_ + 0.0:.12g}"          # + 0.0 prints -0.0 as 0
     if re_ == 0.0:
-        return _fmt_real(im) + "i"
-    sign = "+" if im > 0 else "-"
-    return f"{_fmt_real(re_)}{sign}{_fmt_real(abs(im))}i"
+        return f"{im:.12g}i"
+    return f"{re_:.12g}{im:+.12g}i"
+
+
+def _plain(value):
+    """The JSON value of a payload value: every number but an int by
+    _fmt_number, None, strings, bools and ints as they are, dicts, lists,
+    tuples and arrays walked, and a record as its fields (cls printed as
+    class)."""
+    if isinstance(value, (float, complex)) or is_inf(value):
+        return _fmt_number(value)
+    if value is None or isinstance(value, (str, int)):
+        return value
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in value]
+    if is_dataclass(value):
+        return {("class" if key == "cls" else key): _plain(v)
+                for key, v in vars(value).items()}
+    if isinstance(value, (np.bool_, np.integer)):
+        return value.item()
+    return _fmt_number(value)
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(_plain(payload), indent=2))
 
 
 # ----------------------------------------------------------------------
@@ -220,15 +239,8 @@ def _write_outputs(img, args, extra: dict) -> None:
 # subcommands
 
 def _form_payload(label: str, form) -> dict:
-    return {
-        "method": label,
-        "n": form.n,
-        "k": form.k,
-        "sign": form.sign,
-        "degenerate": bool(form.degenerate),
-        "a": [_fmt_complex(v) for v in form.a],
-        "roots": [_fmt_complex(v) for v in form.roots],
-    }
+    return {"method": label, "n": form.n, "k": form.k, "sign": form.sign,
+            "degenerate": form.degenerate, "a": form.a, "roots": form.roots}
 
 
 def cmd_build(args) -> int:
@@ -240,58 +252,25 @@ def cmd_build(args) -> int:
 def cmd_analyze(args) -> int:
     (label, _, ast, bindings, c), form = _get_form(args)
     info = classify_operator(form)
-    payload = _form_payload(label, form)
-    payload["order_at_roots"] = form.n
-    payload["parity"] = info["parity"]
-    payload["one"] = info["one"]
-    payload["minus_one"] = info["minus_one"]
-    if "cycle_multiplier" in info:
-        payload["cycle_multiplier"] = _fmt_complex(info["cycle_multiplier"])
-    payload["fixed_points"] = [
-        {"point": _fmt_complex(r.point),
-         "multiplier": _fmt_complex(r.multiplier),
-         "class": r.cls,
-         "strange": bool(r.strange)}
-        for r in info["fixed_points"]]
-    R = info["map"]
-    payload["critical_points"] = [
-        {"point": _fmt_complex(r.point),
-         "multiplicity": r.multiplicity,
-         "free": bool(r.free),
-         "partner": None if r.partner is None else _fmt_complex(r.partner)}
-        for r in critical_points(R)]
-    payload["inversion_symmetric"] = bool(check_iota_symmetry(R))
+    R = info.pop("map")
+    payload = {**_form_payload(label, form), "order_at_roots": form.n,
+               **info, "critical_points": critical_points(R),
+               "inversion_symmetric": check_iota_symmetry(R)}
     if ast is not None:
         ctx = SchemeContext(d=2, c=c, bindings=bindings)
         payload["rotation_symmetry"] = {
-            "d": ctx.d,
-            "holds": bool(check_scheme_lambda_odd(ast, ctx)),
-        }
+            "d": ctx.d, "holds": check_scheme_lambda_odd(ast, ctx)}
     _emit(payload)
     return 0
 
 
 def _region_payload(reg) -> dict:
-    out = {"kind": reg.kind}
+    """The region's set fields but its target; a not-applicable region is
+    its kind alone."""
     if reg.kind == "not-applicable":
-        return out
-    if reg.center is not None:
-        out["center"] = _fmt_complex(reg.center)
-    if reg.radius is not None:
-        out["radius"] = _fmt_real(reg.radius)
-    if reg.threshold is not None:
-        out["threshold"] = _fmt_real(reg.threshold)
-    if reg.attracting_side is not None:
-        out["attracting_side"] = reg.attracting_side
-    if reg.superattracting_parameter is not None:
-        out["superattracting_parameter"] = _fmt_complex(
-            reg.superattracting_parameter)
-    out["superattracting_everywhere"] = bool(reg.superattracting_everywhere)
-    out["indifferent_everywhere"] = bool(reg.indifferent_everywhere)
-    if reg.aggregates:
-        out["aggregates"] = {key: _fmt_real(val)
-                             for key, val in reg.aggregates.items()}
-    return out
+        return {"kind": reg.kind}
+    return {key: v for key, v in vars(reg).items()
+            if key != "target" and v is not None}
 
 
 def _refuse_c(args, label: str) -> None:
@@ -340,17 +319,10 @@ def _family(args):
 def cmd_stability(args) -> int:
     label, pname, producer = _family(args)
     lc = linearize(producer)
-    payload = {
-        "method": label,
-        "parameter": pname,
-        "n": lc.n,
-        "k": lc.k,
-        "A": [_fmt_real(v) for v in lc.A],
-        "B": [_fmt_real(v) for v in lc.B],
-        "z=1": _region_payload(stability_region_z1(lc)),
-        "z=-1": _region_payload(stability_region_zm1(lc)),
-    }
-    _emit(payload)
+    _emit({"method": label, "parameter": pname, "n": lc.n, "k": lc.k,
+           "A": lc.A, "B": lc.B,
+           "z=1": _region_payload(stability_region_z1(lc)),
+           "z=-1": _region_payload(stability_region_zm1(lc))})
     return 0
 
 

@@ -32,12 +32,13 @@ from operator import mul
 
 import numpy as np
 
-from .errors import (DegenerateMobius, NotFixingOneZeroInfinity,
+from .errors import (DegenerateMobius, NdynError, NotFixingOneZeroInfinity,
                      NotPalindromic, ZeroC)
+from .poly import (INF, Polynomial, RationalMap, _cofactors, _substitute,
+                   _trim, deflate_pm_one, is_inf, point_key, rat_make,
+                   root_clusters)
 # poly_roots stays bound for bench/test_bench.py's tracer check
-from .poly import (INF, Polynomial, RationalMap, _cofactors,  # noqa: F401
-                   _substitute, _trim, deflate_pm_one, is_inf, point_key,
-                   poly_roots, rat_make, root_clusters)
+from .poly import poly_roots  # noqa: F401
 
 MIRROR_REL = 1e-9        # palindromicity tolerance on mirrored coefficients
 SYMMETRY_REL = 1e-9      # sampled-identity tolerance for symmetry checks
@@ -166,11 +167,16 @@ def make_form(n: int, a, sign: int = 1) -> OperatorForm:
     them) with r s within 1e-6 of 1 send P and P-hat to poly._cofactors; a
     common factor found is self-reciprocal, so it cancels keeping sign and
     n, and the quotient is made again.  So the form re-extracts from its map
-    as made.
+    as made.  A non-finite a_j is refused with NdynError, as Polynomial
+    refuses one: the +-1 test would read it as a root.
     """
-    a = tuple(a)
-    q, counts = deflate_pm_one(np.array((1.0,) + a, np.complex128)[::-1])
-    k = len(a) - sum(counts)
+    row = np.array((1.0, *a), np.complex128)
+    finite = np.isfinite(row)
+    if not finite.all():
+        raise NdynError(f"coefficient a_{finite.argmin()} of the normal form "
+                        "is not finite")
+    q, counts = deflate_pm_one(row[::-1])
+    k = row.size - 1 - sum(counts)
     p_hat = _trim(q[k::-1], MIRROR_REL)
     n += k + 1 - p_hat.size
     sign *= (-1) ** counts[0]

@@ -60,10 +60,11 @@ import numpy as np
 
 from .conjugate import common_shape
 from .errors import NdynError
+from .poly import (CLUSTER_REL, RationalMap, _divide_rows, deflate_anchored,
+                   is_inf)
 # poly_roots is unused here but stays bound: bench/test_bench.py checks that
 # the tracer patches and restores it through this module
-from .poly import (CLUSTER_REL, RationalMap, _divide_rows,  # noqa: F401
-                   deflate_anchored, is_inf, poly_roots)
+from .poly import poly_roots  # noqa: F401
 from .stability import affine_fit
 
 OUTCOME_NONE = 0

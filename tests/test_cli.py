@@ -1,16 +1,19 @@
 """End-to-end command line checks: exit codes, JSON payloads, files."""
 
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from ndyn.analysis import FixedPointRecord
 from ndyn.builder import (MAX_STATEMENT_TOKENS, _lex, catalog_entry,
                           conjugated_form)
-from ndyn.cli import (UsageError, _fmt_complex, _form_payload, main,
+from ndyn.cli import (UsageError, _fmt_number, _form_payload, _plain, main,
                       parse_complex_literal)
 from ndyn.errors import ZeroDenominator
-from ndyn.poly import point_key
+from ndyn.poly import INF, point_key
 
 KING_SCHEME = ("y = z - p(z)/p'(z);\n"
                "next = y - p(y)/p'(z) * (p(z) + (beta + 2)*p(y))"
@@ -131,7 +134,29 @@ def test_build_prints_correctly_rounded_roots(capsys, method, param, roots):
 @pytest.mark.parametrize("z,text", [(2.5j, "2.5i"), (-3.0j, "-3i"),
                                     (1e-14 + 2.0j, "2i")])
 def test_fmt_complex_prints_a_purely_imaginary_value(z, text):
-    assert _fmt_complex(z) == text
+    assert _fmt_number(z) == text
+
+
+@pytest.mark.parametrize("z,text", [
+    (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+    (complex(1, math.inf), "1+infi"), (complex(math.inf, 0), "inf"),
+    (complex(-math.inf, 1), "-inf+1i"), (-0.0, "0"),
+    (complex(-0.0, -0.0), "0"), (INF, "inf"), (np.float64(0.1), "0.1"),
+    (1.0, "1")])
+def test_fmt_number_prints_the_parts_of_a_value(z, text):
+    # a value whose modulus is not finite prints its parts, never 0
+    assert _fmt_number(z) == text
+
+
+def test_plain_walks_a_payload_to_json_values():
+    record = FixedPointRecord(point=INF, multiplier=0.5 + 0j,
+                              cls="attracting", strange=np.bool_(False))
+    payload = {"n": np.int64(3), "on": True, "name": "x", "none": None,
+               "a": np.array([1.0, -2.5]), "t": (1j,), "p": [record]}
+    assert _plain(payload) == {
+        "n": 3, "on": True, "name": "x", "none": None, "a": ["1", "-2.5"],
+        "t": ["1i"], "p": [{"point": "inf", "multiplier": "0.5",
+                            "class": "attracting", "strange": False}]}
 
 
 SWEEP = {"king": "beta", "amat": "beta", "chebyshev-halley": "alpha",
@@ -151,7 +176,7 @@ def test_build_prints_roots_in_key_order(capsys, method):
             continue
         roots = conjugated_form(method, {param: t}).roots
         assert json.loads(out)["roots"] == [
-            _fmt_complex(r) for r in sorted(roots, key=point_key)], t
+            _fmt_number(r) for r in sorted(roots, key=point_key)], t
 
 
 def test_build_output_is_stable_bytes(capsys):
@@ -242,7 +267,8 @@ def test_form_families_build_analyze_and_render(tmp_path, capsys, method,
                                                  param):
     args = ("--method", method, "--param", f"{param}=1")
     built = run_json(capsys, "build", *args)
-    assert built == _form_payload(method, conjugated_form(method, {param: 1}))
+    assert built == _plain(
+        _form_payload(method, conjugated_form(method, {param: 1})))
     analyzed = run_json(capsys, "analyze", *args)
     assert analyzed["a"] == built["a"]
     assert "rotation_symmetry" not in analyzed
@@ -279,6 +305,46 @@ def test_member_next_to_a_pole_is_refused_as_a_pole(capsys, method, binding):
     with pytest.raises(ZeroDenominator, match=f"{method} .* {param} "):
         conjugated_form(method, {param: parse_complex_literal(
             binding.split("=")[1])})
+
+
+@pytest.mark.parametrize("method,binding,message", [
+    # each closed form overflows to a non-finite a_j, which the +-1
+    # deflation would read as a root and divide out
+    ("c-family", "c=1" + "0" * 308, "coefficient a_3 of the normal form is "
+     "not finite"),
+    ("os4", "b=1" + "0" * 308, "coefficient a_4 of the normal form is not "
+     "finite"),
+    ("m4", "beta=0." + "0" * 318 + "1", "coefficient a_4 of the normal form "
+     "is not finite"),
+    ("os3", "a=1" + "0" * 200, "the closed form of os3 overflows at this a"),
+], ids=["c-family", "os4", "m4", "os3"])
+@pytest.mark.parametrize("command", ["build", "analyze"])
+def test_a_member_with_a_non_finite_coefficient_is_refused(capsys, command,
+                                                           method, binding,
+                                                           message):
+    code, out, err = run(capsys, command, "--method", method,
+                         "--param", binding)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_paramplane_where_the_closed_form_overflows(tmp_path, capsys):
+    out = tmp_path / "huge.ppm"
+    code, _, err = run(capsys, "paramplane", "--method", "os3",
+                       "--window", "1e200,2e200,-1e200,1e200", "--res", "5x5",
+                       "--out", str(out))
+    assert (code, err) == (2, "error: coefficient a_4 of the normal form is "
+                              "not finite\n")
+    assert not out.exists()
+    # a window that also holds buildable members renders; the overflowing
+    # row on the real axis is dead, counted as having no free critical point
+    code, _, err = run(capsys, "paramplane", "--method", "os3",
+                       "--window=-1e200,1e200,-1,1", "--res", "5x5",
+                       "--out", str(out))
+    assert code == 0, err
+    meta = dict(line.split("=", 1) for line in
+                (tmp_path / "huge.ppm.meta").read_text().splitlines())
+    assert int(meta["diag_no_free_critical"]) >= 5
+    assert int(meta["count_none"]) >= 5
 
 
 def test_non_ascii_digit_in_a_scheme_is_a_located_error(tmp_path, capsys):

@@ -15,6 +15,7 @@ in catalog order.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -218,6 +219,20 @@ def test_every_request_is_pinned():
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_request_bytes_match_pin(name):
     assert _digest(name) == PINS[name]
+
+
+@pytest.mark.parametrize("name", [n for n in _names() if n != "catalog"])
+def test_every_printed_number_is_formatted_text(name):
+    # no JSON value is a float: a non-integer number prints as a string
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(_argv(name))
+    if code == 0:
+        json.loads(out.getvalue(), parse_float=lambda text: pytest.fail(
+            f"{name} prints the float {text}"))
+    else:
+        assert (code, out.getvalue()) == (2, "")
 
 
 if __name__ == "__main__":

@@ -118,6 +118,17 @@ def test_make_form_folds_zero_bottom_coefficient():
         assert extract_normal_form(form.reconstruct()) == form
 
 
+@pytest.mark.parametrize("a", [(4.0, 5.0, -np.inf), (4.0, np.nan, 1.0),
+                               (complex(1.0, np.inf), 2.0)])
+def test_make_form_refuses_a_non_finite_coefficient(a):
+    # the +-1 test reads inf <= 1e-8 * inf as a root: (3, (4, 5, -inf))
+    # used to give the finite -z^3 P / P-hat with a = (5, 10)
+    j = next(j for j, v in enumerate(a, 1) if not np.isfinite(v))
+    with pytest.raises(NdynError, match=f"coefficient a_{j} of the normal "
+                                        "form is not finite"):
+        make_form(3, a)
+
+
 def test_make_form_pairs_conjugate_roots_of_a_real_p():
     # P = (z^2 + 0.07 z + 2.7)^2 (z + 2.14): the solver's two clusters of
     # the double pair -0.035 +- 1.643i differ in the last bit of the real part
