@@ -15,8 +15,8 @@ from .builder import (CatalogEntry, SchemeContext, catalog_entry,
                       catalog_names, check_scheme_lambda_odd, conjugated_form,
                       instantiate, parse_scheme)
 from .conjugate import (Mobius, OperatorForm, check_iota_symmetry,
-                        check_lambda_odd, extract_normal_form, make_form,
-                        mobius_conjugate, standard_tau)
+                        extract_normal_form, make_form, mobius_conjugate,
+                        standard_tau)
 from .errors import (DegenerateFamily, NdynError, NonRealCoefficients,
                      NonlinearDependence, NotACycle, NotAFixedPoint,
                      NotPalindromic, PoleAtMinusOne, PoleAtOne,

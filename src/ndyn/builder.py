@@ -492,12 +492,10 @@ def _eval_node(ctx: SchemeContext, zs: np.ndarray, undefined: np.ndarray,
 
 def check_scheme_lambda_odd(scheme: Scheme, ctx: SchemeContext,
                             trials: int = 50) -> bool:
-    """Sampled ctx.d-th root-of-unity equivariance test (seed CHECK_SEED +
-    ctx.d), the scheme evaluated pointwise over all the sampled points at once.
-
-    Equivalent in exact arithmetic to check_lambda_odd on the instantiated
-    map, but immune to the coefficient-level rounding that expanded
-    high-degree operators accumulate.
+    """Sampled test of O(lam z) = lam O(z) for the ctx.d-th roots of unity
+    lam != 1 (seed CHECK_SEED + ctx.d), the scheme evaluated pointwise over
+    all the sampled points at once, so no coefficient-level rounding of an
+    expanded high-degree operator enters it.
     """
     return sampled_identity(partial(evaluate_scheme, scheme, ctx),
                             rotations(ctx.d), trials, CHECK_SEED + ctx.d)
@@ -596,8 +594,9 @@ class FormFamily:
     vanishing bottom coefficient of P joins z^n.  closed_form(t) hands out
     the unreduced (n, a(t)) itself, so a fit reads it with no root solve.
     A member is z^n P / P-hat by construction, so one whose roots fail
-    make_form's coefficient guard (an a(t) too large to solve, as near a
-    pole) is refused as the pole itself is, with ZeroDenominator.
+    make_form's coefficient guard has an a(t) too large to solve (near a
+    pole, or at a huge parameter); it is refused with NdynError, as an
+    overflowing closed form is.
     """
     name: str
     param: str
@@ -620,9 +619,9 @@ class FormFamily:
         try:
             return make_form(*self.closed_form(t))
         except NotPalindromic:
-            raise ZeroDenominator(f"the closed form of {self.name} is too "
-                                  f"near a pole at this {self.param} for "
-                                  f"its roots to be solved") from None
+            raise NdynError(f"the coefficients of {self.name} at this "
+                            f"{self.param} are too large for its roots to "
+                            f"be solved") from None
 
 
 def _scheme_member(method, param: Optional[str], bindings: dict,

@@ -339,8 +339,3 @@ def rotations(d: int) -> list:
 def check_iota_symmetry(R: RationalMap, trials: int = 20) -> bool:
     """Sampled test of iota o R o iota = R, i.e. R(1/z) = 1/R(z)."""
     return sampled_identity(R, [(lambda z: 1.0 / z,) * 2], trials, CHECK_SEED)
-
-
-def check_lambda_odd(R: RationalMap, d: int, trials: int = 50) -> bool:
-    """Sampled test of R(lam z) = lam R(z) for all d-th roots of unity lam."""
-    return sampled_identity(R, rotations(d), trials, CHECK_SEED + d)

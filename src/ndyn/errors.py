@@ -43,12 +43,9 @@ class SchemeSyntaxError(NdynError):
 class UnboundIdentifier(NdynError):
     """An identifier was used in a way the scheme language cannot resolve."""
 
-    def __init__(self, name: str, detail: str = ""):
+    def __init__(self, name: str, detail: str):
         self.name = name
-        msg = f"unbound identifier {name!r}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(f"unbound identifier {name!r} ({detail})")
 
 
 class DivisionByZeroMap(NdynError):

@@ -201,7 +201,7 @@ class _OrbitMap(NamedTuple):
     """
     num: list
     den: list
-    n: object = 0
+    n: object
 
     def take(self, keep) -> "_OrbitMap":
         """The map of the seeds that `keep` (indices or a mask) selects."""
@@ -210,9 +210,9 @@ class _OrbitMap(NamedTuple):
         return _OrbitMap([pick(c) for c in self.num],
                          [pick(c) for c in self.den], pick(self.n))
 
-    def __call__(self, z: np.ndarray, out=None, work=None) -> np.ndarray:
-        """f(z) into `out`, with the intermediates in `work` (_step_work of
-        z.size); either is allocated when not given.
+    def __call__(self, z: np.ndarray, out: np.ndarray, work) -> np.ndarray:
+        """f(z) into `out`, with the intermediates in `work` (three complex
+        arrays and a mask, each of z.size).
 
         Bit for bit the out-of-place poly._horner formula.  No product
         writes over one of its operands: numpy's complex multiply rounds a
@@ -220,7 +220,7 @@ class _OrbitMap(NamedTuple):
         a lone seed would step differently from the same seed in a batch.
         Adds and the divide are exact in place.
         """
-        a, b, c, mask = _step_work(z.size) if work is None else work
+        a, b, c, mask = work
         num, n = _horner_into(self.num, z, a, b), self.n
         per_seed = isinstance(n, np.ndarray)
         for m in range(n.max(initial=0) if per_seed else n):
@@ -231,12 +231,7 @@ class _OrbitMap(NamedTuple):
             num = dst
         den = _horner_into(self.den, z, _other(num, a, b), c)
         # out= keeps one value per seed when both polynomials are constant
-        return np.divide(num, den, out=np.empty_like(z) if out is None else out)
-
-
-def _step_work(size: int) -> list:
-    """Intermediates of one _OrbitMap step: three complex arrays and a mask."""
-    return _one_block(size, 3 * [np.complex128] + [bool])
+        return np.divide(num, den, out=out)
 
 
 def _one_block(size: int, dtypes) -> list:
@@ -508,18 +503,17 @@ def _family_terms(n, A: np.ndarray, B: np.ndarray) -> np.ndarray:
                            _pair_terms(n, pB, qB)])
 
 
-def _deflate_shared(T: np.ndarray) -> tuple:
+def _deflate_shared(T: np.ndarray) -> np.ndarray:
     """Divide the anchored factors (w -+ 2) that every nonzero row of T has
-    out of all rows, once; each factor drops the top column.  Returns the
-    rows and the number of factors of each anchor."""
+    out of all rows, once; each factor drops the top column."""
     nonzero = np.abs(T).sum(axis=1) > 0
     if not nonzero.any():
-        return T, np.zeros(len(_ANCHORS), int)
+        return T
     shared = deflate_anchored(T, _ANCHORS)[1][nonzero].min(axis=0)
     for r, m in zip(_ANCHORS, shared):
         for _ in range(m):
             T = _divide_rows(T, r)
-    return T, shared
+    return T
 
 
 def _roots_rows(C: np.ndarray) -> np.ndarray:
@@ -636,7 +630,7 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
 
     if fit is not None:
         # shared by every t, so divided out of the terms once per render
-        T, _ = _deflate_shared(_family_terms(fit.n, fit.A, fit.B))
+        T = _deflate_shared(_family_terms(fit.n, fit.A, fit.B))
 
     def work(ts):
         if fit is None:

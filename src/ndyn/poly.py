@@ -336,10 +336,6 @@ class RationalMap:
         return f"RationalMap({list(self.num.coeffs)!r}, {list(self.den.coeffs)!r})"
 
 
-def identity_map() -> RationalMap:
-    return RationalMap(Polynomial.identity(), Polynomial.one())
-
-
 def constant_map(value: complex) -> RationalMap:
     return RationalMap(Polynomial((value,)), Polynomial.one())
 

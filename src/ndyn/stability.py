@@ -115,7 +115,7 @@ class StabilityRegion:
     indifferent_everywhere: bool = False
     aggregates: dict = field(default_factory=dict)
 
-    def verdict(self, t: complex, band: float = BOUNDARY_BAND) -> str:
+    def verdict(self, t: complex) -> str:
         """attracting / repelling / indifferent / boundary at one parameter."""
         if self.kind == "not-applicable":
             return "not-applicable"
@@ -130,7 +130,7 @@ class StabilityRegion:
             d, below = abs(t - self.center) - self.radius, "inside"
         else:
             d, below = t.real - self.threshold, "left"
-        if abs(d) <= band:
+        if abs(d) <= BOUNDARY_BAND:
             return "boundary"
         hit = (d < 0) == (self.attracting_side == below)
         return "attracting" if hit else "repelling"
@@ -215,14 +215,13 @@ _AGREES = {"attracting": ("attracting", "superattracting"),
            "indifferent": ("indifferent", "parabolic-candidate")}
 
 
-def oracle_agreement(region: StabilityRegion, family, ts,
-                     band: float = BOUNDARY_BAND):
+def oracle_agreement(region: StabilityRegion, family, ts):
     """Yield (t, verdict, oracle class, agree) per parameter t, checked by
-    classify_strange_at at the region's target; t within `band` of the
-    boundary is yielded as (t, "boundary", None, True), unchecked."""
+    classify_strange_at at the region's target; t within BOUNDARY_BAND of
+    the boundary is yielded as (t, "boundary", None, True), unchecked."""
     target = -1.0 if region.target == "z=-1" else 1.0
     for t in ts:
-        verdict = region.verdict(t, band)
+        verdict = region.verdict(t)
         cls = None if verdict == "boundary" else \
             classify_strange_at(family(t), target)[1]
         yield t, verdict, cls, cls is None or cls in _AGREES.get(verdict, ())

@@ -157,7 +157,7 @@ def test_criterion_04_region_oracle_agreement(capsys):
     draws = (complex(rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0))
              for _ in range(500))
     for t, verdict, cls, agree in oracle_agreement(
-            region, entry.stability_producer, draws, band=1e-6):
+            region, entry.stability_producer, draws):
         if verdict == "boundary":
             continue
         checked += 1
@@ -186,7 +186,7 @@ def test_criterion_05_threshold_families(capsys):
             continue
         drawn += 1
         expected = abs(c - 3.0) > 8.0
-        verdict = region.verdict(c, band=1e-6)
+        verdict = region.verdict(c)
         if verdict == "boundary":
             continue
         region_attracting = verdict == "attracting"

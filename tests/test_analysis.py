@@ -14,8 +14,8 @@ from ndyn.builder import conjugated_form
 from ndyn.conjugate import OperatorForm, make_form
 from ndyn.errors import (NotACycle, NotAFixedPoint, PoleAtMinusOne, PoleAtOne,
                          ZeroPolynomial)
-from ndyn.poly import (INF, Polynomial, RationalMap, identity_map, is_inf,
-                       rat_combine, rat_derivative, rat_eval, rat_make)
+from ndyn.poly import (INF, Polynomial, RationalMap, is_inf, rat_combine,
+                       rat_derivative, rat_eval, rat_make)
 
 from conftest import random_form
 
@@ -185,7 +185,8 @@ def test_moebius_sum_pole():
     # against P-hat, so z = 1 and z = -1 are no 2-cycle of its map
     (partial(classify_operator, OperatorForm(n=2, k=1, a=(-1.0,), sign=-1)),
      NotACycle, "point (1+0j) maps to INF, expected (-1+0j)"),
-    (partial(fixed_points, identity_map()), ZeroPolynomial,
+    (partial(fixed_points, RationalMap(Polynomial.identity(),
+                                       Polynomial.one())), ZeroPolynomial,
      "the map is the identity: every point is fixed"),
 ], ids=["bad-sign", "zero-polynomial", "pole-at-minus-one", "unreduced-form",
         "identity-map"])

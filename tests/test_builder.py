@@ -11,15 +11,14 @@ from ndyn.builder import (MAX_STATEMENT_TOKENS, BinOp, Const, Deriv, Param,
                           catalog_names, check_scheme_lambda_odd,
                           conjugated_form, evaluate_scheme, instantiate,
                           parse_scheme, target_derivative, _lex)
-from ndyn.conjugate import (check_iota_symmetry, check_lambda_odd,
-                            extract_normal_form, mobius_conjugate,
-                            standard_tau)
+from ndyn.conjugate import (check_iota_symmetry, extract_normal_form,
+                            mobius_conjugate, standard_tau)
 from ndyn.errors import (DivisionByZeroMap, NdynError, SchemeSyntaxError,
                          UnboundIdentifier, UnknownMethod, ZeroC,
                          ZeroDenominator)
 from ndyn.cli import main
-from ndyn.poly import (Polynomial, constant_map, identity_map, rat_combine,
-                       rat_eval, rat_make)
+from ndyn.poly import (Polynomial, constant_map, rat_combine, rat_eval,
+                       rat_make)
 
 NEWTON = "next = z - p(z)/p'(z);"
 
@@ -265,7 +264,7 @@ def _eager_instantiate(node, ctx, env):
             env[name] = _eager_instantiate(expr, ctx, env)
         return env["next"]
     if isinstance(node, Var):
-        return identity_map()
+        return poly_map(Polynomial.identity())
     if isinstance(node, Const):
         return constant_map(node.value)
     if isinstance(node, Param):
@@ -547,12 +546,12 @@ def test_degenerate_family_reduces_on_build():
 # and 4, three seeded (c, bindings) draws each, and the verdicts of the
 # sampled symmetry checks on a seeded corpus: check_scheme_lambda_odd on
 # every scheme at d = 2, 3, 4 and trials 20, 50; check_iota_symmetry
-# (trials 20 and 10) and check_lambda_odd (d = 2 and 3) on the reconstructed
-# map of every catalog entry that builds at three seeded parameters.
-# `PYTHONPATH=src python tests/test_builder.py` prints the current digests
-# and the degrees of each instantiate case.
+# (trials 20 and 10) on the reconstructed map of every catalog entry that
+# builds at three seeded parameters.  `PYTHONPATH=src python
+# tests/test_builder.py` prints the current digests, the degrees of each
+# instantiate case and each verdict.
 INSTANTIATE_PIN = "518706e931b293c8040891845a4b06aa4e7974160060388a8c18fee1f2089bd2"
-VERDICTS_PIN = "3b3d86d10cfd46e369fcf76c7567bdf17093504f1eec78d145bd54097faabd45"
+VERDICTS_PIN = "f8a8f0cfd6235f824fac5b9c5572132c9e10bb3127ee87075716695cb93bdc08"
 
 SCHEMES = [n for n in catalog_names() if catalog_entry(n).ast is not None]
 
@@ -583,23 +582,32 @@ def _instantiate_digest():
 
 
 def _verdicts():
+    """(case, check, verdict) of each sampled symmetry check of the corpus."""
     out = []
     rng = np.random.default_rng(0x5E7D1C7)
-    for *_, ast, ctx in _instantiate_corpus():
+    for name, d, draw, ast, ctx in _instantiate_corpus():
         for trials in (20, 50):
-            out.append(check_scheme_lambda_odd(ast, ctx, trials))
+            out.append((f"{name} d={d} draw={draw}",
+                        f"check_scheme_lambda_odd trials={trials}",
+                        check_scheme_lambda_odd(ast, ctx, trials)))
     for name in catalog_names():
         entry = catalog_entry(name)
-        for _ in range(3):
+        for draw in range(3):
             t = complex(rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 1.0))
             bindings = {p: t for p in entry.params}
             try:
                 R = conjugated_form(name, bindings).reconstruct()
             except NdynError:
                 continue
-            out += [check_iota_symmetry(R, 20), check_iota_symmetry(R, 10),
-                    check_lambda_odd(R, 2), check_lambda_odd(R, 3)]
+            for trials in (20, 10):
+                out.append((f"{name} draw={draw}",
+                            f"check_iota_symmetry trials={trials}",
+                            check_iota_symmetry(R, trials)))
     return out
+
+
+def _verdicts_digest(rows):
+    return hashlib.sha256(bytes(v for *_, v in rows)).hexdigest()
 
 
 def test_instantiate_matches_pin():
@@ -607,16 +615,19 @@ def test_instantiate_matches_pin():
 
 
 def test_symmetry_verdicts_match_pin():
-    verdicts = _verdicts()
-    assert 0 < verdicts.count(False) < len(verdicts)
-    assert hashlib.sha256(bytes(verdicts)).hexdigest() == VERDICTS_PIN
+    rows = _verdicts()
+    assert 0 < [v for *_, v in rows].count(False) < len(rows)
+    assert _verdicts_digest(rows) == VERDICTS_PIN
 
 
 if __name__ == "__main__":
     print(_instantiate_digest())
-    print(hashlib.sha256(bytes(_verdicts())).hexdigest())
-    # the (num, den) degrees of each corpus case, so a re-pin shows in a
-    # diff of this output which shapes it changes
+    verdicts = _verdicts()
+    print(_verdicts_digest(verdicts))
+    # the (num, den) degrees of each corpus case and each verdict, so a
+    # re-pin shows in a diff of this output which cases it changes
     for name, d, draw, ast, ctx in _instantiate_corpus():
         R = instantiate(ast, ctx)
         print(f"{name} d={d} draw={draw}: ({R.num.degree}, {R.den.degree})")
+    for case, check, verdict in verdicts:
+        print(f"{case} {check}: {verdict}")

@@ -12,7 +12,7 @@ from ndyn.builder import (MAX_STATEMENT_TOKENS, _lex, catalog_entry,
                           conjugated_form)
 from ndyn.cli import (UsageError, _fmt_number, _form_payload, _plain, main,
                       parse_complex_literal)
-from ndyn.errors import ZeroDenominator
+from ndyn.errors import NdynError, ZeroDenominator
 from ndyn.poly import INF, point_key
 
 KING_SCHEME = ("y = z - p(z)/p'(z);\n"
@@ -293,18 +293,24 @@ def test_form_family_without_binding_is_a_computation_error(capsys, method,
     # |a_4| of os3 is ~5e16 here, next to its pole 196 + 76a + 9a^2 = 0
     ("os3", "a=-4.222222222222222+1.9876159799998132i"),
     ("m4", "beta=0.0000000000000001"),      # a_4 = (5 beta - 1)/beta
-])
-def test_member_next_to_a_pole_is_refused_as_a_pole(capsys, method, binding):
-    # such a member's roots fail the Vieta guard; the family says why
+    # polynomial closed forms, so no pole: |a_3| ~ 4e300 and |a_4| ~ 4e160
+    ("c-family", "c=1" + "0" * 300),
+    ("os4", "b=1" + "0" * 160),
+], ids=["os3-near-pole", "m4-near-pole", "c-family-huge", "os4-huge"])
+def test_member_with_unsolvable_coefficients_is_refused(capsys, method,
+                                                        binding):
+    # such a member's roots fail the Vieta guard, next to a pole or not:
+    # the refusal names the family and the parameter, and no pole
     param = binding.split("=")[0]
     code, out, err = run(capsys, "build", "--method", method,
                          "--param", binding)
     assert (code, out) == (2, "")
-    assert err == (f"error: the closed form of {method} is too near a pole "
-                   f"at this {param} for its roots to be solved\n")
-    with pytest.raises(ZeroDenominator, match=f"{method} .* {param} "):
+    assert err == (f"error: the coefficients of {method} at this {param} "
+                   f"are too large for its roots to be solved\n")
+    with pytest.raises(NdynError, match=f"{method} at this {param} ") as e:
         conjugated_form(method, {param: parse_complex_literal(
             binding.split("=")[1])})
+    assert not isinstance(e.value, ZeroDenominator)
 
 
 @pytest.mark.parametrize("method,binding,message", [
@@ -805,6 +811,24 @@ def test_verify_exit_codes(monkeypatch, capsys):
     assert code == 3
     assert "beta" in out and "FAIL" in out and "broken thing" in out
     assert "2 of 6 checks failed" in out
+
+
+# `ndyn verify` as it prints: each suite's count, so a check that is
+# dropped, added or failed shows here
+VERIFY_OUT = """\
+conjugation-goldens      PASS  40/40
+root-sums                PASS  120/120
+vieta-roundtrip          PASS  73/73
+fixed-point-structure    PASS  240/240
+symmetry-certificates    PASS  63/63
+region-goldens           PASS  8/8
+region-vs-oracle         PASS  300/300
+all 844 checks passed
+"""
+
+
+def test_verify_prints_its_pinned_lines(capsys):
+    assert run(capsys, "verify") == (0, VERIFY_OUT, "")
 
 
 def test_catalog_listing(capsys):

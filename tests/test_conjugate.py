@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import maps_close, random_form
 from ndyn.builder import (SchemeContext, catalog_entry, catalog_names,
                           conjugated_form, instantiate)
-from ndyn.conjugate import (Mobius, check_iota_symmetry, check_lambda_odd,
+from ndyn.conjugate import (Mobius, check_iota_symmetry,
                             OperatorForm, common_shape, extract_normal_form,
                             make_form, mobius_conjugate, rotations,
                             sampled_identity, standard_tau)
@@ -195,7 +195,7 @@ def test_every_form_is_vieta_guarded(monkeypatch, method, bindings):
     # a form family member (os3) is made without extract_normal_form, a
     # scheme (king) through it: the guard reads the roots either way.  A
     # member is z^n P / P-hat by construction, so the family reports its
-    # guard failing as a pole
+    # guard failing as coefficients too large to solve, not as a pole
     clusters = ndyn.conjugate.root_clusters
 
     def shifted(p):
@@ -203,11 +203,12 @@ def test_every_form_is_vieta_guarded(monkeypatch, method, bindings):
         return [(x + 1e-3, 1)] + [(x, m - 1)] * (m > 1) + rest
     monkeypatch.setattr(ndyn.conjugate, "root_clusters", shifted)
     error, match = {
-        "os3": (ZeroDenominator, "os3 is too near a pole at this a"),
+        "os3": (NdynError, "coefficients of os3 at this a are too large"),
         "king": (NotPalindromic, "root/coefficient consistency check failed"),
     }[method]
-    with pytest.raises(error, match=match):
+    with pytest.raises(error, match=match) as refused:
         conjugated_form(method, bindings)
+    assert not isinstance(refused.value, ZeroDenominator)
 
 
 def _a_of(roots):
@@ -421,13 +422,6 @@ def test_iota_symmetry_detection():
     assert check_iota_symmetry(good)
     bad = rat_make(Polynomial((1.0, 0.0, 1.0)), Polynomial((1.0,)))  # z^2+1
     assert not check_iota_symmetry(bad)
-
-
-def test_lambda_odd_detection():
-    cube = rat_make(Polynomial((0.0, 0.0, 0.0, 1.0)), Polynomial((1.0,)))
-    assert check_lambda_odd(cube, 2)      # (-z)^3 == -z^3
-    square = rat_make(Polynomial((0.0, 0.0, 1.0)), Polynomial((1.0,)))
-    assert not check_lambda_odd(square, 2)
 
 
 def test_non_palindromic_method_refused():

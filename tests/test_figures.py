@@ -63,8 +63,10 @@ PINS = {
 }
 
 
-# exact outcome counts of two parameter planes at 300x300
+# exact outcome counts of three parameter planes at 300x300
 COUNTS_300 = {
+    "param_c_family": {"none": 21034, "root-0": 16210, "root-inf": 7910,
+                       "strange-attractor": 44846},
     "param_chebyshev_halley": {"none": 3426, "root-0": 77232,
                                "root-inf": 9342, "strange-attractor": 0},
     "param_king": {"none": 536, "root-0": 79824, "root-inf": 9640,

@@ -34,14 +34,21 @@ from ndyn.planes import (BAND_PIXELS, CONV_RADIUS, INFINITY_RADIUS,
                          OUTCOME_STRANGE, PlaneImage, _bands,
                          _deflate_shared, _family_terms,
                          _flatten_attractors, _form_coeffs, _form_map,
-                         _orbit, _OrbitMap, _pair_rows, _rational_map,
-                         _roots_rows, _select_seed_rows, _step_work)
+                         _one_block, _orbit, _OrbitMap, _pair_rows,
+                         _rational_map, _roots_rows, _select_seed_rows)
 from ndyn.poly import _horner, deflate_anchored, rat_eval, rat_make
 from ndyn.stability import PROBES, affine_fit
 
 from conftest import random_form
 
 Z_SQUARED = rat_make(Polynomial((0.0, 0.0, 1.0)), Polynomial((1.0,)))
+
+
+def _step(f, z):
+    """f(z), its output and intermediates cut from one block as _orbit
+    cuts its work arrays."""
+    out, *work = _one_block(z.size, 4 * [np.complex128] + [bool])
+    return f(z, out, work)
 
 
 def small_cfg(**kw):
@@ -538,7 +545,7 @@ def test_form_rows_evaluate_each_form(rng):
     step = _form_map(*_form_coeffs(lambda t: forms[int(t.real)],
                                    np.arange(7.0)))
     for z in (0.3 + 0.4j, -1.7 + 0.2j, 2.5j):
-        got = step(np.full(7, z))
+        got = _step(step, np.full(7, z))
         want = [rat_eval(f.reconstruct(), z) for f in forms]
         assert np.allclose(got, want, rtol=1e-9, atol=0.0)
 
@@ -609,7 +616,7 @@ def _orbit_reference(z0, f, cfg, attractors, live=None):
                 out[idx[done]], its[idx[done]] = code[done], t
                 keep = ~done
                 idx, z, f = idx[keep], z[keep], f.take(keep)
-            z = f(z)
+            z = _step(f, z)
     return out, its
 
 
@@ -706,15 +713,14 @@ def test_orbit_steps_match_the_out_of_place_formula_bit_for_bit():
     # its output aliases an input, so a lone seed (orbit_outcome, a band's
     # last live seed) would step differently from the same seed in a batch
     rng = np.random.default_rng(30)
-    big = _step_work(80)
-    out = np.empty(80, np.complex128)
+    out, *big = _one_block(80, 4 * [np.complex128] + [bool])
     for size in range(1, 65):
         for _ in range(4):
             z = (rng.uniform(-3, 3, size) + 1j * rng.uniform(-3, 3, size))
             for f in _step_maps(rng, size):
                 want = _step_reference(f, z).view(np.uint64)
                 work = [w[:size] for w in big]
-                for got in (f(z), f(z, out[:size], work)):
+                for got in (_step(f, z), f(z, out[:size], work)):
                     assert np.array_equal(got.view(np.uint64), want), size
 
 
@@ -748,7 +754,7 @@ def test_rational_map_reads_the_zero_low_coefficients_as_n(rng):
         assert f.n == form.n and len(f.num) == form.k + 1
         z = np.array([0.3 + 0.4j, -1.7 + 0.2j, 2.5j])
         want = np.array([rat_eval(R, v) for v in z])
-        assert np.allclose(f(z), want, rtol=1e-12, atol=0.0)
+        assert np.allclose(_step(f, z), want, rtol=1e-12, atol=0.0)
 
 
 def test_pair_rows_fold_the_derivative_numerator(rng):
@@ -859,9 +865,14 @@ def test_family_terms_are_the_pair_rows_as_a_quadratic_in_t(method):
         want = _pair_rows(n, (A + t * B)[None, :])[0]
         got = T[0] + t * (T[1] + t * T[2])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), t
-    deflated, counts = _deflate_shared(T)
+    # multiplied back by its anchored factors, the deflated T is T again
+    deflated = _deflate_shared(T)
     assert deflated.shape == (3, 2)
-    assert tuple(counts) == FAMILY_ANCHORS[method]
+    at_two, at_minus_two = FAMILY_ANCHORS[method]
+    factor = np.polynomial.polynomial.polyfromroots([2.0] * at_two
+                                                    + [-2.0] * at_minus_two)
+    back = np.array([np.convolve(row, factor) for row in deflated])
+    assert np.abs(back - T).max() <= 1e-12 * np.abs(T).max()
 
 
 def test_constant_family_has_no_free_critical_point():

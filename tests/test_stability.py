@@ -193,7 +193,7 @@ def test_amat_region_is_kings_region_reparametrised():
                                   rng.uniform(-0.5, 0.5)) for _ in range(40)]
     seen = set()
     for t, verdict, cls, agree in oracle_agreement(reg, _producer("amat"),
-                                                   draws, band=1e-3):
+                                                   draws):
         assert agree, (t, verdict, cls)
         seen.add(verdict)
     assert seen == {"attracting", "repelling"}
