@@ -22,7 +22,7 @@ import numpy as np
 from .conjugate import multiplier_aggregates, pm_one_image
 from .errors import (NotACycle, NotAFixedPoint, PoleAtMinusOne, PoleAtOne,
                      ZeroPolynomial)
-from .poly import (INF, Polynomial, RationalMap, is_inf, point_key, rat_eval,
+from .poly import (INF, Polynomial, RationalMap, is_inf, rat_eval,
                    root_clusters)
 
 SUPERATTRACTING_TOL = 1e-10
@@ -94,16 +94,14 @@ def fixed_points(R: RationalMap) -> list:
     g = R.num - Polynomial.identity() * R.den
     if g.is_zero():
         raise ZeroPolynomial("the map is the identity: every point is fixed")
-    finite = sorted((point for point, _m in root_clusters(g)),
-                    key=point_key)
     # multiplier_at at each finite point, N' and D' built once
     dnum, dden = R.num.derivative(), R.den.derivative()
     records = []
-    for point in finite:
+    for point, _m in root_clusters(g):
         lam = _slope(R.num, R.den, dnum, dden, point)
         records.append(FixedPointRecord(
             point=complex(point), multiplier=lam,
-            cls=classify_multiplier(lam), strange=abs(point) > 1e-12))
+            cls=classify_multiplier(lam), strange=point != 0))
     if R.num.degree > R.den.degree:
         lam = multiplier_at(R, INF)
         records.append(FixedPointRecord(
@@ -121,24 +119,24 @@ def critical_points(R: RationalMap) -> list:
     multiplicity, so infinity carries the 2d - 2 - deg W that W misses
     (the z^(2d-1) terms of W cancel exactly, so they are dropped).  Free
     critical points (outside {0, infinity}) are matched with their iota
-    partners 1/kappa when present.
+    partners 1/kappa when present: the free point nearest 1/kappa, within
+    PAIR_TOL relative, else infinity when 1/kappa is negligible.
     """
     W = R.num.derivative() * R.den - R.num * R.den.derivative()
     W = Polynomial(W.coeffs[:max(2 * R.degree - 1, 0)])
     finite = root_clusters(W)
     inf_mult = 2 * R.degree - 2 - W.degree
-    points = [p for p, _ in finite]
+    frees = [p for p, _ in finite if p != 0]
     records = []
     for point, mult in finite:
-        free = abs(point) > 1e-12
+        free = point != 0
         partner = None
         if free:
             inv = 1.0 / point
-            for q in points:
-                if abs(q - inv) <= PAIR_TOL * (1.0 + abs(inv)):
-                    partner = complex(q)
-                    break
-            if partner is None and inf_mult >= 1 and abs(inv) < 1e-9:
+            q = min(frees, key=lambda q: abs(q - inv))
+            if abs(q - inv) <= PAIR_TOL * (1.0 + abs(inv)):
+                partner = complex(q)
+            elif inf_mult >= 1 and abs(inv) < 1e-9:
                 partner = INF
         records.append(CriticalPointRecord(
             point=complex(point), multiplicity=int(mult), free=free,

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import (DegenerateMobius, NdynError, NotFixingOneZeroInfinity,
                      NotPalindromic, ZeroC)
 from .poly import (INF, Polynomial, RationalMap, _cofactors, _substitute,
-                   _trim, deflate_pm_one, is_inf, point_key, rat_make,
+                   _trim, deflate_pm_one, is_inf, rat_make,
                    root_clusters)
 # poly_roots stays bound for bench/test_bench.py's tracer check
 from .poly import poly_roots  # noqa: F401
@@ -130,8 +130,7 @@ class OperatorForm:
             raise ValueError(f"a form needs k = len(a) = {len(self.a)} and "
                              f"sign +-1, not k = {self.k}, sign = {self.sign}")
         clusters = root_clusters(self.p_coeffs()) if self.k else ()
-        roots = tuple(sorted((complex(x) for x, m in clusters
-                              for _ in range(m)), key=point_key))
+        roots = tuple(complex(x) for x, m in clusters for _ in range(m))
         if self.k and (abs(sum(roots) + self.a[0])
                        > 1e-8 * (1.0 + abs(self.a[0]))):
             raise NotPalindromic("root/coefficient consistency check failed")

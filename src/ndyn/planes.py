@@ -415,12 +415,12 @@ def dynamical_plane(R: RationalMap, cfg: RenderConfig,
 
 
 def _form_coeffs(family, ts) -> tuple:
-    """(n, a) of the family's forms at each t, in their common shape.
+    """(n, a, error) of the family's forms at each t, in their common shape.
 
     A member the family cannot build (NdynError) gets a NaN row of a, so
     its pair equation has no root and its pixel is dead, counted as having
-    no free critical point.  A band with no member built raises the first
-    member's error.
+    no free critical point.  `error` is the first member's error when no
+    member is built (a is then one NaN column), else None.
     """
     forms, errors = [], []
     for t in ts:
@@ -430,13 +430,12 @@ def _form_coeffs(family, ts) -> tuple:
             forms.append(None)
             errors.append(exc)
     built = np.array([f is not None for f in forms])
-    if not built.any():
-        raise errors[0]
-    n_built, a_built = common_shape([f for f in forms if f is not None])
+    n_built, a_built = (common_shape([f for f in forms if f is not None])
+                        if built.any() else ([], np.empty((0, 1))))
     n = np.zeros(len(forms), int)
     a = np.full((len(forms), a_built.shape[1]), np.nan, np.complex128)
     n[built], a[built] = n_built, a_built
-    return n, a
+    return n, a, None if built.any() else errors[0]
 
 
 def _conv_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -618,7 +617,10 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
     from the pair roots w (see _select_seed_rows), and _orbit follows each
     under its pixel's (n, a) (_form_map).  `selector` is None for the default
     rule (exactly one free pair) or an integer index into a pixel's free
-    pairs, ordered by the argument of their seeds.
+    pairs, ordered by the argument of their seeds.  A member the family
+    cannot build is a dead pixel (_form_coeffs), whatever band holds it; a
+    family that builds no member of the plane refuses it with the first
+    pixel's error.
     """
     if selector is not None and selector < 0:
         raise ValueError("selector must be a nonnegative pair index")
@@ -632,9 +634,13 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
         # shared by every t, so divided out of the terms once per render
         T = _deflate_shared(_family_terms(fit.n, fit.A, fit.B))
 
+    failed = []     # (first t, error) of each band that builds no member
+
     def work(ts):
         if fit is None:
-            n_t, a = _form_coeffs(family, ts)
+            n_t, a, error = _form_coeffs(family, ts)
+            if error is not None:
+                failed.append((ts[0], error))
             Q = _pair_rows(n_t, a)
         else:
             t = ts[:, None]
@@ -647,6 +653,9 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
 
     outcome, iters, no_free, multi = _run_bands(
         cfg, work, (np.int8, np.int32, bool, bool))
+    if len(failed) == len(_bands(cfg.width, cfg.height)):
+        # no member anywhere: the top band's error is the first pixel's
+        raise max(failed, key=lambda f: f[0].imag)[1]
     diagnostics = {
         "no_free_critical": int(no_free.sum()),
         "multiple_free_pairs": int(multi.sum()),

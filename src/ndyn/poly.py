@@ -391,10 +391,9 @@ def _clusters(p: Polynomial, roots: Sequence[complex]):
 def _pair_conjugates(clusters) -> list:
     """Real-coefficient clusters with each non-real pair made exact: a point
     r above the real axis and the unpaired point s of its multiplicity
-    below it nearest conj(r), if within 2 Im r, become conj(m) and m with
-    m = (r + conj(s)) / 2, conj(m) in the earlier of their two slots, so a
-    pair reads its negative imaginary part first.  Any other r is real up
-    to rounding and reads as exactly real, Re r."""
+    below it nearest conj(r), if within 2 Im r, become m and conj(m) with
+    m = (r + conj(s)) / 2.  Any other r is real up to rounding and reads as
+    exactly real, Re r."""
     out = [(complex(r.real), mult) for r, mult in clusters]
     lower = [j for j, (s, _) in enumerate(clusters) if s.imag < 0]
     for i, (r, mult) in enumerate(clusters):
@@ -404,7 +403,7 @@ def _pair_conjugates(clusters) -> list:
             j = min(near, key=lambda j: abs(clusters[j][0] - r.conjugate()))
             lower.remove(j)
             m = (r + clusters[j][0].conjugate()) / 2.0
-            out[min(i, j)], out[max(i, j)] = (m.conjugate(), mult), (m, mult)
+            out[i], out[j] = (m, mult), (m.conjugate(), mult)
     return out
 
 
@@ -433,11 +432,12 @@ def deflate_pm_one(c: np.ndarray) -> tuple:
 
 
 def root_clusters(p: Polynomial) -> list:
-    """The roots of p as (point, multiplicity) clusters: the origin, from
-    low coefficients within 1e-12 of the largest; +1 and -1, divided out
-    by deflate_pm_one (a multiple root parked there is common in the
-    palindromic shape); then the rest by poly_roots, grouped and polished
-    by _clusters.  Real coefficients give exact conjugate pairs."""
+    """The roots of p as (point, multiplicity) clusters, in point_key
+    order: the origin, exactly 0, from low coefficients within 1e-12 of the
+    largest; +1 and -1, divided out by deflate_pm_one (a multiple root
+    parked there is common in the palindromic shape); then the rest by
+    poly_roots, grouped and polished by _clusters.  Real coefficients give
+    exact conjugate pairs."""
     v = p.coeffs.tolist()
     tol = 1e-12 * max(map(abs, v), default=0.0)
     low = next((j for j, x in enumerate(v) if abs(x) > tol), 0)
@@ -447,7 +447,9 @@ def root_clusters(p: Polynomial) -> list:
     rest = Polynomial(rest)
     if rest.degree >= 1:
         out += _clusters(rest, poly_roots(rest))
-    return out if any(x.imag for x in v) else _pair_conjugates(out)
+    if not any(x.imag for x in v):
+        out = _pair_conjugates(out)
+    return sorted(out, key=lambda c: point_key(c[0]))
 
 
 def _conv_matrix(p: np.ndarray, k: int) -> np.ndarray:

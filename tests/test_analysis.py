@@ -10,10 +10,10 @@ from ndyn.analysis import (classify_multiplier, classify_operator,
                            free_critical_points, moebius_sum, multiplier_at,
                            multiplier_at_minus_one_closed,
                            multiplier_at_one_closed, multiplier_of_cycle)
-from ndyn.builder import conjugated_form
+from ndyn.builder import catalog_entry, catalog_names, conjugated_form
 from ndyn.conjugate import OperatorForm, make_form
-from ndyn.errors import (NotACycle, NotAFixedPoint, PoleAtMinusOne, PoleAtOne,
-                         ZeroPolynomial)
+from ndyn.errors import (NdynError, NotACycle, NotAFixedPoint, PoleAtMinusOne,
+                         PoleAtOne, ZeroPolynomial)
 from ndyn.poly import (INF, Polynomial, RationalMap, is_inf, rat_combine,
                        rat_derivative, rat_eval, rat_make)
 
@@ -101,6 +101,43 @@ def test_anchored_multiple_critical_point_stays_together():
     minus = _by_point(recs, -1.0)
     assert minus.multiplicity == 4
     assert len(free_critical_points(R)) == 1
+
+
+def test_a_free_point_is_not_paired_with_the_origin():
+    # 1/kappa of kappa = -9374999.77 lies 1.07e-7 from the origin, within
+    # the pairing tolerance, but nearer still to the free point 1/kappa
+    R = conjugated_form("king", {"beta": -2.4999999}).reconstruct()
+    big, small = sorted((r for r in critical_points(R)
+                         if r.free and abs(r.point + 1.0) > 1e-6),
+                        key=lambda r: abs(r.point), reverse=True)
+    assert abs(big.point + 9374999.76564) <= 1e-4
+    assert big.partner == small.point and small.partner == big.point
+
+
+def test_free_critical_partners_are_an_involution():
+    # over seeded catalog members: a free point's partner is free or INF,
+    # and a finite partner's partner is the point itself
+    rng = np.random.default_rng(0x1077A)
+    checked = 0
+    for name in catalog_names():
+        params = catalog_entry(name).params
+        for _ in range(8 if params else 1):
+            bindings = {p: complex(*rng.normal(0.0, 2.0, 2)) for p in params}
+            try:
+                recs = critical_points(
+                    conjugated_form(name, bindings).reconstruct())
+            except NdynError:
+                continue
+            by_point = {r.point: r for r in recs if not is_inf(r.point)}
+            for r in recs:
+                if not r.free:
+                    continue
+                checked += 1
+                if not is_inf(r.partner):
+                    mate = by_point[r.partner]
+                    assert mate.free and mate.partner == r.point, (name,
+                                                                   bindings)
+    assert checked >= 100
 
 
 def _critical_total(R):

@@ -92,13 +92,13 @@ def test_build_prints_a_conjugate_pair_negative_part_first(capsys):
 
 
 def test_analyze_prints_a_critical_pair_negative_part_first(capsys):
-    # the solver returns this pair's upper member first; the pair keeps
-    # its two slots, the lower member in the earlier one
+    # the solver returns this pair's upper member first; the reader's
+    # point_key order puts the lower member first, as for roots
     payload = run_json(capsys, "analyze", "--method", "king",
                        "--param", "beta=-0.622")
     assert [r["point"] for r in payload["critical_points"]] == [
-        "0", "-1", "-0.828850638978-0.559469944024i",
-        "-0.828850638978+0.559469944024i", "inf"]
+        "-1", "-0.828850638978-0.559469944024i",
+        "-0.828850638978+0.559469944024i", "0", "inf"]
 
 
 def test_build_prints_exact_conjugates_across_a_rounding_boundary(capsys):

@@ -9,18 +9,23 @@ non-real points come in exact conjugate pairs.
 The digest covers the exit code, stdout and stderr, so any change to a
 printed form, point, class, region or error message shows up here.
 `PYTHONPATH=src python tests/test_cli_bytes.py` prints the current digests
-in catalog order.
+in catalog order; `--dump DIR` writes each request's exit code, stdout and
+stderr to DIR/<command>-<method>.txt instead, so that two trees' payloads
+can be diffed when a pin moves.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import pathlib
+import sys
 
 import pytest
 
 from ndyn import catalog_entry, catalog_names
 from ndyn.cli import main
+from ndyn.poly import point_key
 
 BINDING = "2-9.3i"
 COMMANDS = ("build", "analyze", "stability")
@@ -42,7 +47,7 @@ PINS = {
     "build:traub":
         "9c47229ff80ad1ac58e6433110b169b31b7881b83175837579b3a118fe715a57",
     "analyze:traub":
-        "2ebc089438d2e786c754eb5b22bd1f0a970614f1cb9a4a8f73af23d09a04bddb",
+        "7a57dfa16a56baf17261c565c00266edcf38299f41d267190588fc049433349d",
     "stability:traub":
         "fe2a5b35a2ff8dbd6e7a7fb3ef033e91f05d73390f7eb259d58eac6f6e11572e",
     "build:steffensen":
@@ -66,7 +71,7 @@ PINS = {
     "build:king":
         "e52bf01e1a3aec86128c80d4e2f362dbfc2d236bfd5eca9624de599799d4722f",
     "analyze:king":
-        "68120c3eaff102454dcd34e02b7ec0e62f8e0a135f38afe5cc9eeea09208aa0b",
+        "b4af27bf6547b500c5e0ee5049d167a809dba554707d1feafcea21d1024f25c2",
     "stability:king":
         "b7318b0bc65935186ba8d4e3e36ac6e32a7e296c70a05c22856a60ddcb2313f4",
     "build:jarratt":
@@ -84,7 +89,7 @@ PINS = {
     "build:amat":
         "7d7e4306f518b35e587b1f6d5e119e599ac7d27a8cc80345963e299574f38991",
     "analyze:amat":
-        "a6259eb36351ca4e9091c3575de56bdccd08208260c3155911e2ead98ac37508",
+        "83b1d60f28ebb3e237fa0a1f228b72fb8e94df8e519d3774bfe582256d0675bb",
     "stability:amat":
         "4148703c68af769fcac09b1e1b0c0dd67f735bbb5208c6821ec62250fa826d13",
     "build:chun":
@@ -102,37 +107,37 @@ PINS = {
     "build:c-family":
         "0769ef6456cca7560cc323ca5e3489398aaba11fa4e30788568abd8ba8b982e4",
     "analyze:c-family":
-        "6004a9ab490b2bbaf7eb1b2e080651a457794fd88e9243fd3bcc0bf0f8bbbd1f",
+        "45bc03649f8f2275f13a19f982920311ae5cd8320124c924028765e9ff058a17",
     "stability:c-family":
         "44f08fbcaceb0cc4f7ff9ac90b37b165f1ab3cb626ac5a1d59484f49c2bb1a58",
     "build:m4":
         "3b6803fe552e455d19096b5ee7c5f2e6ffb888b971e59d24568b66fc9f880953",
     "analyze:m4":
-        "717862019c7abe003bb822dd1011d95929f5c450e840a7d8cf2ad13c34185275",
+        "c1716650b73776c0b02d97133f60ec50c9f8876aca644f7afac6423df4feaa22",
     "stability:m4":
         "5890fc764220c580d50ac47cdcac025f34d26cedd3f92ff2074186d208696b58",
     "build:os2":
         "20e7ce5df13c6e2519acb4b9558bd8f1d83dfd418ab1c3ae006a2ef371ebe8f1",
     "analyze:os2":
-        "6ab136360a7020c109a0fa57cac25fcd80c44fbfb4273cf5beba2909902ed40f",
+        "280193ce21b340c8caa74cb7fe39dc0759e880906e59dddd422cf23af3c3c55b",
     "stability:os2":
         "1304d3be2dcb5175a5505bafb3412020018b922888ac502cbb8d94083e1a181f",
     "build:os3":
         "cf569252f157d5178063e52f654435797637dcd38e981c272fb8ff96da30d9b2",
     "analyze:os3":
-        "147faa0bc06b6a4768a85f49726d20a1416e7372cb549e06ed10b2bc12b9c7a5",
+        "ec1cf3bc21f01ab1a17148557360b03905e9f23c7feaaae0885080a79e76ffa1",
     "stability:os3":
         "bdded1f27b4751aaf01d55513c8f784b78fc1721be2e4ab167d3cd22f4fb11c8",
     "build:os4":
         "f11c3e5aa65b32a245db78f50ba18d4017d1701612dffbc1680a204642490c1b",
     "analyze:os4":
-        "3491da080d234e3a09445ac5345b79478aa49cf1170568cce02841eca5fa6619",
+        "30e2e61317d18d43c2a5013dab329ad95b20d6e62965bd64c062272cef5437f1",
     "stability:os4":
         "a90ea7523e90911c5fa2e3f4a6485241d17d062b3bd6fa52074c0a481b586624",
     "build:os5":
         "9a5e274dc9dea1f88cd203d7c431fcd419bfaefeb785785638e684069facd5c1",
     "analyze:os5":
-        "0001831254ce315b53ee282b1748fdce0c8d129315f0114e25199b3f806f510f",
+        "ad3f8c8626c57a240c2622ba51b9b9e3b6c476d8e234533a7d831302eee6a822",
     "stability:os5":
         "8847bf769a0fde09656b7e32dc1d226a197f4cbda077608550a69651393fa091",
     "catalog":
@@ -144,11 +149,11 @@ PINS = {
     "build:king=-0.622":
         "1c87ee9be612d18091083becda2d4ad93e0140dc4ff13f07b1e9f72a2b0a7800",
     "analyze:king=-0.622":
-        "fb6df3b83ca342f0a87be64a3a30828c210caebfc79ade660a0708cd80d53d02",
+        "c94250fb149785bac276142572a4fa3a2d67b6de4f4c6780e135653e912fd9e8",
     "build:amat=1.25":
         "4a419bfd8228b7b2d178bce955cd4bb2b4f8215cc26ba9ab3ce46bc1af54ba69",
     "analyze:amat=1.25":
-        "ef84cb0468c711a5110c1b1175c13ca256daba816770f8f347f8d4bb34772cb3",
+        "8099b0fee624b1fb609ba3d49a9bdf55cff383e5137b120f22b05d368141027c",
     "build:chun=0":
         "6ac6ad73012867ec2681e309664b3403f531977d7ccc711ff3ede77f591ddd0a",
     "analyze:chun=0":
@@ -156,31 +161,31 @@ PINS = {
     "build:chebyshev-halley=0.3":
         "180a5a97f19503b93e9239370420c645e9c16de26d7c5dee7463ba4e3b02a255",
     "analyze:chebyshev-halley=0.3":
-        "6b59dcd046dda1c1523163e86e3f0bdf99bc5496d7dca7058eb0d94d84874e2f",
+        "1224ba43a65790b21d1bafcf9e7a1f1bb83342ebdb75cb3913e82e44dc778761",
     "build:c-family=-0.45":
         "f683b7dc9b101ff0d0c64a60030ddc5a86af7423eef4bcb01bd376ac7c6f6ef2",
     "analyze:c-family=-0.45":
-        "893362adf5ac71353658c1b58c8a0a67c35a10117d5cab7f52fa6b7b4049f32a",
+        "e69fc2cc2af664c1bf622a875fcbabaaf476c4a93ca9c70c70209264c3e09cae",
     "build:m4=-0.622":
         "68afe2d296793abbe96c97ee8062404373218925bc11f36366dafb73f56509d6",
     "analyze:m4=-0.622":
-        "decb39309c08d59d7548dab406672a44bf1ea1c699f58bc9394cc01001d5ef4e",
+        "49041d63618400c1baf0de633fbee313a87fcf7aa4d9c9b36f2a465892a09808",
     "build:os2=-0.622":
         "7fc7703a446d475a92f2230e7b8567fd06115040a23bb071127c903c04b9d9c2",
     "analyze:os2=-0.622":
-        "6255fd783e50748cbb48fdb29e5c3d8eefa027b13424daef54c780d555eed29a",
+        "f3fb91c237616ee8469cb91d50ab27765e82b6c4ad6783c85d881e47decaa514",
     "build:os3=-1.7":
         "2a9f21897019d2f96abb86add07eaec0277da418b6ed6f5d2d21c1670bd16b94",
     "analyze:os3=-1.7":
-        "fe24f65966a2536c420a564bbedb131e31d6c02f29edd8d5a36270298300e83f",
+        "5e003c5bc32aba1f3f00a7cdd8bbb3e7d85b536f1169c4f8b6d3e310d89aae2e",
     "build:os4=-3.1":
         "ec382355081210ad9de391143f8a63e8d77fbfc160a05627c2efd819af3e071f",
     "analyze:os4=-3.1":
-        "803a69f76d6e94d1179372b45a4e7e9f23ce3f3d65da50b3943a3eed26740ee8",
+        "33d6275568ef9999533eb26f8f57811f51efdee1c98cdaf41446e10b291b53c3",
     "build:os5=-0.622":
         "b938aeed0ea5c6e55b302c3eabd679697cabdbeaec7b71057fe8a552abd690fb",
     "analyze:os5=-0.622":
-        "cfec02b4154e26f5a67af344eae47e7cd0c10d9593a7dad67d29640be561d353",
+        "93a6f526ae49d165eae5efbeff929dfaa6072dd7a7c2908f924da97349fecd6a",
 }
 
 
@@ -197,12 +202,16 @@ def _argv(name):
     return argv
 
 
-def _digest(name):
+def _request(name):
+    """(exit code, stdout, stderr) of one request."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(_argv(name))
-    return hashlib.sha256(repr((code, out.getvalue(),
-                                err.getvalue())).encode()).hexdigest()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _digest(name):
+    return hashlib.sha256(repr(_request(name)).encode()).hexdigest()
 
 
 def _names():
@@ -224,18 +233,41 @@ def test_request_bytes_match_pin(name):
 @pytest.mark.parametrize("name", [n for n in _names() if n != "catalog"])
 def test_every_printed_number_is_formatted_text(name):
     # no JSON value is a float: a non-integer number prints as a string
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = main(_argv(name))
+    code, out, _err = _request(name)
     if code == 0:
-        json.loads(out.getvalue(), parse_float=lambda text: pytest.fail(
+        json.loads(out, parse_float=lambda text: pytest.fail(
             f"{name} prints the float {text}"))
     else:
-        assert (code, out.getvalue()) == (2, "")
+        assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("name", [n for n in _names()
+                                  if n.startswith("analyze:")])
+def test_every_printed_list_of_points_is_in_key_order(name):
+    # the roots, the finite fixed points and the finite critical points
+    code, out, _err = _request(name)
+    if code != 0:
+        return
+    payload = json.loads(out)
+    lists = [payload["roots"]] + [
+        [r["point"] for r in payload[key] if r["point"] != "inf"]
+        for key in ("fixed_points", "critical_points")]
+    for printed in lists:
+        points = [complex(p.replace("i", "j")) for p in printed]
+        assert points == sorted(points, key=point_key), printed
 
 
 if __name__ == "__main__":
-    # print the current digest of every request, in catalog order
-    for name in _names():
-        print(f'    "{name}":\n        "{_digest(name)}",')
+    if sys.argv[1:2] == ["--dump"] and len(sys.argv) == 3:
+        root = pathlib.Path(sys.argv[2])
+        root.mkdir(parents=True, exist_ok=True)
+        for name in _names():
+            code, out, err = _request(name)
+            (root / f"{name.replace(':', '-')}.txt").write_text(
+                f"exit {code}\n--- stdout\n{out}--- stderr\n{err}")
+    elif len(sys.argv) == 1:
+        # print the current digest of every request, in catalog order
+        for name in _names():
+            print(f'    "{name}":\n        "{_digest(name)}",')
+    else:
+        sys.exit("usage: test_cli_bytes.py [--dump DIR]")

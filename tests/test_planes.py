@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -428,6 +429,52 @@ def test_family_that_builds_no_member_refuses_the_plane():
         parameter_plane(family, cfg)
 
 
+def test_a_member_that_fails_is_a_dead_pixel_in_any_band(monkeypatch):
+    # no member above the real axis: at one row a band, the top bands
+    # build nothing, and render as the same dead pixels as in one band
+    def family(t):
+        if t.imag > 0:
+            raise ZeroDenominator(f"no member at {t}")
+        return make_form(3, (t * t,))
+
+    base = dict(window=(-1.0, 1.0, -1.0, 1.0), resolution=(4, 4),
+                max_iter=20)
+    whole = parameter_plane(family, RenderConfig(workers=1, **base))
+    assert whole.diagnostics["no_free_critical"] >= 8
+    monkeypatch.setattr("ndyn.planes.BAND_PIXELS", 4)
+    for workers in (1, 2):
+        banded = parameter_plane(family,
+                                 RenderConfig(workers=workers, **base))
+        assert np.array_equal(banded.outcome, whole.outcome)
+        assert np.array_equal(banded.iterations, whole.iterations)
+        assert banded.diagnostics == whole.diagnostics
+        # a family with no member anywhere refuses with the first pixel's
+        with pytest.raises(ZeroDenominator,
+                           match=r"no member at \(-0\.75\+2\.75j\)"):
+            parameter_plane(lambda t: family(t + 2j),
+                            RenderConfig(workers=workers, **base))
+
+
+def test_every_band_that_builds_nothing_is_counted(monkeypatch):
+    # the bands record their failures from worker threads: with 64 bands
+    # on 8 workers and a short switch interval, a lost record would let a
+    # plane with no member render instead of being refused
+    def family(t):
+        raise ZeroDenominator(f"no member at {t}")
+
+    monkeypatch.setattr("ndyn.planes.BAND_PIXELS", 4)
+    cfg = RenderConfig(window=(-1.0, 1.0, -1.0, 1.0), resolution=(4, 64),
+                       max_iter=5, workers=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            with pytest.raises(ZeroDenominator, match="no member at"):
+                parameter_plane(family, cfg)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_nonaffine_family_uses_scalar_path_deterministically():
     entry = catalog_entry("os3")
     base = dict(window=(-6.5, 3.5, -5.0, 5.0), resolution=(8, 8),
@@ -542,8 +589,9 @@ def test_form_rows_evaluate_each_form(rng):
     forms = [random_form(rng) for _ in range(6)]
     forms.append(conjugated_form("os5", {"a": 0.7 - 0.2j}))     # sign -1
     assert forms[-1].sign == -1 and len({f.k for f in forms}) > 1
-    step = _form_map(*_form_coeffs(lambda t: forms[int(t.real)],
-                                   np.arange(7.0)))
+    n, a, error = _form_coeffs(lambda t: forms[int(t.real)], np.arange(7.0))
+    assert error is None
+    step = _form_map(n, a)
     for z in (0.3 + 0.4j, -1.7 + 0.2j, 2.5j):
         got = _step(step, np.full(7, z))
         want = [rat_eval(f.reconstruct(), z) for f in forms]

@@ -177,12 +177,12 @@ def test_reader_takes_the_origin_from_negligible_low_coefficients():
 
 
 def test_reader_divides_plus_and_minus_one_out_exactly():
-    # (z - 1)^3 (z + 1)^2 (z^2 - 2z + 5): the anchors come first, exact
+    # (z - 1)^3 (z + 1)^2 (z^2 - 2z + 5): the anchors are exact, and every
+    # cluster comes in point_key order
     p = (Polynomial.from_roots([1.0] * 3 + [-1.0] * 2)
          * Polynomial((5.0, -2.0, 1.0)))
-    got = root_clusters(p)
-    assert got[:2] == [(1.0 + 0j, 3), (-1.0 + 0j, 2)]
-    (low, m), (high, k) = sorted(got[2:], key=lambda c: c[0].imag)
+    (minus_one, two), (low, m), (one, three), (high, k) = root_clusters(p)
+    assert (minus_one, two, one, three) == (-1.0 + 0j, 2, 1.0 + 0j, 3)
     assert (m, k) == (1, 1) and high == low.conjugate()
     assert abs(high - (1.0 + 2.0j)) <= 1e-14
 
