@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -379,6 +380,9 @@ def _unit_map(scheme: Scheme, d: int, c: complex, bindings: dict) -> tuple:
     no units of z folds to one U at every c; a fold in z spans powers of c."""
     if c == 0:                  # as a SchemeContext at c refuses it
         raise ZeroC("the target family needs c != 0")
+    if abs(c) < sys.float_info.min:
+        raise NdynError(f"the target family needs |c| >= "
+                        f"{sys.float_info.min!r}, the smallest normal float")
     s = cmath.sqrt(c) if d == 2 else complex(c) ** (1.0 / d)
     unit = SchemeContext(d=d, c=1.0, bindings=bindings)
     op = _fold(scheme, partial(_instantiate_node, unit, scale=s),

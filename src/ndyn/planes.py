@@ -84,8 +84,7 @@ OUTCOME_NAMES = {
 BAND_PIXELS = 16384
 CONV_RADIUS = 1e-4     # an orbit this close to 0 or an attractor is captured
 INFINITY_RADIUS = 1e8  # and one this far out has escaped
-ANCHOR_TOL = 1e-6      # critical points this close to +-1 are not free seeds
-ORIGIN_TOL = 1e-9      # nor this close to 0 (or to infinity)
+ORIGIN_TOL = 1e-9      # critical points this close to 0 (or inf) are not seeds
 FIXED_CHECK_EVERY = 8  # steps between the tests for an exact fixed point
 COMPACT_FRACTION = 1 / 8  # share of finished seeds that triggers compaction
 MAX_ITER = int(np.iinfo(np.int32).max)  # iteration counts are int32
@@ -115,6 +114,8 @@ class RenderConfig:
             raise ValueError("window bounds and extents must be finite")
         if not (x0 < x1 and y0 < y1):
             raise ValueError("window must satisfy x_min < x_max, y_min < y_max")
+        # stored as floats, so the .meta echo does not depend on their type
+        object.__setattr__(self, "window", (x0, x1, y0, y1))
         w, h = self.resolution
         if not all(isinstance(v, numbers.Integral)
                    for v in (w, h, self.max_iter, self.workers or 1)):
@@ -394,7 +395,9 @@ def _run_bands(cfg: RenderConfig, work: Callable, dtypes) -> list:
 
 def orbit_outcome(R: RationalMap, z0: complex, cfg: RenderConfig,
                   known_attractors=()) -> tuple:
-    """(outcome name, iterations) of one seed, same rule as the grid."""
+    """(outcome name, iterations) of one seed, same rule as the grid; the
+    seed INF is complex infinity, which has escaped."""
+    z0 = complex(np.inf) if is_inf(z0) else z0
     out, its = _orbit(np.array([z0], np.complex128), _rational_map(R), cfg,
                       _flatten_attractors(known_attractors))
     return OUTCOME_NAMES[int(out[0])], int(its[0])
@@ -415,27 +418,26 @@ def dynamical_plane(R: RationalMap, cfg: RenderConfig,
 
 
 def _form_coeffs(family, ts) -> tuple:
-    """(n, a, error) of the family's forms at each t, in their common shape.
+    """(n, a, built) of the family's forms at each t, in their common shape.
 
-    A member the family cannot build (NdynError) gets a NaN row of a, so
-    its pair equation has no root and its pixel is dead, counted as having
-    no free critical point.  `error` is the first member's error when no
-    member is built (a is then one NaN column), else None.
+    A member the family cannot build (NdynError) is False in `built` and
+    gets a NaN row of a, so its pair equation has no root and its pixel is
+    dead, counted as having no free critical point (a is one NaN column
+    when no member is built).
     """
-    forms, errors = [], []
+    forms = []
     for t in ts:
         try:
             forms.append(family(complex(t)))
-        except NdynError as exc:
+        except NdynError:
             forms.append(None)
-            errors.append(exc)
     built = np.array([f is not None for f in forms])
     n_built, a_built = (common_shape([f for f in forms if f is not None])
                         if built.any() else ([], np.empty((0, 1))))
     n = np.zeros(len(forms), int)
     a = np.full((len(forms), a_built.shape[1]), np.nan, np.complex128)
     n[built], a[built] = n_built, a_built
-    return n, a, None if built.any() else errors[0]
+    return n, a, built
 
 
 def _conv_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -547,22 +549,19 @@ def _arg(z: np.ndarray) -> np.ndarray:
 def _select_seed_rows(w: np.ndarray, index: Optional[int] = None) -> tuple:
     """Free-critical selection from the pair roots w, vectorized over pixels.
 
-    Each usable w (off the anchored points w = +-2 and the origin's w = inf)
-    is one kappa <-> 1/kappa pair, and the estimates of a multiple root
-    count once.  A pair's seed is the root of z^2 - w z + 1 in the unit
-    disc, or the one with the smaller argument in [0, 2 pi) when both lie
-    on the circle.  With index None the default rule requires exactly one
-    pair; an integer index picks that pair in the order of the seeds'
-    arguments, and a pixel with no such pair counts as having no free
-    critical point.
+    Each usable w (off the origin's w = inf) is one kappa <-> 1/kappa
+    pair, and the estimates of a multiple root count once; deflate_anchored
+    has already divided out the anchored points w = +-2 (z = +-1).  A
+    pair's seed is the root of z^2 - w z + 1 in the unit disc, or the one
+    with the smaller argument in [0, 2 pi) when both lie on the circle.
+    With index None the default rule requires exactly one pair; an integer
+    index picks that pair in the order of the seeds' arguments, and a pixel
+    with no such pair counts as having no free critical point.
     Returns (seed, dead, no_free, multi masks); seed is undefined where dead.
     """
     P, D = w.shape
-    # |z| > ORIGIN_TOL <=> |w| < 1 / ORIGIN_TOL, and since
-    # w - 2 = (z - 1)^2 / z, |z - 1| > ANCHOR_TOL <=> |w - 2| > ANCHOR_TOL^2
+    # |z| > ORIGIN_TOL <=> |w| < 1 / ORIGIN_TOL
     usable = np.isfinite(w) & (np.abs(w) < 1.0 / ORIGIN_TOL)
-    usable &= np.abs(w - 2.0) > ANCHOR_TOL ** 2
-    usable &= np.abs(w + 2.0) > ANCHOR_TOL ** 2
     # A row with more than one usable root holds several pairs or a
     # multiple root (os3's free pair is double), which comes back as m
     # scattered estimates.  Fold each estimate into the first unfolded one
@@ -634,28 +633,24 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
         # shared by every t, so divided out of the terms once per render
         T = _deflate_shared(_family_terms(fit.n, fit.A, fit.B))
 
-    failed = []     # (first t, error) of each band that builds no member
-
     def work(ts):
         if fit is None:
-            n_t, a, error = _form_coeffs(family, ts)
-            if error is not None:
-                failed.append((ts[0], error))
+            n_t, a, built = _form_coeffs(family, ts)
             Q = _pair_rows(n_t, a)
         else:
             t = ts[:, None]
-            n_t, a = fit.n, fit.A + t * fit.B
+            n_t, a, built = fit.n, fit.A + t * fit.B, np.ones(ts.size, bool)
             Q = T[0] + t * (T[1] + t * T[2])
         w = _roots_rows(deflate_anchored(Q, _ANCHORS)[0])
         seed, dead, no_free, multi = _select_seed_rows(w, selector)
         o, it = _orbit(seed, _form_map(n_t, a), cfg, attr, live=~dead)
-        return o, it, no_free, multi
+        return o, it, no_free, multi, built
 
-    outcome, iters, no_free, multi = _run_bands(
-        cfg, work, (np.int8, np.int32, bool, bool))
-    if len(failed) == len(_bands(cfg.width, cfg.height)):
-        # no member anywhere: the top band's error is the first pixel's
-        raise max(failed, key=lambda f: f[0].imag)[1]
+    outcome, iters, no_free, multi, built = _run_bands(
+        cfg, work, (np.int8, np.int32, bool, bool, bool))
+    if not built.any():
+        # no member anywhere: the first pixel's member raises its error
+        family(complex(cfg.x_centers()[0], cfg.y_centers()[0]))
     diagnostics = {
         "no_free_critical": int(no_free.sum()),
         "multiple_free_pairs": int(multi.sum()),

@@ -172,7 +172,11 @@ class Polynomial:
         if isinstance(other, Polynomial):
             if self.is_zero() or other.is_zero():
                 return Polynomial.zero()
-            return Polynomial(np.convolve(self._c, other._c))
+            out = Polynomial(np.convolve(self._c, other._c))
+            if out.is_zero():   # np.convolve underflows silently
+                raise NdynError("a product of nonzero polynomials "
+                                "underflowed to zero")
+            return out
         if isinstance(other, numbers.Number):
             return Polynomial(self._c * complex(other))
         return NotImplemented
@@ -464,11 +468,13 @@ def _unit_scale(c: np.ndarray) -> float:
     """2 ** -round(log2 ||c||), the norm taken of c / e, e a power of two
     near the largest |c_j|, and multiplied back: the sum of squares cannot
     overflow, and the scale is the plain one wherever ||c|| is a float.  A
-    norm beyond the float range is refused."""
+    norm outside the normal float range is refused: too large, or too small
+    for c / e to be finite (subnormal coefficients)."""
     e = 2.0 ** np.floor(np.log2(np.abs(c).max()))
     norm = float(np.linalg.norm(c / e)) * float(e)
     if not math.isfinite(norm):
-        raise NdynError("the coefficients' norm is beyond the float range")
+        raise NdynError("the coefficients' norm is outside the normal "
+                        "float range")
     return 2.0 ** -np.round(np.log2(norm))
 
 

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import math
 from functools import partial
@@ -356,11 +357,32 @@ def test_scheme_forms_do_not_depend_on_c(name, bindings):
     # z is one form at every c
     want = conjugated_form(name, bindings)
     for c in C_GRID:
-        got = conjugated_form(name, bindings, c=c)
-        where = f"{name} at c = {c}"
-        assert (got.n, got.k, got.sign) == (want.n, want.k, want.sign), where
-        for u, v in zip(got.a, want.a):
-            assert abs(u - v) <= 1e-9 * (1.0 + abs(v)), where
+        _assert_same_form(conjugated_form(name, bindings, c=c), want,
+                          f"{name} at c = {c}")
+
+
+def _assert_same_form(got, want, where):
+    assert (got.n, got.k, got.sign) == (want.n, want.k, want.sign), where
+    for u, v in zip(got.a, want.a):
+        assert abs(u - v) <= 1e-9 * (1.0 + abs(v)), where
+
+
+# every tenth decade of |c| from 1e-323 (subnormal) to 1e307, on arg c = 0.37
+WIDE_C = [cmath.rect(10.0 ** e, 0.37) for e in range(-323, 308, 10)]
+
+
+@pytest.mark.parametrize("name,bindings", CONJUGATED,
+                         ids=[name for name, _ in CONJUGATED])
+def test_scheme_forms_at_any_c_are_the_c1_form_or_refused(name, bindings):
+    # a term that underflows in the fold refuses the build instead of
+    # vanishing: king and ostrowski once gave Newton's form at |c| <= 1e-162
+    want = conjugated_form(name, bindings)
+    for c in WIDE_C:
+        try:
+            got = conjugated_form(name, bindings, c=c)
+        except NdynError:
+            continue
+        _assert_same_form(got, want, f"{name} at c = {c}")
 
 
 # the parameters of the catalog schemes, and moduli 10^(k/2), k = -4..4,
@@ -406,6 +428,16 @@ def test_scheme_forms_build_at_extreme_c():
     assert (form.n, form.k) == (4, 0)
     with pytest.raises(ZeroC, match="the target family needs c != 0"):
         conjugated_form("jarratt", c=0.0)
+    # a subnormal c is refused as well, and instantiate shares the fold
+    with pytest.raises(NdynError, match="the smallest normal float"):
+        conjugated_form("jarratt", c=1e-310)
+    king = SchemeContext(d=2, c=1e-200, bindings={"beta": 1.0})
+    with pytest.raises(NdynError, match="underflowed to zero"):
+        instantiate(catalog_entry("king").ast, king)
+    # a little above, king's fold leaves subnormal coefficients, whose norm
+    # is too small to scale
+    with pytest.raises(NdynError, match="outside the normal float range"):
+        conjugated_form("king", {"beta": 1.0}, c=1e-157)
 
 
 def test_a_constant_with_units_of_z_keeps_the_form_moving_with_c():

@@ -333,6 +333,19 @@ def test_a_member_with_a_non_finite_coefficient_is_refused(capsys, command,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("method,params", [("king", ("--param", "beta=1")),
+                                           ("ostrowski", ())])
+def test_build_refuses_a_tiny_c_that_underflows_the_fold(capsys, method,
+                                                          params):
+    # c = 1e-200 once dropped the correction term and printed Newton's form
+    tiny = "0." + "0" * 199 + "1"
+    code, out, err = run(capsys, "build", "--method", method, *params,
+                         "--c", tiny)
+    assert (code, out) == (2, "")
+    assert err == ("error: a product of nonzero polynomials underflowed "
+                   "to zero\n")
+
+
 def test_paramplane_where_the_closed_form_overflows(tmp_path, capsys):
     out = tmp_path / "huge.ppm"
     code, _, err = run(capsys, "paramplane", "--method", "os3",

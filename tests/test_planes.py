@@ -37,7 +37,7 @@ from ndyn.planes import (BAND_PIXELS, CONV_RADIUS, INFINITY_RADIUS,
                          _flatten_attractors, _form_coeffs, _form_map,
                          _one_block, _orbit, _OrbitMap, _pair_rows,
                          _rational_map, _roots_rows, _select_seed_rows)
-from ndyn.poly import _horner, deflate_anchored, rat_eval, rat_make
+from ndyn.poly import INF, _horner, deflate_anchored, rat_eval, rat_make
 from ndyn.stability import PROBES, affine_fit
 
 from conftest import random_form
@@ -97,6 +97,8 @@ def test_orbit_counts_applications_before_capture():
     assert (name, its) == ("root-0", 4)
     name, its = orbit_outcome(Z_SQUARED, 2.0, cfg)
     assert name == "root-inf" and its == 5
+    # the point at infinity has escaped before the first step
+    assert orbit_outcome(Z_SQUARED, INF, cfg) == ("root-inf", 0)
 
 
 def test_zero_map_sends_every_seed_to_zero():
@@ -349,6 +351,20 @@ def test_metadata_sidecar(tmp_path):
     assert not any(line.startswith("workers") for line in lines)
 
 
+def test_metadata_echoes_a_window_of_any_number_type_as_floats(tmp_path):
+    img = dynamical_plane(Z_SQUARED, small_cfg(resolution=(4, 4)))
+    written = []
+    for window in ((-3, 3, -3, 3), (-3.0, 3.0, -3.0, 3.0),
+                   tuple(np.float64(v) for v in (-3, 3, -3, 3))):
+        cfg = dataclasses.replace(img.config, window=window)
+        assert cfg.window == (-3.0, 3.0, -3.0, 3.0)
+        path = tmp_path / f"{len(written)}.meta"
+        write_metadata(dataclasses.replace(img, config=cfg), str(path))
+        written.append(path.read_bytes())
+    assert written[0] == written[1] == written[2]
+    assert b"\nx_min=-3.0\n" in written[0]
+
+
 def test_metadata_escapes_what_is_not_printable_ascii(tmp_path):
     img = dynamical_plane(Z_SQUARED, small_cfg(resolution=(4, 4)))
     path = tmp_path / "odd.meta"
@@ -589,8 +605,8 @@ def test_form_rows_evaluate_each_form(rng):
     forms = [random_form(rng) for _ in range(6)]
     forms.append(conjugated_form("os5", {"a": 0.7 - 0.2j}))     # sign -1
     assert forms[-1].sign == -1 and len({f.k for f in forms}) > 1
-    n, a, error = _form_coeffs(lambda t: forms[int(t.real)], np.arange(7.0))
-    assert error is None
+    n, a, built = _form_coeffs(lambda t: forms[int(t.real)], np.arange(7.0))
+    assert built.all()
     step = _form_map(n, a)
     for z in (0.3 + 0.4j, -1.7 + 0.2j, 2.5j):
         got = _step(step, np.full(7, z))
@@ -981,3 +997,28 @@ def test_special_members_die_as_the_per_pixel_pair_rows_say(
     assert np.array_equal(np.concatenate(seen), dead)
     assert img.diagnostics["no_free_critical"] == no_free.sum()
     assert img.diagnostics["multiple_free_pairs"] == multi.sum()
+
+
+def test_no_root_near_an_anchor_survives_deflation():
+    # _select_seed_rows keeps every finite pair root, so deflate_anchored is
+    # the one rule for w = +-2: a simple or double root planted within 1e-11
+    # of each anchor is divided out, exactly once per planted factor, before
+    # the eigensolve.  The other roots lie in |w| < 1.5 or 2.5 < |w| < 6,
+    # away from both anchors.
+    rng = np.random.default_rng(0xA2C402)
+    rows = np.zeros((4000, 8), np.complex128)
+    planted = rng.integers(0, 3, size=(rows.shape[0], 2))
+    for i, counts in enumerate(planted):
+        roots = [anchor + 1e-11 * rng.uniform()
+                 * cmath.exp(2j * math.pi * rng.uniform())
+                 for anchor, m in zip((2.0, -2.0), counts) for _ in range(m)]
+        for _ in range(rng.integers(0, 4)):
+            radius = rng.choice([rng.uniform(0.0, 1.5), rng.uniform(2.5, 6.0)])
+            roots.append(radius * cmath.exp(2j * math.pi * rng.uniform()))
+        row = Polynomial.from_roots(roots, lead=rng.uniform(0.1, 10.0)).coeffs
+        rows[i, :row.size] = row
+    Q, counts = deflate_anchored(rows, (2.0, -2.0))
+    assert np.array_equal(counts, planted)
+    w = _roots_rows(Q)
+    assert not np.any(np.abs(w - 2.0) <= 1e-9)
+    assert not np.any(np.abs(w + 2.0) <= 1e-9)
