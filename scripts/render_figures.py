@@ -24,28 +24,24 @@ from ndyn import (
     write_metadata,
 )
 
-# name, family, window, mode, known attractors
-PARAMETER_FIGURES = [
-    ("param_chebyshev_halley", "chebyshev-halley",
-     (-1.0, 5.0, -3.0, 3.0), "speed", ()),
-    ("param_king", "king", (-6.0, 5.0, -5.5, 5.5), "speed", ()),
-    ("param_amat", "amat", (-5.0, 3.0, -4.0, 4.0), "speed", ()),
-    ("param_os2", "os2", (-5.0, 3.0, -4.0, 4.0), "speed", ()),
-    ("param_os3", "os3", (-6.5, 3.5, -5.0, 5.0), "speed", ()),
+# name, method, bindings (None for a parameter plane), window, known
+# attractors; a figure that declares attractors is drawn in the attractor
+# palette, any other in the speed palette
+FIGURES = [
+    ("param_chebyshev_halley", "chebyshev-halley", None,
+     (-1.0, 5.0, -3.0, 3.0), ()),
+    ("param_king", "king", None, (-6.0, 5.0, -5.5, 5.5), ()),
+    ("param_amat", "amat", None, (-5.0, 3.0, -4.0, 4.0), ()),
+    ("param_os2", "os2", None, (-5.0, 3.0, -4.0, 4.0), ()),
+    ("param_os3", "os3", None, (-6.5, 3.5, -5.0, 5.0), ()),
     # for these three the story is capture by the strange point z = 1,
     # so it is declared as an attractor and drawn in the green ramp
-    ("param_os4", "os4", (-6.0, 8.0, -7.0, 7.0), "attractor", (1.0,)),
-    ("param_os5", "os5", (-10.5, 10.5, -10.5, 10.5), "attractor",
-     (1.0, -1.0)),
-    ("param_c_family", "c-family", (-9.0, 13.0, -10.0, 10.0), "attractor",
-     (1.0,)),
+    ("param_os4", "os4", None, (-6.0, 8.0, -7.0, 7.0), (1.0,)),
+    ("param_os5", "os5", None, (-10.5, 10.5, -10.5, 10.5), (1.0, -1.0)),
+    ("param_c_family", "c-family", None, (-9.0, 13.0, -10.0, 10.0), (1.0,)),
     # the fourth-order family is charted by alpha = (5 beta - 1)/beta,
     # where its circle (center -35, radius 128) lives
-    ("param_m4", "m4", (-180.0, 120.0, -150.0, 150.0), "attractor", (1.0,)),
-]
-
-# name, method, bindings, window, attractors
-DYNAMICAL_FIGURES = [
+    ("param_m4", "m4", None, (-180.0, 120.0, -150.0, 150.0), (1.0,)),
     ("dyn_os5_a0", "os5", {"a": 0.0},
      (-3.0, 3.0, -3.0, 3.0), (1.0, -1.0)),
     ("dyn_os5_a2_m9_3i", "os5", {"a": 2.0 - 9.3j},
@@ -57,38 +53,37 @@ DYNAMICAL_FIGURES = [
 ]
 
 
+def render(figure, resolution, max_iter, workers=None):
+    """The PlaneImage of one FIGURES row."""
+    _, method, bindings, window, attractors = figure
+    cfg = RenderConfig(window=window, resolution=resolution,
+                       max_iter=max_iter,
+                       mode="attractor" if attractors else "speed",
+                       workers=workers)
+    if bindings is None:
+        return parameter_plane(catalog_entry(method).stability_producer, cfg,
+                               known_attractors=attractors)
+    return dynamical_plane(conjugated_form(method, bindings).reconstruct(),
+                           cfg, known_attractors=attractors)
+
+
 def render_all(outdir, resolution, max_iter, threads):
     os.makedirs(outdir, exist_ok=True)
     total = time.perf_counter()
-    for name, method, window, mode, attractors in PARAMETER_FIGURES:
-        entry = catalog_entry(method)
-        cfg = RenderConfig(window=window, resolution=resolution,
-                           max_iter=max_iter, mode=mode, workers=threads)
+    for figure in FIGURES:
+        name, method, bindings = figure[:3]
         start = time.perf_counter()
-        img = parameter_plane(entry.stability_producer, cfg,
-                              known_attractors=attractors)
+        img = render(figure, resolution, max_iter, threads)
         path = os.path.join(outdir, name + ".ppm")
         write_image(img, path)
-        write_metadata(img, path + ".meta",
-                       extra={"subject": method,
-                              "parameter": entry.stability_param})
+        extra = {"subject": method}
+        if bindings is None:
+            extra["parameter"] = catalog_entry(method).stability_param
+        write_metadata(img, path + ".meta", extra=extra)
         counts = img.counts()
         print(f"{name:26s} {time.perf_counter() - start:6.1f}s  "
               f"root0={counts['root-0']} rootinf={counts['root-inf']} "
               f"strange={counts['strange-attractor']} none={counts['none']}")
-    for name, method, bindings, window, attractors in DYNAMICAL_FIGURES:
-        form = conjugated_form(method, bindings)
-        cfg = RenderConfig(window=window, resolution=resolution,
-                           max_iter=max_iter,
-                           mode="attractor" if attractors else "speed",
-                           workers=threads)
-        start = time.perf_counter()
-        img = dynamical_plane(form.reconstruct(), cfg,
-                              known_attractors=attractors)
-        path = os.path.join(outdir, name + ".ppm")
-        write_image(img, path)
-        write_metadata(img, path + ".meta", extra={"subject": method})
-        print(f"{name:26s} {time.perf_counter() - start:6.1f}s")
     print(f"total {time.perf_counter() - total:.1f}s -> {outdir}/")
 
 

@@ -275,25 +275,16 @@ def multiplier_aggregates(n: int, p_hat, x: float) -> tuple:
 # --------------------------------------------------------------------------
 
 
-def _values(f, z: np.ndarray) -> np.ndarray:
-    """f at the points z; an f that raises ZeroDivisionError is undefined
-    (NaN) at every point."""
-    try:
-        return np.asarray(f(z), np.complex128)
-    except ZeroDivisionError:
-        return np.full(z.shape, complex(np.nan, np.nan))
-
-
 def _draw_verdicts(f, moves, z: np.ndarray) -> tuple:
     """(failed, passed) of the draws z that are not skipped, in order."""
     with np.errstate(all="ignore"):
-        v = _values(f, z)
+        v = f(z)
         keep = (np.abs(z) >= 0.1) & (np.abs(v) >= 1e-6) & (np.abs(v) <= 1e6)
         z, v = z[keep], v[keep]
         pending = np.ones(z.shape, bool)   # no move has decided the draw yet
         failed = np.zeros(z.shape, bool)
         for g, h in moves:
-            w, want = _values(f, g(z)), h(v)
+            w, want = f(g(z)), h(v)
             undefined = np.isnan(w)
             miss = ~undefined & ~(np.abs(w - want)
                                   <= SYMMETRY_REL * (1.0 + np.abs(want)))

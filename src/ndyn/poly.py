@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -468,10 +469,14 @@ def _unit_scale(c: np.ndarray) -> float:
     """2 ** -round(log2 ||c||), the norm taken of c / e, e a power of two
     near the largest |c_j|, and multiplied back: the sum of squares cannot
     overflow, and the scale is the plain one wherever ||c|| is a float.  A
-    norm outside the normal float range is refused: too large, or too small
-    for c / e to be finite (subnormal coefficients)."""
-    e = 2.0 ** np.floor(np.log2(np.abs(c).max()))
-    norm = float(np.linalg.norm(c / e)) * float(e)
+    norm outside the normal float range is refused: too large, or made of
+    subnormal coefficients, which are refused before dividing by a
+    subnormal e could overflow."""
+    top = np.abs(c).max()
+    norm = math.inf
+    if top >= sys.float_info.min:
+        e = 2.0 ** np.floor(np.log2(top))
+        norm = float(np.linalg.norm(c / e)) * float(e)
     if not math.isfinite(norm):
         raise NdynError("the coefficients' norm is outside the normal "
                         "float range")

@@ -441,11 +441,6 @@ def test_sampled_identity_tests_every_move():
     assert sampled_identity(lambda z: z ** 5, rotations(4), 30, 1)
     assert not sampled_identity(lambda z: z ** 5, rotations(3), 30, 1)
 
-    def pole(z):
-        raise ZeroDivisionError
-
-    assert sampled_identity(pole, [flip], 30, 1)      # every draw skipped
-
 
 def _cube_except(where, mark):
     """z^3, but `mark` wherever where(z) holds."""
@@ -515,13 +510,6 @@ def test_sampled_identity_reads_on_while_the_first_draws_decide_nothing():
     flip = (lambda w: -w,) * 2
     assert sampled_identity(lambda w: f(w, False), [flip], trials, 5)
     assert not sampled_identity(lambda w: f(w, True), [flip], trials, 5)
-
-
-def test_sampled_identity_skips_every_draw_of_a_raising_f():
-    def raises(z):
-        raise ZeroDivisionError
-
-    assert sampled_identity(raises, rotations(3), 30, 1)
 
 
 def test_common_shape_lifts_and_pads():

@@ -1,9 +1,9 @@
 """Pinned pixels of the gallery in scripts/render_figures.py.
 
 Every figure is rendered at 64x64 with max_iter 150 from the script's own
-windows, modes and attractors, at one worker and at two.  The digest covers
-the outcome and iteration arrays, so any change to seeds, rows or orbits
-that moves a pixel shows up here.  The pinned arrays themselves are kept
+table and renderer, at one worker and at two.  The digest covers the
+outcome and iteration arrays, so any change to seeds, rows or orbits that
+moves a pixel shows up here.  The pinned arrays themselves are kept
 in figure_pins.npz (outcomes as int8, iterations as uint8), so a failing pin
 says how many pixels moved and where.  The chebyshev-halley and king
 parameter planes also pin their exact outcome counts at 300x300.
@@ -23,11 +23,8 @@ import sys
 import numpy as np
 import pytest
 
-from ndyn import (RenderConfig, catalog_entry, conjugated_form,
-                  dynamical_plane, parameter_plane)
-
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
-from render_figures import DYNAMICAL_FIGURES, PARAMETER_FIGURES  # noqa: E402
+from render_figures import FIGURES, render, render_all  # noqa: E402
 
 RESOLUTION = (64, 64)
 MAX_ITER = 150
@@ -75,21 +72,8 @@ COUNTS_300 = {
 
 
 def _render(name, workers, resolution=RESOLUTION):
-    for fig, method, window, mode, attractors in PARAMETER_FIGURES:
-        if fig == name:
-            cfg = RenderConfig(window=window, resolution=resolution,
-                               max_iter=MAX_ITER, mode=mode, workers=workers)
-            return parameter_plane(catalog_entry(method).stability_producer,
-                                   cfg, known_attractors=attractors)
-    for fig, method, bindings, window, attractors in DYNAMICAL_FIGURES:
-        if fig == name:
-            cfg = RenderConfig(window=window, resolution=resolution,
-                               max_iter=MAX_ITER,
-                               mode="attractor" if attractors else "speed",
-                               workers=workers)
-            R = conjugated_form(method, bindings).reconstruct()
-            return dynamical_plane(R, cfg, known_attractors=attractors)
-    raise KeyError(name)
+    figure = next(f for f in FIGURES if f[0] == name)
+    return render(figure, resolution, MAX_ITER, workers)
 
 
 def _digest(img):
@@ -120,8 +104,7 @@ def _moved(name, img, workers, shown=5):
 
 
 def test_every_figure_is_pinned():
-    names = [f[0] for f in PARAMETER_FIGURES] + [f[0] for f in DYNAMICAL_FIGURES]
-    assert sorted(PINS) == sorted(names)
+    assert sorted(PINS) == sorted(f[0] for f in FIGURES)
 
 
 def test_stored_arrays_hash_to_the_pins():
@@ -154,6 +137,22 @@ def test_parameter_plane_counts_at_300(name):
     for workers in (1, 2):
         img = _render(name, workers, resolution=(300, 300))
         assert img.counts() == COUNTS_300[name], workers
+
+
+def test_render_all_writes_every_figure(tmp_path):
+    render_all(tmp_path, (8, 8), 20, 1)
+    assert len(list(tmp_path.iterdir())) == 2 * len(FIGURES)
+    parameters = {}
+    for name, method, *_ in FIGURES:
+        ppm = (tmp_path / f"{name}.ppm").read_bytes()
+        assert ppm.startswith(b"P6\n8 8\n255\n") and len(ppm) == 11 + 192
+        meta = (tmp_path / f"{name}.ppm.meta").read_text().splitlines()
+        assert f"subject={method}" in meta
+        parameters.update((name, line[len("parameter="):]) for line in meta
+                          if line.startswith("parameter="))
+    assert sorted(parameters) == sorted(f[0] for f in FIGURES
+                                        if f[2] is None)
+    assert parameters["param_m4"] == "alpha"
 
 
 def _repin(path, images):

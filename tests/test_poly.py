@@ -52,6 +52,15 @@ def test_rat_make_scales_large_coefficients_without_overflow():
                  Polynomial((1.0, 1.0)))
 
 
+@pytest.mark.parametrize("coeffs", [(3e-314, 3e-314j), (1e-320, 2e-320)],
+                         ids=["complex", "real"])
+def test_rat_make_refuses_subnormal_coefficients_without_a_warning(coeffs):
+    # pytest turns warnings into errors, so a division that overflows on the
+    # way to the refusal fails here
+    with pytest.raises(NdynError, match="outside the normal float range"):
+        rat_make(Polynomial(coeffs), Polynomial((1.0, 1.0)))
+
+
 @pytest.mark.parametrize("coeffs,value", [((), 0j), ((2.5 - 1j,), 2.5 - 1j),
                                           ((0.0, 0.0, 3.0), INF)],
                          ids=["zero", "constant", "quadratic"])
