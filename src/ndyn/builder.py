@@ -9,9 +9,9 @@ Statements bind intermediate values; the last statement must bind ``next``.
 ``p`` stands for the target polynomial z^d - c and apostrophes take its
 derivatives, so a single scheme text serves every degree d and constant c.
 Instantiating a scheme substitutes the explicit polynomial and performs the
-rational arithmetic bottom-up without cancelling common factors; each
-distinct subexpression is built once and each named step is reduced once,
-so the iteration operator comes out as a reduced RationalMap.
+rational arithmetic bottom-up without cancelling common factors; the parser
+shares equal subexpressions, so each is built once, and each named step is
+reduced once, so the iteration operator comes out as a reduced RationalMap.
 """
 
 from __future__ import annotations
@@ -180,6 +180,10 @@ class _Parser:
         self.pos = 0
         self.bound: list[str] = []
         self.params: list[str] = []
+        self.nodes: dict = {}   # one object per distinct subexpression
+
+    def share(self, node) -> Node:
+        return self.nodes.setdefault(node, node)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -235,24 +239,25 @@ class _Parser:
         node = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance().text
-            node = BinOp(op, node, self.term())
+            node = self.share(BinOp(op, node, self.term()))
         return node
 
     def term(self) -> Node:
         node = self.factor()
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.advance().text
-            node = BinOp(op, node, self.factor())
+            node = self.share(BinOp(op, node, self.factor()))
         return node
 
     def factor(self) -> Node:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Const(tok.value)
+            return self.share(Const(tok.value))
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return BinOp("*", Const(-1.0 + 0.0j), self.factor())
+            return self.share(BinOp("*", self.share(Const(-1.0 + 0.0j)),
+                                    self.factor()))
         if tok.kind == "op" and tok.text == "(":
             self.advance()
             node = self.expr()
@@ -262,7 +267,7 @@ class _Parser:
             self.advance()
             name = tok.text
             if name == "z":
-                return Var()
+                return self.share(Var())
             if name == "p":
                 order = 0
                 while self.peek().kind == "op" and self.peek().text == "'":
@@ -271,7 +276,7 @@ class _Parser:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
-                return Deriv(order, arg)
+                return self.share(Deriv(order, arg))
             nxt = self.peek()
             if nxt.kind == "op" and nxt.text == "(":
                 raise UnboundIdentifier(name,
@@ -280,10 +285,10 @@ class _Parser:
                 raise SchemeSyntaxError(nxt.line, nxt.col,
                                         "derivatives apply only to p")
             if name in self.bound:
-                return Ref(name)
+                return self.share(Ref(name))
             if name not in self.params:
                 self.params.append(name)
-            return Param(name)
+            return self.share(Param(name))
         raise SchemeSyntaxError(tok.line, tok.col,
                                 f"unexpected {tok.text or 'end of input'!r}")
 
@@ -332,14 +337,14 @@ def target_derivative(d: int, c: complex, order: int) -> Polynomial:
 
 def _fold(scheme: Scheme, node_value: Callable, close: Callable):
     """Fold a scheme bottom-up, step by step: node_value(node, *operand
-    values) values a node and close(value) binds a step.  Nodes compare by
-    value and the memo is keyed by the node, so each distinct subexpression
-    is valued once, across steps too (a Ref names a step already bound)."""
+    values) values a node and close(value) binds a step.  The memo reads
+    id(node), so no node is hashed and each object, shared across steps
+    too, is valued once (parse_scheme shares equal subexpressions)."""
     env: dict = {}
     memo: dict = {}
 
     def value(node):
-        v = memo.get(node)
+        v = memo.get(id(node))
         if v is None:
             if isinstance(node, Ref):
                 v = env[node.name]
@@ -349,7 +354,7 @@ def _fold(scheme: Scheme, node_value: Callable, close: Callable):
                 v = node_value(node, value(node.lhs), value(node.rhs))
             else:
                 v = node_value(node)
-            memo[node] = v
+            memo[id(node)] = v
         return v
 
     for name, expr in scheme.steps:
@@ -453,9 +458,9 @@ def evaluate_scheme(scheme: Scheme, ctx: SchemeContext, z):
 
     Follows instantiate's step order but never forms coefficient vectors,
     so it stays accurate for schemes whose expanded operator degree is
-    large.  Each distinct subexpression is evaluated once over all the
-    points.  Where some step divides by exact zero, the array holds NaN and
-    a scalar z raises ZeroDivisionError.
+    large.  Each node object is evaluated once over all the points.
+    Where some step divides by exact zero, the array holds NaN and a
+    scalar z raises ZeroDivisionError.
     """
     points = np.asarray(z, np.complex128)
     zs = points.reshape(-1)

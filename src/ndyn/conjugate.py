@@ -155,8 +155,7 @@ def make_form(n: int, a, sign: int = 1) -> OperatorForm:
     """The normal form of sign * z^n P / P-hat, P monic with a_1..a_k.
 
     P-hat mirrors P, so a factor (z - 1) of P is -(z - 1) in P-hat and a
-    factor (z + 1) is (z + 1): poly.deflate_pm_one divides both out of P
-    (a P whose values at 1 and -1 are clearly nonzero skips the division),
+    factor (z + 1) is (z + 1): poly.deflate_pm_one divides both out of P,
     and each (z - 1) flips the sign.  With the monic quotient Q, one
     (z - 1) gives -z^n Q / Q-hat, the inverse of common_shape's lift.
     Then P-hat = (1, a_1..a_k) is trimmed by poly._trim at MIRROR_REL, as

@@ -65,7 +65,7 @@ from .poly import (CLUSTER_REL, RationalMap, _divide_rows, deflate_anchored,
 # poly_roots is unused here but stays bound: bench/test_bench.py checks that
 # the tracer patches and restores it through this module
 from .poly import poly_roots  # noqa: F401
-from .stability import affine_fit
+from .stability import LINEAR_CERT_TOL, affine_fit
 
 OUTCOME_NONE = 0
 OUTCOME_ROOT0 = 1
@@ -546,7 +546,19 @@ def _arg(z: np.ndarray) -> np.ndarray:
     return np.where(angle < 0, angle + 2.0 * np.pi, angle)
 
 
-def _select_seed_rows(w: np.ndarray, index: Optional[int] = None) -> tuple:
+def _even_rows(n, a: np.ndarray) -> np.ndarray:
+    """Whether each row's z^n P / P-hat is even, O(-z) = O(z): n + k is
+    even and every odd-index a_j (a_1, a_3, ...) is zero within
+    LINEAR_CERT_TOL of 1 + the largest |a_j|.  Its free critical points
+    then come as +-kappa, whose orbits meet after one step."""
+    scale = 1.0 + np.abs(a).max(axis=1, initial=0.0)
+    odd = np.abs(a[:, ::2]).max(axis=1, initial=0.0)
+    return ((np.add(n, a.shape[1]) % 2 == 0)
+            & (odd <= LINEAR_CERT_TOL * scale))
+
+
+def _select_seed_rows(w: np.ndarray, index: Optional[int] = None,
+                      even=False) -> tuple:
     """Free-critical selection from the pair roots w, vectorized over pixels.
 
     Each usable w (off the origin's w = inf) is one kappa <-> 1/kappa
@@ -554,9 +566,12 @@ def _select_seed_rows(w: np.ndarray, index: Optional[int] = None) -> tuple:
     has already divided out the anchored points w = +-2 (z = +-1).  A
     pair's seed is the root of z^2 - w z + 1 in the unit disc, or the one
     with the smaller argument in [0, 2 pi) when both lie on the circle.
-    With index None the default rule requires exactly one pair; an integer
-    index picks that pair in the order of the seeds' arguments, and a pixel
-    with no such pair counts as having no free critical point.
+    With index None the default rule requires exactly one pair, counting
+    a usable w and -w as one on the rows that `even` (a scalar or one per
+    row, see _even_rows) marks; an integer index picks that pair in the
+    order of the seeds' arguments, and a pixel with no such pair counts as
+    having no free critical point.  Either rule follows the seed of the
+    smallest argument when it picks index 0.
     Returns (seed, dead, no_free, multi masks); seed is undefined where dead.
     """
     P, D = w.shape
@@ -585,7 +600,17 @@ def _select_seed_rows(w: np.ndarray, index: Optional[int] = None) -> tuple:
         w = w.copy()
         w[rows] = total / size
         usable[rows] = U
-    count = usable.sum(axis=1)
+    count = pairs = usable.sum(axis=1)
+    if index is None and np.any(even):
+        # on an even row, a root within CLUSTER_REL of minus an earlier
+        # unmatched one is its mirror pair -kappa
+        mirror = np.zeros(w.shape, bool)
+        for j in range(1, D):
+            mirror[:, j] = even & usable[:, j] & (
+                (np.abs(w[:, :j] + w[:, j, None])
+                 <= CLUSTER_REL * (1.0 + np.abs(w[:, j, None])))
+                & usable[:, :j] & ~mirror[:, :j]).any(axis=1)
+        pairs = count - mirror.sum(axis=1)
     with np.errstate(invalid="ignore"):       # the nan padding of w
         root = np.sqrt(w * w - 4.0)
         outer = np.where(np.abs(w + root) >= np.abs(w - root),
@@ -597,7 +622,7 @@ def _select_seed_rows(w: np.ndarray, index: Optional[int] = None) -> tuple:
     # the default rule is index 0 that also demands exactly one pair
     i = index or 0
     no_free = count <= i
-    multi = (count > 1) & (index is None)
+    multi = (pairs > 1) & (index is None)
     pick = np.argsort(key, axis=1, kind="stable")[:, min(i, D - 1)]
     seed = seeds[np.arange(P), pick]
     return seed, no_free | multi, no_free, multi
@@ -615,11 +640,12 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
     per pixel and _pair_rows builds each pixel's equation.  The seeds come
     from the pair roots w (see _select_seed_rows), and _orbit follows each
     under its pixel's (n, a) (_form_map).  `selector` is None for the default
-    rule (exactly one free pair) or an integer index into a pixel's free
-    pairs, ordered by the argument of their seeds.  A member the family
-    cannot build is a dead pixel (_form_coeffs), whatever band holds it; a
-    family that builds no member of the plane refuses it with the first
-    pixel's error.
+    rule (exactly one free pair, +-kappa counted as one for an even form,
+    read by _even_rows off A and B or per row) or an integer index into a
+    pixel's free pairs, ordered by the argument of their seeds.  A member
+    the family cannot build is a dead pixel (_form_coeffs), whatever band
+    holds it; a family that builds no member of the plane refuses it with
+    the first pixel's error.
     """
     if selector is not None and selector < 0:
         raise ValueError("selector must be a nonnegative pair index")
@@ -632,17 +658,18 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
     if fit is not None:
         # shared by every t, so divided out of the terms once per render
         T = _deflate_shared(_family_terms(fit.n, fit.A, fit.B))
+        fit_even = _even_rows(fit.n, np.stack([fit.A, fit.B])).all()
 
     def work(ts):
         if fit is None:
             n_t, a, built = _form_coeffs(family, ts)
-            Q = _pair_rows(n_t, a)
+            Q, even = _pair_rows(n_t, a), _even_rows(n_t, a)
         else:
             t = ts[:, None]
             n_t, a, built = fit.n, fit.A + t * fit.B, np.ones(ts.size, bool)
-            Q = T[0] + t * (T[1] + t * T[2])
+            Q, even = T[0] + t * (T[1] + t * T[2]), fit_even
         w = _roots_rows(deflate_anchored(Q, _ANCHORS)[0])
-        seed, dead, no_free, multi = _select_seed_rows(w, selector)
+        seed, dead, no_free, multi = _select_seed_rows(w, selector, even)
         o, it = _orbit(seed, _form_map(n_t, a), cfg, attr, live=~dead)
         return o, it, no_free, multi, built
 

@@ -417,13 +417,8 @@ def deflate_pm_one(c: np.ndarray) -> tuple:
     -1, in Python scalars (a short row: they beat numpy's per-call
     overhead).  The rule and the top-down recurrence are deflate_anchored's,
     so q is its quotient bit for bit; only the sums the rule compares run
-    in another order.  A row whose values there are both beyond 1e-7 of
-    sum |c_j| (the rule's 1e-8 with room for rounding) is returned as it
-    is."""
+    in another order."""
     v = c.tolist()
-    tol = 1e-7 * sum(map(abs, v))
-    if abs(sum(v)) > tol and abs(sum(v[::2]) - sum(v[1::2])) > tol:
-        return c, (0, 0)
     counts = [0, 0]
     for i, r in enumerate((1.0, -1.0)):
         while any(v[1:]) and (abs(sum(v[::2]) + r * sum(v[1::2]))

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import hashlib
 import math
 from functools import partial
@@ -127,7 +128,8 @@ def test_unary_minus_is_a_product_with_minus_one():
 
 def test_equal_subexpressions_are_valued_once(monkeypatch):
     # king's p(z) is written three times, p(y) twice and p'(z) twice; the
-    # fold's memo is keyed by node value, so each is built once
+    # parser hands out one object for each and the fold's memo reads node
+    # identity, so each is built once
     import ndyn.builder as builder
     valued = []
     real = builder._instantiate_node
@@ -141,6 +143,63 @@ def test_equal_subexpressions_are_valued_once(monkeypatch):
                 SchemeContext(d=2, c=1.0, bindings={"beta": 1.0}))
     assert len(valued) == len(set(valued))
     assert Deriv(0, Var()) in valued and Deriv(0, Ref("y")) in valued
+
+
+def _nodes(scheme: Scheme) -> list:
+    """Every node object of the scheme, once per place it is written."""
+    out, stack = [], [expr for _, expr in scheme.steps]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack += ([node.arg] if isinstance(node, Deriv) else
+                  [node.lhs, node.rhs] if isinstance(node, BinOp) else [])
+    return out
+
+
+def _unshared(node):
+    """An equal copy of node that shares no object between two places."""
+    if isinstance(node, Deriv):
+        return Deriv(node.order, _unshared(node.arg))
+    if isinstance(node, BinOp):
+        return BinOp(node.op, _unshared(node.lhs), _unshared(node.rhs))
+    return dataclasses.replace(node)
+
+
+REPEATED = ("y = z - 2*p(z)/p'(z);\nw = -p(z) + -p(y);\n"
+            "next = y - 2*p(z)/p'(z) * (p(y) + w)/(p(y) - w);")
+
+
+@pytest.mark.parametrize("name", [
+    *(name for name in catalog_names() if catalog_entry(name).ast),
+    "repeated"])
+def test_parsed_scheme_holds_one_object_per_distinct_subexpression(name):
+    nodes = _nodes(parse_scheme(REPEATED) if name == "repeated"
+                   else catalog_entry(name).ast)
+    assert len({id(node) for node in nodes}) == len(set(nodes))
+
+
+def test_king_writes_p_of_z_three_times_as_one_object():
+    ast = catalog_entry("king").ast
+    found = [node for node in _nodes(ast) if node == Deriv(0, Var())]
+    assert len(found) == 3 and all(node is found[0] for node in found)
+
+
+@pytest.mark.parametrize("name", ["king", "chun", "wang"])
+def test_an_unshared_ast_folds_as_the_parsed_one(name):
+    # a hand-built AST compares equal and folds the same, only without
+    # sharing
+    ast = catalog_entry(name).ast
+    copy = Scheme(tuple((step, _unshared(expr)) for step, expr in ast.steps),
+                  ast.params)
+    assert copy == ast
+    assert len({id(node) for node in _nodes(copy)}) == len(_nodes(copy))
+    ctx = SchemeContext(d=2, c=1.0, bindings={"beta": 0.7, "alpha": 0.3})
+    got, want = instantiate(copy, ctx), instantiate(ast, ctx)
+    assert got.num.coeffs.tobytes() == want.num.coeffs.tobytes()
+    assert got.den.coeffs.tobytes() == want.den.coeffs.tobytes()
+    zs = np.array([0.3 + 0.4j, -1.2 + 0.1j, 2.0 - 0.5j])
+    assert (evaluate_scheme(copy, ctx, zs).tobytes()
+            == evaluate_scheme(ast, ctx, zs).tobytes())
 
 
 def test_parse_rejects_garbage():

@@ -281,8 +281,8 @@ def _anchored_reference(n, a):
 @pytest.mark.parametrize("rel", [1e-5, 3e-8, 1.2e-8, 0.8e-8, 1e-9, 0.0])
 def test_reduced_form_skips_only_what_deflation_keeps(anchor, rel):
     # P(anchor) moved to rel (1 + sum |a_j|) around deflate_anchored's
-    # 1e-8 boundary: the skip for clearly nonzero P(+-1) never changes
-    # the result of the call
+    # 1e-8 boundary: make_form's +-1 deflation keeps exactly what
+    # deflate_anchored keeps, on both sides of it
     rng = np.random.default_rng(0xA7C408)
     for _ in range(20):
         a = np.array(_a_of([anchor] + list(rng.uniform(-2, 2, (3, 2))

@@ -18,6 +18,7 @@ from ndyn import (
     RationalMap,
     RenderConfig,
     catalog_entry,
+    catalog_names,
     colorize,
     dynamical_plane,
     free_critical_points,
@@ -33,7 +34,7 @@ from ndyn.errors import NdynError, ZeroDenominator
 from ndyn.planes import (BAND_PIXELS, CONV_RADIUS, INFINITY_RADIUS,
                          OUTCOME_NAMES, OUTCOME_ROOT0, OUTCOME_ROOTINF,
                          OUTCOME_STRANGE, PlaneImage, _bands,
-                         _deflate_shared, _family_terms,
+                         _deflate_shared, _even_rows, _family_terms,
                          _flatten_attractors, _form_coeffs, _form_map,
                          _one_block, _orbit, _OrbitMap, _pair_rows,
                          _rational_map, _roots_rows, _select_seed_rows)
@@ -577,6 +578,81 @@ def test_pair_index_selector_follows_either_of_two_free_pairs():
     assert int((first.outcome != second.outcome).sum()) == 44
 
 
+# a Newton step, then a damped one: a = (0, 1 - beta), an even map whose
+# two free pairs are +-kappa
+EVEN_NEWTON = "y = z - p(z)/p'(z);\nnext = y - beta*p(y)/p'(y);"
+
+
+def _even_families():
+    return {"scheme": partial(_scheme_member, parse_scheme(EVEN_NEWTON),
+                              "beta", {}, 1.0),
+            "form": lambda t: make_form(2, (0.0, t)),
+            "per-pixel": lambda t: make_form(2, (0.0, t * t))}
+
+
+# 140 rows run as two bands; the per-pixel family builds a form per pixel,
+# so it runs at 24 only
+@pytest.mark.parametrize("name, size", [("scheme", 24), ("scheme", 140),
+                                        ("form", 24), ("form", 140),
+                                        ("per-pixel", 24)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_default_rule_follows_one_of_an_even_forms_mirror_pairs(
+        name, size, workers):
+    family = _even_families()[name]
+    cfg = RenderConfig(window=(-3.0, 3.0, -3.0, 3.0), resolution=(size, size),
+                       max_iter=40, workers=workers)
+    default = parameter_plane(family, cfg)
+    first = parameter_plane(family, cfg, selector=0)
+    assert default.diagnostics == first.diagnostics
+    assert default.diagnostics["multiple_free_pairs"] == 0
+    assert default.diagnostics["vectorized"] == (name != "per-pixel")
+    assert np.array_equal(default.outcome, first.outcome)
+    assert np.array_equal(default.iterations, first.iterations)
+    counts = default.counts()
+    assert counts["none"] < size * size
+    want = {("scheme", 24): (200, 300, 76), ("form", 24): (164, 314, 98)}
+    if (name, size) in want:
+        got = counts["none"], counts["root-0"], counts["root-inf"]
+        assert got == want[name, size]
+
+
+def test_odd_form_keeps_the_one_pair_rule():
+    # n + k = 5: O(-z) = -O(z), so -kappa's orbit mirrors kappa's and each
+    # pixel still has two free pairs
+    cfg = RenderConfig(window=(-3.0, 3.0, -3.0, 3.0), resolution=(24, 24),
+                       max_iter=40)
+    img = parameter_plane(lambda t: make_form(3, (0.0, t)), cfg)
+    assert img.diagnostics["multiple_free_pairs"] == 576
+    assert img.counts()["none"] == 576
+
+
+def test_even_rows_need_even_n_plus_k_and_zero_odd_coefficients():
+    a = np.array([[0.0, 0.3], [1e-9, 0.3], [1e-7, 0.3], [0.0, 0.3],
+                  [np.nan, 0.3]], np.complex128)
+    n = np.array([2, 2, 2, 3, 2])
+    assert _even_rows(n, a).tolist() == [True, True, False, False, False]
+    # a k = 4 form reads a_1 and a_3; a form with k = 0 is even with n
+    a4 = np.array([[0.0, 5.0, 0.0, 2.0], [0.0, 5.0, 1.0, 2.0]])
+    assert _even_rows(4, a4).tolist() == [True, False]
+    assert _even_rows(np.array([2, 3]), np.zeros((2, 0))).tolist() == [
+        True, False]
+
+
+@pytest.mark.parametrize("name", [n for n in catalog_names()
+                                  if catalog_entry(n).stability_producer])
+def test_no_catalog_family_with_a_free_pair_is_even(name):
+    # newton, ostrowski, jarratt and wang are even maps z^n with k = 0,
+    # which have no free pair to count
+    entry = catalog_entry(name)
+    ts = np.array([-2.5, -0.4 + 1.1j, 0.3137 + 0.1171j, 0.9, 3.7 - 2.0j])
+    n, a, built = _form_coeffs(entry.stability_producer, ts)
+    assert built.all()
+    if a.shape[1]:
+        assert not _even_rows(n, a).any()
+    else:
+        assert entry.nk[1] == 0
+
+
 def test_negative_pair_index_is_rejected():
     cfg = RenderConfig(window=(-6.5, 3.5, -5.0, 5.0), resolution=(8, 8),
                        max_iter=40)
@@ -983,8 +1059,8 @@ def test_special_members_die_as_the_per_pixel_pair_rows_say(
                                1.5 * h), resolution=(3, 3), max_iter=20)
     seen = []
 
-    def recorded(w, index=None):
-        result = _select_seed_rows(w, index)
+    def recorded(w, *args):
+        result = _select_seed_rows(w, *args)
         seen.append(result[1])
         return result
 

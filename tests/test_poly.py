@@ -438,17 +438,35 @@ def _planted_rows():
                 yield p.coeffs * (1.0 if case < 2 else 3.0 - 0.7j)
 
 
+def _near_anchor_rows():
+    """Seeded rows of 5 to 31 coefficients whose value at +1 or -1 sits at
+    rel of sum |c_j|, for rel on both sides of deflation's 1e-8 and of
+    1e-7, where a former pre-test returned a row undivided."""
+    rng = np.random.default_rng(0x9E7E57)
+    for rel in (5e-9, 5e-8, 2e-7):
+        for i, r in enumerate((1.0, -1.0)):
+            for size in (5, 12, 31):
+                c = rng.normal(size=size) + 1j * rng.normal(size=size)
+                c[0] = 0.0
+                powers = r ** np.arange(size)
+                scale = np.abs(c).sum() + abs(c @ powers)
+                turn = np.exp(1j * rng.uniform(0.0, 7.0))
+                c[0] = rel * scale * turn - c @ powers
+                yield c, rel, i
+
+
 def test_scalar_pm_one_deflation_is_the_batched_one_bit_for_bit():
     rng = np.random.default_rng(3)
     unchanged = [Polynomial.from_roots(rng.normal(size=6) + 2.0j).coeffs,
                  np.array([2.0, -1.0, 0.5, 3.0], np.complex128)]
-    for c in list(_planted_rows()) + unchanged:
+    near = list(_near_anchor_rows())
+    for c in list(_planted_rows()) + unchanged + [c for c, _, _ in near]:
         q, counts = deflate_pm_one(c)
         rows, want = deflate_anchored(c[None, :], (1.0, -1.0))
         assert q.tobytes() == rows[0].tobytes()
         assert counts == tuple(want[0].tolist())
-    for c in unchanged:
-        assert deflate_pm_one(c)[0] is c
+    for c, rel, i in near:
+        assert (deflate_pm_one(c)[1][i] > 0) == (rel < 1e-8)
 
 
 def test_anchored_deflation_counts_each_anchor():
