@@ -98,8 +98,9 @@ class Scheme:
 _OPS = set("+-*/=();'")
 
 # The most tokens one statement's expression (between = and ;) may hold.
-# Parsing and folding recurse once per level of nesting, so the bound keeps
-# the deepest statement, 399 unary minuses, within Python's recursion limit.
+# The parser takes three frames per parenthesis and one per unary minus, the
+# fold one per operation, so the bound keeps the deepest statements (199
+# nested parentheses, 399 unary minuses) within Python's recursion limit.
 MAX_STATEMENT_TOKENS = 400
 
 # The number grammar of scheme texts and of complex values on the command
@@ -178,12 +179,15 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
-        self.bound: list[str] = []
-        self.params: list[str] = []
+        self.bound: set[str] = set()
+        self.params: dict = {}  # name -> its first read, in order of first use
         self.nodes: dict = {}   # one object per distinct subexpression
 
     def share(self, node) -> Node:
-        return self.nodes.setdefault(node, node)
+        # keyed by type, leaf fields and the ids of children the table holds
+        key = (type(node), *(f if isinstance(f, (str, int, complex)) else id(f)
+                             for f in vars(node).values()))
+        return self.nodes.setdefault(key, node)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -213,7 +217,7 @@ class _Parser:
                                         f"{name!r} is reserved and cannot be rebound")
             self.expect_op("=")
             end = self.pos
-            while self.tokens[end].text not in (";", ""):
+            while self.tokens[end].text not in (";", "=", ""):
                 end += 1
             if end - self.pos > MAX_STATEMENT_TOKENS:
                 raise SchemeSyntaxError(
@@ -224,7 +228,11 @@ class _Parser:
             if name in self.bound:
                 raise SchemeSyntaxError(tok.line, tok.col,
                                         f"step {name!r} is bound twice")
-            self.bound.append(name)
+            if read := self.params.get(name):
+                raise SchemeSyntaxError(
+                    read.line, read.col,
+                    f"step {name!r} is read before line {tok.line} binds it")
+            self.bound.add(name)
             steps.append((name, expr))
         if not steps:
             tok = self.peek()
@@ -286,8 +294,7 @@ class _Parser:
                                         "derivatives apply only to p")
             if name in self.bound:
                 return self.share(Ref(name))
-            if name not in self.params:
-                self.params.append(name)
+            self.params.setdefault(name, tok)
             return self.share(Param(name))
         raise SchemeSyntaxError(tok.line, tok.col,
                                 f"unexpected {tok.text or 'end of input'!r}")

@@ -184,6 +184,63 @@ def test_king_writes_p_of_z_three_times_as_one_object():
     assert len(found) == 3 and all(node is found[0] for node in found)
 
 
+def _chain(steps: int) -> str:
+    """A scheme of `steps` one-line steps, each reading the one before."""
+    lines = ["y0 = z - p(z)/p'(z);"]
+    lines += [f"y{i} = y{i - 1} - p(y{i - 1})/p'(y{i - 1});"
+              for i in range(1, steps - 1)]
+    return "\n".join(lines + [f"next = y{steps - 2};"])
+
+
+def test_the_parser_hashes_no_node(monkeypatch):
+    # a node's hash walks its whole subtree, so a parser that hashes nodes
+    # is superlinear in the depth; sharing reads the children's ids instead
+    import ndyn.builder as builder
+
+    def refuse(node):
+        raise AssertionError(f"hashed {type(node).__name__}")
+
+    texts = ["next = " + "-" * 399 + "z;",
+             "next = " + " + ".join(["z"] * 200) + ";", _chain(2000),
+             *(text for text, *_ in builder._SCHEMES.values())]
+    for cls in (Var, Const, Param, Deriv, BinOp, Ref):
+        monkeypatch.setattr(cls, "__hash__", refuse)
+    schemes = [parse_scheme(text) for text in texts]
+    assert len(schemes[2].steps) == 2000
+    for name, scheme in zip(builder._SCHEMES, schemes[3:]):
+        assert scheme == catalog_entry(name).ast
+
+
+def test_a_missing_semicolon_is_reported_as_one():
+    # each statement alone is within the bound, the two together are not
+    text = "y = z" + " + z" * 120 + "\nnext = y" + " + z" * 120 + ";"
+    with pytest.raises(SchemeSyntaxError) as err:
+        parse_scheme(text)
+    assert str(err.value) == "line 2, col 1: expected ';', found 'next'"
+    assert parse_scheme(text.replace("\n", ";\n")).steps[0][0] == "y"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("y = z - w*p(z)/p'(z);\nw = 1;\nnext = y;",
+     "line 1, col 9: step 'w' is read before line 2 binds it"),
+    ("next = next;", "line 1, col 8: step 'next' is read before line 1 "
+     "binds it"),
+    ("y = beta*z;\nnext = beta*y;\n  beta = 2;",
+     "line 1, col 5: step 'beta' is read before line 3 binds it"),
+], ids=["step-read-before-bound", "next-reads-next", "first-of-three-reads"])
+def test_a_step_read_before_it_is_bound_is_refused(text, message):
+    with pytest.raises(SchemeSyntaxError) as err:
+        parse_scheme(text)
+    assert str(err.value) == message
+
+
+def test_no_catalog_scheme_reads_a_step_before_binding_it():
+    for name in catalog_names():
+        ast = catalog_entry(name).ast
+        if ast:
+            assert not set(ast.params) & {step for step, _ in ast.steps}
+
+
 @pytest.mark.parametrize("name", ["king", "chun", "wang"])
 def test_an_unshared_ast_folds_as_the_parsed_one(name):
     # a hand-built AST compares equal and folds the same, only without

@@ -375,6 +375,22 @@ def test_non_ascii_digit_in_a_scheme_is_a_located_error(tmp_path, capsys):
     assert err == "error: line 2, col 15: unexpected character '\u00b2'\n"
 
 
+@pytest.mark.parametrize("text, args, message", [
+    ("y = z - w*p(z)/p'(z);\nw = 1;\nnext = y;\n", ("--param", "w=0.5"),
+     "line 1, col 9: step 'w' is read before line 2 binds it"),
+    ("next = next;\n", (),
+     "line 1, col 8: step 'next' is read before line 1 binds it"),
+    ("y = z" + " + z" * 120 + "\nnext = y" + " + z" * 120 + ";\n", (),
+     "line 2, col 1: expected ';', found 'next'"),
+], ids=["step-read-before-bound", "next-reads-next", "missing-semicolon"])
+def test_scheme_file_errors_are_located(tmp_path, capsys, text, args,
+                                        message):
+    path = tmp_path / "bad.scheme"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "build", "--scheme-file", str(path), *args)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_scheme_file_that_is_not_utf8_is_refused(tmp_path, capsys):
     path = tmp_path / "bad.scheme"
     path.write_bytes(b"next = z - p(z)/p\xff(z);\n")
