@@ -24,7 +24,8 @@ built once per render, and the anchored factors (w -+ 2) (z = +-1) that it
 has at every t are divided out of it once.  Each band evaluates Q at its
 t (or builds it per pixel), divides out the anchored factors that only
 special members have, and takes one seed per pair from the roots: -c0/c1
-for a linear row, the companion-matrix eigenvalues otherwise.
+for a linear equation, the companion-matrix eigenvalues otherwise.  Every
+seed-phase array is coefficient-major, (D, P): a band takes O(D) passes.
 
 Every orbit runs through one loop, _orbit.  It allocates its work arrays
 once per call, sized to the batch, and every step and capture test writes
@@ -279,10 +280,11 @@ def _rational_map(R: RationalMap) -> _OrbitMap:
     return _OrbitMap(list(num[n:]) or [0.0], list(R.den.coeffs), n)
 
 
-def _form_map(n, a: np.ndarray) -> _OrbitMap:
-    """z^n * P / P-hat for each row of `a` (a_1..a_k) and `n` (a scalar or
-    one per row): P-hat's columns are 1, a_1..a_k, P's the same reversed."""
-    cols = [np.complex128(1.0)] + [_column(col) for col in a.T]
+def _form_map(n, a) -> _OrbitMap:
+    """z^n * P / P-hat for each seed, from the columns a_1..a_k of `a` (a
+    sequence of k arrays, one value per seed) and `n` (a scalar or one per
+    seed): P-hat's columns are 1, a_1..a_k, P's the same reversed."""
+    cols = [np.complex128(1.0)] + [_column(col) for col in a]
     return _OrbitMap(cols[::-1], cols, _column(n))
 
 
@@ -418,11 +420,12 @@ def dynamical_plane(R: RationalMap, cfg: RenderConfig,
 
 
 def _form_coeffs(family, ts) -> tuple:
-    """(n, a, built) of the family's forms at each t, in their common shape.
+    """(n, a, built) of the family's forms at each t, in their common shape;
+    a is coefficient-major, (k, len(ts)).
 
     A member the family cannot build (NdynError) is False in `built` and
-    gets a NaN row of a, so its pair equation has no root and its pixel is
-    dead, counted as having no free critical point (a is one NaN column
+    gets a NaN column of a, so its pair equation has no root and its pixel
+    is dead, counted as having no free critical point (a is one NaN row
     when no member is built).
     """
     forms = []
@@ -435,25 +438,24 @@ def _form_coeffs(family, ts) -> tuple:
     n_built, a_built = (common_shape([f for f in forms if f is not None])
                         if built.any() else ([], np.empty((0, 1))))
     n = np.zeros(len(forms), int)
-    a = np.full((len(forms), a_built.shape[1]), np.nan, np.complex128)
-    n[built], a[built] = n_built, a_built
+    a = np.full((a_built.shape[1], len(forms)), np.nan, np.complex128)
+    n[built], a[:, built] = n_built, a_built.T
     return n, a, built
 
 
 def _conv_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-wise polynomial product of ascending coefficient arrays."""
-    P, da = A.shape
-    _, db = B.shape
-    out = np.zeros((P, da + db - 1), np.complex128)
-    for i in range(da):
-        out[:, i:i + db] += A[:, i][:, None] * B
+    """Column-wise polynomial product of ascending coefficients, one
+    coefficient per row."""
+    out = np.zeros((len(A) + len(B) - 1, A.shape[1]), np.complex128)
+    for i in range(len(A)):
+        out[i:i + len(B)] += A[i] * B
     return out
 
 
 def _pair_terms(n, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Q(w) per row, ascending, of the pair equation as a bilinear form.
+    """Q(w) per column, ascending, of the pair equation as a bilinear form.
 
-    With p the coefficients of P and q those of P-hat (ascending, one row
+    With p the coefficients of P and q those of P-hat (ascending, one column
     each), C(p, q) = conv((n + j) p, q) - conv(p, j q) is the derivative
     numerator without its z^(n-1), C = n P P-hat + z (P' P-hat - P P-hat').
     When q is the reversal of p, C is self-reciprocal of degree 2k, so
@@ -461,10 +463,9 @@ def _pair_terms(n, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     Dickson polynomials D_m(z + 1/z) = z^m + z^-m.  Both steps are linear,
     so Q is bilinear in (p, q) too.
     """
-    k = q.shape[1] - 1
-    j = np.arange(k + 1)
-    C = (_conv_rows((np.reshape(n, (-1, 1)) + j) * p, q)
-         - _conv_rows(p, j * q))
+    k = len(q) - 1
+    j = np.arange(k + 1)[:, None]
+    C = _conv_rows((n + j) * p, q) - _conv_rows(p, j * q)
     # row m: ascending coefficients of D_m, except row 0, which is 1
     dickson = np.zeros((k + 1, k + 1))
     dickson[0, 0] = 2.0
@@ -474,43 +475,46 @@ def _pair_terms(n, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         dickson[m, 1:] = dickson[m - 1, :-1]
         dickson[m] -= dickson[m - 2]
     dickson[0, 0] = 1.0           # the middle coefficient C_k stands alone
-    return C[:, k:] @ dickson
+    # the product is taken pixel-major, the operand order BLAS saw when the
+    # pixels were rows, so every sum in it keeps its order
+    return (np.ascontiguousarray(C[k:].T) @ dickson).T
 
 
 def _pair_rows(n, a: np.ndarray) -> np.ndarray:
-    """Q(w) per row, ascending: the free critical pairs of z^n P / P-hat.
+    """Q(w) per column, ascending: the free critical pairs of z^n P / P-hat
+    for each column of a (a_1..a_k, coefficient-major).
 
     Each root w of Q is one pair kappa <-> 1/kappa; z = 0 and a padded
     a_k = 0 sit at w = inf (see _pair_terms).
     """
-    P, k = a.shape
-    q = np.ones((P, k + 1), np.complex128)
-    q[:, 1:] = a
-    return _pair_terms(n, q[:, ::-1], q)
+    k, P = a.shape
+    q = np.ones((k + 1, P), np.complex128)
+    q[1:] = a
+    return _pair_terms(n, q[::-1], q)
 
 
 def _family_terms(n, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Rows T0, T1, T2 with Q(w; t) = T0 + t T1 + t^2 T2 for a = A + t B.
+    """Columns T0, T1, T2 with Q(w; t) = T0 + t T1 + t^2 T2 for a = A + t B.
 
     q = qA + t qB with qA = (1, A) and qB = (0, B), so the bilinear
     _pair_terms splits exactly into Q0 = C(pA, qA), Q1 = C(pA, qB) +
     C(pB, qA) and Q2 = C(pB, qB).
     """
-    qA = np.r_[1.0, A].astype(np.complex128)[None, :]
-    qB = np.r_[0.0, B].astype(np.complex128)[None, :]
-    pA, pB = qA[:, ::-1], qB[:, ::-1]
+    qA = np.r_[1.0, A].astype(np.complex128)[:, None]
+    qB = np.r_[0.0, B].astype(np.complex128)[:, None]
+    pA, pB = qA[::-1], qB[::-1]
     return np.concatenate([_pair_terms(n, pA, qA),
                            _pair_terms(n, pA, qB) + _pair_terms(n, pB, qA),
-                           _pair_terms(n, pB, qB)])
+                           _pair_terms(n, pB, qB)], axis=1)
 
 
 def _deflate_shared(T: np.ndarray) -> np.ndarray:
-    """Divide the anchored factors (w -+ 2) that every nonzero row of T has
-    out of all rows, once; each factor drops the top column."""
-    nonzero = np.abs(T).sum(axis=1) > 0
+    """Divide the anchored factors (w -+ 2) that every nonzero column of T
+    has out of all columns, once; each factor drops the top row."""
+    nonzero = np.abs(T).sum(axis=0) > 0
     if not nonzero.any():
         return T
-    shared = deflate_anchored(T, _ANCHORS)[1][nonzero].min(axis=0)
+    shared = deflate_anchored(T, _ANCHORS)[1][:, nonzero].min(axis=1)
     for r, m in zip(_ANCHORS, shared):
         for _ in range(m):
             T = _divide_rows(T, r)
@@ -518,25 +522,28 @@ def _deflate_shared(T: np.ndarray) -> np.ndarray:
 
 
 def _roots_rows(C: np.ndarray) -> np.ndarray:
-    """Roots of each row's ascending-coefficient polynomial, nan-padded."""
-    P, D = C.shape
-    out = np.full((P, max(D - 1, 1)), np.nan + 0.0j, np.complex128)
-    scale = np.abs(C).max(axis=1)
-    big = np.abs(C) > 1e-12 * np.maximum(scale, 1e-300)[:, None]
-    deg = np.where(big.any(axis=1), D - 1 - big[:, ::-1].argmax(axis=1), -1)
-    for m in np.unique(deg):
-        if m < 1:
+    """Roots of each column's ascending-coefficient polynomial (one
+    coefficient per row), nan-padded: (max(D - 1, 1), P)."""
+    D, P = C.shape
+    out = np.full((max(D - 1, 1), P), np.nan + 0.0j, np.complex128)
+    mag = np.abs(C)
+    big = mag > 1e-12 * np.maximum(mag.max(axis=0), 1e-300)
+    deg = np.full(P, -1)
+    for m in range(D):          # the last big row is the degree
+        deg[big[m]] = m
+    for m in range(1, D):
+        cols = np.flatnonzero(deg == m)
+        if not cols.size:
             continue
-        rows = np.where(deg == m)[0]
-        monic = C[rows, :m + 1] / C[rows, m][:, None]
+        lead = C[m, cols]
         if m == 1:
             # the eigenvalue of the 1x1 companion, bit for bit
-            out[rows, 0] = -monic[:, 0]
+            out[0, cols] = -(C[0, cols] / lead)
             continue
-        comp = np.zeros((rows.size, m, m), np.complex128)
+        comp = np.zeros((cols.size, m, m), np.complex128)
         comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
-        comp[:, :, m - 1] = -monic[:, :m]
-        out[rows, :m] = np.linalg.eigvals(comp)
+        comp[:, :, m - 1] = -(C[:m, cols] / lead).T
+        out[:m, cols] = np.linalg.eigvals(comp).T
     return out
 
 
@@ -547,19 +554,20 @@ def _arg(z: np.ndarray) -> np.ndarray:
 
 
 def _even_rows(n, a: np.ndarray) -> np.ndarray:
-    """Whether each row's z^n P / P-hat is even, O(-z) = O(z): n + k is
-    even and every odd-index a_j (a_1, a_3, ...) is zero within
-    LINEAR_CERT_TOL of 1 + the largest |a_j|.  Its free critical points
-    then come as +-kappa, whose orbits meet after one step."""
-    scale = 1.0 + np.abs(a).max(axis=1, initial=0.0)
-    odd = np.abs(a[:, ::2]).max(axis=1, initial=0.0)
-    return ((np.add(n, a.shape[1]) % 2 == 0)
+    """Whether each column's z^n P / P-hat (a is (k, P)) is even, O(-z) =
+    O(z): n + k is even and every odd-index a_j (a_1, a_3, ...) is zero
+    within LINEAR_CERT_TOL of 1 + the largest |a_j|.  Its free critical
+    points then come as +-kappa, whose orbits meet after one step."""
+    scale = 1.0 + np.abs(a).max(axis=0, initial=0.0)
+    odd = np.abs(a[::2]).max(axis=0, initial=0.0)
+    return ((np.add(n, a.shape[0]) % 2 == 0)
             & (odd <= LINEAR_CERT_TOL * scale))
 
 
 def _select_seed_rows(w: np.ndarray, index: Optional[int] = None,
                       even=False) -> tuple:
-    """Free-critical selection from the pair roots w, vectorized over pixels.
+    """Free-critical selection from the pair roots w, (D, P): root j of
+    pixel p in w[j, p]; one root per pixel needs no sort.
 
     Each usable w (off the origin's w = inf) is one kappa <-> 1/kappa
     pair, and the estimates of a multiple root count once; deflate_anchored
@@ -567,65 +575,68 @@ def _select_seed_rows(w: np.ndarray, index: Optional[int] = None,
     pair's seed is the root of z^2 - w z + 1 in the unit disc, or the one
     with the smaller argument in [0, 2 pi) when both lie on the circle.
     With index None the default rule requires exactly one pair, counting
-    a usable w and -w as one on the rows that `even` (a scalar or one per
-    row, see _even_rows) marks; an integer index picks that pair in the
+    a usable w and -w as one on the pixels that `even` (a scalar or one per
+    pixel, see _even_rows) marks; an integer index picks that pair in the
     order of the seeds' arguments, and a pixel with no such pair counts as
     having no free critical point.  Either rule follows the seed of the
     smallest argument when it picks index 0.
     Returns (seed, dead, no_free, multi masks); seed is undefined where dead.
     """
-    P, D = w.shape
+    D, P = w.shape
     # |z| > ORIGIN_TOL <=> |w| < 1 / ORIGIN_TOL
     usable = np.isfinite(w) & (np.abs(w) < 1.0 / ORIGIN_TOL)
-    # A row with more than one usable root holds several pairs or a
+    # A pixel with more than one usable root holds several pairs or a
     # multiple root (os3's free pair is double), which comes back as m
     # scattered estimates.  Fold each estimate into the first unfolded one
     # within CLUSTER_REL and use their mean, far closer to the root than
     # any one estimate.  Unlike poly._clusters this never joins through a
     # folded member nor merges two groups: os3's one double pair is two
-    # estimates, and a bridge needs three.  Column by column: memory stays
+    # estimates, and a bridge needs three.  Root by root: memory stays
     # O(P * D).
-    rows = np.where(usable.sum(axis=1) > 1)[0]
-    if rows.size:
-        R, U = w[rows], usable[rows]
+    cols = np.flatnonzero(usable.sum(axis=0) > 1)
+    if cols.size:
+        R, U = w[:, cols], usable[:, cols]
         total, size = R.copy(), np.ones(R.shape)
         for j in range(1, D):
-            near = (np.abs(R[:, :j] - R[:, j, None])
-                    <= CLUSTER_REL * (1.0 + np.abs(R[:, j, None]))) & U[:, :j]
-            dup = np.where(U[:, j] & near.any(axis=1))[0]
-            first = near[dup].argmax(axis=1)
-            total[dup, first] += R[dup, j]
-            size[dup, first] += 1.0
-            U[dup, j] = False
+            near = (np.abs(R[:j] - R[j])
+                    <= CLUSTER_REL * (1.0 + np.abs(R[j]))) & U[:j]
+            dup = np.flatnonzero(U[j] & near.any(axis=0))
+            first = near[:, dup].argmax(axis=0)
+            total[first, dup] += R[j, dup]
+            size[first, dup] += 1.0
+            U[j, dup] = False
         w = w.copy()
-        w[rows] = total / size
-        usable[rows] = U
-    count = pairs = usable.sum(axis=1)
+        w[:, cols] = total / size
+        usable[:, cols] = U
+    count = pairs = usable.sum(axis=0)
     if index is None and np.any(even):
-        # on an even row, a root within CLUSTER_REL of minus an earlier
+        # on an even pixel, a root within CLUSTER_REL of minus an earlier
         # unmatched one is its mirror pair -kappa
         mirror = np.zeros(w.shape, bool)
         for j in range(1, D):
-            mirror[:, j] = even & usable[:, j] & (
-                (np.abs(w[:, :j] + w[:, j, None])
-                 <= CLUSTER_REL * (1.0 + np.abs(w[:, j, None])))
-                & usable[:, :j] & ~mirror[:, :j]).any(axis=1)
-        pairs = count - mirror.sum(axis=1)
+            mirror[j] = even & usable[j] & (
+                (np.abs(w[:j] + w[j]) <= CLUSTER_REL * (1.0 + np.abs(w[j])))
+                & usable[:j] & ~mirror[:j]).any(axis=0)
+        pairs = count - mirror.sum(axis=0)
     with np.errstate(invalid="ignore"):       # the nan padding of w
         root = np.sqrt(w * w - 4.0)
-        outer = np.where(np.abs(w + root) >= np.abs(w - root),
-                         w + root, w - root) / 2.0
+        plus, minus = w + root, w - root
+        outer = np.where(np.abs(plus) >= np.abs(minus), plus, minus) / 2.0
         inner = 1.0 / outer
-    swap = (np.abs(outer) <= 1.0 + 1e-9) & (_arg(outer) < _arg(inner))
+    # both members on the circle: the smaller argument is the seed
+    swap = np.zeros(w.shape, bool)
+    circle = np.flatnonzero(np.abs(outer) <= 1.0 + 1e-9)
+    swap.flat[circle] = _arg(outer.flat[circle]) < _arg(inner.flat[circle])
     seeds = np.where(swap, outer, inner)
-    key = np.where(usable, _arg(seeds), np.inf)
     # the default rule is index 0 that also demands exactly one pair
     i = index or 0
     no_free = count <= i
     multi = (pairs > 1) & (index is None)
-    pick = np.argsort(key, axis=1, kind="stable")[:, min(i, D - 1)]
-    seed = seeds[np.arange(P), pick]
-    return seed, no_free | multi, no_free, multi
+    if D == 1:                  # one root per pixel: no sort
+        return seeds[0], no_free | multi, no_free, multi
+    key = np.where(usable, _arg(seeds), np.inf)
+    pick = np.argsort(key, axis=0, kind="stable")[min(i, D - 1)]
+    return seeds[pick, np.arange(P)], no_free | multi, no_free, multi
 
 
 def parameter_plane(family, cfg: RenderConfig, selector=None,
@@ -636,16 +647,18 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
     coefficients a(t) pass the affine fit at the fixed generic PROBES, every
     band's coefficients are a = A + t B, whatever the window, and the pair
     equation is the quadratic in t of _family_terms, built and stripped of
-    its shared anchored factors once; otherwise the family is called once
-    per pixel and _pair_rows builds each pixel's equation.  The seeds come
-    from the pair roots w (see _select_seed_rows), and _orbit follows each
-    under its pixel's (n, a) (_form_map).  `selector` is None for the default
-    rule (exactly one free pair, +-kappa counted as one for an even form,
-    read by _even_rows off A and B or per row) or an integer index into a
-    pixel's free pairs, ordered by the argument of their seeds.  A member
-    the family cannot build is a dead pixel (_form_coeffs), whatever band
-    holds it; a family that builds no member of the plane refuses it with
-    the first pixel's error.
+    its shared anchored factors once; a band evaluates each of its
+    coefficients and each a_j as one array over its t.  Otherwise the
+    family is called once per pixel and _pair_rows builds each pixel's
+    equation.  Both store coefficients coefficient-major, (D, P).  The seeds
+    come from the pair roots w (see _select_seed_rows), and _orbit follows
+    each under its pixel's (n, a) (_form_map).  `selector` is None for the
+    default rule (exactly one free pair, +-kappa counted as one for an even
+    form, read by _even_rows off A and B or per pixel) or an integer index
+    into a pixel's free pairs, ordered by the argument of their seeds.  A
+    member the family cannot build is a dead pixel (_form_coeffs), whatever
+    band holds it; a family that builds no member of the plane refuses it
+    with the first pixel's error.
     """
     if selector is not None and selector < 0:
         raise ValueError("selector must be a nonnegative pair index")
@@ -658,16 +671,16 @@ def parameter_plane(family, cfg: RenderConfig, selector=None,
     if fit is not None:
         # shared by every t, so divided out of the terms once per render
         T = _deflate_shared(_family_terms(fit.n, fit.A, fit.B))
-        fit_even = _even_rows(fit.n, np.stack([fit.A, fit.B])).all()
+        fit_even = _even_rows(fit.n, np.stack([fit.A, fit.B], axis=1)).all()
 
     def work(ts):
         if fit is None:
             n_t, a, built = _form_coeffs(family, ts)
             Q, even = _pair_rows(n_t, a), _even_rows(n_t, a)
         else:
-            t = ts[:, None]
-            n_t, a, built = fit.n, fit.A + t * fit.B, np.ones(ts.size, bool)
-            Q, even = T[0] + t * (T[1] + t * T[2]), fit_even
+            a = [A_j + ts * B_j for A_j, B_j in zip(fit.A, fit.B)]
+            Q = np.array([T0 + ts * (T1 + ts * T2) for T0, T1, T2 in T])
+            n_t, built, even = fit.n, np.ones(ts.size, bool), fit_even
         w = _roots_rows(deflate_anchored(Q, _ANCHORS)[0])
         seed, dead, no_free, multi = _select_seed_rows(w, selector, even)
         o, it = _orbit(seed, _form_map(n_t, a), cfg, attr, live=~dead)

@@ -208,40 +208,47 @@ def _horner(c, x):
 
 
 def _divide_rows(C: np.ndarray, r) -> np.ndarray:
-    """Row-wise synthetic division of ascending coefficients by (z - r),
-    from the top down; the remainder is dropped."""
-    P, D = C.shape
-    Q = np.empty((P, D - 1), np.complex128)
-    Q[:, D - 2] = C[:, D - 1]
+    """Synthetic division by (z - r) of each column of C, ascending
+    coefficients down its rows, from the top down; the remainder is
+    dropped."""
+    D = C.shape[0]
+    Q = np.empty((D - 1,) + C.shape[1:], np.complex128)
+    Q[D - 2] = C[D - 1]
     for j in range(D - 3, -1, -1):
-        Q[:, j] = C[:, j + 1] + r * Q[:, j + 1]
+        Q[j] = C[j + 1] + r * Q[j + 1]
     return Q
 
 
 def deflate_anchored(C: np.ndarray, anchors) -> tuple:
-    """Divide every factor (z - r), r in anchors, out of each row of C.
+    """Divide every factor (z - r), r in anchors, out of each column of C.
 
-    A multiple root at a known point scatters badly under any root solver
-    (radius ~ eps^(1/m)), so it is divided out first: r counts as a root of
-    a row of degree >= 1 while the row's value there vanishes within 1e-8
-    of sum |C_j| |r|^j.  Returns the quotient rows (the width of C, zero at
-    the top) and the number of factors of each anchor, (rows, anchors).
+    C is coefficient-major, (D, P): row j holds the z^j coefficients of P
+    polynomials, so each step is a few passes over the columns.  A multiple
+    root at a known point scatters badly under any root solver (radius
+    ~ eps^(1/m)), so it is divided out first: r counts as a root of a
+    column of degree >= 1 while its value there vanishes within 1e-8 of
+    sum |C_j| |r|^j, and only the columns just divided are tested again.
+    Returns the quotients (the shape of C, zero at the top) and the number
+    of factors of each anchor, (anchors, P).
     """
     Q = np.array(C, np.complex128)
-    P, D = Q.shape
-    counts = np.zeros((P, len(anchors)), int)
+    D, P = Q.shape
+    counts = np.zeros((len(anchors), P), int)
     for i, r in enumerate(anchors):
-        powers = (r ** np.arange(D))[None, :]
+        powers = (r ** np.arange(D))[:, None]
+        cols, S = np.arange(P), Q   # the columns to test, and their rows
         while True:
-            vals = (Q * powers).sum(axis=1)
-            scale = (np.abs(Q) * np.abs(powers)).sum(axis=1)
-            mask = (scale > 0) & (np.abs(vals) <= 1e-8 * scale)
-            mask &= np.abs(Q[:, 1:]).sum(axis=1) > 0
-            if not mask.any():
+            vals = (S * powers).sum(axis=0)
+            scale = (np.abs(S) * np.abs(powers)).sum(axis=0)
+            hit = np.flatnonzero((scale > 0) & (np.abs(vals) <= 1e-8 * scale)
+                                 & (np.abs(S[1:]).sum(axis=0) > 0))
+            if not hit.size:
                 break
-            Q[mask, :D - 1] = _divide_rows(Q[mask], r)
-            Q[mask, D - 1] = 0.0
-            counts[mask, i] += 1
+            cols, S = cols[hit], S[:, hit]
+            S[:D - 1] = _divide_rows(S, r)
+            S[D - 1] = 0.0
+            Q[:, cols] = S
+            counts[i, cols] += 1
     return Q, counts
 
 
@@ -413,8 +420,8 @@ def _pair_conjugates(clusters) -> list:
 
 
 def deflate_pm_one(c: np.ndarray) -> tuple:
-    """(q, (m_plus, m_minus)): deflate_anchored on the one row c at +1 and
-    -1, in Python scalars (a short row: they beat numpy's per-call
+    """(q, (m_plus, m_minus)): deflate_anchored on the one column c at +1
+    and -1, in Python scalars (a short row: they beat numpy's per-call
     overhead).  The rule and the top-down recurrence are deflate_anchored's,
     so q is its quotient bit for bit; only the sums the rule compares run
     in another order."""

@@ -271,9 +271,9 @@ def test_form_families_drop_a_shared_square_at_minus_one(method, param, t,
 def _anchored_reference(n, a):
     """make_form's deflation spelled out: one deflate_anchored call,
     always."""
-    row = np.array((1.0,) + tuple(complex(v) for v in a))[None, ::-1]
-    rows, counts = deflate_anchored(row, (1.0, -1.0))
-    q = rows[0, :len(a) + 1 - int(counts.sum())]
+    col = np.array((1.0,) + tuple(complex(v) for v in a))[::-1, None]
+    cols, counts = deflate_anchored(col, (1.0, -1.0))
+    q = cols[:len(a) + 1 - int(counts.sum()), 0]
     return make_form(n, q[-2::-1], (-1) ** int(counts[0, 0]))
 
 

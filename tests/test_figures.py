@@ -6,7 +6,9 @@ outcome and iteration arrays, so any change to seeds, rows or orbits that
 moves a pixel shows up here.  The pinned arrays themselves are kept
 in figure_pins.npz (outcomes as int8, iterations as uint8), so a failing pin
 says how many pixels moved and where.  The chebyshev-halley and king
-parameter planes also pin their exact outcome counts at 300x300.
+parameter planes also pin their exact outcome counts at 300x300, and every
+vectorized parameter plane renders the same bytes at one and two workers
+when its grid is four bands.
 
 `PYTHONPATH=src python tests/test_figures.py` prints the current digests in
 the order of PINS; `PYTHONPATH=src python tests/test_figures.py PATH` also
@@ -22,6 +24,9 @@ import sys
 
 import numpy as np
 import pytest
+
+from ndyn import RenderConfig, catalog_entry, parameter_plane
+from ndyn.planes import _bands
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
 from render_figures import FIGURES, render, render_all  # noqa: E402
@@ -137,6 +142,41 @@ def test_parameter_plane_counts_at_300(name):
     for workers in (1, 2):
         img = _render(name, workers, resolution=(300, 300))
         assert img.counts() == COUNTS_300[name], workers
+
+
+# four bands of 68, 68, 68 and 36 rows
+BANDED = (240, 240)
+# m4 at alpha = -35, where its pair equation gains a factor (w - 2), is the
+# center pixel (120, 120): the pixel pitch 2^-10 makes every center exact
+PITCH = 2.0 ** -10
+M4_AT_MINUS_35 = ("m4_at_minus_35", "m4", None,
+                  (-35.0 - 120.5 * PITCH, -35.0 + 119.5 * PITCH,
+                   -119.5 * PITCH, 120.5 * PITCH), (1.0,))
+BANDED_FIGURES = [f for f in FIGURES
+                  if f[2] is None and f[1] != "os3"] + [M4_AT_MINUS_35]
+
+
+def test_banded_figures_are_the_vectorized_gallery_in_four_bands():
+    assert len(_bands(*BANDED)) == 4
+    assert len(BANDED_FIGURES) == 9
+    cfg = RenderConfig(window=M4_AT_MINUS_35[3], resolution=BANDED)
+    assert (cfg.x_centers()[120], cfg.y_centers()[120]) == (-35.0, 0.0)
+
+
+@pytest.mark.parametrize("figure", BANDED_FIGURES, ids=lambda f: f[0])
+def test_banded_parameter_plane_bytes_do_not_depend_on_the_workers(figure):
+    _, method, _, window, attractors = figure
+    producer = catalog_entry(method).stability_producer
+    for selector in (None, 0, 1):
+        one, two = (parameter_plane(
+            producer, RenderConfig(window=window, resolution=BANDED,
+                                   max_iter=40, workers=workers),
+            selector=selector, known_attractors=attractors)
+            for workers in (1, 2))
+        assert one.diagnostics["vectorized"], method
+        assert one.diagnostics == two.diagnostics, selector
+        assert one.outcome.tobytes() == two.outcome.tobytes(), selector
+        assert one.iterations.tobytes() == two.iterations.tobytes(), selector
 
 
 def test_render_all_writes_every_figure(tmp_path):

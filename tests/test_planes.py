@@ -630,11 +630,11 @@ def test_even_rows_need_even_n_plus_k_and_zero_odd_coefficients():
     a = np.array([[0.0, 0.3], [1e-9, 0.3], [1e-7, 0.3], [0.0, 0.3],
                   [np.nan, 0.3]], np.complex128)
     n = np.array([2, 2, 2, 3, 2])
-    assert _even_rows(n, a).tolist() == [True, True, False, False, False]
+    assert _even_rows(n, a.T).tolist() == [True, True, False, False, False]
     # a k = 4 form reads a_1 and a_3; a form with k = 0 is even with n
     a4 = np.array([[0.0, 5.0, 0.0, 2.0], [0.0, 5.0, 1.0, 2.0]])
-    assert _even_rows(4, a4).tolist() == [True, False]
-    assert _even_rows(np.array([2, 3]), np.zeros((2, 0))).tolist() == [
+    assert _even_rows(4, a4.T).tolist() == [True, False]
+    assert _even_rows(np.array([2, 3]), np.zeros((0, 2))).tolist() == [
         True, False]
 
 
@@ -647,7 +647,7 @@ def test_no_catalog_family_with_a_free_pair_is_even(name):
     ts = np.array([-2.5, -0.4 + 1.1j, 0.3137 + 0.1171j, 0.9, 3.7 - 2.0j])
     n, a, built = _form_coeffs(entry.stability_producer, ts)
     assert built.all()
-    if a.shape[1]:
+    if a.shape[0]:
         assert not _even_rows(n, a).any()
     else:
         assert entry.nk[1] == 0
@@ -718,7 +718,7 @@ def test_orbit_loop_matches_each_seed_alone(seed, k, mixed_n):
     live = rng.random(P) > 0.2
     live[1] = True
     cfg = small_cfg(max_iter=40)
-    out, its = _orbit(z0, _form_map(n, a), cfg, np.array([1.0 + 0j]),
+    out, its = _orbit(z0, _form_map(n, a.T), cfg, np.array([1.0 + 0j]),
                       live=live)
     for i in range(P):
         if not live[i]:
@@ -791,7 +791,7 @@ def test_fixed_point_exit_matches_the_reference_loop(max_iter):
         a = rng.uniform(-2, 2, (P, k)) + 1j * rng.uniform(-2, 2, (P, k))
         z = rng.uniform(-3, 3, P) + 1j * rng.uniform(-3, 3, P)
         z[:40] = np.repeat(near_one, 8)
-        cases.append((z, _form_map(n, a), (), rng.random(P) > 0.1))
+        cases.append((z, _form_map(n, a.T), (), rng.random(P) > 0.1))
     for z, f, attractors, live in cases:
         attr = _flatten_attractors(attractors)
         got = _orbit(z, f, cfg, attr, live)
@@ -836,12 +836,12 @@ def _step_maps(rng, size):
     a = cx(size, 3)
     shared = np.repeat(cx(1, 2), size, axis=0)
     return [
-        _form_map(3, a),
-        _form_map(rng.integers(0, 6, size), a),
-        _form_map(2, shared),
-        _form_map(rng.integers(1, 4, size), shared),
-        _form_map(np.full(size, 4), np.c_[shared, a[:, :1]]),
-        _form_map(0, np.zeros((size, 0))),
+        _form_map(3, a.T),
+        _form_map(rng.integers(0, 6, size), a.T),
+        _form_map(2, shared.T),
+        _form_map(rng.integers(1, 4, size), shared.T),
+        _form_map(np.full(size, 4), np.c_[shared, a[:, :1]].T),
+        _form_map(0, np.zeros((0, size))),
         _rational_map(KING_M4),
         _rational_map(random_form(rng).reconstruct()),
         _rational_map(Z_SQUARED),
@@ -908,7 +908,7 @@ def test_pair_rows_fold_the_derivative_numerator(rng):
     rows.append((n - 2, np.r_[a, 0.0, 0.0]))
     for n, a in rows:
         k = a.size
-        Q = _pair_rows(n, a[None, :])[0]
+        Q = _pair_rows(n, a[:, None])[:, 0]
         C = _derivative_numerator(n, a)
         for z in (0.3 + 0.4j, -1.7 + 0.2j, 2.5j):
             want = C(z)
@@ -917,8 +917,8 @@ def test_pair_rows_fold_the_derivative_numerator(rng):
             assert abs(got - want) <= 1e-10 * scale, (n, k, z)
     # the padding only raises Q's top coefficients, which stay zero
     (n, a), (n_pad, a_pad) = rows[2], rows[-1]
-    padded = _pair_rows(n_pad, a_pad[None, :])[0]
-    assert np.allclose(padded[:3], _pair_rows(n, a[None, :])[0],
+    padded = _pair_rows(n_pad, a_pad[:, None])[:, 0]
+    assert np.allclose(padded[:3], _pair_rows(n, a[:, None])[:, 0],
                        rtol=1e-12, atol=0.0)
     assert np.all(padded[3:] == 0)
 
@@ -926,8 +926,8 @@ def test_pair_rows_fold_the_derivative_numerator(rng):
 def test_free_critical_pairs_are_roots_of_the_pair_rows(rng):
     for _ in range(12):
         form = random_form(rng)
-        a = np.array(form.a, np.complex128).reshape(1, -1)
-        w = _roots_rows(_pair_rows(form.n, a))[0]
+        a = np.array(form.a, np.complex128).reshape(-1, 1)
+        w = _roots_rows(_pair_rows(form.n, a))[:, 0]
         w = w[np.isfinite(w)]
         for crit in free_critical_points(form.reconstruct()):
             kappa = crit.point
@@ -940,7 +940,7 @@ def test_free_critical_pairs_are_roots_of_the_pair_rows(rng):
 @pytest.mark.parametrize("w", [-1.9, -0.3, 0.5, 1.7])
 @pytest.mark.parametrize("wobble", [0.0, 1e-15j, -1e-15j])
 def test_pair_on_the_circle_seeds_the_upper_member(w, wobble):
-    row = np.array([[w + wobble, np.nan]], np.complex128)
+    row = np.array([[w + wobble], [np.nan]], np.complex128)
     for index in (None, 0):
         seed, dead, _, _ = _select_seed_rows(row, index)
         assert not dead[0]
@@ -1002,16 +1002,16 @@ def test_family_terms_are_the_pair_rows_as_a_quadratic_in_t(method):
     T = _family_terms(n, A, B)
     rng = np.random.default_rng(sorted(FAMILY_ANCHORS).index(method))
     for t in rng.uniform(-5, 5, 8) + 1j * rng.uniform(-5, 5, 8):
-        want = _pair_rows(n, (A + t * B)[None, :])[0]
-        got = T[0] + t * (T[1] + t * T[2])
+        want = _pair_rows(n, (A + t * B)[:, None])[:, 0]
+        got = T[:, 0] + t * (T[:, 1] + t * T[:, 2])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), t
     # multiplied back by its anchored factors, the deflated T is T again
     deflated = _deflate_shared(T)
-    assert deflated.shape == (3, 2)
+    assert deflated.shape == (2, 3)
     at_two, at_minus_two = FAMILY_ANCHORS[method]
     factor = np.polynomial.polynomial.polyfromroots([2.0] * at_two
                                                     + [-2.0] * at_minus_two)
-    back = np.array([np.convolve(row, factor) for row in deflated])
+    back = np.array([np.convolve(col, factor) for col in deflated.T]).T
     assert np.abs(back - T).max() <= 1e-12 * np.abs(T).max()
 
 
@@ -1031,7 +1031,7 @@ def test_linear_rows_take_the_companion_eigenvalue_bit_for_bit():
     C = (10.0 ** rng.uniform(-12, 12, (size, 2))
          * np.exp(2j * np.pi * rng.uniform(size=(size, 2))))
     C[:4, 0] = [0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0)]
-    got = _roots_rows(C)[:, 0]
+    got = _roots_rows(C.T)[0]
     linear = np.isfinite(got)
     assert linear.sum() > size // 2
     companion = -(C[linear, 0] / C[linear, 1])[:, None, None]
@@ -1068,7 +1068,8 @@ def test_special_members_die_as_the_per_pixel_pair_rows_say(
     img = parameter_plane(producer, cfg)
     ts = _grid(cfg)
     assert ts[4] == t0
-    Q, _ = deflate_anchored(_pair_rows(n, A + ts[:, None] * B), (2.0, -2.0))
+    Q, _ = deflate_anchored(_pair_rows(n, A[:, None] + ts * B[:, None]),
+                            (2.0, -2.0))
     _, dead, no_free, multi = _select_seed_rows(_roots_rows(Q))
     assert np.array_equal(np.concatenate(seen), dead)
     assert img.diagnostics["no_free_critical"] == no_free.sum()
@@ -1093,8 +1094,8 @@ def test_no_root_near_an_anchor_survives_deflation():
             roots.append(radius * cmath.exp(2j * math.pi * rng.uniform()))
         row = Polynomial.from_roots(roots, lead=rng.uniform(0.1, 10.0)).coeffs
         rows[i, :row.size] = row
-    Q, counts = deflate_anchored(rows, (2.0, -2.0))
-    assert np.array_equal(counts, planted)
+    Q, counts = deflate_anchored(rows.T, (2.0, -2.0))
+    assert np.array_equal(counts.T, planted)
     w = _roots_rows(Q)
     assert not np.any(np.abs(w - 2.0) <= 1e-9)
     assert not np.any(np.abs(w + 2.0) <= 1e-9)

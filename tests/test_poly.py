@@ -141,9 +141,9 @@ def test_roots_are_sorted_by_real_then_imaginary_part():
 def test_anchored_deflation_removes_only_the_anchor():
     # one copy of (z - 1) leaves; the root 1e-3 away and -3 stay
     p = Polynomial.from_roots([1.0, 1.001, -3.0])
-    rows, counts = deflate_anchored(p.coeffs[None, :], (1.0, -1.0))
-    assert counts.tolist() == [[1, 0]]
-    q = Polynomial(rows[0])
+    cols, counts = deflate_anchored(p.coeffs[:, None], (1.0, -1.0))
+    assert counts.tolist() == [[1], [0]]
+    q = Polynomial(cols[:, 0])
     assert q.degree == 2
     assert abs(q(1.001)) <= 1e-12
     assert abs(q(-3.0)) <= 1e-12
@@ -417,12 +417,13 @@ def _anchored_rows():
 
 def test_anchored_deflation_of_a_batch_is_row_by_row():
     rows = _anchored_rows()
-    batch, counts = deflate_anchored(rows, (1.0, -1.0))
+    batch, counts = deflate_anchored(rows.T, (1.0, -1.0))
     for i, row in enumerate(rows):
-        one, count = deflate_anchored(row[None, :], (1.0, -1.0))
-        assert np.array_equal(one[0], batch[i])
-        assert np.array_equal(count[0], counts[i])
-    assert counts.tolist() == [[i % 4, i % 3] for i in range(rows.shape[0])]
+        one, count = deflate_anchored(row[:, None], (1.0, -1.0))
+        assert np.array_equal(one[:, 0], batch[:, i])
+        assert np.array_equal(count[:, 0], counts[:, i])
+    assert counts.T.tolist() == [[i % 4, i % 3]
+                                 for i in range(rows.shape[0])]
 
 
 def _planted_rows():
@@ -462,9 +463,9 @@ def test_scalar_pm_one_deflation_is_the_batched_one_bit_for_bit():
     near = list(_near_anchor_rows())
     for c in list(_planted_rows()) + unchanged + [c for c, _, _ in near]:
         q, counts = deflate_pm_one(c)
-        rows, want = deflate_anchored(c[None, :], (1.0, -1.0))
-        assert q.tobytes() == rows[0].tobytes()
-        assert counts == tuple(want[0].tolist())
+        cols, want = deflate_anchored(c[:, None], (1.0, -1.0))
+        assert q.tobytes() == cols[:, 0].tobytes()
+        assert counts == tuple(want[:, 0].tolist())
     for c, rel, i in near:
         assert (deflate_pm_one(c)[1][i] > 0) == (rel < 1e-8)
 
@@ -472,9 +473,9 @@ def test_scalar_pm_one_deflation_is_the_batched_one_bit_for_bit():
 def test_anchored_deflation_counts_each_anchor():
     q = Polynomial.from_roots([0.5 + 2.0j, -3.0])
     p = Polynomial.from_roots([1.0] * 3 + [-1.0] * 2) * q
-    rest, counts = deflate_anchored(p.coeffs[None, :], (1.0, -1.0))
-    assert counts.tolist() == [[3, 2]]
-    assert np.allclose(Polynomial(rest[0]).coeffs, q.coeffs, atol=1e-12)
+    rest, counts = deflate_anchored(p.coeffs[:, None], (1.0, -1.0))
+    assert counts.tolist() == [[3], [2]]
+    assert np.allclose(Polynomial(rest[:, 0]).coeffs, q.coeffs, atol=1e-12)
 
 
 if __name__ == "__main__":
